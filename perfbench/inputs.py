@@ -103,7 +103,7 @@ def entry_case(seed: int, index: int, rel_tol: float | None = None) -> dict:
     return data
 
 
-def long_rk4_case(seed: int, t_final: float = 10000.0, form: str = "rv") -> dict:
+def long_rk4_case(seed: int, t_final: float, form: str) -> dict:
     """The norm_drift scenario, rotated about the spin axis by a seeded angle."""
     theta = random.Random(f"rk4/{seed}").uniform(0.0, 2.0 * math.pi)
     data = copy.deepcopy(_NORM_DRIFT)

@@ -68,6 +68,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, size=None) -> dic
     try:
         w = workloads.WORKLOADS[workload](seed, workdir, size or workloads.Size())
         m = w.measure(seconds, trace, SRC)
+        samples = w.derivative_samples() if trace else None
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -76,25 +77,28 @@ def run(workload: str, seed: int, seconds: float, trace: bool, size=None) -> dic
         f"python {sys.version.split()[0]} numpy {numpy.__version__} quatflight {quatflight.__version__}"
     )
     if trace:
+        traced = [end - start for start, end in m["traced"]]
         metrics = tracing.layer_metrics(
             w.tracer,
-            [end - start for start, end in m["traced"]],
+            traced,
             [end - start for start, end in m["untraced"]],
-            w.samples,
+            samples,
             w.evals_to_accuracy(),
             w.size.rhs_calls,
         )
+        problems = tracing.self_time_problems(w.tracer.self_times(), sum(traced))
+        if problems:
+            raise RuntimeError("; ".join(problems))
         notes = {}
-        if metrics["trace.unaccounted_share"] > 0.02:
-            raise RuntimeError(
-                f"layer self times miss {metrics['trace.unaccounted_share']:.1%} of the traced unit time"
-            )
         total = sum(metrics[f"self_s.{layer}"] for layer in tracing.LAYERS)
         for layer in tracing.LAYERS:
             notes[f"self_s.{layer}"] = f"{metrics[f'self_s.{layer}'] / total:6.1%} of traced unit"
         trace_path = OUT / f"trace-{workload}-{seed}.json"
         w.tracer.write(trace_path, metrics)
-        print(f"  spans in {trace_path.relative_to(ROOT)}; layer self times add up to the traced unit time")
+        print(
+            f"  spans in {trace_path.relative_to(ROOT)}; layer self times add up to the traced unit time, "
+            "none negative"
+        )
     else:
         metrics, notes = w.end_to_end(m)
 

@@ -3,8 +3,9 @@
     python3 -m pytest perfbench/tests -q
 
 Each workload runs once at a tiny size, traced and untraced; the metric
-names it prints must be those of BENCHMARK.json; and a derivative planted
-to return NaN must be counted as failed, not dropped.
+names it prints must be those of BENCHMARK.json; a derivative planted
+to return NaN must be counted as failed, not dropped; and a hot timer
+charged to the wrong layer must fail the traced run.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import run as bench  # noqa: E402
 
 bench.import_program()
 
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 from quatflight.dynamics import PARAMETERIZATIONS  # noqa: E402
 
@@ -71,6 +73,14 @@ def test_planted_nonfinite_rhs_is_counted(monkeypatch):
     assert result["failed"] >= planted
     assert not result["correct"]
     assert result["metrics"]["ok_ratio"]["value"] <= 1.0 - planted / result["attempted"]
+
+
+def test_misattributed_hot_timer_fails_the_traced_run(monkeypatch):
+    # sample_diagnostics runs inside write_trajectory_csv; charged to
+    # initial_array_for instead, it leaves that layer a negative self time.
+    monkeypatch.setitem(tracing.HOT_PARENT, "diag", "init")
+    with pytest.raises(RuntimeError, match="self time of init"):
+        bench.run("entry_compare", seed=3, seconds=0.0, trace=True, size=TINY)
 
 
 def test_failed_rung_is_not_interpolated_from():

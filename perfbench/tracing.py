@@ -16,8 +16,9 @@ timing wrappers, and put back afterwards.
   they happen.
 
 A layer's self time is its spans' duration minus the part covered by its
-child spans and hot timers; the self times of all layers add up to the
-traced unit time.
+child spans and hot timers.  The self times of all layers add up to the
+traced unit time, and none may be negative beyond timer noise, which would
+mean a child was charged to a layer it does not run inside.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from inputs import FORMS
 # Layers by the boundary that opens them; hot layers name their parent span.
 LAYERS = ("cli", "load", "run", "init", "propagate", "rhs", "radius", "csv", "diag", "compare")
 HOT_PARENT = {"rhs": "propagate", "radius": "propagate", "diag": "csv"}
+UNACCOUNTED_MAX = 0.02  # of the traced unit time
+SELF_TIME_FLOOR = -0.01  # of the traced unit time
+RHS_BATCHES = 5
 
 perf_counter = time.perf_counter
 
@@ -117,7 +121,8 @@ class Tracer:
 
         return timed
 
-    def _run_parameterization(self, fn):
+    def run_span(self, fn):
+        """``run_parameterization`` under span ``run``, noting the form for the step counts."""
         traced = self.span("run", fn)
 
         def run(name, *args, **kwargs):
@@ -189,10 +194,13 @@ class Tracer:
 
     @contextlib.contextmanager
     def active(self):
-        """Install the wrappers for the duration of one traced unit."""
+        """Install the wrappers for the duration of one traced unit.
+
+        ``run_parameterization`` is left to the workload's recorder, which
+        opens the ``run`` span through :meth:`run_span`.
+        """
         patches = [
             (cli, "load_scenario", self.span("load", cli.load_scenario)),
-            (scenario, "run_parameterization", self._run_parameterization(scenario.run_parameterization)),
             (scenario, "initial_array_for", self.span("init", scenario.initial_array_for)),
             (scenario, "propagate", self._propagate(scenario.propagate)),
             (scenario, "write_trajectory_csv", self.span("csv", scenario.write_trajectory_csv)),
@@ -240,7 +248,27 @@ class Tracer:
         path.write_text(json.dumps(payload))
 
 
-def rhs_cost(form, config, traj, calls=20000, batches=5):
+def self_time_problems(self_s: dict, traced_total: float) -> list:
+    """Why the layer self times do not account for the traced unit time.
+
+    They must add up to it, and no layer's self time may be negative by
+    more than ``SELF_TIME_FLOOR`` of it: a negative self time means a child
+    span or hot timer was charged to a layer it does not run inside.
+    """
+    problems = []
+    unaccounted = abs(traced_total - sum(self_s.values())) / traced_total
+    if unaccounted > UNACCOUNTED_MAX:
+        problems.append(f"layer self times miss {unaccounted:.1%} of the traced unit time")
+    for layer, seconds in self_s.items():
+        if seconds < SELF_TIME_FLOOR * traced_total:
+            problems.append(
+                f"self time of {layer} is {seconds / traced_total:.1%} of the traced unit time; "
+                "a child was timed outside it"
+            )
+    return problems
+
+
+def rhs_cost(form, config, traj, calls):
     """ns per derivative call and trig calls per call, at states along ``traj``.
 
     The derivative is built fresh, without any tracing wrapper, and timed
@@ -259,11 +287,11 @@ def rhs_cost(form, config, traj, calls=20000, batches=5):
     if not states:
         raise RuntimeError(f"no state along the {form} trajectory admits a derivative call")
     trig = statistics.median(count_trig_calls(rhs, t, y) for t, y in states[:8])
-    passes = max(1, calls // (batches * len(states)))
+    passes = max(1, calls // (RHS_BATCHES * len(states)))
     for t, y in states:
         rhs(t, y)
     per_call = []
-    for _ in range(batches):
+    for _ in range(RHS_BATCHES):
         start = perf_counter()
         for _ in range(passes):
             for t, y in states:
@@ -272,9 +300,7 @@ def rhs_cost(form, config, traj, calls=20000, batches=5):
     return statistics.median(per_call), trig
 
 
-def layer_metrics(
-    tracer: Tracer, traced_times, untraced_times, samples, evals_to_accuracy, rhs_calls=20000
-):
+def layer_metrics(tracer: Tracer, traced_times, untraced_times, samples, evals_to_accuracy, rhs_calls):
     """The per-layer metric set of one traced run.
 
     ``samples`` maps each form to ``(config, trajectory)`` for the

@@ -58,6 +58,7 @@ ACCURACY_M = 0.1
 CROSS_FORM_REL = 1e-6  # of the body radius, criterion 2's bound
 NORM_DRIFT_MAX = 1e-9  # criterion 6's bound
 RK4_STEP = 0.1
+RK4_SLICE_PASSES = 2
 RV_QUAT_SPANS = ((1, 5), (6, 10))
 SETUP_CODE = (
     "import sys, quatflight\n"
@@ -180,9 +181,8 @@ class Size:
 
     rk4_t_final: float = 10000.0
     rk4_slice_s: float = 500.0
-    rk4_slice_passes: int = 2
     ladder: tuple = LADDER
-    setup_repeats: int = 5
+    setup_repeats: int = 9
     rhs_calls: int = 20000
 
 
@@ -247,19 +247,19 @@ def fingerprint(res):
     return (res.event.kind, float(traj.t[-1]), traj.y[-1].tobytes(), len(traj))
 
 
-def to_accuracy(points, target=ACCURACY_M):
-    """Cost to reach ``target``, from ``(cost, error)`` rungs loose to tight.
+def to_accuracy(points):
+    """Cost to land within ``ACCURACY_M``, from ``(cost, error)`` rungs loose to tight.
 
     Interpolated log-log between the last rung above the target and the
     first rung at or below it; a failed rung (error ``inf``) is never
     accurate and is not interpolated from.  None when no rung gets there.
     """
     for i, (cost, err) in enumerate(points):
-        if err <= target:
+        if err <= ACCURACY_M:
             if i == 0 or err <= 0.0 or not math.isfinite(points[i - 1][1]):
                 return cost
             c0, e0 = points[i - 1]
-            w = (math.log(e0) - math.log(target)) / (math.log(e0) - math.log(err))
+            w = (math.log(e0) - math.log(ACCURACY_M)) / (math.log(e0) - math.log(err))
             return math.exp(math.log(c0) + w * (math.log(cost) - math.log(c0)))
     return None
 
@@ -318,7 +318,6 @@ class Workload:
         self.repeated = False
         self.form_times = {form: [] for form in FORMS}  # intervals
         self.form_evals = {form: [] for form in FORMS}
-        self.samples = {}  # form -> (config, trajectory) for derivative timing
         self.measured = set()  # iterations whose times are recorded; repeats are not
         self.tracer = None
         self.clock = WallClock
@@ -335,14 +334,21 @@ class Workload:
     def path(self, name) -> Path:
         return self.workdir / name
 
-    def timed(self, fn, traced, root):
-        """Call ``fn``; (result, (start, end)), traced under span ``root`` when asked."""
-        with self.tracer.active() if traced else contextlib.nullcontext():
-            if traced and root:
-                fn = self.tracer.span(root, fn)
+    def timed(self, fn, traced, root=None):
+        """Call ``fn`` as one unit; (result, (start, end), runs).
+
+        ``runs`` holds ``(result, interval)`` for each
+        ``run_parameterization`` call inside the unit.  In a traced unit the
+        tracer's wrappers are installed, ``fn`` runs under span ``root`` and
+        each of those calls under span ``run``.
+        """
+        tracer = self.tracer if traced else None
+        with tracer.active() if tracer else contextlib.nullcontext(), self.record_runs(tracer) as runs:
+            if tracer and root:
+                fn = tracer.span(root, fn)
             start = perf_counter()
             out = fn()
-            return out, (start, perf_counter())
+            return out, (start, perf_counter()), runs
 
     def first_run(self, k, traced) -> bool:
         """Whether this untraced run of iteration ``k`` is its first one."""
@@ -359,13 +365,8 @@ class Workload:
         self.repeated = True
         return [] if self.prints[key] == fp else ["repeat not bitwise identical"]
 
-    def keep_sample(self, form, config, res):
-        if form not in self.samples and res.trajectory is not None and len(res.trajectory) > 1:
-            if reported_success(res):
-                self.samples[form] = (config, res.trajectory)
-
     def run_cli(self, argv, traced):
-        """``cli.main`` in-process with stdout captured; (exit code, interval)."""
+        """``cli.main`` in-process with stdout captured; (exit code, interval, runs)."""
 
         def call():
             with contextlib.redirect_stdout(io.StringIO()):
@@ -376,19 +377,22 @@ class Workload:
 
         return self.timed(call, traced, "cli")
 
+    @staticmethod
     @contextlib.contextmanager
-    def record_runs(self):
-        """Record each RunResult made inside ``cli.main``.
+    def record_runs(tracer):
+        """Route ``run_parameterization`` through the one wrapper that records it.
 
-        Yields a list of ``(result, config, interval)``.
+        Yields a list of ``(result, interval)``; with a tracer each call
+        also runs under its ``run`` span.
         """
         inner = scenario.run_parameterization
+        call = tracer.run_span(inner) if tracer else inner
         runs = []
 
-        def recording(name, config, *args, **kwargs):
+        def recording(*args, **kwargs):
             start = perf_counter()
-            res = inner(name, config, *args, **kwargs)
-            runs.append((res, config, (start, perf_counter())))
+            res = call(*args, **kwargs)
+            runs.append((res, (start, perf_counter())))
             return res
 
         scenario.run_parameterization = recording
@@ -457,6 +461,22 @@ class Workload:
     def evals_to_accuracy(self) -> dict:
         return self.to_target()[1]
 
+    def derivative_samples(self) -> dict:
+        """Per form, ``(config, trajectory)`` of case 0 of the seed's entry family.
+
+        Derivative costs are timed at states along these trajectories on
+        every workload, so ``dynamics.rhs_ns.<form>`` means the same on each.
+        """
+        path = inputs.write_yaml(inputs.entry_case(self.seed, 0), self.path("rhs_states.yaml"))
+        config = load_scenario(path)
+        samples = {}
+        for form in FORMS:
+            res = scenario.run_parameterization(form, config)
+            if not reported_success(res) or len(res.trajectory) < 2:
+                raise RuntimeError(f"entry case 0 of seed {self.seed}: {form} stopped with {res.event.kind}")
+            samples[form] = (config, res.trajectory)
+        return samples
+
 
 class EntryCompare(Workload):
     """Seeded entry cases, each run as ``quatflight run --compare``."""
@@ -475,8 +495,7 @@ class EntryCompare(Workload):
         out = self.path("out")
         report_path = out / "entry_case_comparison.json"
         report_path.unlink(missing_ok=True)
-        with self.record_runs() as runs:
-            code, unit = self.run_cli(["run", str(case), "--compare", "--out", str(out)], traced)
+        code, unit, runs = self.run_cli(["run", str(case), "--compare", "--out", str(out)], traced)
         shared = [] if code == 0 else [f"exit code {code}"]
         pair_problems = {form: [] for form in FORMS}
         pairs = {}
@@ -492,7 +511,7 @@ class EntryCompare(Workload):
                     pair_problems[form].append(f"cross-form difference {worst:.3g} m with {key}")
         record = self.first_run(k, traced)
         seen = set()
-        for res, config, interval in runs:
+        for res, interval in runs:
             seen.add(res.name)
             problems = shared + run_problems(res, "radius_crossing") + pair_problems[res.name]
             if res.csv_path is None or not csv_header_ok(res.csv_path):
@@ -502,7 +521,6 @@ class EntryCompare(Workload):
             if ok and record:
                 self.form_times[res.name].append(interval)
                 self.form_evals[res.name].append(res.trajectory.n_evals)
-                self.keep_sample(res.name, config, res)
         for form in FORMS:
             if form not in seen:
                 self.tally.add(f"case {k} {form}", ["no result"], False)
@@ -517,7 +535,7 @@ class Rk4Long(Workload):
     def __init__(self, seed, workdir, size):
         super().__init__(seed, workdir, size)
         self.main_yaml = inputs.write_yaml(
-            inputs.long_rk4_case(seed, size.rk4_t_final), self.path("norm_drift.yaml")
+            inputs.long_rk4_case(seed, size.rk4_t_final, "rv"), self.path("norm_drift.yaml")
         )
         self.slices = {
             form: load_scenario(
@@ -533,11 +551,10 @@ class Rk4Long(Workload):
         return self.main_yaml
 
     def iteration(self, k, traced):
-        with self.record_runs() as runs:
-            code, unit = self.run_cli(["run", str(self.main_yaml), "--out", str(self.path("out"))], traced)
+        code, unit, runs = self.run_cli(["run", str(self.main_yaml), "--out", str(self.path("out"))], traced)
         if len(runs) != 1:
             self.tally.add(f"iteration {k} rv", [f"{len(runs)} results, expected 1"], False)
-        for res, _, _ in runs:
+        for res, _ in runs:
             problems = ([] if code == 0 else [f"exit code {code}"]) + run_problems(res, "terminal_time")
             traj = res.trajectory
             if traj is not None and len(traj):
@@ -554,16 +571,12 @@ class Rk4Long(Workload):
             problems += self.repeat_problems(("cli", res.name), res)
             self.tally.add(f"iteration {k} {res.name}", problems, reported_success(res))
         if not traced:
-            for form in FORMS * self.size.rk4_slice_passes:
-                config = self.slices[form]
-                start = perf_counter()
-                res = run_form(form, config)
-                interval = (start, perf_counter())
+            for form in FORMS * RK4_SLICE_PASSES:
+                res, interval, _ = self.timed(lambda: run_form(form, self.slices[form]), False)
                 problems = run_problems(res, "terminal_time") + self.repeat_problems(("slice", form), res)
                 if self.tally.add(f"iteration {k} slice {form}", problems, reported_success(res)):
                     self.form_times[form].append(interval)
                     self.form_evals[form].append(res.trajectory.n_evals)
-                    self.keep_sample(form, config, res)
         return [unit]
 
 
@@ -605,7 +618,7 @@ class WorkPrecision(Workload):
         units = []
         for i, config in enumerate(rungs):
             for form in FORMS:
-                res, interval = self.timed(lambda: run_form(form, config), traced, None)
+                res, interval, _ = self.timed(lambda: run_form(form, config), traced)
                 units.append(interval)
                 problems = run_problems(res, "radius_crossing") + self.repeat_problems((k, i, form), res)
                 label = f"case {k} rel_tol {config.integrator.rel_tol:g} {form}"
@@ -613,7 +626,6 @@ class WorkPrecision(Workload):
                 if self.tally.add(label, problems, reported_success(res)):
                     landing = PARAMETERIZATIONS[form].to_cartesian(res.event.y_event).position
                     err = float(np.linalg.norm(landing - ref_position))
-                    self.keep_sample(form, config, res)
                 if record:
                     evals = res.trajectory.n_evals if res.trajectory else 0
                     self.rungs[form][i].append((interval, err, evals))
