@@ -112,8 +112,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool, size=None) -> dic
     for name in declared:
         note = f"  ({notes[name]})" if name in notes else ""
         print(f"  {name:34s} {metrics[name]:>14.6g} {declared[name]}{note}")
-    print(f"  form-propagations: attempted {tally.attempted}, failed {tally.failed} "
-          f"(fail_ratio {tally.failed / tally.attempted:.4f}), wrong outputs {tally.wrong}")
+    print(f"  form-propagations: attempted {tally.attempted}, failed {tally.failed}, "
+          f"stopped early {tally.stopped} (fail_ratio {1.0 - tally.ok_ratio():.4f}), wrong outputs {tally.wrong}")
     for kind, (count, example) in tally.kinds.items():
         print(f"    {count} x {kind}; first: {example}")
     return {

@@ -4,7 +4,8 @@
 
 Each workload runs once at a tiny size, traced and untraced; the metric
 names it prints must be those of BENCHMARK.json; a derivative planted
-to return NaN must be counted as failed, not dropped; and a hot timer
+to return NaN must be counted as failed, not dropped; a planted guard
+must count against ok_ratio as stopped early; and a hot timer
 charged to the wrong layer must fail the traced run.
 """
 
@@ -25,6 +26,7 @@ bench.import_program()
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from quatflight.dynamics import PARAMETERIZATIONS  # noqa: E402
+from quatflight.errors import SingularityError  # noqa: E402
 
 TINY = workloads.Size(
     rk4_t_final=20.0, rk4_slice_s=2.0, ladder=(1e-6, 1e-9), setup_repeats=1, rhs_calls=200
@@ -72,6 +74,29 @@ def test_planted_nonfinite_rhs_is_counted(monkeypatch):
     planted = 4  # every rvh propagation fails: two rungs, each run twice
     assert result["failed"] >= planted
     assert not result["correct"]
+    assert result["metrics"]["ok_ratio"]["value"] <= 1.0 - planted / result["attempted"]
+
+
+def test_planted_guard_in_trial_stage_is_stopped_early_not_failed(monkeypatch):
+    # The known stepper defect: a guard raised inside a trial stage ends the
+    # run.  It counts against ok_ratio, not as a failed operation.
+    spec = PARAMETERIZATIONS["rvh"]
+
+    def make_guarded_rhs(controls, env):
+        rhs = spec.make_rhs(controls, env)
+
+        def guarded(t, y):
+            if t > 100.0:
+                raise SingularityError("planted guard")
+            return rhs(t, y)
+
+        return guarded
+
+    monkeypatch.setitem(PARAMETERIZATIONS, "rvh", dataclasses.replace(spec, make_rhs=make_guarded_rhs))
+    result = bench.run("work_precision", seed=3, seconds=0.0, trace=False, size=TINY)
+    monkeypatch.undo()
+    planted = 4  # every rvh propagation stops early: two rungs, each run twice
+    assert result["failed"] == 0
     assert result["metrics"]["ok_ratio"]["value"] <= 1.0 - planted / result["attempted"]
 
 

@@ -20,7 +20,12 @@ CLI contract gives for the case, when a state is not finite, when a CSV
 header is not ``CSV_COLUMNS``, when a workload-specific bound is broken,
 or when a repeat of the same input is not bitwise identical.  A failure the
 program itself reported (a guard or step failure) counts as failed; a
-failure behind a reported success is, in addition, a wrong output.
+failure behind a reported success is, in addition, a wrong output.  The
+one exception is the known defect of the adaptive stepper on
+``work_precision``: a run the program ends itself with a singularity guard
+or an arithmetic error, raised inside a trial stage of a too-long step, is
+*stopped early*.  It is counted against ``ok_ratio`` and never counts as
+accurate, but it is not a failed operation.
 
 Times are measured as (start, end) intervals and turned into seconds when
 the run is over; see :class:`SpeedProbe`.
@@ -88,16 +93,6 @@ def _calibration_kernel():
         acc += float(np.dot(z[1:5], z[6:10])) + s
         format(acc, ".17g")
     return acc
-
-
-def calibrate() -> float:
-    """Seconds the calibration kernel takes now: the median of five runs."""
-    times = []
-    for _ in range(5):
-        start = perf_counter()
-        _calibration_kernel()
-        times.append(perf_counter() - start)
-    return statistics.median(times)
 
 
 class SpeedProbe:
@@ -188,11 +183,12 @@ class Size:
 
 @dataclass
 class Tally:
-    """Form-propagations attempted, failed, and failed behind a reported success."""
+    """Form-propagations attempted, failed, failed behind a reported success, and stopped early."""
 
     attempted: int = 0
     failed: int = 0
     wrong: int = 0
+    stopped: int = 0  # stopped early by the known stepper defect; not failed
     kinds: dict = field(default_factory=dict)  # failure kind -> [count, first example]
 
     def add(self, label, problems, reported_success) -> bool:
@@ -203,6 +199,14 @@ class Tally:
         self.wrong += bool(reported_success)
         self.note(problems[0].split(" (")[0], f"{label}: {'; '.join(problems)}")
         return False
+
+    def add_stopped(self, label, res):
+        self.attempted += 1
+        self.stopped += 1
+        self.note(f"stopped early: {res.event.kind}", f"{label}: {res.event.message}")
+
+    def ok_ratio(self) -> float:
+        return 1.0 - (self.failed + self.stopped) / self.attempted
 
     def note(self, kind, example):
         entry = self.kinds.setdefault(kind, [0, example])
@@ -227,8 +231,27 @@ def run_form(form, config):
     try:
         return scenario.run_parameterization(form, config)
     except Exception as exc:  # a crash fails this propagation, not the benchmark
+        kind = "arithmetic_error" if isinstance(exc, ArithmeticError) else "raised"
         message = f"{type(exc).__name__}: {exc}"
-        return RunResult(form, None, StopEvent(kind="raised", t_event=math.nan, message=message))
+        return RunResult(form, None, StopEvent(kind=kind, t_event=math.nan, message=message))
+
+
+def stopped_early(res) -> bool:
+    """Whether the program ended the run itself before landing, with healthy states.
+
+    This is the known defect of ``propagate`` at loose tolerances (see the
+    README): a guard or an overflow inside a trial stage of a too-long
+    step ends the run instead of rejecting the step.
+    """
+    if res.event.kind == "arithmetic_error":
+        return True
+    traj = res.trajectory
+    return (
+        res.event.kind == "singularity_guard"
+        and traj is not None
+        and len(traj) > 0
+        and bool(np.isfinite(traj.y).all() and np.isfinite(traj.t).all())
+    )
 
 
 def reported_success(res) -> bool:
@@ -278,14 +301,14 @@ def tail(samples):
     return s[n - 11], f"p{100.0 * (n - 10) / n:.1f} of n={n}"
 
 
-def fresh_setup_seconds(src: Path, path: Path) -> float:
-    """Reference seconds for a fresh interpreter to import quatflight and load ``path``.
+def fresh_setup(src: Path, path: Path):
+    """(start, end) of a fresh interpreter importing quatflight and loading ``path``.
 
-    The kernel is timed right before and right after; the wall time is
-    scaled by the geometric mean of the two.
+    Run it while the :class:`SpeedProbe` samples: its timer keeps firing in
+    this process while the child runs, so the interval is scaled by the
+    speed measured during it.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
-    before = calibrate()
     start = perf_counter()
     subprocess.run(
         [sys.executable, "-c", SETUP_CODE, str(path)],
@@ -294,8 +317,7 @@ def fresh_setup_seconds(src: Path, path: Path) -> float:
         stdout=subprocess.DEVNULL,
         timeout=60,
     )
-    wall = perf_counter() - start
-    return wall * (CAL_REF_S / math.sqrt(before * calibrate())) ** CAL_EXPONENT
+    return start, perf_counter()
 
 
 def peak_rss_mb() -> float:
@@ -403,20 +425,27 @@ class Workload:
 
     # --- the measurement ---------------------------------------------------
     def measure(self, seconds: float, trace: bool, src: Path) -> dict:
-        setup = [fresh_setup_seconds(src, self.setup_input()) for _ in range(self.size.setup_repeats)]
         self.tracer = tracing.Tracer() if trace else None
-        untraced, traced = [], []
+        untraced, traced, setup = [], [], []
         probe = SpeedProbe()
+        # Set-up runs are spread evenly over the run, so that their median,
+        # like the units', is taken over the host's speed during the whole run.
+        setups_due = 0 if trace else self.size.setup_repeats
+        path = self.setup_input()
         with contextlib.nullcontext() if trace else probe.running():
             start = perf_counter()
             k = 0
             while k == 0 or perf_counter() - start < seconds:
+                while len(setup) < setups_due and perf_counter() - start >= len(setup) * seconds / setups_due:
+                    setup.append(fresh_setup(src, path))
                 untraced += self.iteration(k, False)
                 if trace:
                     traced += self.iteration(k, True)
                 k += 1
             if not self.repeated:
                 self.iteration(0, False)
+            while len(setup) < setups_due:
+                setup.append(fresh_setup(src, path))
         if not trace:
             self.clock = probe
         return {
@@ -434,9 +463,9 @@ class Workload:
         metrics = {
             "run_s.p50": statistics.median(units),
             "run_s.tail": tail_value,
-            "setup_s": statistics.median(m["setup"]),
+            "setup_s": statistics.median(self.clock.seconds(interval) for interval in m["setup"]),
             "peak_rss_mb": m["rss"],
-            "ok_ratio": 1.0 - self.tally.failed / self.tally.attempted,
+            "ok_ratio": self.tally.ok_ratio(),
         }
         times, _ = self.to_target()
         for form in FORMS:
@@ -620,10 +649,12 @@ class WorkPrecision(Workload):
             for form in FORMS:
                 res, interval, _ = self.timed(lambda: run_form(form, config), traced)
                 units.append(interval)
-                problems = run_problems(res, "radius_crossing") + self.repeat_problems((k, i, form), res)
                 label = f"case {k} rel_tol {config.integrator.rel_tol:g} {form}"
                 err = math.inf
-                if self.tally.add(label, problems, reported_success(res)):
+                repeat = self.repeat_problems((k, i, form), res)
+                if stopped_early(res) and not repeat:
+                    self.tally.add_stopped(label, res)
+                elif self.tally.add(label, run_problems(res, "radius_crossing") + repeat, reported_success(res)):
                     landing = PARAMETERIZATIONS[form].to_cartesian(res.event.y_event).position
                     err = float(np.linalg.norm(landing - ref_position))
                 if record:
