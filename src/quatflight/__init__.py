@@ -8,31 +8,14 @@ angular-momentum gauge break down.
 """
 
 from .controls import ControlProfile, PiecewiseLinear
-from .dynamics import (
-    PARAMETERIZATIONS,
-    GaugeInputs,
-    RvhStateRates,
-    RvStateRates,
-    SphericalRates,
-    beta_from_sigma,
-    beta_rate,
-    cartesian_derivatives,
-    general_derivatives,
-    rv_derivatives,
-    rvh_derivatives,
-    rvl_derivatives,
-    sigma_from_beta,
-    spherical_derivatives,
-)
+from .dynamics import PARAMETERIZATIONS, beta_from_sigma, beta_rate, sigma_from_beta
 from .environment import (
     EARTH,
-    STANDARD_ATMOSPHERE,
     AeroModel,
     Atmosphere,
     CentralBody,
     ControlInput,
     Environment,
-    ForceComponents,
     Vehicle,
     aero_forces,
     apparent_force_B,
@@ -90,23 +73,17 @@ __all__ = [
     "ControlProfile",
     "EARTH",
     "Environment",
-    "ForceComponents",
-    "GaugeInputs",
     "IntegratorConfig",
     "PARAMETERIZATIONS",
     "PiecewiseLinear",
     "PropagationError",
     "QuatflightError",
-    "RvStateRates",
     "RvState",
     "RvhState",
-    "RvhStateRates",
     "RvlState",
     "ScenarioConfig",
     "SingularityError",
-    "SphericalRates",
     "SphericalState",
-    "STANDARD_ATMOSPHERE",
     "StopEvent",
     "Trajectory",
     "UnitQuaternion",
@@ -117,7 +94,6 @@ __all__ = [
     "beta_from_sigma",
     "beta_rate",
     "bundled_scenario_path",
-    "cartesian_derivatives",
     "cartesian_to_rv",
     "cartesian_to_rvh",
     "cartesian_to_rvl",
@@ -125,7 +101,6 @@ __all__ = [
     "dcm_from_axis_angle",
     "dcm_from_quat",
     "density",
-    "general_derivatives",
     "load_scenario",
     "net_force_B",
     "omega_from_quat_rates",
@@ -135,13 +110,9 @@ __all__ = [
     "quat_rates",
     "renormalize",
     "run_scenario",
-    "rv_derivatives",
     "rv_to_cartesian",
-    "rvh_derivatives",
     "rvh_to_cartesian",
-    "rvl_derivatives",
     "sigma_from_beta",
     "skew",
-    "spherical_derivatives",
     "spherical_to_cartesian",
 ]

@@ -1,7 +1,8 @@
 """Derivative-evaluation cost measurement and trigonometric-call counting.
 
-The derivative closures look up the scalar trig functions through the
-dynamics module's globals, so instrumenting one evaluation with counting
+The derivative closures, and the force kernel ``dynamics.make_forces`` they
+all call, look up the scalar trig functions through the dynamics module's
+globals at call time, so instrumenting one evaluation with counting
 wrappers gives the exact per-evaluation call count for each
 parameterization -- a mechanical audit that the quaternion forms keep
 trigonometry confined to the force model (and eliminate it entirely in the

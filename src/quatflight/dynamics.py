@@ -30,6 +30,15 @@ force model's thrust/bank terms, and the rv/rvl forms stay finite in
 vertical flight; the spherical baseline divides by cos(flight path angle)
 and is guarded instead.
 
+All five derivative functions take the aerodynamic and thrust forces from
+one kernel, :func:`make_forces`, built once per ``make_rhs`` call; each
+form only banks the transverse force into its own basis and adds gravity
+and the rotating-frame terms.  The kernel and the derivative closures look
+up ``sin``, ``cos`` and ``atan2`` as globals of this module at call time,
+never as names bound when the closure is built, so that
+:func:`quatflight.bench.count_trig_calls` can count them by patching the
+module.
+
 Derivative functions are pure: they never renormalize the quaternions (that
 is the propagator's policy) and may be called concurrently.
 """
@@ -38,16 +47,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, exp, pi, sin
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .controls import ControlProfile
-from .environment import ControlInput, Environment, force_components
+from .environment import Environment
 from .errors import SingularityError
-from .quat import dcm_from_quat, omega_from_rate_arrays, renormalize
+from .quat import UnitQuaternion, dcm_from_quat, renormalize
 from .states import (
-    AngularRates,
     CartesianState,
     RvhState,
     RvlState,
@@ -55,11 +63,11 @@ from .states import (
     SphericalState,
     cartesian_to_rv,
     cartesian_to_rvh,
-    cartesian_to_rvl,
     cartesian_to_spherical,
     rv_to_cartesian,
     rvh_to_cartesian,
     spherical_to_cartesian,
+    twist_about_b1,
 )
 
 # Guard thresholds: fail loudly instead of returning garbage near a
@@ -68,27 +76,40 @@ RVH_SINGULARITY_EPS = 1e-8  # on |eps_b3 * eta_b|
 SPHERICAL_GAMMA_EPS = 1e-6  # rad from +-pi/2
 VERTICAL_SIN_EPS = 1e-12  # on sin of the angle between position and velocity
 
-PARAM_NAMES = ("rv", "rvl", "rvh", "spherical", "cartesian")
-
 _LENGTH_SCALE = 1.0e6
 _SPEED_SCALE = 1.0e3
 
 
-def _unpack_env(env: Environment):
-    b, a, w, veh = env.body, env.atmosphere, env.aero, env.vehicle
-    return (
-        b.mu,
-        b.radius,
-        b.spin_rate,
-        a.rho0,
-        a.scale_height,
-        w.s,
-        w.cl_alpha,
-        w.cd0,
-        w.k,
-        veh.mass,
-        veh.thrust_offset,
-    )
+def make_forces(controls: ControlProfile, env: Environment) -> Callable:
+    """The force kernel ``forces(t, r, v) -> (axial, transverse)`` of every form.
+
+    Evaluates the exponential atmosphere, the lift slope with its parabolic
+    drag polar, and the offset thrust at radius ``r`` and speed ``v``.
+    ``axial`` (N) acts along the velocity and ``transverse`` (N) along the
+    lift direction normal to it; each form banks the transverse force into
+    its own basis and adds gravity and the rotating-frame terms.
+    """
+    re = env.body.radius
+    rho0, hscale = env.atmosphere.rho0, env.atmosphere.scale_height
+    sref, cla, cd0, kdrag = env.aero.s, env.aero.cl_alpha, env.aero.cd0, env.aero.k
+    delta = env.vehicle.thrust_offset
+    alpha_of = controls.alpha
+    thrust_of = controls.thrust
+
+    def forces(t, r, v):
+        alpha = alpha_of(t)
+        thrust = thrust_of(t)
+        rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
+        qdyn = 0.5 * rho * v * v
+        cl = cla * alpha
+        lift = qdyn * sref * cl
+        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
+        if thrust != 0.0:
+            ad = alpha + delta
+            return thrust * cos(ad) - drag, thrust * sin(ad) + lift
+        return -drag, lift
+
+    return forces
 
 
 def make_general_rhs(
@@ -118,11 +139,10 @@ def make_rvl_rhs(controls: ControlProfile, env: Environment) -> Callable:
 
 
 def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
-    (mu, re, we, rho0, hscale, sref, cla, cd0, kdrag, m, delta) = _unpack_env(env)
-    alpha_of = controls.alpha
+    mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    forces = make_forces(controls, env)
     bank_of = controls.bank
     wb1_of = controls.wb1
-    thrust_of = controls.thrust
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
@@ -155,20 +175,7 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
         a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
         a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
 
-        alpha = alpha_of(t)
-        thrust = thrust_of(t)
-        rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
-        qdyn = 0.5 * rho * v * v
-        cl = cla * alpha
-        lift = qdyn * sref * cl
-        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
-        if thrust != 0.0:
-            ad = alpha + delta
-            axial = thrust * cos(ad) - drag
-            transverse = thrust * sin(ad) + lift
-        else:
-            axial = -drag
-            transverse = lift
+        axial, transverse = forces(t, r, v)
 
         if lift_along_b2:
             f2_aero = transverse
@@ -252,10 +259,9 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
 
 def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
     """Right-hand side of the eight-parameter angular-momentum-gauge form."""
-    (mu, re, we, rho0, hscale, sref, cla, cd0, kdrag, m, delta) = _unpack_env(env)
-    alpha_of = controls.alpha
+    mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    forces = make_forces(controls, env)
     bank_of = controls.bank
-    thrust_of = controls.thrust
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
@@ -284,20 +290,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
         a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
         a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
 
-        alpha = alpha_of(t)
-        thrust = thrust_of(t)
-        rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
-        qdyn = 0.5 * rho * v * v
-        cl = cla * alpha
-        lift = qdyn * sref * cl
-        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
-        if thrust != 0.0:
-            ad = alpha + delta
-            axial = thrust * cos(ad) - drag
-            transverse = thrust * sin(ad) + lift
-        else:
-            axial = -drag
-            transverse = lift
+        axial, transverse = forces(t, r, v)
 
         if transverse != 0.0:
             # The in-plane gauge keeps C_BA(2,1) = -sin(angle) < 0 and
@@ -356,10 +349,9 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
     transverse force the lift direction is built from the {position,
     velocity} plane and is undefined in vertical flight.
     """
-    (mu, re, we, rho0, hscale, sref, cla, cd0, kdrag, m, delta) = _unpack_env(env)
-    alpha_of = controls.alpha
+    mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    forces = make_forces(controls, env)
     bank_of = controls.bank
-    thrust_of = controls.thrust
 
     def rhs(t, y):
         px, py, pz = y[0], y[1], y[2]
@@ -372,20 +364,7 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
         if v <= 0.0:
             raise SingularityError("kinetic singularity: nonpositive speed")
 
-        alpha = alpha_of(t)
-        thrust = thrust_of(t)
-        rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
-        qdyn = 0.5 * rho * v * v
-        cl = cla * alpha
-        lift = qdyn * sref * cl
-        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
-        if thrust != 0.0:
-            ad = alpha + delta
-            axial = thrust * cos(ad) - drag
-            transverse = thrust * sin(ad) + lift
-        else:
-            axial = -drag
-            transverse = lift
+        axial, transverse = forces(t, r, v)
 
         ax = (axial / (m * v)) * vx
         ay = (axial / (m * v)) * vy
@@ -434,10 +413,9 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
     flight and pole crossing raise instead of returning garbage.  The bank
     command is the physical bank angle.
     """
-    (mu, re, we, rho0, hscale, sref, cla, cd0, kdrag, m, delta) = _unpack_env(env)
-    alpha_of = controls.alpha
+    mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    forces = make_forces(controls, env)
     bank_of = controls.bank
-    thrust_of = controls.thrust
     gamma_max = pi / 2 - SPHERICAL_GAMMA_EPS
 
     def rhs(t, y):
@@ -462,20 +440,7 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
         st = sin(lat)
         ct = cos(lat)
 
-        alpha = alpha_of(t)
-        thrust = thrust_of(t)
-        rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
-        qdyn = 0.5 * rho * v * v
-        cl = cla * alpha
-        lift = qdyn * sref * cl
-        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
-        if thrust != 0.0:
-            ad = alpha + delta
-            axial = thrust * cos(ad) - drag
-            transverse = thrust * sin(ad) + lift
-        else:
-            axial = -drag
-            transverse = lift
+        axial, transverse = forces(t, r, v)
         beta = bank_of(t)
         cb = cos(beta)
         sb = sin(beta)
@@ -548,243 +513,174 @@ def beta_rate(
     return (sigma_dot + wb1) - (c11 / denom) * (wb2 * c_ba[1, 0] + wb3 * c_ba[2, 0])
 
 
-# --- typed wrappers -------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RvStateRates:
-    """Time derivatives of the ten-parameter state."""
-
-    r_dot: float
-    qa_rates: np.ndarray
-    v_dot: float
-    qb_rates: np.ndarray
-
-    @classmethod
-    def from_array(cls, ydot) -> "RvStateRates":
-        ydot = np.asarray(ydot, dtype=float)
-        return cls(float(ydot[0]), ydot[1:5].copy(), float(ydot[5]), ydot[6:10].copy())
-
-
-@dataclass(frozen=True, eq=False)
-class RvhStateRates:
-    """Time derivatives of the eight-parameter state."""
-
-    r_dot: float
-    qa_rates: np.ndarray
-    v_dot: float
-    eps_b3_dot: float
-    eta_b_dot: float
-
-
-@dataclass(frozen=True)
-class SphericalRates:
-    """Time derivatives of the spherical baseline state."""
-
-    r_dot: float
-    lon_dot: float
-    lat_dot: float
-    v_dot: float
-    gamma_dot: float
-    psi_dot: float
-
-
-@dataclass(frozen=True)
-class GaugeInputs:
-    """The two free angular-velocity components of the general form (rad/s)."""
-
-    wa1: float
-    wb1: float
-
-
-def _profile_from_input(u: ControlInput, bank_mode: str = "sigma") -> ControlProfile:
-    return ControlProfile.constant(
-        alpha=u.alpha, bank=u.sigma, wb1=u.wb1, thrust=u.thrust, bank_mode=bank_mode
-    )
-
-
-def general_derivatives(
-    state: RvState, gauge: GaugeInputs, u: ControlInput, env: Environment
-):
-    """General-form rates with explicit gauge inputs; returns rates and angular rates."""
-    rhs = make_general_rhs(
-        _profile_from_input(u), env, gauge=lambda t: (gauge.wa1, gauge.wb1)
-    )
-    y = state.to_array()
-    ydot = rhs(0.0, y)
-    rates = RvStateRates.from_array(ydot)
-    wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
-    wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
-    angular = AngularRates(wa[0], wa[1], wa[2], wb[0], wb[1], wb[2])
-    return rates, angular
-
-
-def rv_derivatives(state: RvState, u: ControlInput, env: Environment) -> RvStateRates:
-    """Rates of the ten-parameter zero-gauge form."""
-    rhs = make_rv_rhs(_profile_from_input(u), env)
-    return RvStateRates.from_array(rhs(0.0, state.to_array()))
-
-
-def rvl_derivatives(state: RvlState, u: ControlInput, env: Environment) -> RvStateRates:
-    """Rates of the lift-aligned form; ``u.wb1`` is the bank-rate command."""
-    rhs = make_rvl_rhs(_profile_from_input(u), env)
-    return RvStateRates.from_array(rhs(0.0, state.to_array()))
-
-
-def rvh_derivatives(state: RvhState, u: ControlInput, env: Environment) -> RvhStateRates:
-    """Rates of the eight-parameter form."""
-    rhs = make_rvh_rhs(_profile_from_input(u), env)
-    ydot = rhs(0.0, state.to_array())
-    return RvhStateRates(
-        float(ydot[0]), ydot[1:5].copy(), float(ydot[5]), float(ydot[6]), float(ydot[7])
-    )
-
-
-def cartesian_derivatives(
-    state: CartesianState, u: ControlInput, env: Environment, beta: float = 0.0
-) -> np.ndarray:
-    """Ground-truth rates ``[velocity, acceleration]`` in observation coordinates."""
-    profile = ControlProfile.constant(
-        alpha=u.alpha, bank=beta, thrust=u.thrust, bank_mode="beta"
-    )
-    rhs = make_cartesian_rhs(profile, env)
-    return rhs(0.0, state.to_array())
-
-
-def spherical_derivatives(
-    state: SphericalState, u: ControlInput, env: Environment, beta: float = 0.0
-) -> SphericalRates:
-    """Rates of the spherical baseline state."""
-    profile = ControlProfile.constant(
-        alpha=u.alpha, bank=beta, thrust=u.thrust, bank_mode="beta"
-    )
-    rhs = make_spherical_rhs(profile, env)
-    return SphericalRates(*(float(x) for x in rhs(0.0, state.to_array())))
-
-
 # --- parameterization registry -------------------------------------------
 
 
-def _rv_to_cartesian_arr(y) -> CartesianState:
-    return rv_to_cartesian(RvState.from_array(y))
+def rvl_twist(qb: UnitQuaternion, controls: ControlProfile, t0: float) -> UnitQuaternion:
+    """Lift-gauge B quaternion from an rv-gauge one at the initial time ``t0``.
 
-
-def _rvh_to_cartesian_arr(y) -> CartesianState:
-    return rvh_to_cartesian(RvhState.from_array(y))
-
-
-def _spherical_to_cartesian_arr(y) -> CartesianState:
-    return spherical_to_cartesian(SphericalState.from_array(y))
-
-
-def _rv_from_cartesian(c, controls, env):
-    return cartesian_to_rv(c).to_array()
-
-
-def rvl_twist_angle(c: CartesianState, controls: ControlProfile) -> float:
-    """Initial twist pointing the lift gauge's second axis at the commanded bank.
-
-    In ``sigma`` mode the twist equals the initial bank command, which makes
-    a zero bank-rate command equivalent to the rv form flying a constant
-    bank.  In ``beta`` mode the twist also absorbs the gauge offset of the
-    shortest-arc construction so the physical bank starts on profile.
+    Twists B about its first axis so the second axis points at the bank
+    command at ``t0``.  In ``sigma`` mode the twist equals that command,
+    which makes a zero bank-rate command equivalent to the rv form flying a
+    constant bank.  In ``beta`` mode the twist also absorbs the rv gauge's
+    offset from the {position, velocity} plane so the physical bank starts
+    on profile.
     """
-    bank0 = controls.bank(0.0)
+    twist = controls.bank(t0)
+    if controls.bank_mode == "beta":
+        c_ba = dcm_from_quat(qb)
+        twist = atan2(c_ba[2, 0], c_ba[1, 0]) + twist
+    return twist_about_b1(qb, twist) if twist != 0.0 else qb
+
+
+def _rvl_from_rv(s: RvState, controls, t0):
+    return RvlState(r=s.r, qa=s.qa, v=s.v, qb=rvl_twist(s.qb, controls, t0)).to_array()
+
+
+def _bank_columns(sigma, c_ba):
+    try:
+        beta = beta_from_sigma(sigma, c_ba)
+    except SingularityError:
+        beta = 0.0
+    return {"sigma": sigma, "beta": beta}
+
+
+def _ten_parameter_columns(native_bank):
+    """Gauge columns of a ten-parameter form; ``native_bank(t, controls, c_ba)`` gives sigma."""
+
+    def columns(t, y, controls):
+        c_ba = dcm_from_quat(renormalize(y[6:10]))
+        return {
+            "norm_qa": float(np.linalg.norm(y[1:5])),
+            "norm_qb": float(np.linalg.norm(y[6:10])),
+            "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
+            "eps_b1": y[6], "eps_b2": y[7], "eps_b3": y[8], "eta_b": y[9],
+            **_bank_columns(native_bank(t, controls, c_ba), c_ba),
+        }
+
+    return columns
+
+
+def _rv_bank(t, controls, c_ba):
     if controls.bank_mode == "sigma":
-        return bank0
-    base = cartesian_to_rv(c)
-    c_ba = dcm_from_quat(base.qb)
-    chi = atan2(c_ba[2, 0], c_ba[1, 0])
-    return chi + bank0
+        return controls.bank(t)
+    try:
+        return sigma_from_beta(controls.bank(t), c_ba)
+    except SingularityError:
+        return 0.0
 
 
-def _rvl_from_cartesian(c, controls, env):
-    return cartesian_to_rvl(c, twist=rvl_twist_angle(c, controls)).to_array()
+def _rvh_columns(t, y, controls):
+    # the in-plane gauge's native bank is the physical one offset by pi
+    sigma = controls.bank(t) if controls.bank_mode == "sigma" else controls.bank(t) + pi
+    return {
+        "norm_qa": float(np.linalg.norm(y[1:5])),
+        "norm_qb": float(np.hypot(y[6], y[7])),
+        "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
+        "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
+        **_bank_columns(sigma, RvhState.from_array(y).c_ba()),
+    }
 
 
-def _rvh_from_cartesian(c, controls, env):
-    return cartesian_to_rvh(c).to_array()
+_NO_QUATERNIONS = dict.fromkeys(
+    ("norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
+     "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma"),
+    float("nan"),
+)
 
 
-def _spherical_from_cartesian(c, controls, env):
-    return cartesian_to_spherical(c).to_array()
+def _baseline_columns(t, y, controls):
+    return {**_NO_QUATERNIONS, "beta": controls.bank(t)}
 
 
 @dataclass(frozen=True, eq=False)
 class Parameterization:
-    """Everything the propagator and scenario runner need for one state form."""
+    """One state form: everything needed to build, initialise and describe it.
 
-    name: str
-    dim: int
+    * ``make_rhs(controls, env)`` builds the derivative ``rhs(t, y)``.
+    * ``to_cartesian(y)`` maps a flat state to a :class:`CartesianState`.
+    * ``from_cartesian(c, controls, t0)`` fixes the form's gauge for a
+      physical state at the initial time ``t0``.
+    * ``gauge_columns(t, y, controls)`` gives the per-sample diagnostics
+      that depend on the form: quaternion components and norms, the native
+      bank ``sigma`` and the plane-referenced bank ``beta`` (0.0 where it
+      is undefined).  Forms without quaternions give NaN for all of these
+      except ``beta``, which is their bank command.
+    * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
+      quaternions, which the propagator renormalizes.
+    * ``scales`` are the per-component error scales of the step controller.
+    * ``radius_index`` locates the radius in ``y``; -1 when it must be
+      derived from a Cartesian position.
+    * ``from_rv(state, controls, t0)``, when set, derives the form from an
+      rv-gauge state while keeping that gauge, so a native rv initial state
+      is reused instead of regauged through Cartesian coordinates.
+    """
+
     make_rhs: Callable
     to_cartesian: Callable
     from_cartesian: Callable
+    gauge_columns: Callable
     quat_spans: tuple
     scales: np.ndarray
-    radius_index: int  # -1 when the radius must be derived from the array
+    radius_index: int
+    from_rv: Optional[Callable] = None
 
     def radius(self, y) -> float:
         if self.radius_index >= 0:
             return float(y[self.radius_index])
         return float(np.linalg.norm(y[0:3]))
 
-    def speed(self, y) -> float:
-        if self.name == "cartesian":
-            return float(np.linalg.norm(y[3:6]))
-        return float(y[5] if self.name != "spherical" else y[3])
 
+_TEN_PARAMETER_SCALES = np.array(
+    [_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1, 1, 1], dtype=float
+)
 
 PARAMETERIZATIONS = {
     "rv": Parameterization(
-        name="rv",
-        dim=10,
         make_rhs=make_rv_rhs,
-        to_cartesian=_rv_to_cartesian_arr,
-        from_cartesian=_rv_from_cartesian,
+        to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
+        from_cartesian=lambda c, controls, t0: cartesian_to_rv(c).to_array(),
+        gauge_columns=_ten_parameter_columns(_rv_bank),
         quat_spans=((1, 5), (6, 10)),
-        scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1, 1, 1], dtype=float),
+        scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
     ),
     "rvl": Parameterization(
-        name="rvl",
-        dim=10,
         make_rhs=make_rvl_rhs,
-        to_cartesian=_rv_to_cartesian_arr,
-        from_cartesian=_rvl_from_cartesian,
+        to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
+        from_cartesian=lambda c, controls, t0: _rvl_from_rv(cartesian_to_rv(c), controls, t0),
+        # the lift gauge's second axis is the lift direction: native bank zero
+        gauge_columns=_ten_parameter_columns(lambda t, controls, c_ba: 0.0),
         quat_spans=((1, 5), (6, 10)),
-        scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1, 1, 1], dtype=float),
+        scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
+        from_rv=_rvl_from_rv,
     ),
     "rvh": Parameterization(
-        name="rvh",
-        dim=8,
         make_rhs=make_rvh_rhs,
-        to_cartesian=_rvh_to_cartesian_arr,
-        from_cartesian=_rvh_from_cartesian,
+        to_cartesian=lambda y: rvh_to_cartesian(RvhState.from_array(y)),
+        from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c).to_array(),
+        gauge_columns=_rvh_columns,
         quat_spans=((1, 5), (6, 8)),
         scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
         radius_index=0,
     ),
     "spherical": Parameterization(
-        name="spherical",
-        dim=6,
         make_rhs=make_spherical_rhs,
-        to_cartesian=_spherical_to_cartesian_arr,
-        from_cartesian=_spherical_from_cartesian,
+        to_cartesian=lambda y: spherical_to_cartesian(SphericalState.from_array(y)),
+        from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c).to_array(),
+        gauge_columns=_baseline_columns,
         quat_spans=(),
         scales=np.array([_LENGTH_SCALE, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
         radius_index=0,
     ),
     "cartesian": Parameterization(
-        name="cartesian",
-        dim=6,
         make_rhs=make_cartesian_rhs,
-        to_cartesian=lambda y: CartesianState.from_array(y),
-        from_cartesian=lambda c, controls, env: c.to_array(),
+        to_cartesian=CartesianState.from_array,
+        from_cartesian=lambda c, controls, t0: c.to_array(),
+        gauge_columns=_baseline_columns,
         quat_spans=(),
-        scales=np.array(
-            [_LENGTH_SCALE] * 3 + [_SPEED_SCALE] * 3, dtype=float
-        ),
+        scales=np.array([_LENGTH_SCALE] * 3 + [_SPEED_SCALE] * 3, dtype=float),
         radius_index=-1,
     ),
 }
@@ -796,10 +692,9 @@ PARAMETERIZATIONS = {
 def sample_diagnostics(name: str, t: float, y, controls: ControlProfile, env: Environment):
     """Derived quantities at one propagated sample.
 
-    Angular rates are recovered from the actual quaternion rates, the bank
-    angle uses the plane-referenced map (0.0 where it is undefined), and the
-    angular-momentum magnitude and specific orbital energy come from the
-    Cartesian conversion.
+    Position, velocity, angular-momentum magnitude and specific orbital
+    energy come from the Cartesian conversion; the form's
+    ``gauge_columns`` add its quaternion and bank-angle columns.
     """
     y = np.asarray(y, dtype=float)
     spec = PARAMETERIZATIONS[name]
@@ -820,77 +715,5 @@ def sample_diagnostics(name: str, t: float, y, controls: ControlProfile, env: En
         "alpha": controls.alpha(t),
         "thrust": controls.thrust(t),
     }
-
-    rhs = spec.make_rhs(controls, env)
-    try:
-        ydot = rhs(t, y)
-    except SingularityError:
-        ydot = None
-
-    nan = float("nan")
-    if name in ("rv", "rvl"):
-        out["norm_qa"] = float(np.linalg.norm(y[1:5]))
-        out["norm_qb"] = float(np.linalg.norm(y[6:10]))
-        out.update(
-            eps_a1=y[1], eps_a2=y[2], eps_a3=y[3], eta_a=y[4],
-            eps_b1=y[6], eps_b2=y[7], eps_b3=y[8], eta_b=y[9],
-        )
-        c_ba = dcm_from_quat(renormalize(y[6:10]))
-        if name == "rv":
-            sigma = (
-                controls.bank(t)
-                if controls.bank_mode == "sigma"
-                else _safe_sigma_from_beta(controls.bank(t), c_ba)
-            )
-        else:
-            sigma = 0.0
-        out["sigma"] = sigma
-        try:
-            out["beta"] = beta_from_sigma(sigma, c_ba)
-        except SingularityError:
-            out["beta"] = 0.0
-        if ydot is not None:
-            wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
-            wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
-            out["angular_rates"] = AngularRates(*wa, *wb)
-    elif name == "rvh":
-        out["norm_qa"] = float(np.linalg.norm(y[1:5]))
-        out["norm_qb"] = float(np.hypot(y[6], y[7]))
-        out.update(
-            eps_a1=y[1], eps_a2=y[2], eps_a3=y[3], eta_a=y[4],
-            eps_b1=0.0, eps_b2=0.0, eps_b3=y[6], eta_b=y[7],
-        )
-        sigma = (
-            controls.bank(t)
-            if controls.bank_mode == "sigma"
-            else controls.bank(t) + pi
-        )
-        out["sigma"] = sigma
-        c_ba = RvhState.from_array(y).c_ba()
-        try:
-            out["beta"] = beta_from_sigma(sigma, c_ba)
-        except SingularityError:
-            out["beta"] = 0.0
-        out["h_param"] = 2.0 * y[0] * y[5] * y[6] * y[7]
-        if ydot is not None:
-            wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
-            pair_norm_sq = y[6] * y[6] + y[7] * y[7]
-            wb3 = 2.0 * (y[7] * ydot[6] - ydot[7] * y[6]) / pair_norm_sq
-            out["angular_rates"] = AngularRates(wa[0], wa[1], wa[2], 0.0, 0.0, wb3)
-    else:
-        out["norm_qa"] = nan
-        out["norm_qb"] = nan
-        out.update(
-            eps_a1=nan, eps_a2=nan, eps_a3=nan, eta_a=nan,
-            eps_b1=nan, eps_b2=nan, eps_b3=nan, eta_b=nan,
-        )
-        out["sigma"] = nan
-        out["beta"] = controls.bank(t)
+    out.update(spec.gauge_columns(t, y, controls))
     return out
-
-
-def _safe_sigma_from_beta(beta, c_ba):
-    try:
-        return sigma_from_beta(beta, c_ba)
-    except SingularityError:
-        return 0.0

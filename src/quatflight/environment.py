@@ -11,6 +11,12 @@ The atmosphere is a single-scale-height exponential and the aerodynamic
 coefficients are a linear lift slope with a parabolic drag polar; both are
 deliberately minimal stand-ins, overridable through the scenario
 configuration.
+
+The derivative functions evaluate this model in scalar form through one
+force kernel, ``dynamics.make_forces``.  The functions here are the same
+model in matrix form (:func:`density`, :func:`aero_forces`,
+:func:`net_force_B`, :func:`apparent_force_B`): a reference the tests check
+that kernel against.
 """
 
 from __future__ import annotations
@@ -105,16 +111,7 @@ class ControlInput:
     thrust: float = 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class ForceComponents:
-    """Net force ``f`` and apparent force ``f_apparent`` in the B basis (N)."""
-
-    f: np.ndarray
-    f_apparent: np.ndarray
-
-
 EARTH = CentralBody(mu=3.986004418e14, radius=6378137.0, spin_rate=7.2921159e-5)
-STANDARD_ATMOSPHERE = Atmosphere(rho0=1.225, scale_height=8500.0)
 
 
 def density(h: float, atmosphere: Atmosphere) -> float:
@@ -202,20 +199,3 @@ def apparent_force_B(
         c_ba @ np.array([a13 * a13 - 1.0, a13 * a23, a13 * a33])
     )
     return np.asarray(f, dtype=float) - coriolis - centripetal
-
-
-def force_components(
-    r: float,
-    v: float,
-    c_ba: np.ndarray,
-    c_ae: np.ndarray,
-    control: ControlInput,
-    env: Environment,
-    lift_along_b2: bool = False,
-) -> ForceComponents:
-    """Net and apparent force for a state, evaluating the atmosphere and aero models."""
-    rho = density(r - env.body.radius, env.atmosphere)
-    lift, drag, _ = aero_forces(rho, v, control.alpha, env.aero)
-    f = net_force_B(r, c_ba, control, env.vehicle, lift, drag, env.body, lift_along_b2)
-    f_app = apparent_force_B(f, r, v, c_ba, c_ae, env.body, env.vehicle.mass)
-    return ForceComponents(f=f, f_apparent=f_app)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -250,6 +249,8 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
 
     if v.errors:
         raise ConfigError(v.errors)
+    if t0 >= stop.t_final:
+        raise ConfigError([f"t0: must be less than stop.t_final ({stop.t_final:g}), got {t0:g}"])
     config = ScenarioConfig(
         name=name,
         body=body,
@@ -428,30 +429,18 @@ def native_to_cartesian(state) -> CartesianState:
 def initial_array_for(name: str, config: ScenarioConfig):
     """Initial flat state for one parameterization.
 
-    The native form keeps its file values bit-exactly; every other form is
-    derived from the physical (Cartesian) initial condition with that
-    form's gauge rule.  The lift-aligned form derived from a native rv
-    state reuses the rv gauge twisted onto the initial bank command.
+    The native form keeps its file values bit-exactly.  A form with a
+    ``from_rv`` hook (the lift-aligned one) keeps a native rv state's gauge;
+    every other form is derived from the physical (Cartesian) initial
+    condition with that form's gauge rule.
     """
     native = build_native_state(config)
-    kind = config.initial_state.kind
-    if name == kind:
+    if name == config.initial_state.kind:
         return native.to_array()
-    cart = native_to_cartesian(native)
-    if name == "rvl" and kind == "rv":
-        from .quat import dcm_from_quat
-        from .states import RvlState, twist_about_b1
-
-        if config.controls.bank_mode == "sigma":
-            twist = config.controls.bank(config.t0)
-        else:
-            c_ba = dcm_from_quat(native.qb)
-            chi = math.atan2(c_ba[2, 0], c_ba[1, 0])
-            twist = chi + config.controls.bank(config.t0)
-        qb = twist_about_b1(native.qb, twist) if twist != 0.0 else native.qb
-        return RvlState(r=native.r, qa=native.qa, v=native.v, qb=qb).to_array()
     spec = PARAMETERIZATIONS[name]
-    return spec.from_cartesian(cart, config.controls, config.environment)
+    if spec.from_rv is not None and isinstance(native, RvState):
+        return spec.from_rv(native, config.controls, config.t0)
+    return spec.from_cartesian(native_to_cartesian(native), config.controls, config.t0)
 
 
 def resolve_output_dir(outdir=None) -> Path:

@@ -135,7 +135,7 @@ def test_criterion_2_oracle_equivalence():
         samples = {}
         for name in ("rv", "rvl", "rvh", "cartesian"):
             spec = PARAMETERIZATIONS[name]
-            y0 = spec.from_cartesian(cart0, profile, env)
+            y0 = spec.from_cartesian(cart0, profile, 0.0)
             rhs = spec.make_rhs(profile, env)
             traj, event = propagate(
                 rhs,
@@ -184,7 +184,7 @@ def test_criterion_3_two_body_conservation():
         h0 = r0 * v0
         for name in ("rv", "rvh"):
             spec = PARAMETERIZATIONS[name]
-            y0 = spec.from_cartesian(cart0, profile, env)
+            y0 = spec.from_cartesian(cart0, profile, 0.0)
             rhs = spec.make_rhs(profile, env)
             traj, event = propagate(
                 rhs,

@@ -6,22 +6,13 @@ import pytest
 from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
-    GaugeInputs,
     beta_from_sigma,
     beta_rate,
-    cartesian_derivatives,
-    general_derivatives,
     make_cartesian_rhs,
     make_general_rhs,
     make_rv_rhs,
-    make_rvh_rhs,
-    make_rvl_rhs,
     make_spherical_rhs,
-    rv_derivatives,
-    rvh_derivatives,
-    rvl_derivatives,
     sigma_from_beta,
-    spherical_derivatives,
 )
 from quatflight.environment import (
     EARTH,
@@ -31,9 +22,13 @@ from quatflight.environment import (
     ControlInput,
     Environment,
     Vehicle,
+    aero_forces,
+    apparent_force_B,
+    density,
+    net_force_B,
 )
 from quatflight.errors import SingularityError
-from quatflight.quat import UnitQuaternion, dcm_from_quat, renormalize
+from quatflight.quat import UnitQuaternion, dcm_from_quat, omega_from_rate_arrays, renormalize
 from quatflight.states import (
     CartesianState,
     RvhState,
@@ -56,16 +51,23 @@ def make_env(
     cd0=0.05,
     k=0.9,
     thrust=0.0,
+    thrust_offset=0.0,
 ):
     return Environment(
         body=CentralBody(mu=EARTH.mu, radius=EARTH.radius, spin_rate=spin),
         atmosphere=Atmosphere(rho0=rho0, scale_height=8500.0),
         aero=AeroModel(s=s, cl_alpha=cl_alpha, cd0=cd0, k=k),
-        vehicle=Vehicle(mass=mass, thrust=thrust),
+        vehicle=Vehicle(mass=mass, thrust=thrust, thrust_offset=thrust_offset),
     )
 
 
 VACUUM_ENV = make_env(spin=0.0, rho0=0.0)
+
+
+def rates(name, state, env, **controls):
+    """One derivative of a registered form at t = 0 under constant controls."""
+    rhs = PARAMETERIZATIONS[name].make_rhs(ControlProfile.constant(**controls), env)
+    return rhs(0.0, state.to_array())
 
 
 def rk4_step(rhs, t, y, h):
@@ -93,15 +95,15 @@ class TestRvDerivatives:
             v=500.0,
             qb=UnitQuaternion.identity(),
         )
-        rates = rv_derivatives(s, ControlInput(), VACUUM_ENV)
-        assert rates.r_dot == 500.0
-        np.testing.assert_allclose(rates.qa_rates, np.zeros(4), atol=1e-18)
+        ydot = rates("rv", s, VACUUM_ENV)
+        assert ydot[0] == 500.0
+        np.testing.assert_allclose(ydot[1:5], np.zeros(4), atol=1e-18)
 
     def test_entry_fixture_zero_radius_rate(self):
         qb = UnitQuaternion(HALF_SQRT2, HALF_SQRT2, 0.0, 0.0)
         s = RvState(r=EARTH.radius + 37e3, qa=UnitQuaternion.identity(), v=7138.0, qb=qb)
-        rates = rv_derivatives(s, ControlInput(alpha=0.1, sigma=0.3), make_env())
-        assert abs(rates.r_dot) < 1e-8
+        ydot = rates("rv", s, make_env(), alpha=0.1, bank=0.3)
+        assert abs(ydot[0]) < 1e-8
 
     def test_gravity_only_descent_accelerates(self):
         # velocity antiparallel to position: half turn about the third axis
@@ -111,9 +113,9 @@ class TestRvDerivatives:
             v=300.0,
             qb=UnitQuaternion(0.0, 0.0, 1.0, 0.0),
         )
-        rates = rv_derivatives(s, ControlInput(), VACUUM_ENV)
-        assert rates.r_dot == -300.0
-        np.testing.assert_allclose(rates.v_dot, EARTH.mu / 7e6**2, rtol=1e-14)
+        ydot = rates("rv", s, VACUUM_ENV)
+        assert ydot[0] == -300.0
+        np.testing.assert_allclose(ydot[5], EARTH.mu / 7e6**2, rtol=1e-14)
 
     def test_vertical_state_all_finite(self):
         s = RvState(
@@ -123,10 +125,10 @@ class TestRvDerivatives:
             qb=UnitQuaternion(0.0, 0.0, 1.0, 0.0),
         )
         env = make_env()
-        rates = rv_derivatives(s, ControlInput(), env)
-        assert np.isfinite(rates.r_dot) and np.isfinite(rates.v_dot)
-        assert np.all(np.isfinite(rates.qa_rates))
-        assert np.all(np.isfinite(rates.qb_rates))
+        ydot = rates("rv", s, env)
+        assert np.isfinite(ydot[0]) and np.isfinite(ydot[5])
+        assert np.all(np.isfinite(ydot[1:5]))
+        assert np.all(np.isfinite(ydot[6:10]))
 
     def test_norm_derivative_is_zero(self):
         rng = np.random.default_rng(3)
@@ -138,10 +140,9 @@ class TestRvDerivatives:
                 v=rng.uniform(100.0, 8000.0),
                 qb=renormalize(rng.normal(size=4)),
             )
-            u = ControlInput(alpha=rng.uniform(-0.2, 0.2), sigma=rng.uniform(-3, 3))
-            rates = rv_derivatives(s, u, env)
-            assert abs(float(np.dot(s.qa.as_array(), rates.qa_rates))) < 1e-14
-            assert abs(float(np.dot(s.qb.as_array(), rates.qb_rates))) < 1e-14
+            ydot = rates("rv", s, env, alpha=rng.uniform(-0.2, 0.2), bank=rng.uniform(-3, 3))
+            assert abs(float(np.dot(s.qa.as_array(), ydot[1:5]))) < 1e-14
+            assert abs(float(np.dot(s.qb.as_array(), ydot[6:10]))) < 1e-14
 
     def test_zero_speed_raises(self):
         rhs = make_rv_rhs(ControlProfile.constant(), make_env())
@@ -174,14 +175,20 @@ class TestGeneralForm:
             v=3000.0,
             qb=renormalize(rng.normal(size=4)),
         )
-        gauge = GaugeInputs(wa1=0.013, wb1=-0.021)
-        rates, angular = general_derivatives(s, gauge, ControlInput(alpha=0.1), env)
-        np.testing.assert_allclose(angular.wa1, gauge.wa1, atol=1e-12)
-        np.testing.assert_allclose(angular.wb1, gauge.wb1, atol=1e-12)
+        wa1, wb1 = 0.013, -0.021
+        rhs = make_general_rhs(ControlProfile.constant(alpha=0.1), env, gauge=lambda t: (wa1, wb1))
+        y = s.to_array()
+        ydot = rhs(0.0, y)
+        wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
+        wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
+        np.testing.assert_allclose(wa[0], wa1, atol=1e-12)
+        np.testing.assert_allclose(wb[0], wb1, atol=1e-12)
 
     def test_recovered_gauge_zero_for_rv(self):
         rng = np.random.default_rng(11)
         env = make_env()
+        profile = ControlProfile.constant(alpha=0.05, bank=1.0)
+        rhs = make_general_rhs(profile, env, gauge=lambda t: (0.0, 0.0))
         for _ in range(100):
             s = RvState(
                 r=EARTH.radius + rng.uniform(2e4, 8e5),
@@ -189,11 +196,12 @@ class TestGeneralForm:
                 v=rng.uniform(100.0, 8000.0),
                 qb=renormalize(rng.normal(size=4)),
             )
-            _, angular = general_derivatives(
-                s, GaugeInputs(0.0, 0.0), ControlInput(alpha=0.05, sigma=1.0), env
-            )
-            assert abs(angular.wa1) < 1e-12
-            assert abs(angular.wb1) < 1e-12
+            y = s.to_array()
+            ydot = rhs(0.0, y)
+            wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
+            wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
+            assert abs(wa[0]) < 1e-12
+            assert abs(wb[0]) < 1e-12
 
 
 class TestRvlDerivatives:
@@ -207,13 +215,12 @@ class TestRvlDerivatives:
                 v=rng.uniform(500.0, 8000.0),
                 qb=renormalize(rng.normal(size=4)),
             )
-            u = ControlInput(alpha=0.0)
-            rv = rv_derivatives(s, u, env)
-            rvl = rvl_derivatives(s, u, env)
-            assert rv.r_dot == rvl.r_dot
-            assert rv.v_dot == rvl.v_dot
-            np.testing.assert_array_equal(rv.qa_rates, rvl.qa_rates)
-            np.testing.assert_array_equal(rv.qb_rates, rvl.qb_rates)
+            rv = rates("rv", s, env, alpha=0.0)
+            rvl = rates("rvl", s, env, alpha=0.0)
+            assert rv[0] == rvl[0]
+            assert rv[5] == rvl[5]
+            np.testing.assert_array_equal(rv[1:5], rvl[1:5])
+            np.testing.assert_array_equal(rv[6:10], rvl[6:10])
 
     def test_bank_rate_command_spins_quaternion(self):
         # scalar-dominant attitude, zero force: eb1 rate is half the command
@@ -224,10 +231,9 @@ class TestRvlDerivatives:
             v=3000.0,
             qb=UnitQuaternion.identity(),
         )
-        rates = rvl_derivatives(s, ControlInput(wb1=c), VACUUM_ENV)
-        contribution = rates.qb_rates[0]
+        contribution = rates("rvl", s, VACUUM_ENV, wb1=c)[6]
         # remove the orbital-geometry part by comparing against zero command
-        base = rvl_derivatives(s, ControlInput(wb1=0.0), VACUUM_ENV).qb_rates[0]
+        base = rates("rvl", s, VACUUM_ENV, wb1=0.0)[6]
         np.testing.assert_allclose(contribution - base, 0.5 * c, rtol=1e-12)
 
     def test_vertical_state_finite(self):
@@ -237,8 +243,60 @@ class TestRvlDerivatives:
             v=300.0,
             qb=UnitQuaternion(0.0, 0.0, 1.0, 0.0),
         )
-        rates = rvl_derivatives(s, ControlInput(wb1=0.01), make_env())
-        assert np.all(np.isfinite(rates.qb_rates))
+        ydot = rates("rvl", s, make_env(), wb1=0.01)
+        assert np.all(np.isfinite(ydot[6:10]))
+
+
+class TestForceKernel:
+    def test_matches_matrix_reference_model(self):
+        # the scalar force kernel, through the rv and rvl derivatives, against
+        # the matrix-form model: vdot = f~1/m and the B-frame turn rates
+        # wb2 = -f~3/(m v) - (v/r) C31, wb3 = f~2/(m v) + (v/r) C21
+        rng = np.random.default_rng(29)
+        checked = 0
+        for thrust in (0.0, 5e4):
+            for spin in (0.0, EARTH.spin_rate):
+                env = make_env(spin=spin, thrust=thrust, thrust_offset=0.1)
+                m = env.vehicle.mass
+                for _ in range(25):
+                    s = RvState(
+                        r=EARTH.radius + rng.uniform(2e4, 8e5),
+                        qa=renormalize(rng.normal(size=4)),
+                        v=rng.uniform(500.0, 8000.0),
+                        qb=renormalize(rng.normal(size=4)),
+                    )
+                    c_ba = dcm_from_quat(s.qb)
+                    if 1.0 - c_ba[0, 0] ** 2 < 1e-4:
+                        continue
+                    u = ControlInput(
+                        alpha=rng.uniform(-0.2, 0.2), sigma=rng.uniform(-3, 3), thrust=thrust
+                    )
+                    rho = density(s.r - env.body.radius, env.atmosphere)
+                    lift, drag, _ = aero_forces(rho, s.v, u.alpha, env.aero)
+                    for name, lift_along_b2 in (("rv", False), ("rvl", True)):
+                        f = net_force_B(
+                            s.r, c_ba, u, env.vehicle, lift, drag, env.body, lift_along_b2
+                        )
+                        f_app = apparent_force_B(
+                            f, s.r, s.v, c_ba, dcm_from_quat(s.qa), env.body, m
+                        )
+                        ydot = rates(name, s, env, alpha=u.alpha, bank=u.sigma, thrust=thrust)
+                        wb = omega_from_rate_arrays(ydot[6:10], s.qb.as_array())
+                        np.testing.assert_allclose(ydot[5], f_app[0] / m, rtol=1e-9, atol=1e-9)
+                        np.testing.assert_allclose(
+                            wb[1],
+                            -f_app[2] / (m * s.v) - (s.v / s.r) * c_ba[2, 0],
+                            rtol=1e-9,
+                            atol=1e-9,
+                        )
+                        np.testing.assert_allclose(
+                            wb[2],
+                            f_app[1] / (m * s.v) + (s.v / s.r) * c_ba[1, 0],
+                            rtol=1e-9,
+                            atol=1e-9,
+                        )
+                    checked += 1
+        assert checked > 80
 
 
 class TestRvhDerivatives:
@@ -252,10 +310,10 @@ class TestRvhDerivatives:
             eps_b3=HALF_SQRT2,
             eta_b=HALF_SQRT2,
         )
-        rates = rvh_derivatives(s, ControlInput(), VACUUM_ENV)
-        assert abs(rates.r_dot) < 1e-9
-        assert abs(rates.eps_b3_dot) < 1e-12
-        assert abs(rates.eta_b_dot) < 1e-12
+        ydot = rates("rvh", s, VACUUM_ENV)
+        assert abs(ydot[0]) < 1e-9
+        assert abs(ydot[6]) < 1e-12
+        assert abs(ydot[7]) < 1e-12
 
     def test_planar_motion_keeps_gauge_axis(self):
         # no out-of-plane force: wa1 = 0, the A quaternion rotates only
@@ -265,15 +323,15 @@ class TestRvhDerivatives:
         from quatflight.states import cartesian_to_rvh
 
         s = cartesian_to_rvh(cart)
-        rates = rvh_derivatives(s, ControlInput(), VACUUM_ENV)
+        qa_rates = rates("rvh", s, VACUUM_ENV)[1:5]
         wa = np.array(
             [
                 2.0
                 * (
-                    s.qa.eta * rates.qa_rates[0]
-                    - rates.qa_rates[3] * s.qa.eps1
-                    + s.qa.eps3 * rates.qa_rates[1]
-                    - rates.qa_rates[2] * s.qa.eps2
+                    s.qa.eta * qa_rates[0]
+                    - qa_rates[3] * s.qa.eps1
+                    + s.qa.eps3 * qa_rates[1]
+                    - qa_rates[2] * s.qa.eps2
                 )
             ]
         )
@@ -288,13 +346,13 @@ class TestRvhDerivatives:
             eta_b=5e-9,
         )
         with pytest.raises(SingularityError, match="rvh vertical"):
-            rvh_derivatives(s, ControlInput(), make_env())
+            rates("rvh", s, make_env())
 
 
 class TestCartesianDerivatives:
     def test_two_body_acceleration(self):
         c = CartesianState([7e6, 0, 0], [0, 7000.0, 0])
-        ydot = cartesian_derivatives(c, ControlInput(), VACUUM_ENV)
+        ydot = rates("cartesian", c, VACUUM_ENV)
         np.testing.assert_allclose(ydot[0:3], c.velocity, atol=1e-15)
         np.testing.assert_allclose(
             ydot[3:6], [-EARTH.mu / 7e6**2, 0.0, 0.0], rtol=1e-14
@@ -303,7 +361,7 @@ class TestCartesianDerivatives:
     def test_centripetal_term_at_equator(self):
         env = make_env(rho0=0.0)
         c = CartesianState([7e6, 0, 0], [1e-9, 0, 0])
-        ydot = cartesian_derivatives(c, ControlInput(), env)
+        ydot = rates("cartesian", c, env)
         we = EARTH.spin_rate
         np.testing.assert_allclose(
             ydot[3], -EARTH.mu / 7e6**2 + we * we * 7e6, rtol=1e-10
@@ -313,12 +371,12 @@ class TestCartesianDerivatives:
         env = make_env(rho0=1.225)
         c = CartesianState([EARTH.radius + 1e4, 0, 0], [-300.0, 0, 0])
         with pytest.raises(SingularityError, match="lift direction"):
-            cartesian_derivatives(c, ControlInput(alpha=0.1), env)
+            rates("cartesian", c, env, alpha=0.1)
 
     def test_vertical_without_lift_is_fine(self):
         env = make_env(rho0=1.225)
         c = CartesianState([EARTH.radius + 1e4, 0, 0], [-300.0, 0, 0])
-        ydot = cartesian_derivatives(c, ControlInput(alpha=0.0), env)
+        ydot = rates("cartesian", c, env, alpha=0.0)
         assert np.all(np.isfinite(ydot))
 
 
@@ -329,26 +387,25 @@ class TestSphericalDerivatives:
         s = SphericalState(
             r=7e6, lon=0.0, lat=0.0, v=5000.0, gamma=0.0, psi=math.pi / 2
         )
-        rates = spherical_derivatives(s, ControlInput(), VACUUM_ENV)
-        assert abs(rates.psi_dot) < 1e-15
-        assert abs(rates.lat_dot) < 1e-15
+        ydot = rates("spherical", s, VACUUM_ENV)
+        assert abs(ydot[5]) < 1e-15
+        assert abs(ydot[2]) < 1e-15
 
     def test_vertical_flight_raises(self):
         s = SphericalState(r=7e6, lon=0.0, lat=0.1, v=300.0, gamma=-math.pi / 2, psi=0.0)
         with pytest.raises(SingularityError, match="vertical"):
-            spherical_derivatives(s, ControlInput(), make_env())
+            rates("spherical", s, make_env())
 
     def test_near_vertical_guard_threshold(self):
         s = SphericalState(
             r=7e6, lon=0.0, lat=0.1, v=300.0, gamma=math.pi / 2 - 5e-7, psi=0.0
         )
         with pytest.raises(SingularityError, match="vertical"):
-            spherical_derivatives(s, ControlInput(), make_env())
+            rates("spherical", s, make_env())
 
     def test_azimuth_rate_grows_as_inverse_cos_gamma(self):
         # fixed lateral force; |psidot| scales like 1/cos(gamma)
         env = make_env(spin=0.0, rho0=0.0)
-        u = ControlInput()
         vals = []
         gammas = [math.radians(g) for g in (89.0, 89.9)]
         for gamma in gammas:
@@ -579,7 +636,7 @@ class TestCrossParameterizationEquivalence:
         finals = {}
         for name in ("rv", "rvl", "rvh", "spherical", "cartesian"):
             spec = PARAMETERIZATIONS[name]
-            y0 = spec.from_cartesian(cart0, profile, env)
+            y0 = spec.from_cartesian(cart0, profile, 0.0)
             rhs = spec.make_rhs(profile, env)
             y1 = rk4_run(rhs, 0.0, y0, t1, n)
             finals[name] = spec.to_cartesian(y1)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
+import quatflight
 from quatflight.cli import main as cli_main
+from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import ConfigError
 from quatflight.scenario import (
     CSV_COLUMNS,
@@ -19,9 +21,11 @@ from quatflight.scenario import (
     load_scenario,
     parse_config,
     read_trajectory_csv,
+    run_parameterization,
     run_scenario,
     write_trajectory_csv,
 )
+from quatflight.states import cartesian_to_spherical, rv_to_cartesian
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -244,6 +248,13 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "envout" / "vertical_dive_rv.csv").exists()
 
+    def test_t0_not_before_t_final_rejected(self, tmp_path, capsys):
+        late = tmp_path / "late.yaml"
+        late.write_text(yaml.safe_dump(minimal_config_dict(t0=50.0)))  # t_final is 50
+        for argv in (["validate", str(late)], ["run", str(late), "--out", str(tmp_path)]):
+            assert cli_main(argv) == 2
+            assert "t0: must be less than stop.t_final" in capsys.readouterr().err
+
     def test_bench_rejects_tiny_eval_count(self, capsys):
         code = cli_main(
             ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10"]
@@ -270,7 +281,37 @@ class TestCli:
         assert proc.returncode == 0
 
 
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        assert [n for n in quatflight.__all__ if not hasattr(quatflight, n)] == []
+        namespace = {}
+        exec("from quatflight import *", namespace)
+        assert set(quatflight.__all__) <= set(namespace)
+
+
 class TestEntryScenarioInvariants:
+    def test_rvl_initial_twist_uses_t0(self):
+        # entry_table3 started mid-profile from a spherical initial state:
+        # the lift gauge must start on the bank command at t0, not at t = 0
+        data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
+        sph = cartesian_to_spherical(rv_to_cartesian(build_native_state(parse_config(data))))
+        data["initial_state"] = {
+            "kind": "spherical",
+            **{k: getattr(sph, k) for k in ("r", "lon", "lat", "v", "gamma", "psi")},
+        }
+        data["t0"] = 100.0
+        data["stop"]["t_final"] = 300.0
+        data["controls"]["bank"] = {"times": [0.0, 100.0, 400.0], "values": [0.0, 0.6, 0.9]}
+        config = parse_config(data)
+        finals = {}
+        for name in config.parameterizations:
+            res = run_parameterization(name, config)
+            assert res.event.kind == "terminal_time"
+            finals[name] = PARAMETERIZATIONS[name].to_cartesian(res.trajectory.final_state)
+        ref = finals["cartesian"]
+        for name, cs in finals.items():
+            assert float(np.linalg.norm(cs.position - ref.position)) < 1e-6 * ref.r, name
+
     def test_rv_terminates_at_surface_with_unit_norms(self, tmp_path):
         config = load_scenario(bundled_scenario_path("entry_table3"))
         results, _, code = run_scenario(config, params=["rv"], outdir=tmp_path)
