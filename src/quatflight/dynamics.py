@@ -39,6 +39,13 @@ never as names bound when the closure is built, so that
 :func:`quatflight.bench.count_trig_calls` can count them by patching the
 module.
 
+Each derivative unpacks its state once, with ``y.tolist()``, and does all
+of its arithmetic on Python floats, then builds its result with one
+``np.array`` call.  Indexing the array element by element gives NumPy
+scalars instead, whose arithmetic costs more per operation than the trig
+calls the quaternion forms avoid; the values, and so every trajectory, are
+the same bit for bit either way.
+
 Derivative functions are pure: they never renormalize the quaternions (that
 is the propagator's policy) and may be called concurrently.
 """
@@ -146,16 +153,7 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
-        r = y[0]
-        ea1 = y[1]
-        ea2 = y[2]
-        ea3 = y[3]
-        eta_a = y[4]
-        v = y[5]
-        eb1 = y[6]
-        eb2 = y[7]
-        eb3 = y[8]
-        eta_b = y[9]
+        r, ea1, ea2, ea3, eta_a, v, eb1, eb2, eb3, eta_b = y.tolist()
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:
@@ -241,18 +239,18 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
             wa1 = 0.0
             wb1 = 0.0
 
-        out = np.empty(10)
-        out[0] = v * b11
-        out[1] = 0.5 * (eta_a * wa1 - ea3 * wa2 + ea2 * wa3)
-        out[2] = 0.5 * (ea3 * wa1 + eta_a * wa2 - ea1 * wa3)
-        out[3] = 0.5 * (-ea2 * wa1 + ea1 * wa2 + eta_a * wa3)
-        out[4] = -0.5 * (ea1 * wa1 + ea2 * wa2 + ea3 * wa3)
-        out[5] = ft1 / m
-        out[6] = 0.5 * (eta_b * wb1 - eb3 * wb2 + eb2 * wb3)
-        out[7] = 0.5 * (eb3 * wb1 + eta_b * wb2 - eb1 * wb3)
-        out[8] = 0.5 * (-eb2 * wb1 + eb1 * wb2 + eta_b * wb3)
-        out[9] = -0.5 * (eb1 * wb1 + eb2 * wb2 + eb3 * wb3)
-        return out
+        return np.array((
+            v * b11,
+            0.5 * (eta_a * wa1 - ea3 * wa2 + ea2 * wa3),
+            0.5 * (ea3 * wa1 + eta_a * wa2 - ea1 * wa3),
+            0.5 * (-ea2 * wa1 + ea1 * wa2 + eta_a * wa3),
+            -0.5 * (ea1 * wa1 + ea2 * wa2 + ea3 * wa3),
+            ft1 / m,
+            0.5 * (eta_b * wb1 - eb3 * wb2 + eb2 * wb3),
+            0.5 * (eb3 * wb1 + eta_b * wb2 - eb1 * wb3),
+            0.5 * (-eb2 * wb1 + eb1 * wb2 + eta_b * wb3),
+            -0.5 * (eb1 * wb1 + eb2 * wb2 + eb3 * wb3),
+        ))
 
     return rhs
 
@@ -265,14 +263,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
-        r = y[0]
-        ea1 = y[1]
-        ea2 = y[2]
-        ea3 = y[3]
-        eta_a = y[4]
-        v = y[5]
-        eb3 = y[6]
-        eta_b = y[7]
+        r, ea1, ea2, ea3, eta_a, v, eb3, eta_b = y.tolist()
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:
@@ -328,16 +319,16 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
         wa3 = (2.0 * v / r) * eta_b * eb3
         wb3 = ft2 / (m * v) - (2.0 * v / r) * eta_b * eb3
 
-        out = np.empty(8)
-        out[0] = v * b11
-        out[1] = 0.5 * (wa1 * eta_a + wa3 * ea2)
-        out[2] = 0.5 * (wa1 * ea3 - wa3 * ea1)
-        out[3] = 0.5 * (-wa1 * ea2 + wa3 * eta_a)
-        out[4] = -0.5 * (wa1 * ea1 + wa3 * ea3)
-        out[5] = ft1 / m
-        out[6] = 0.5 * wb3 * eta_b
-        out[7] = -0.5 * wb3 * eb3
-        return out
+        return np.array((
+            v * b11,
+            0.5 * (wa1 * eta_a + wa3 * ea2),
+            0.5 * (wa1 * ea3 - wa3 * ea1),
+            0.5 * (-wa1 * ea2 + wa3 * eta_a),
+            -0.5 * (wa1 * ea1 + wa3 * ea3),
+            ft1 / m,
+            0.5 * wb3 * eta_b,
+            -0.5 * wb3 * eb3,
+        ))
 
     return rhs
 
@@ -354,8 +345,7 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
     bank_of = controls.bank
 
     def rhs(t, y):
-        px, py, pz = y[0], y[1], y[2]
-        vx, vy, vz = y[3], y[4], y[5]
+        px, py, pz, vx, vy, vz = y.tolist()
         r2 = px * px + py * py + pz * pz
         r = r2**0.5
         v = (vx * vx + vy * vy + vz * vz) ** 0.5
@@ -419,11 +409,7 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
     gamma_max = pi / 2 - SPHERICAL_GAMMA_EPS
 
     def rhs(t, y):
-        r = y[0]
-        lat = y[2]
-        v = y[3]
-        gamma = y[4]
-        psi = y[5]
+        r, _lon, lat, v, gamma, psi = y.tolist()
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:

@@ -13,7 +13,18 @@ A radius-crossing event is refined by bisection inside the bracketing step
 until the event time is known to 1e-6 s and the radius mismatch is below
 1e-3 m.  When a derivative evaluation raises a singularity guard, the
 trajectory accumulated so far is returned intact together with a
-``singularity_guard`` stop event.
+``singularity_guard`` stop event.  A fixed step that produces a non-finite
+state ends the run the same way, as a ``step_failure`` with message
+"non-finite state".  An adaptive step whose error estimate is not a number
+(a trial stage overflowed or the derivative returned NaN) is rejected like
+one whose estimate is infinite; if the step size then underflows, the run
+ends with that same message instead of "step size underflow".
+
+The Dormand-Prince step returns its stage-7 state as the fifth-order
+solution: that stage's weights are the solution weights, summed in the
+same order, so it is the same array bit for bit.  Accepted states are
+stored without copying, which holds because every step builds a fresh
+array and nothing writes to a state in place.
 
 Propagation is deterministic: the same configuration and initial state
 produce bitwise-identical trajectories.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import inf, isfinite, isnan, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,10 +138,11 @@ def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
     """
     out = y.copy()
     for lo, hi in quat_spans:
-        n = float(np.linalg.norm(out[lo:hi]))
+        block = out[lo:hi]
+        n = sqrt(block.dot(block))
         if n == 0.0:
             raise ValueError("cannot renormalize a zero-norm quaternion block")
-        out[lo:hi] /= n
+        block /= n
     return out
 
 
@@ -142,24 +155,23 @@ def _rk4_step(rhs, t, y, h):
 
 
 def _dp54_step(rhs, t, y, h):
-    """One Dormand-Prince step: returns (y5, error_estimate)."""
+    """One Dormand-Prince step: returns (y5, error_estimate).
+
+    ``y5`` is the stage-7 state: ``_DP_A[6] == _DP_B[:6]`` and
+    ``_DP_B[6] == 0``.
+    """
     k = [rhs(t, y)]
     for i in range(1, 7):
-        yi = y.copy()
-        ai = _DP_A[i]
-        for j, a in enumerate(ai):
+        yi = y
+        for a, kj in zip(_DP_A[i], k):
             if a != 0.0:
-                yi = yi + (h * a) * k[j]
+                yi = yi + (h * a) * kj
         k.append(rhs(t + _DP_C[i] * h, yi))
-    y5 = y.copy()
-    for b, ki in zip(_DP_B, k):
-        if b != 0.0:
-            y5 = y5 + (h * b) * ki
-    err = np.zeros_like(y)
-    for e, ki in zip(_DP_E, k):
+    err = (h * _DP_E[0]) * k[0]
+    for e, ki in zip(_DP_E[1:], k[1:]):
         if e != 0.0:
             err = err + (h * e) * ki
-    return y5, err
+    return yi, err
 
 
 class _BreakSchedule:
@@ -229,14 +241,15 @@ def propagate(
         return rhs(t, yy)
 
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     n_steps = 0
     n_rejected = 0
     schedule = _BreakSchedule(t0, t_final, t_breaks)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
+    abs_tol = config.abs_tol
     if scales is not None:
-        scales = np.asarray(scales, dtype=float)
+        abs_tol = abs_tol * np.asarray(scales, dtype=float)
 
     def finish(event):
         traj = Trajectory(
@@ -271,13 +284,16 @@ def propagate(
         try:
             if adaptive:
                 y_new, err = _dp54_step(counted_rhs, t, y, h_try)
-                tol = config.abs_tol * (scales if scales is not None else 1.0) + (
-                    config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                )
+                tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
                 err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
+                finite = not isnan(err_norm)
+                if not finite:
+                    err_norm = inf
             else:
                 y_new = _rk4_step(counted_rhs, t, y, h_try)
                 err_norm = 0.0
+                # one float sum: NaN or inf in any component carries through
+                finite = isfinite(sum(y_new.tolist()))
         except SingularityError as exc:
             return finish(
                 StopEvent(
@@ -298,10 +314,20 @@ def propagate(
                         kind="step_failure",
                         t_event=t,
                         y_event=y.copy(),
-                        message="step size underflow",
+                        message="step size underflow" if finite else "non-finite state",
                     )
                 )
             continue
+
+        if not finite:
+            return finish(
+                StopEvent(
+                    kind="step_failure",
+                    t_event=t,
+                    y_event=y.copy(),
+                    message="non-finite state",
+                )
+            )
 
         n_steps += 1
         t_new = target if landing else t + h_try
@@ -331,7 +357,7 @@ def propagate(
         t = t_new
         y = y_new
         ts.append(t)
-        ys.append(y.copy())
+        ys.append(y)
 
         if landing:
             if target >= t_final:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from quatflight.controls import ControlProfile
+from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import PARAMETERIZATIONS, make_cartesian_rhs, make_rv_rhs
 from quatflight.environment import (
     EARTH,
@@ -14,16 +14,103 @@ from quatflight.environment import (
     Environment,
     Vehicle,
 )
-from quatflight.errors import PropagationError
+from quatflight.errors import PropagationError, SingularityError
 from quatflight.propagation import (
+    _DP_A,
+    _DP_B,
+    _DP_C,
+    _DP_E,
     IntegratorConfig,
     StopEvent,
+    _dp54_step,
+    _rk4_step,
     propagate,
     renormalize_quaternion_blocks,
 )
 from quatflight.states import CartesianState, cartesian_to_rv
 
 MU = EARTH.mu
+
+
+# Textbook stepper: the array-copying forms the stepper must match bit for bit.
+
+
+def reference_renormalize(y, quat_spans):
+    out = y.copy()
+    for lo, hi in quat_spans:
+        n = float(np.linalg.norm(out[lo:hi]))
+        if n == 0.0:
+            raise ValueError("cannot renormalize a zero-norm quaternion block")
+        out[lo:hi] /= n
+    return out
+
+
+def reference_rk4_step(rhs, t, y, h):
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_dp54_step(rhs, t, y, h):
+    k = [rhs(t, y)]
+    for i in range(1, 7):
+        yi = y.copy()
+        for j, a in enumerate(_DP_A[i]):
+            if a != 0.0:
+                yi = yi + (h * a) * k[j]
+        k.append(rhs(t + _DP_C[i] * h, yi))
+    y5 = y.copy()
+    for b, ki in zip(_DP_B, k):
+        if b != 0.0:
+            y5 = y5 + (h * b) * ki
+    err = np.zeros_like(y)
+    for e, ki in zip(_DP_E, k):
+        if e != 0.0:
+            err = err + (h * e) * ki
+    return y5, err
+
+
+def random_cases(seed, n):
+    """``(name, rhs, t, y)`` for every form at ``n`` random flight states.
+
+    Spin, atmosphere, thrust and bank mode vary from case to case; cases a
+    form cannot represent (a guard at the initial state) are left out.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        env = Environment(
+            body=CentralBody(mu=MU, radius=EARTH.radius, spin_rate=(0.0, EARTH.spin_rate)[i % 2]),
+            atmosphere=Atmosphere(rho0=(0.0, 1.225)[i // 2 % 2], scale_height=8500.0),
+            aero=AeroModel(s=12.0, cl_alpha=1.5, cd0=0.05, k=0.3),
+            vehicle=Vehicle(mass=2000.0, thrust_offset=0.1 * (i % 3)),
+        )
+        thrust = (0.0, 5e4)[i // 4 % 2]
+        controls = ControlProfile(
+            alpha=PiecewiseLinear([0.0, 50.0, 100.0], rng.uniform(-0.3, 0.3, 3)),
+            bank=PiecewiseLinear([0.0, 60.0, 100.0], rng.uniform(-2.0, 2.0, 3)),
+            wb1=PiecewiseLinear([0.0, 100.0], rng.uniform(-0.01, 0.01, 2)),
+            thrust=PiecewiseLinear([0.0, 100.0], [thrust, 0.5 * thrust]),
+            bank_mode=("sigma", "beta")[i // 8 % 2],
+        )
+        pos = rng.normal(size=3)
+        pos *= (EARTH.radius + rng.uniform(1e3, 1e5)) / np.linalg.norm(pos)
+        c = CartesianState(pos, rng.normal(size=3) * 3000.0)
+        t = float(rng.uniform(0.0, 100.0))
+        for name, spec in PARAMETERIZATIONS.items():
+            y = spec.from_cartesian(c, controls, 0.0)
+            rhs = spec.make_rhs(controls, env)
+            try:
+                rhs(t, y)
+            except SingularityError:
+                continue
+            cases.append((name, rhs, t, y))
+    return cases
+
+
+STEPS = (1e-3, 0.1, 2.5)
 
 
 def vacuum_env(spin=0.0):
@@ -250,3 +337,127 @@ class TestAdaptiveVsFixed:
         p_a = spec.to_cartesian(traj_a.final_state).position
         p_f = spec.to_cartesian(traj_f.final_state).position
         assert float(np.linalg.norm(p_a - p_f)) < 1e-8 * float(np.linalg.norm(p_a))
+
+
+class TestStepperMatchesReference:
+    def test_steps_bitwise_equal_to_textbook_forms(self):
+        cases = random_cases(seed=7, n=24)
+        assert {name for name, *_ in cases} == set(PARAMETERIZATIONS)
+        for name, rhs, t, y in cases:
+            for h in STEPS:
+                try:
+                    expected = reference_rk4_step(rhs, t, y, h)
+                except SingularityError:
+                    with pytest.raises(SingularityError):
+                        _rk4_step(rhs, t, y, h)
+                else:
+                    assert np.array_equal(_rk4_step(rhs, t, y, h), expected), (name, h)
+                try:
+                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h)
+                except SingularityError:
+                    with pytest.raises(SingularityError):
+                        _dp54_step(rhs, t, y, h)
+                else:
+                    y5, err = _dp54_step(rhs, t, y, h)
+                    assert np.array_equal(y5, y5_ref), (name, h)
+                    assert np.array_equal(err, err_ref), (name, h)
+
+    def test_renormalization_bitwise_equal_to_norm_division(self):
+        rng = np.random.default_rng(8)
+        for name, _, _, y in random_cases(seed=8, n=8):
+            spans = PARAMETERIZATIONS[name].quat_spans
+            drifted = y * (1.0 + rng.uniform(-1e-6, 1e-6, y.size))
+            assert np.array_equal(
+                renormalize_quaternion_blocks(drifted, spans), reference_renormalize(drifted, spans)
+            ), name
+
+    def test_stage7_weights_are_solution_weights(self):
+        assert _DP_A[6] == _DP_B[:6]
+        assert _DP_B[6] == 0.0
+
+
+def unusual_layouts(y):
+    """The state as a read-only array and as a non-contiguous row view."""
+    read_only = y.copy()
+    read_only.setflags(write=False)
+    backing = np.zeros((3, 2 * y.size))
+    backing[1, ::2] = y
+    view = backing[1, ::2]
+    assert not view.flags.c_contiguous
+    return {"read-only": (read_only, read_only), "row view": (view, backing)}
+
+
+class TestNoAliasingNoMutation:
+    def test_derivatives_and_steps_leave_inputs_alone(self):
+        steppers = {
+            "rhs": lambda rhs, t, y: (rhs(t, y),),
+            "rk4": lambda rhs, t, y: (_rk4_step(rhs, t, y, 0.1),),
+            "dp54": lambda rhs, t, y: _dp54_step(rhs, t, y, 0.1),
+        }
+        for name, rhs, t, y in random_cases(seed=9, n=8):
+            for step_name, step in steppers.items():
+                try:
+                    expected = step(rhs, t, y.copy())
+                except SingularityError:
+                    continue
+                for layout, (state, owner) in unusual_layouts(y).items():
+                    before = owner.copy()
+                    first = step(rhs, t, state)
+                    second = step(rhs, t, state)
+                    label = (name, step_name, layout)
+                    assert np.array_equal(owner, before), label
+                    for a, b, ref in zip(first, second, expected):
+                        assert np.array_equal(a, ref), label
+                        assert np.array_equal(b, ref), label
+                        assert not np.shares_memory(a, b), label
+                        assert not np.shares_memory(a, owner), label
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_trajectory_rows_are_independent(self, method):
+        env = vacuum_env(spin=EARTH.spin_rate)
+        rhs = make_rv_rhs(ControlProfile.constant(alpha=0.1, bank=0.4), env)
+        y0 = cartesian_to_rv(CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0])).to_array()
+        y0.setflags(write=False)
+        spec = PARAMETERIZATIONS["rv"]
+        cfg = IntegratorConfig(method=method, step=1.0)
+        traj, event = propagate(
+            rhs, 0.0, y0, 20.0, cfg, quat_spans=spec.quat_spans, scales=spec.scales
+        )
+        assert len(traj) > 3
+        assert not np.shares_memory(traj.y, y0)
+        assert not np.shares_memory(traj.y, event.y_event)
+        for i in range(len(traj)):
+            for j in range(i + 1, len(traj)):
+                assert not np.shares_memory(traj.y[i], traj.y[j])
+
+
+class TestNonFiniteDerivative:
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_nan_derivative_ends_as_step_failure(self, method):
+        rhs = lambda t, y: -y * (math.nan if t > 0.5 else 1.0)
+        cfg = IntegratorConfig(method=method, step=0.1)
+        traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
+        assert (event.kind, event.message) == ("step_failure", "non-finite state")
+        assert np.all(np.isfinite(traj.y))
+        assert 0.4 < traj.t[-1] <= 0.5
+        assert event.t_event == traj.t[-1]
+        assert np.array_equal(event.y_event, traj.y[-1])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_error_estimate_rejects_the_step(self, bad):
+        # the seventh call is the first step's last stage, whose weight in
+        # the solution is zero: the state stays finite, the error does not
+        # (as when that stage's trial state lies far enough out to overflow)
+        calls = [0]
+
+        def rhs(t, y):
+            calls[0] += 1
+            return np.full_like(y, bad) if calls[0] == 7 else -y
+
+        traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        clean, _ = propagate(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        assert event.kind == "terminal_time"
+        # the first attempt was rejected, so the first accepted step is shorter
+        assert traj.t[1] < clean.t[1]
+        assert traj.n_rejected >= 1
+        assert np.all(np.isfinite(traj.y))

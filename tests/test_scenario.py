@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,17 @@ class TestCli:
         )
         assert proc.returncode == 0
 
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(quatflight.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatflight", "validate", str(bundled_scenario_path("circular_orbit"))],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "valid" in proc.stdout
+
 
 class TestPackageExports:
     def test_every_export_resolves(self):
@@ -335,6 +348,26 @@ class TestEntryScenarioInvariants:
         early = e_r[times <= 100.0]
         assert len(early) >= 5
         assert np.max(early) < 1.0
+
+    def test_nonfinite_derivative_exit_code(self, tmp_path, monkeypatch):
+        spec = PARAMETERIZATIONS["cartesian"]
+
+        def make_poisoned_rhs(controls, env):
+            rhs = spec.make_rhs(controls, env)
+            return lambda t, y: rhs(t, y) * (math.nan if t > 10.0 else 1.0)
+
+        monkeypatch.setitem(
+            PARAMETERIZATIONS, "cartesian", dataclasses.replace(spec, make_rhs=make_poisoned_rhs)
+        )
+        config = parse_config(minimal_config_dict(name="poisoned"))
+        results, _, code = run_scenario(config, params=["cartesian"], outdir=tmp_path)
+        assert code == 4
+        event = results[0].event
+        assert (event.kind, event.message) == ("step_failure", "non-finite state")
+        traj = results[0].trajectory
+        assert np.all(np.isfinite(traj.y))
+        assert 0.0 < traj.t[-1] <= 10.0
+        assert (tmp_path / "poisoned_cartesian.csv").exists()
 
     def test_integration_failure_exit_code(self, tmp_path):
         data = minimal_config_dict(
