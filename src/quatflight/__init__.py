@@ -43,16 +43,12 @@ from .scenario import (
     run_scenario,
 )
 from .states import (
-    AngularRates,
     CartesianState,
     RvhState,
-    RvlState,
     RvState,
     SphericalState,
-    bank_basis_g,
     cartesian_to_rv,
     cartesian_to_rvh,
-    cartesian_to_rvl,
     cartesian_to_spherical,
     rv_to_cartesian,
     rvh_to_cartesian,
@@ -63,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AeroModel",
-    "AngularRates",
     "Atmosphere",
     "AxisAngle",
     "CartesianState",
@@ -80,7 +75,6 @@ __all__ = [
     "QuatflightError",
     "RvState",
     "RvhState",
-    "RvlState",
     "ScenarioConfig",
     "SingularityError",
     "SphericalState",
@@ -90,13 +84,11 @@ __all__ = [
     "Vehicle",
     "aero_forces",
     "apparent_force_B",
-    "bank_basis_g",
     "beta_from_sigma",
     "beta_rate",
     "bundled_scenario_path",
     "cartesian_to_rv",
     "cartesian_to_rvh",
-    "cartesian_to_rvl",
     "cartesian_to_spherical",
     "dcm_from_axis_angle",
     "dcm_from_quat",

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 from . import dynamics
-from .errors import ConfigError
 from .scenario import ScenarioConfig, initial_array_for
 
 TRIG_NAMES = ("sin", "cos", "tan", "atan2", "asin", "acos")
@@ -63,7 +62,7 @@ def count_trig_calls(rhs, t, y) -> int:
     return counts["n"]
 
 
-def benchmark_derivatives(config: ScenarioConfig, n_evals: int, params=None):
+def benchmark_derivatives(config: ScenarioConfig, n_evals: int):
     """Time ``n_evals`` derivative evaluations per parameterization.
 
     Returns a list of :class:`BenchRow`, one per parameterization, with
@@ -72,13 +71,9 @@ def benchmark_derivatives(config: ScenarioConfig, n_evals: int, params=None):
     """
     if n_evals < MIN_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_EVALS}")
-    chosen = tuple(params) if params else config.parameterizations
-    bad = [p for p in chosen if p not in dynamics.PARAMETERIZATIONS]
-    if bad:
-        raise ConfigError([f"parameterizations: unknown entries {bad}"])
     env = config.environment
     rows = []
-    for name in chosen:
+    for name in config.parameterizations:
         spec = dynamics.PARAMETERIZATIONS[name]
         y0 = initial_array_for(name, config)
         rhs = spec.make_rhs(config.controls, env)

@@ -66,15 +66,10 @@ def _selected_params(args):
 
 
 def cmd_run(args) -> int:
-    try:
-        config = load_scenario(args.config)
-        results, report, exit_code = run_scenario(
-            config, params=_selected_params(args), outdir=args.out, compare=args.compare
-        )
-    except ConfigError as exc:
-        for message in exc.messages:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_scenario(args.config)
+    results, report, exit_code = run_scenario(
+        config, params=_selected_params(args), outdir=args.out, compare=args.compare
+    )
     for res in results:
         status = res.event.kind
         if res.guard_tripped and res.name in config.stop.expected_guards:
@@ -97,13 +92,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    config = load_scenario(args.config)
     try:
-        config = load_scenario(args.config)
         rows = benchmark_derivatives(config, args.evals)
-    except ConfigError as exc:
-        for message in exc.messages:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -118,12 +109,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = load_scenario(args.config)
-    except ConfigError as exc:
-        for message in exc.messages:
-            print(f"config error: {message}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = load_scenario(args.config)
     print(f"{config.name}: valid")
     print(f"  initial state: {config.initial_state.kind}")
     print(f"  parameterizations: {', '.join(config.parameterizations)}")
@@ -138,12 +124,17 @@ def cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        code = cmd_run(args)
-    elif args.command == "bench":
-        code = cmd_bench(args)
-    else:
-        code = cmd_validate(args)
+    command = {"run": cmd_run, "bench": cmd_bench, "validate": cmd_validate}[args.command]
+    try:
+        code = command(args)
+    except ConfigError as exc:
+        for message in exc.messages:
+            print(f"config error: {message}", file=sys.stderr)
+        code = EXIT_CONFIG
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    main()

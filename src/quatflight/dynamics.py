@@ -65,7 +65,6 @@ from .quat import UnitQuaternion, dcm_from_quat, renormalize
 from .states import (
     CartesianState,
     RvhState,
-    RvlState,
     RvState,
     SphericalState,
     cartesian_to_rv,
@@ -119,20 +118,9 @@ def make_forces(controls: ControlProfile, env: Environment) -> Callable:
     return forces
 
 
-def make_general_rhs(
-    controls: ControlProfile, env: Environment, gauge: Callable[[float], tuple]
-) -> Callable:
-    """General-form right-hand side with externally supplied gauge rates.
-
-    ``gauge(t)`` returns the two free angular-velocity components
-    ``(wa1, wb1)``.  The rv form is this with both identically zero.
-    """
-    return _make_two_quaternion_rhs(controls, env, gauge=gauge, lift_along_b2=False)
-
-
 def make_rv_rhs(controls: ControlProfile, env: Environment) -> Callable:
     """Right-hand side of the ten-parameter form with zero gauge rates."""
-    return _make_two_quaternion_rhs(controls, env, gauge=None, lift_along_b2=False)
+    return _make_two_quaternion_rhs(controls, env, lift_along_b2=False)
 
 
 def make_rvl_rhs(controls: ControlProfile, env: Environment) -> Callable:
@@ -142,10 +130,10 @@ def make_rvl_rhs(controls: ControlProfile, env: Environment) -> Callable:
     command.  In ``beta`` mode the command is derived each evaluation so
     the physical bank angle tracks the bank profile exactly.
     """
-    return _make_two_quaternion_rhs(controls, env, gauge=None, lift_along_b2=True)
+    return _make_two_quaternion_rhs(controls, env, lift_along_b2=True)
 
 
-def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
+def _make_two_quaternion_rhs(controls, env, lift_along_b2):
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
     forces = make_forces(controls, env)
     bank_of = controls.bank
@@ -218,14 +206,8 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
         wb2 = -ft3 * minv - two_v_r * (eb1 * eb3 + eb2 * eta_b)
         wb3 = ft2 * minv + two_v_r * (eb1 * eb2 - eb3 * eta_b)
 
-        if gauge is not None:
-            wa1, wb1 = gauge(t)
-            wa1 = float(wa1)
-            wb1 = float(wb1)
-            wb2 -= wa1 * b21
-            wb3 -= wa1 * b31
-        elif lift_along_b2:
-            wa1 = 0.0
+        wa1 = 0.0
+        if lift_along_b2:
             if beta_mode:
                 denom = 1.0 - b11 * b11
                 if denom < VERTICAL_SIN_EPS:
@@ -236,7 +218,6 @@ def _make_two_quaternion_rhs(controls, env, gauge, lift_along_b2):
             else:
                 wb1 = wb1_of(t)
         else:
-            wa1 = 0.0
             wb1 = 0.0
 
         return np.array((
@@ -519,8 +500,10 @@ def rvl_twist(qb: UnitQuaternion, controls: ControlProfile, t0: float) -> UnitQu
     return twist_about_b1(qb, twist) if twist != 0.0 else qb
 
 
-def _rvl_from_rv(s: RvState, controls, t0):
-    return RvlState(r=s.r, qa=s.qa, v=s.v, qb=rvl_twist(s.qb, controls, t0)).to_array()
+def _rvl_from_rv(y, controls, t0):
+    out = np.array(y, dtype=float)
+    out[6:10] = rvl_twist(UnitQuaternion.from_array(y[6:10]), controls, t0).as_array()
+    return out
 
 
 def _bank_columns(sigma, c_ba):
@@ -584,7 +567,9 @@ class Parameterization:
     """One state form: everything needed to build, initialise and describe it.
 
     * ``make_rhs(controls, env)`` builds the derivative ``rhs(t, y)``.
-    * ``to_cartesian(y)`` maps a flat state to a :class:`CartesianState`.
+    * ``to_cartesian(y)`` maps a flat state to a :class:`CartesianState`,
+      renormalizing its quaternions first.  Scenario loading also calls it
+      on the native initial state to surface range and degeneracy errors.
     * ``from_cartesian(c, controls, t0)`` fixes the form's gauge for a
       physical state at the initial time ``t0``.
     * ``gauge_columns(t, y, controls)`` gives the per-sample diagnostics
@@ -593,13 +578,15 @@ class Parameterization:
       is undefined).  Forms without quaternions give NaN for all of these
       except ``beta``, which is their bank command.
     * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
-      quaternions, which the propagator renormalizes.
+      quaternions (the rvh in-plane pair counts as one), which the
+      propagator renormalizes and scenario loading checks.
     * ``scales`` are the per-component error scales of the step controller.
     * ``radius_index`` locates the radius in ``y``; -1 when it must be
       derived from a Cartesian position.
-    * ``from_rv(state, controls, t0)``, when set, derives the form from an
-      rv-gauge state while keeping that gauge, so a native rv initial state
-      is reused instead of regauged through Cartesian coordinates.
+    * ``from_rv(y, controls, t0)``, when set, derives the form from an rv
+      state array while keeping its gauge and its bits, so a native rv
+      initial state is reused instead of regauged through Cartesian
+      coordinates.
     """
 
     make_rhs: Callable
@@ -634,7 +621,9 @@ PARAMETERIZATIONS = {
     "rvl": Parameterization(
         make_rhs=make_rvl_rhs,
         to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
-        from_cartesian=lambda c, controls, t0: _rvl_from_rv(cartesian_to_rv(c), controls, t0),
+        from_cartesian=lambda c, controls, t0: _rvl_from_rv(
+            cartesian_to_rv(c).to_array(), controls, t0
+        ),
         # the lift gauge's second axis is the lift direction: native bank zero
         gauge_columns=_ten_parameter_columns(lambda t, controls, c_ba: 0.0),
         quat_spans=((1, 5), (6, 10)),
@@ -699,7 +688,6 @@ def sample_diagnostics(name: str, t: float, y, controls: ControlProfile, env: En
         "h_mag": h_mag,
         "energy": energy,
         "alpha": controls.alpha(t),
-        "thrust": controls.thrust(t),
     }
     out.update(spec.gauge_columns(t, y, controls))
     return out

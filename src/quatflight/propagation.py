@@ -11,8 +11,13 @@ propagated trajectories comparable sample-for-sample without interpolation.
 
 A radius-crossing event is refined by bisection inside the bracketing step
 until the event time is known to 1e-6 s and the radius mismatch is below
-1e-3 m.  When a derivative evaluation raises a singularity guard, the
-trajectory accumulated so far is returned intact together with a
+1e-3 m.  A crossing is an accepted step that ends on the target radius or
+on the other side of it, in either direction.  A state that starts exactly
+on the target is not a crossing: the event arms at the first accepted step
+that ends off the target, whichever side that is.
+
+When a derivative evaluation raises a singularity guard, the trajectory
+accumulated so far is returned intact together with a
 ``singularity_guard`` stop event.  A fixed step that produces a non-finite
 state ends the run the same way, as a ``step_failure`` with message
 "non-finite state".  An adaptive step whose error estimate is not a number
@@ -99,7 +104,6 @@ class StopEvent:
     t_event: float
     y_event: Optional[np.ndarray] = None
     message: str = ""
-    bracket: Optional[tuple] = None  # (t_lo, y_lo, t_hi, y_hi) around the event
 
 
 @dataclass(eq=False)
@@ -212,7 +216,9 @@ def propagate(
         steps when the config asks for it.
     radius_fn, radius_target : callable, float
         When given, propagation stops where ``radius_fn(y)`` crosses
-        ``radius_target`` (refined by bisection).
+        ``radius_target`` in either direction (refined by bisection).  A
+        start exactly on the target does not count; the event arms once
+        the radius leaves it.
     t_breaks : sequence of float
         Times the stepper must land on exactly (control knots, comparison
         grids).
@@ -336,7 +342,8 @@ def propagate(
 
         if g_prev is not None:
             g_new = radius_fn(y_new) - radius_target
-            if g_new == 0.0 or (g_prev > 0.0) != (g_new > 0.0):
+            # g_prev == 0.0 only while the event is not yet armed
+            if g_prev != 0.0 and (g_new == 0.0 or (g_prev > 0.0) != (g_new > 0.0)):
                 t_ev, y_ev = _refine_radius_crossing(
                     counted_rhs, t, y, t_new, radius_fn, radius_target
                 )
@@ -349,7 +356,6 @@ def propagate(
                         kind="radius_crossing",
                         t_event=t_ev,
                         y_event=y_ev.copy(),
-                        bracket=(t, y.copy(), t_new, y_new.copy()),
                     )
                 )
             g_prev = g_new

@@ -29,16 +29,6 @@ from .dynamics import PARAMETERIZATIONS, sample_diagnostics
 from .environment import AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from .errors import ConfigError, PropagationError, SingularityError
 from .propagation import IntegratorConfig, StopEvent, Trajectory, propagate
-from .quat import UnitQuaternion, renormalize
-from .states import (
-    CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
-    rv_to_cartesian,
-    rvh_to_cartesian,
-    spherical_to_cartesian,
-)
 
 OUTPUT_DIR_ENV_VAR = "QUATFLIGHT_OUTPUT_DIR"
 
@@ -77,12 +67,34 @@ class StopConditions:
     expected_guards: tuple = ()
 
 
-@dataclass
+# YAML keys of each native initial state, in the order of its state array.
+_INITIAL_KEYS = {
+    "rv": ("r", "eps_a", "eta_a", "v", "eps_b", "eta_b"),
+    "rvh": ("r", "eps_a", "eta_a", "v", "eps_b3", "eta_b"),
+    "spherical": ("r", "lon", "lat", "v", "gamma", "psi"),
+    "cartesian": ("position", "velocity"),
+}
+_VECTOR_KEYS = ("eps_a", "eps_b", "position", "velocity")
+_POSITIVE_KEYS = ("r", "v")
+_ANGLE_KEYS = ("lon", "lat", "gamma", "psi")  # spherical angles default to 0.0
+
+# A file quaternion whose norm is off by more than this is an error; off by
+# more than the keep tolerance it is renormalized, otherwise kept bit-exactly.
+_UNIT_NORM_ERROR = 1e-9
+_UNIT_NORM_KEEP = 1e-12
+
+
+@dataclass(eq=False)
 class InitialState:
-    """Initial condition in its native form plus the name of that form."""
+    """Initial condition: the native form's name and its flat state array.
+
+    ``y`` holds the file values in the form's array layout, bit-exactly
+    except for a quaternion block whose norm was off by more than 1e-12,
+    which is renormalized.
+    """
 
     kind: str
-    values: dict
+    y: np.ndarray
 
 
 @dataclass
@@ -266,9 +278,10 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
         compare_points=compare_points,
         csv_stride=csv_stride,
     )
-    # constructing the native state surfaces unit-norm and degeneracy errors
+    # unit-norm, range and degeneracy errors of the native state
     try:
-        build_native_state(config)
+        _check_unit_blocks(init)
+        PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
     except (ValueError, SingularityError) as exc:
         raise ConfigError([f"initial_state: {exc}"]) from exc
     return config
@@ -277,34 +290,29 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
 def _parse_initial_state(v, data):
     sec = v.section(data, "initial_state")
     kind = sec.get("kind")
-    if kind not in ("rv", "rvh", "spherical", "cartesian"):
+    if kind not in _INITIAL_KEYS:
         v.fail("initial_state.kind", f"must be rv, rvh, spherical, or cartesian, got {kind!r}")
-        return InitialState(kind="cartesian", values={})
-    values = {}
-    if kind == "rv":
-        values["r"] = v.number(sec, "r", "initial_state", minimum=0.0, exclusive=True)
-        values["v"] = v.number(sec, "v", "initial_state", minimum=0.0, exclusive=True)
-        values["eps_a"] = v.vector(sec, "eps_a", "initial_state", 3)
-        values["eta_a"] = v.number(sec, "eta_a", "initial_state")
-        values["eps_b"] = v.vector(sec, "eps_b", "initial_state", 3)
-        values["eta_b"] = v.number(sec, "eta_b", "initial_state")
-    elif kind == "rvh":
-        values["r"] = v.number(sec, "r", "initial_state", minimum=0.0, exclusive=True)
-        values["v"] = v.number(sec, "v", "initial_state", minimum=0.0, exclusive=True)
-        values["eps_a"] = v.vector(sec, "eps_a", "initial_state", 3)
-        values["eta_a"] = v.number(sec, "eta_a", "initial_state")
-        values["eps_b3"] = v.number(sec, "eps_b3", "initial_state")
-        values["eta_b"] = v.number(sec, "eta_b", "initial_state")
-    elif kind == "spherical":
-        for key in ("r", "lon", "lat", "v", "gamma", "psi"):
-            minimum = 0.0 if key in ("r", "v") else None
-            values[key] = v.number(
-                sec, key, "initial_state", minimum=minimum, exclusive=True
-            ) if minimum is not None else v.number(sec, key, "initial_state", default=0.0)
-    else:
-        values["position"] = v.vector(sec, "position", "initial_state", 3)
-        values["velocity"] = v.vector(sec, "velocity", "initial_state", 3)
-    return InitialState(kind=kind, values=values)
+        return None
+    values = []
+    for key in _INITIAL_KEYS[kind]:
+        if key in _VECTOR_KEYS:
+            values += v.vector(sec, key, "initial_state", 3)
+        elif key in _POSITIVE_KEYS:
+            values.append(v.number(sec, key, "initial_state", minimum=0.0, exclusive=True))
+        else:
+            default = 0.0 if key in _ANGLE_KEYS else None
+            values.append(v.number(sec, key, "initial_state", default=default))
+    return InitialState(kind=kind, y=np.array(values, dtype=float))
+
+
+def _check_unit_blocks(init: InitialState):
+    """Reject, renormalize in place, or keep each quaternion block of ``init.y``."""
+    for lo, hi in PARAMETERIZATIONS[init.kind].quat_spans:
+        n = float(np.linalg.norm(init.y[lo:hi]))
+        if abs(n - 1.0) > _UNIT_NORM_ERROR:
+            raise ValueError(f"quaternion norm {n!r} violates unit constraint")
+        if abs(n - 1.0) > _UNIT_NORM_KEEP:
+            init.y[lo:hi] = init.y[lo:hi] / n
 
 
 def _parse_controls(v, data):
@@ -387,60 +395,25 @@ def bundled_scenario_path(name: str) -> Path:
     return Path(str(resource))
 
 
-def build_native_state(config: ScenarioConfig):
-    """The initial state in its native form, unmodified from the file values."""
-    kind = config.initial_state.kind
-    vals = config.initial_state.values
-    if kind == "rv":
-        qa = _quat_from_values(vals["eps_a"], vals["eta_a"])
-        qb = _quat_from_values(vals["eps_b"], vals["eta_b"])
-        return RvState(r=vals["r"], qa=qa, v=vals["v"], qb=qb)
-    if kind == "rvh":
-        qa = _quat_from_values(vals["eps_a"], vals["eta_a"])
-        return RvhState(
-            r=vals["r"], qa=qa, v=vals["v"], eps_b3=vals["eps_b3"], eta_b=vals["eta_b"]
-        )
-    if kind == "spherical":
-        return SphericalState(**vals)
-    return CartesianState(np.array(vals["position"]), np.array(vals["velocity"]))
-
-
-def _quat_from_values(eps, eta):
-    q = np.array([eps[0], eps[1], eps[2], eta], dtype=float)
-    n = float(np.linalg.norm(q))
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"quaternion norm {n!r} violates unit constraint")
-    if abs(n - 1.0) <= 1e-12:
-        # exact enough: keep the file values bit-for-bit
-        return UnitQuaternion(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
-    return renormalize(q)
-
-
-def native_to_cartesian(state) -> CartesianState:
-    if isinstance(state, CartesianState):
-        return state
-    if isinstance(state, RvState):
-        return rv_to_cartesian(state)
-    if isinstance(state, RvhState):
-        return rvh_to_cartesian(state)
-    return spherical_to_cartesian(state)
-
-
 def initial_array_for(name: str, config: ScenarioConfig):
     """Initial flat state for one parameterization.
 
-    The native form keeps its file values bit-exactly.  A form with a
-    ``from_rv`` hook (the lift-aligned one) keeps a native rv state's gauge;
-    every other form is derived from the physical (Cartesian) initial
-    condition with that form's gauge rule.
+    The native form gets a copy of the parsed array.  A form with a
+    ``from_rv`` hook (the lift-aligned one) keeps a native rv state's gauge
+    and its file bits; every other form is derived from the physical
+    (Cartesian) initial condition with that form's gauge rule.  The native
+    form's ``to_cartesian`` renormalizes its quaternions, so a derived form
+    may move in the last bits when a file quaternion's norm is not exactly
+    1.0.
     """
-    native = build_native_state(config)
-    if name == config.initial_state.kind:
-        return native.to_array()
+    init = config.initial_state
+    if name == init.kind:
+        return init.y.copy()
     spec = PARAMETERIZATIONS[name]
-    if spec.from_rv is not None and isinstance(native, RvState):
-        return spec.from_rv(native, config.controls, config.t0)
-    return spec.from_cartesian(native_to_cartesian(native), config.controls, config.t0)
+    if spec.from_rv is not None and init.kind == "rv":
+        return spec.from_rv(init.y, config.controls, config.t0)
+    cart = PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
+    return spec.from_cartesian(cart, config.controls, config.t0)
 
 
 def resolve_output_dir(outdir=None) -> Path:
@@ -505,7 +478,7 @@ def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
             diag = sample_diagnostics(name, t, trajectory.y[i], config.controls, env)
             row = [_fmt(t)]
             for col in CSV_COLUMNS[1:]:
-                row.append(_fmt(diag.get(col, float("nan"))))
+                row.append(_fmt(diag[col]))
             writer.writerow(row)
     return str(path)
 

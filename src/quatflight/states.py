@@ -1,15 +1,16 @@
 """Flight-state representations and conversions between them.
 
-Five state descriptions of the same physical point-mass motion over a
-central rotating body are supported:
+Four state classes describe the same physical point-mass motion over a
+central rotating body; the five forms of ``dynamics.PARAMETERIZATIONS``
+store them as flat arrays in the layout of each class's ``to_array``:
 
 * ``RvState`` -- radius and speed plus two unit quaternions: one orients the
   position frame A (first axis along the position vector) relative to the
   body-fixed observation frame E, the other orients the velocity frame B
-  (first axis along the E-relative velocity) relative to A.
-* ``RvlState`` -- identical ten parameters, but the B frame's second axis is
-  pinned to the positive lift direction so the bank angle never appears in
-  the force model.
+  (first axis along the E-relative velocity) relative to A.  The
+  lift-aligned ``rvl`` form has the same ten parameters, with the B frame's
+  second axis pinned to the positive lift direction by its gauge rule, so
+  it has no class of its own.
 * ``RvhState`` -- eight parameters; the third axes of A and B both point
   along the relative angular momentum, leaving a single in-plane rotation
   angle between them (stored as its half-angle sine/cosine pair).
@@ -71,15 +72,6 @@ class RvState:
         """Build from a propagated sample; quaternions are renormalized."""
         y = np.asarray(y, dtype=float)
         return cls(float(y[0]), renormalize(y[1:5]), float(y[5]), renormalize(y[6:10]))
-
-
-class RvlState(RvState):
-    """Same ten parameters as ``RvState`` with the lift-aligned gauge.
-
-    The B frame's second basis vector is the positive lift direction; the
-    first angular-velocity component of B relative to A is a command rather
-    than zero.
-    """
 
 
 @dataclass(frozen=True)
@@ -197,22 +189,6 @@ class SphericalState:
         return cls(*(float(x) for x in y))
 
 
-@dataclass(frozen=True)
-class AngularRates:
-    """Angular velocity components of the two frame rotations.
-
-    ``wa1..wa3`` are the E-to-A rates in the A basis; ``wb1..wb3`` are the
-    A-to-B rates in the B basis.
-    """
-
-    wa1: float
-    wa2: float
-    wa3: float
-    wb1: float
-    wb2: float
-    wb3: float
-
-
 def _shortest_arc(target, tie_axis) -> UnitQuaternion:
     """Quaternion of the frame whose first axis points along ``target``.
 
@@ -272,18 +248,6 @@ def twist_about_b1(qb: UnitQuaternion, angle: float) -> UnitQuaternion:
     s = math.sin(angle)
     r1 = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
     return quat_from_dcm(r1 @ dcm_from_quat(qb))
-
-
-def cartesian_to_rvl(state: CartesianState, twist: float = 0.0) -> RvlState:
-    """Lift-gauge variant of :func:`cartesian_to_rv`.
-
-    ``twist`` rotates the {b2, b3} pair about the velocity direction after
-    the shortest-arc construction, so the caller can point b2 at the
-    initial lift direction.
-    """
-    base = cartesian_to_rv(state)
-    qb = twist_about_b1(base.qb, twist) if twist != 0.0 else base.qb
-    return RvlState(r=base.r, qa=base.qa, v=base.v, qb=qb)
 
 
 def rvh_to_cartesian(state: RvhState) -> CartesianState:
@@ -361,31 +325,3 @@ def cartesian_to_spherical(state: CartesianState) -> SphericalState:
     vn = float(np.dot(state.velocity, north))
     psi = 0.0 if (ve == 0.0 and vn == 0.0) else math.atan2(ve, vn)
     return SphericalState(r=r, lon=lon, lat=lat, v=v, gamma=gamma, psi=psi)
-
-
-def bank_basis_g(state: RvState):
-    """Reference triad for the plane-referenced bank angle, in the B basis.
-
-    ``g3`` is the velocity direction, ``g2`` the negative of the normalized
-    ``r x v`` direction, and ``g1`` completes the right-handed set.
-
-    Raises
-    ------
-    SingularityError
-        In vertical flight, where the {r, v} plane is undefined.
-    """
-    c_ba = dcm_from_quat(state.qb)
-    return g_basis_from_dcm(c_ba)
-
-
-def g_basis_from_dcm(c_ba: np.ndarray):
-    """:func:`bank_basis_g` on a B-relative-to-A direction cosine matrix."""
-    c21 = c_ba[1, 0]
-    c31 = c_ba[2, 0]
-    s = math.hypot(c21, c31)
-    if s < 1e-12:
-        raise SingularityError("g-basis undefined in vertical flight")
-    g1 = np.array([0.0, c21 / s, c31 / s])
-    g2 = np.array([0.0, -c31 / s, c21 / s])
-    g3 = np.array([1.0, 0.0, 0.0])
-    return g1, g2, g3

@@ -43,7 +43,6 @@ from quatflight.quat import (
     renormalize,
 )
 from quatflight.scenario import (
-    build_native_state,
     bundled_scenario_path,
     initial_array_for,
     load_scenario,
@@ -491,17 +490,18 @@ def test_criterion_8_trig_counts_and_benchmark():
 
 def test_criterion_9_entry_fixture():
     config = load_scenario(bundled_scenario_path("entry_table3"))
-    native = build_native_state(config)
-    assert native.r == RE + 37e3
-    assert native.v == 7138.0
-    assert native.qb.eps1 == HALF_SQRT2
-    assert native.qb.eps2 == HALF_SQRT2
-    assert native.qb.eps3 == 0.0
-    assert native.qb.eta == 0.0
-    assert native.qa.as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
+    # the raw parsed array: rv layout (r, qa, v, qb), no renormalizing conversion
+    y = config.initial_state.y
+    assert y[0] == RE + 37e3
+    assert y[5] == 7138.0
+    assert y[6] == HALF_SQRT2
+    assert y[7] == HALF_SQRT2
+    assert y[8] == 0.0
+    assert y[9] == 0.0
+    assert y[1:5].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     rhs = make_rv_rhs(config.controls, config.environment)
-    ydot = rhs(0.0, native.to_array())
+    ydot = rhs(0.0, y)
     assert abs(ydot[0]) < 1e-8
     print(
         "\nPASS criterion 9: entry fixture loads the boundary values bit-exactly and "

@@ -9,7 +9,6 @@ from quatflight.dynamics import (
     beta_from_sigma,
     beta_rate,
     make_cartesian_rhs,
-    make_general_rhs,
     make_rv_rhs,
     make_spherical_rhs,
     sigma_from_beta,
@@ -152,19 +151,24 @@ class TestRvDerivatives:
 
 
 class TestGeneralForm:
+    """The rv and rvl forms are the general two-quaternion form with gauge
+    rates (wa1, wb1) = (0, 0) and (0, commanded)."""
+
     def test_zero_gauge_bitwise_matches_rv(self):
+        # with lift on: the lift gauge at a zero bank-rate command flies the
+        # rv form's zero bank bit for bit
         rng = np.random.default_rng(5)
         env = make_env()
-        profile = ControlProfile.constant(alpha=0.12, bank=0.7)
+        profile = ControlProfile.constant(alpha=0.12, bank=0.0, wb1=0.0)
         rv_rhs = make_rv_rhs(profile, env)
-        gen_rhs = make_general_rhs(profile, env, gauge=lambda t: (0.0, 0.0))
+        rvl_rhs = PARAMETERIZATIONS["rvl"].make_rhs(profile, env)
         for _ in range(100):
             y = np.empty(10)
             y[0] = EARTH.radius + rng.uniform(2e4, 8e5)
             y[1:5] = renormalize(rng.normal(size=4)).as_array()
             y[5] = rng.uniform(100.0, 8000.0)
             y[6:10] = renormalize(rng.normal(size=4)).as_array()
-            assert np.array_equal(rv_rhs(0.0, y), gen_rhs(0.0, y))
+            assert np.array_equal(rv_rhs(0.0, y), rvl_rhs(0.0, y))
 
     def test_gauge_rates_recovered(self):
         rng = np.random.default_rng(7)
@@ -175,8 +179,8 @@ class TestGeneralForm:
             v=3000.0,
             qb=renormalize(rng.normal(size=4)),
         )
-        wa1, wb1 = 0.013, -0.021
-        rhs = make_general_rhs(ControlProfile.constant(alpha=0.1), env, gauge=lambda t: (wa1, wb1))
+        wa1, wb1 = 0.0, -0.021
+        rhs = PARAMETERIZATIONS["rvl"].make_rhs(ControlProfile.constant(alpha=0.1, wb1=wb1), env)
         y = s.to_array()
         ydot = rhs(0.0, y)
         wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
@@ -188,7 +192,7 @@ class TestGeneralForm:
         rng = np.random.default_rng(11)
         env = make_env()
         profile = ControlProfile.constant(alpha=0.05, bank=1.0)
-        rhs = make_general_rhs(profile, env, gauge=lambda t: (0.0, 0.0))
+        rhs = PARAMETERIZATIONS["rv"].make_rhs(profile, env)
         for _ in range(100):
             s = RvState(
                 r=EARTH.radius + rng.uniform(2e4, 8e5),

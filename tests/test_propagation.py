@@ -20,6 +20,7 @@ from quatflight.propagation import (
     _DP_B,
     _DP_C,
     _DP_E,
+    EVENT_TIME_TOL,
     IntegratorConfig,
     StopEvent,
     _dp54_step,
@@ -234,6 +235,26 @@ class TestRadiusEvent:
         )
         assert event.kind == "radius_crossing"
         assert abs(float(np.linalg.norm(event.y_event[0:3])) - EARTH.radius) < 1e-3
+        assert traj.t[-1] == event.t_event
+
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["rising", "falling"])
+    def test_start_on_target_is_not_a_crossing(self, method, side):
+        # x = target + side * (t - t^2 / 2): leaves the target at once and
+        # comes back at t = 2 s, from above or from below
+        target = 10.0
+        traj, event = propagate(
+            lambda t, y: np.array([y[1], -side]),
+            0.0,
+            np.array([target, side]),
+            5.0,
+            IntegratorConfig(method=method, step=0.1),
+            radius_fn=lambda y: float(y[0]),
+            radius_target=target,
+        )
+        assert event.kind == "radius_crossing"
+        assert abs(event.t_event - 2.0) < EVENT_TIME_TOL
         assert traj.t[-1] == event.t_event
 
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import quatflight
 from quatflight.cli import main as cli_main
@@ -18,7 +20,6 @@ from quatflight.errors import ConfigError
 from quatflight.scenario import (
     CSV_COLUMNS,
     bundled_scenario_path,
-    build_native_state,
     initial_array_for,
     load_scenario,
     parse_config,
@@ -27,7 +28,14 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.states import cartesian_to_spherical, rv_to_cartesian
+from quatflight.quat import renormalize
+from quatflight.states import (
+    CartesianState,
+    RvhState,
+    RvState,
+    SphericalState,
+    cartesian_to_spherical,
+)
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -76,19 +84,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="polar"):
             parse_config(data)
 
-    def test_bad_quaternion_norm_rejected(self):
-        data = minimal_config_dict()
-        data["initial_state"] = {
-            "kind": "rv",
-            "r": 7e6,
-            "v": 7000.0,
-            "eps_a": [0.0, 0.0, 0.0],
-            "eta_a": 1.0,
-            "eps_b": [0.5, 0.5, 0.5],
-            "eta_b": 0.6,
-        }
-        with pytest.raises(ConfigError, match="initial_state"):
-            parse_config(data)
+    @pytest.mark.parametrize(
+        "kind, broken",
+        [
+            ("rv", {"eta_a": 1.1}),
+            ("rv", {"eta_b": 0.6}),
+            ("rvh", {"eta_a": 1.1}),
+            ("rvh", {"eta_b": 0.9}),
+        ],
+        ids=["rv-qa", "rv-qb", "rvh-qa", "rvh-pair"],
+    )
+    def test_bad_quaternion_norm_rejected(self, kind, broken):
+        fields = {
+            "rv": {"eps_b": [0.5, 0.5, 0.5], "eta_b": 0.5},
+            "rvh": {"eps_b3": 0.6, "eta_b": 0.8},
+        }[kind]
+        init = {"kind": kind, "r": 7e6, "v": 7000.0, "eps_a": [0.0, 0.0, 0.0], "eta_a": 1.0, **fields}
+        parse_config(minimal_config_dict(initial_state=init))
+        with pytest.raises(ConfigError, match="initial_state: quaternion norm"):
+            parse_config(minimal_config_dict(initial_state={**init, **broken}))
 
     def test_bad_profile_rejected(self):
         data = minimal_config_dict()
@@ -101,6 +115,94 @@ class TestConfigValidation:
         data["controls"] = {"bank_mode": "roll"}
         with pytest.raises(ConfigError, match="bank_mode"):
             parse_config(data)
+
+
+# Test-side layout of each native initial state: YAML key -> array index.
+FIELD_INDEX = {
+    "rv": {"r": 0, "eps_a": slice(1, 4), "eta_a": 4, "v": 5, "eps_b": slice(6, 9), "eta_b": 9},
+    "rvh": {"r": 0, "eps_a": slice(1, 4), "eta_a": 4, "v": 5, "eps_b3": 6, "eta_b": 7},
+    "spherical": {"r": 0, "lon": 1, "lat": 2, "v": 3, "gamma": 4, "psi": 5},
+    "cartesian": {"position": slice(0, 3), "velocity": slice(3, 6)},
+}
+
+
+def initial_state_fields(kind, y):
+    fields = {"kind": kind}
+    for key, i in FIELD_INDEX[kind].items():
+        fields[key] = y[i].tolist() if isinstance(i, slice) else float(y[i])
+    return fields
+
+
+def _nonzero(n):
+    return st.tuples(*[st.floats(-1.0, 1.0)] * n).filter(lambda xs: sum(x * x for x in xs) > 0.01)
+
+
+_quaternions = _nonzero(4).map(renormalize)
+_directions = _nonzero(3).map(lambda xyz: np.array(xyz) / math.sqrt(sum(x * x for x in xyz)))
+_radii = st.floats(6378137.0 + 1e5, 6378137.0 + 1e6)
+_speeds = st.floats(100.0, 8000.0)
+_angles = st.floats(-math.pi, math.pi)
+
+NATIVE_STATES = {
+    "rv": st.builds(RvState, r=_radii, qa=_quaternions, v=_speeds, qb=_quaternions),
+    "rvh": st.builds(
+        lambda r, qa, v, half: RvhState(r=r, qa=qa, v=v, eps_b3=math.sin(half), eta_b=math.cos(half)),
+        _radii, _quaternions, _speeds, st.floats(0.01, math.pi / 2 - 0.01),
+    ),
+    "spherical": st.builds(
+        SphericalState, r=_radii, lon=_angles, lat=st.floats(-1.5, 1.5), v=_speeds,
+        gamma=st.floats(-1.5, 1.5), psi=_angles,
+    ),
+    "cartesian": st.builds(
+        lambda up, r, ahead, v: CartesianState(r * up, v * ahead), _directions, _radii, _directions, _speeds
+    ),
+}
+
+
+def off_poles_and_vertical(c):
+    # near a pole cartesian_to_spherical takes the latitude from asin(z / r),
+    # which loses about sqrt(eps) of it; in vertical flight rvh is undefined
+    up = c.position / c.r
+    return math.hypot(up[0], up[1]) > 1e-3 and np.linalg.norm(np.cross(up, c.velocity / c.v)) > 1e-2
+
+
+class TestInitialStateProperties:
+    @pytest.mark.parametrize("kind", list(FIELD_INDEX))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_native_fields_parse_to_the_state_array(self, kind, data):
+        state = data.draw(NATIVE_STATES[kind])
+        reference = PARAMETERIZATIONS[kind].to_cartesian(state.to_array())
+        assume(off_poles_and_vertical(reference))
+        config = parse_config(minimal_config_dict(initial_state=initial_state_fields(kind, state.to_array())))
+        assert config.initial_state.y.tobytes() == state.to_array().tobytes()
+
+        for form in PARAMETERIZATIONS:
+            back = PARAMETERIZATIONS[form].to_cartesian(initial_array_for(form, config))
+            # the round-trip tolerances of test_states, relative to the vector's length
+            np.testing.assert_allclose(back.position, reference.position, rtol=0, atol=1e-10 * reference.r)
+            np.testing.assert_allclose(back.velocity, reference.velocity, rtol=0, atol=1e-10 * reference.v)
+
+    @pytest.mark.parametrize("kind", ["rv", "rvh"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_quaternion_norm_kept_or_renormalized(self, kind, data):
+        y0 = data.draw(NATIVE_STATES[kind]).to_array()
+        for lo, hi in PARAMETERIZATIONS[kind].quat_spans:
+            for off, kept in ((1e-13, True), (1e-10, False)):
+                y = y0.copy()
+                y[lo:hi] *= 1.0 + off
+                fields = initial_state_fields(kind, y)
+                parsed = parse_config(minimal_config_dict(initial_state=fields)).initial_state.y
+                if kept:
+                    assert parsed.tobytes() == y.tobytes()
+                else:
+                    block = parsed[lo:hi]
+                    assert abs(float(np.linalg.norm(block)) - 1.0) < 1e-15
+                    np.testing.assert_array_equal(block, y[lo:hi] / np.linalg.norm(y[lo:hi]))
+                    rest = np.ones(len(y), dtype=bool)
+                    rest[lo:hi] = False
+                    assert parsed[rest].tobytes() == y[rest].tobytes()
 
 
 class TestBundledScenarios:
@@ -117,20 +219,17 @@ class TestBundledScenarios:
 
     def test_entry_fixture_values_bit_exact(self):
         config = load_scenario(bundled_scenario_path("entry_table3"))
-        native = build_native_state(config)
-        assert native.r == 6378137.0 + 37e3
-        assert native.v == 7138.0
-        assert native.qa.as_array().tolist() == [0.0, 0.0, 0.0, 1.0]
-        assert native.qb.eps1 == HALF_SQRT2
-        assert native.qb.eps2 == HALF_SQRT2
-        assert native.qb.eps3 == 0.0
-        assert native.qb.eta == 0.0
+        y = config.initial_state.y
+        assert y[0] == 6378137.0 + 37e3
+        assert y[5] == 7138.0
+        assert y[1:5].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert y[6:10].tolist() == [HALF_SQRT2, HALF_SQRT2, 0.0, 0.0]
 
     def test_initial_array_native_reuse(self):
         config = load_scenario(bundled_scenario_path("entry_table3"))
         y0 = initial_array_for("rv", config)
-        native = build_native_state(config)
-        assert np.array_equal(y0, native.to_array())
+        assert np.array_equal(y0, config.initial_state.y)
+        assert not np.shares_memory(y0, config.initial_state.y)
 
 
 class TestCsvRoundTrip:
@@ -253,7 +352,11 @@ class TestCli:
     def test_t0_not_before_t_final_rejected(self, tmp_path, capsys):
         late = tmp_path / "late.yaml"
         late.write_text(yaml.safe_dump(minimal_config_dict(t0=50.0)))  # t_final is 50
-        for argv in (["validate", str(late)], ["run", str(late), "--out", str(tmp_path)]):
+        for argv in (
+            ["validate", str(late)],
+            ["run", str(late), "--out", str(tmp_path)],
+            ["bench", str(late)],
+        ):
             assert cli_main(argv) == 2
             assert "t0: must be less than stop.t_final" in capsys.readouterr().err
 
@@ -282,10 +385,11 @@ class TestCli:
         )
         assert proc.returncode == 0
 
-    def test_python_dash_m_runs_the_cli(self):
+    @pytest.mark.parametrize("module", ["quatflight", "quatflight.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
         env = dict(os.environ, PYTHONPATH=str(Path(quatflight.__file__).resolve().parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-m", "quatflight", "validate", str(bundled_scenario_path("circular_orbit"))],
+            [sys.executable, "-m", module, "validate", str(bundled_scenario_path("circular_orbit"))],
             capture_output=True,
             text=True,
             env=env,
@@ -307,7 +411,8 @@ class TestEntryScenarioInvariants:
         # entry_table3 started mid-profile from a spherical initial state:
         # the lift gauge must start on the bank command at t0, not at t = 0
         data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
-        sph = cartesian_to_spherical(rv_to_cartesian(build_native_state(parse_config(data))))
+        y = parse_config(data).initial_state.y
+        sph = cartesian_to_spherical(PARAMETERIZATIONS["rv"].to_cartesian(y))
         data["initial_state"] = {
             "kind": "spherical",
             **{k: getattr(sph, k) for k in ("r", "lon", "lat", "v", "gamma", "psi")},

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from quatflight.controls import ControlProfile
+from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import SingularityError
 from quatflight.quat import UnitQuaternion, dcm_from_quat, renormalize
 from quatflight.states import (
@@ -10,10 +12,8 @@ from quatflight.states import (
     RvhState,
     RvState,
     SphericalState,
-    bank_basis_g,
     cartesian_to_rv,
     cartesian_to_rvh,
-    cartesian_to_rvl,
     cartesian_to_spherical,
     rv_to_cartesian,
     rvh_to_cartesian,
@@ -157,51 +157,6 @@ class TestSphericalCartesian:
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
 
-class TestBankBasis:
-    def _state_with_qb(self, qb):
-        return RvState(r=7e6, qa=UnitQuaternion.identity(), v=1000.0, qb=qb)
-
-    def test_reference_case(self):
-        # C_BA first column (0, 0, -1): 90-degree rotation taking a1 onto b3...
-        qb = UnitQuaternion(0.0, -HALF_SQRT2, 0.0, HALF_SQRT2)
-        c = dcm_from_quat(qb)
-        np.testing.assert_allclose(c[:, 0], [0, 0, -1], atol=1e-15)
-        g1, g2, g3 = bank_basis_g(self._state_with_qb(qb))
-        np.testing.assert_allclose(g2, [0, 1, 0], atol=1e-15)
-        np.testing.assert_allclose(g1, [0, 0, -1], atol=1e-15)
-
-    def test_right_handed_orthonormal(self):
-        rng = np.random.default_rng(113)
-        for _ in range(200):
-            qb = renormalize(rng.normal(size=4))
-            if abs(dcm_from_quat(qb)[0, 0]) > 0.99:
-                continue
-            g1, g2, g3 = bank_basis_g(self._state_with_qb(qb))
-            np.testing.assert_allclose(np.dot(np.cross(g1, g2), g3), 1.0, atol=1e-10)
-            for a, b in ((g1, g2), (g1, g3), (g2, g3)):
-                assert abs(float(np.dot(a, b))) < 1e-10
-
-    def test_g2_opposes_angular_momentum(self):
-        rng = np.random.default_rng(127)
-        for _ in range(200):
-            c = random_cartesian(rng)
-            s = cartesian_to_rv(c)
-            try:
-                g1, g2, g3 = bank_basis_g(s)
-            except SingularityError:
-                continue
-            c_be = dcm_from_quat(s.qb) @ dcm_from_quat(s.qa)
-            g2_e = c_be.T @ g2
-            h = np.cross(c.position, c.velocity)
-            expected = -h / np.linalg.norm(h)
-            np.testing.assert_allclose(g2_e, expected, atol=1e-10)
-
-    def test_vertical_flight_rejected(self):
-        qb = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(SingularityError, match="g-basis"):
-            bank_basis_g(self._state_with_qb(qb))
-
-
 class TestTwist:
     def test_twist_moves_b2_toward_b3(self):
         rng = np.random.default_rng(131)
@@ -245,19 +200,22 @@ class TestStateValidation:
         np.testing.assert_allclose(sh2.to_array(), sh.to_array(), atol=1e-15)
 
 
+def rvl_from_cartesian(c, twist=0.0):
+    # sigma bank mode: the lift gauge twists B about b1 by the bank at t0
+    return PARAMETERIZATIONS["rvl"].from_cartesian(c, ControlProfile.constant(bank=twist), 0.0)
+
+
 class TestRvlGauge:
     def test_zero_twist_matches_rv(self):
         rng = np.random.default_rng(139)
         c = random_cartesian(rng)
-        assert np.array_equal(
-            cartesian_to_rvl(c).to_array(), cartesian_to_rv(c).to_array()
-        )
+        assert np.array_equal(rvl_from_cartesian(c), cartesian_to_rv(c).to_array())
 
     def test_twist_preserves_physical_state(self):
         rng = np.random.default_rng(149)
         for _ in range(100):
             c = random_cartesian(rng)
-            s = cartesian_to_rvl(c, twist=rng.uniform(-math.pi, math.pi))
+            s = RvState.from_array(rvl_from_cartesian(c, twist=rng.uniform(-math.pi, math.pi)))
             back = rv_to_cartesian(s)
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-9, atol=1e-8)
