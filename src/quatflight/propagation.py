@@ -25,11 +25,28 @@ state ends the run the same way, as a ``step_failure`` with message
 one whose estimate is infinite; if the step size then underflows, the run
 ends with that same message instead of "step size underflow".
 
-The Dormand-Prince step returns its stage-7 state as the fifth-order
+The Dormand-Prince step and its error norm work on Python floats: the
+state and each stage derivative are unpacked once with ``tolist()``, and
+only the arrays handed to the derivative function are built.  Every
+component is the float the array expressions give, in the same order
+(numpy's summation order included), so trajectories are bit for bit those
+of the array form.  The step returns its stage-7 state as the fifth-order
 solution: that stage's weights are the solution weights, summed in the
-same order, so it is the same array bit for bit.  Accepted states are
-stored without copying, which holds because every step builds a fresh
-array and nothing writes to a state in place.
+same order.
+
+The derivative is never evaluated twice at the same ``(t, y)`` from one
+step to the next, and is reused only where its inputs are bit-identical:
+
+* a rejected step's retry starts from the same point and keeps its first
+  stage, so a retry costs six evaluations, not seven;
+* after an accepted step, the stage-7 derivative becomes the next step's
+  first stage (first same as last) when the new sample is that stage's
+  point exactly: the step was not shortened to land on a break, and
+  renormalization changed no bit of the state.
+
+Accepted samples are copied into preallocated time and state buffers that
+double when full; the trajectory receives trimmed copies, so its rows
+share memory with nothing else.
 
 Propagation is deterministic: the same configuration and initial state
 produce bitwise-identical trajectories.
@@ -135,18 +152,24 @@ class Trajectory:
 def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
     """Rescale each quaternion block of a state array to unit norm.
 
+    Returns ``y`` itself when every block's norm is exactly 1.0 (dividing
+    by it would change no bit), otherwise a rescaled copy.
+
     Raises
     ------
     ValueError
         If a block has zero norm.
     """
-    out = y.copy()
+    out = y
     for lo, hi in quat_spans:
-        block = out[lo:hi]
+        block = y[lo:hi]
         n = sqrt(block.dot(block))
         if n == 0.0:
             raise ValueError("cannot renormalize a zero-norm quaternion block")
-        block /= n
+        if n != 1.0:
+            if out is y:
+                out = y.copy()
+            out[lo:hi] /= n
     return out
 
 
@@ -158,24 +181,121 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp54_step(rhs, t, y, h):
-    """One Dormand-Prince step: returns (y5, error_estimate).
+def _dp54_step(rhs, t, y, h, k1=None):
+    """One Dormand-Prince step on Python floats.
 
-    ``y5`` is the stage-7 state: ``_DP_A[6] == _DP_B[:6]`` and
-    ``_DP_B[6] == 0``.
+    Returns ``(y5, err, k7)``: the stage-7 state as an array (it is the
+    fifth-order solution, since ``_DP_A[6] == _DP_B[:6]`` and
+    ``_DP_B[6] == 0``), the error estimate as a list of floats, and the
+    derivative at ``(t + h, y5)``.  ``k1`` is the derivative at ``(t, y)``
+    when the caller already has it.
+
+    Each stage state is summed weight by weight in table order, skipping
+    zero weights, so every component is the float the array expression
+    ``((y + (h*a1)*k1) + (h*a2)*k2) + ...`` gives.
     """
-    k = [rhs(t, y)]
-    for i in range(1, 7):
-        yi = y
-        for a, kj in zip(_DP_A[i], k):
-            if a != 0.0:
-                yi = yi + (h * a) * kj
-        k.append(rhs(t + _DP_C[i] * h, yi))
-    err = (h * _DP_E[0]) * k[0]
-    for e, ki in zip(_DP_E[1:], k[1:]):
-        if e != 0.0:
-            err = err + (h * e) * ki
-    return yi, err
+    if k1 is None:
+        k1 = rhs(t, y)
+    a = _DP_A
+    y0 = y.tolist()
+    d1 = k1.tolist()
+    c1 = h * a[1][0]
+    d2 = rhs(t + _DP_C[1] * h, np.array([v + c1 * p for v, p in zip(y0, d1)])).tolist()
+    c1, c2 = h * a[2][0], h * a[2][1]
+    d3 = rhs(
+        t + _DP_C[2] * h,
+        np.array([v + c1 * p + c2 * q for v, p, q in zip(y0, d1, d2)]),
+    ).tolist()
+    c1, c2, c3 = h * a[3][0], h * a[3][1], h * a[3][2]
+    d4 = rhs(
+        t + _DP_C[3] * h,
+        np.array([v + c1 * p + c2 * q + c3 * r for v, p, q, r in zip(y0, d1, d2, d3)]),
+    ).tolist()
+    c1, c2, c3, c4 = h * a[4][0], h * a[4][1], h * a[4][2], h * a[4][3]
+    d5 = rhs(
+        t + _DP_C[4] * h,
+        np.array(
+            [
+                v + c1 * p + c2 * q + c3 * r + c4 * s
+                for v, p, q, r, s in zip(y0, d1, d2, d3, d4)
+            ]
+        ),
+    ).tolist()
+    c1, c2, c3, c4, c5 = h * a[5][0], h * a[5][1], h * a[5][2], h * a[5][3], h * a[5][4]
+    d6 = rhs(
+        t + _DP_C[5] * h,
+        np.array(
+            [
+                v + c1 * p + c2 * q + c3 * r + c4 * s + c5 * u
+                for v, p, q, r, s, u in zip(y0, d1, d2, d3, d4, d5)
+            ]
+        ),
+    ).tolist()
+    # a[6][1] == 0: the second stage does not enter the solution
+    c1, c3, c4, c5, c6 = h * a[6][0], h * a[6][2], h * a[6][3], h * a[6][4], h * a[6][5]
+    y5 = np.array(
+        [
+            v + c1 * p + c3 * r + c4 * s + c5 * u + c6 * w
+            for v, p, r, s, u, w in zip(y0, d1, d3, d4, d5, d6)
+        ]
+    )
+    k7 = rhs(t + _DP_C[6] * h, y5)
+    # _DP_E[1] == 0
+    e = _DP_E
+    c1, c3, c4, c5, c6, c7 = h * e[0], h * e[2], h * e[3], h * e[4], h * e[5], h * e[6]
+    err = [
+        c1 * p + c3 * r + c4 * s + c5 * u + c6 * w + c7 * z
+        for p, r, s, u, w, z in zip(d1, d3, d4, d5, d6, k7.tolist())
+    ]
+    return y5, err, k7
+
+
+def _error_norm(err, y, y5, abs_tol, rel_tol):
+    """RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|, |y5_i|))`` on floats.
+
+    Bit for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``: the same
+    products and quotients, a maximum that is NaN when either side is (as
+    ``np.maximum``), and numpy's summation order.  Squares are products,
+    because ``**`` on floats raises ``OverflowError`` where numpy gives
+    inf, and the builtin ``sum`` compensates from Python 3.12 on.
+    """
+    sq = []
+    for e, p, q, atol in zip(err, y, y5, abs_tol):
+        p = abs(p)
+        q = abs(q)
+        m = p if p >= q else (q if q >= p else p + q)
+        r = e / (atol + rel_tol * m)
+        sq.append(r * r)
+    return sqrt(_pairwise_sum(sq) / len(sq))
+
+
+def _pairwise_sum(x):
+    """Sum of a list of floats in the order numpy's ``np.add.reduce`` uses."""
+    n = len(x)
+    if n < 8:
+        s = 0.0
+        for v in x:
+            s += v
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r0 += x[i]
+            r1 += x[i + 1]
+            r2 += x[i + 2]
+            r3 += x[i + 3]
+            r4 += x[i + 4]
+            r5 += x[i + 5]
+            r6 += x[i + 6]
+            r7 += x[i + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in x[stop:]:
+            s += v
+        return s
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 class _BreakSchedule:
@@ -246,21 +366,27 @@ def propagate(
         n_evals += 1
         return rhs(t, yy)
 
-    ts = [t0]
-    ys = [y]
+    # accepted samples are rows [0, n_rows); both buffers double when full
+    t_buf = np.empty(256)
+    y_buf = np.empty((256, y.size))
+    t_buf[0] = t0
+    y_buf[0] = y
+    n_rows = 1
     n_steps = 0
     n_rejected = 0
     schedule = _BreakSchedule(t0, t_final, t_breaks)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
-    abs_tol = config.abs_tol
-    if scales is not None:
-        abs_tol = abs_tol * np.asarray(scales, dtype=float)
+    rel_tol = config.rel_tol
+    if scales is None:
+        abs_tol = [config.abs_tol] * y.size
+    else:
+        abs_tol = (config.abs_tol * np.asarray(scales, dtype=float)).tolist()
 
     def finish(event):
         traj = Trajectory(
-            t=np.array(ts),
-            y=np.array(ys),
+            t=t_buf[:n_rows].copy(),
+            y=y_buf[:n_rows].copy(),
             n_evals=n_evals,
             n_steps=n_steps,
             n_rejected=n_rejected,
@@ -277,6 +403,7 @@ def propagate(
         h = min(1.0, (t_final - t0) / 100.0)
     else:
         h = config.step
+    k1 = None  # the derivative at (t, y), once known
 
     target = schedule.next_after(t)
     while True:
@@ -289,12 +416,14 @@ def propagate(
         landing = h_try >= target - t - 1e-15
         try:
             if adaptive:
-                y_new, err = _dp54_step(counted_rhs, t, y, h_try)
-                tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
+                if k1 is None:
+                    k1 = counted_rhs(t, y)
+                y5, err, k7 = _dp54_step(counted_rhs, t, y, h_try, k1)
+                err_norm = _error_norm(err, y.tolist(), y5.tolist(), abs_tol, rel_tol)
                 finite = not isnan(err_norm)
                 if not finite:
                     err_norm = inf
+                y_new = y5
             else:
                 y_new = _rk4_step(counted_rhs, t, y, h_try)
                 err_norm = 0.0
@@ -311,6 +440,7 @@ def propagate(
             )
 
         if adaptive and err_norm > 1.0:
+            # the retry starts from the same (t, y) and keeps k1
             n_rejected += 1
             factor = max(0.2, 0.9 * err_norm ** (-0.2))
             h = h_try * min(factor, 0.9)
@@ -340,30 +470,34 @@ def propagate(
         if renorm:
             y_new = renormalize_quaternion_blocks(y_new, quat_spans)
 
+        event = None
         if g_prev is not None:
             g_new = radius_fn(y_new) - radius_target
             # g_prev == 0.0 only while the event is not yet armed
             if g_prev != 0.0 and (g_new == 0.0 or (g_prev > 0.0) != (g_new > 0.0)):
-                t_ev, y_ev = _refine_radius_crossing(
+                t_new, y_new = _refine_radius_crossing(
                     counted_rhs, t, y, t_new, radius_fn, radius_target
                 )
                 if renorm:
-                    y_ev = renormalize_quaternion_blocks(y_ev, quat_spans)
-                ts.append(t_ev)
-                ys.append(y_ev.copy())
-                return finish(
-                    StopEvent(
-                        kind="radius_crossing",
-                        t_event=t_ev,
-                        y_event=y_ev.copy(),
-                    )
-                )
+                    y_new = renormalize_quaternion_blocks(y_new, quat_spans)
+                event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=y_new.copy())
             g_prev = g_new
 
+        if n_rows == len(t_buf):
+            t_buf = np.concatenate((t_buf, np.empty_like(t_buf)))
+            y_buf = np.concatenate((y_buf, np.empty_like(y_buf)))
+        t_buf[n_rows] = t_new
+        y_buf[n_rows] = y_new
+        n_rows += 1
+        if event is not None:
+            return finish(event)
+
+        if adaptive:
+            # stage 7 was evaluated at (t + h_try, y5): reuse its derivative
+            # when the new sample is that point bit for bit
+            k1 = k7 if t_new == t + h_try and y_new is y5 else None
         t = t_new
         y = y_new
-        ts.append(t)
-        ys.append(y)
 
         if landing:
             if target >= t_final:

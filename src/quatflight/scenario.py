@@ -278,10 +278,12 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
         compare_points=compare_points,
         csv_stride=csv_stride,
     )
-    # unit-norm, range and degeneracy errors of the native state
+    # unit-norm, range and degeneracy errors of the native state (the other
+    # forms are derived from it, and all of them need a nonzero velocity)
     try:
         _check_unit_blocks(init)
-        PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
+        if PARAMETERIZATIONS[init.kind].to_cartesian(init.y).v == 0.0:
+            raise ValueError("degenerate state: zero velocity")
     except (ValueError, SingularityError) as exc:
         raise ConfigError([f"initial_state: {exc}"]) from exc
     return config

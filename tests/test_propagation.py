@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,10 +26,18 @@ from quatflight.propagation import (
     EVENT_TIME_TOL,
     IntegratorConfig,
     StopEvent,
+    _BreakSchedule,
     _dp54_step,
+    _error_norm,
     _rk4_step,
     propagate,
     renormalize_quaternion_blocks,
+)
+from quatflight.scenario import (
+    bundled_scenario_path,
+    initial_array_for,
+    load_scenario,
+    run_parameterization,
 )
 from quatflight.states import CartesianState, cartesian_to_rv
 
@@ -71,6 +82,50 @@ def reference_dp54_step(rhs, t, y, h):
         if e != 0.0:
             err = err + (h * e) * ki
     return y5, err
+
+
+def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), t_breaks=(), scales=None):
+    """The array-copying adaptive loop, without events.
+
+    Same controller, break landings and renormalization policy as
+    ``propagate``, with the error norm taken by ``np.mean``.  Returns
+    ``(t, y, n_steps, n_rejected)``.
+    """
+    y = np.asarray(y0, dtype=float).copy()
+    ts, ys = [t0], [y]
+    n_steps = n_rejected = 0
+    schedule = _BreakSchedule(t0, t_final, t_breaks)
+    renorm = config.renormalize_every_step and quat_spans
+    abs_tol = config.abs_tol
+    if scales is not None:
+        abs_tol = abs_tol * np.asarray(scales, dtype=float)
+    t = t0
+    h = min(1.0, (t_final - t0) / 100.0)
+    target = schedule.next_after(t)
+    while target is not None:
+        h_try = min(h, target - t)
+        landing = h_try >= target - t - 1e-15
+        y_new, err = reference_dp54_step(rhs, t, y, h_try)
+        tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
+        if math.isnan(err_norm):
+            err_norm = math.inf
+        if err_norm > 1.0:
+            n_rejected += 1
+            h = h_try * min(max(0.2, 0.9 * err_norm ** (-0.2)), 0.9)
+            continue
+        n_steps += 1
+        t = target if landing else t + h_try
+        y = reference_renormalize(y_new, quat_spans) if renorm else y_new
+        ts.append(t)
+        ys.append(y)
+        if landing:
+            if target >= t_final:
+                break
+            target = schedule.next_after(t)
+        factor = 0.9 * err_norm ** (-0.2) if err_norm > 0.0 else 5.0
+        h = h_try * min(5.0, max(0.2, factor))
+    return np.array(ts), np.array(ys), n_steps, n_rejected
 
 
 def random_cases(seed, n):
@@ -379,7 +434,7 @@ class TestStepperMatchesReference:
                     with pytest.raises(SingularityError):
                         _dp54_step(rhs, t, y, h)
                 else:
-                    y5, err = _dp54_step(rhs, t, y, h)
+                    y5, err, _ = _dp54_step(rhs, t, y, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
                     assert np.array_equal(err, err_ref), (name, h)
 
@@ -395,6 +450,81 @@ class TestStepperMatchesReference:
     def test_stage7_weights_are_solution_weights(self):
         assert _DP_A[6] == _DP_B[:6]
         assert _DP_B[6] == 0.0
+
+    def test_supplied_first_stage_changes_nothing(self):
+        for name, rhs, t, y in random_cases(seed=10, n=8):
+            for h in STEPS:
+                try:
+                    expected = _dp54_step(rhs, t, y, h)
+                except SingularityError:
+                    continue
+                supplied = _dp54_step(rhs, t, y, h, rhs(t, y))
+                for a, b in zip(supplied, expected):
+                    assert np.array_equal(a, b), (name, h)
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_error_norm_bitwise_equal_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        rel_tol = 1e-9
+        for i in range(4000):
+            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 5.0, n)
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 7.0, n)
+            y5 = y * (1.0 + rng.uniform(-1e-3, 1e-3, n))
+            abs_tol = 1e-12 * 10.0 ** rng.integers(0, 7, n)
+            if i % 4:  # one huge, infinite or NaN entry in err, y or y5
+                special = (1e300, math.inf, math.nan)[i % 4 - 1] * rng.choice([-1.0, 1.0])
+                (err, y, y5)[rng.integers(3)][rng.integers(n)] = special
+            tol = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            with np.errstate(all="ignore"):
+                expected = float(np.sqrt(np.mean((err / tol) ** 2)))
+            got = _error_norm(err.tolist(), y.tolist(), y5.tolist(), abs_tol.tolist(), rel_tol)
+            assert got == expected or (math.isnan(got) and math.isnan(expected)), (i, got, expected)
+
+
+class TestDerivativeReuse:
+    """The adaptive loop evaluates the derivative at no point twice."""
+
+    T_FINAL = 300.0
+
+    @staticmethod
+    def entry_runs():
+        """Every form on the first minutes of the bundled entry, at two tolerances."""
+        config = load_scenario(bundled_scenario_path("entry_table3"))
+        breaks = sorted(config.controls.knot_times())
+        for rel_tol in (1e-10, 1e-7):
+            integrator = dataclasses.replace(config.integrator, rel_tol=rel_tol)
+            for name, spec in PARAMETERIZATIONS.items():
+                rhs = spec.make_rhs(config.controls, config.environment)
+                kwargs = dict(quat_spans=spec.quat_spans, t_breaks=breaks, scales=spec.scales)
+                yield name, rhs, initial_array_for(name, config), integrator, kwargs
+
+    def test_matches_array_loop_bit_for_bit(self):
+        attempts = rejected = evals = 0
+        for name, rhs, y0, cfg, kwargs in self.entry_runs():
+            traj, event = propagate(rhs, 0.0, y0, self.T_FINAL, cfg, **kwargs)
+            t, y, n_steps, n_rejected = reference_adaptive(rhs, 0.0, y0, self.T_FINAL, cfg, **kwargs)
+            assert event.kind == "terminal_time", name
+            assert np.array_equal(traj.t, t), name
+            assert np.array_equal(traj.y, y), name
+            assert (traj.n_steps, traj.n_rejected) == (n_steps, n_rejected), name
+            attempts += n_steps + n_rejected
+            rejected += n_rejected
+            evals += traj.n_evals
+        assert rejected > 0
+        assert evals < 7 * attempts
+
+    def test_no_point_evaluated_twice(self):
+        for name, rhs, y0, cfg, kwargs in self.entry_runs():
+            seen = set()
+
+            def recording(t, y):
+                key = (t, y.tobytes())
+                assert key not in seen, (name, t)
+                seen.add(key)
+                return rhs(t, y)
+
+            traj, _ = propagate(recording, 0.0, y0, self.T_FINAL, cfg, **kwargs)
+            assert len(seen) == traj.n_evals, name
 
 
 def unusual_layouts(y):
@@ -464,21 +594,48 @@ class TestNonFiniteDerivative:
         assert event.t_event == traj.t[-1]
         assert np.array_equal(event.y_event, traj.y[-1])
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300])
     def test_nonfinite_error_estimate_rejects_the_step(self, bad):
         # the seventh call is the first step's last stage, whose weight in
         # the solution is zero: the state stays finite, the error does not
-        # (as when that stage's trial state lies far enough out to overflow)
-        calls = [0]
+        # (as when that stage's trial state lies far enough out to overflow);
+        # a finite 1e300 overflows the scaled error's square
+        times = []
 
         def rhs(t, y):
-            calls[0] += 1
-            return np.full_like(y, bad) if calls[0] == 7 else -y
+            times.append(t)
+            return np.full_like(y, bad) if len(times) == 7 else -y
 
-        traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        # the retry keeps the first stage and costs six calls
+        h_retry = times[12]
+        assert times[7:13] == [c * h_retry for c in _DP_C[1:]]
+        assert 0.0 < h_retry < times[6]
         clean, _ = propagate(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         assert event.kind == "terminal_time"
         # the first attempt was rejected, so the first accepted step is shorter
         assert traj.t[1] < clean.t[1]
         assert traj.n_rejected >= 1
         assert np.all(np.isfinite(traj.y))
+
+
+class TestTrajectoryMemory:
+    def test_long_run_peak_memory(self, monkeypatch):
+        # 1e5 fixed steps of ten components: an 8.0 MB result.  The stored
+        # trajectory, not the derivative, sets the peak, so a constant
+        # derivative stands in for the rv one to keep the traced run short.
+        spec = PARAMETERIZATIONS["rv"]
+        zero = np.zeros(10)
+        constant = dataclasses.replace(spec, make_rhs=lambda controls, env: lambda t, y: zero)
+        monkeypatch.setitem(PARAMETERIZATIONS, "rv", constant)
+        config = load_scenario(bundled_scenario_path("norm_drift"))
+        tracemalloc.start()
+        try:
+            res = run_parameterization("rv", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.trajectory.y.shape == (100_001, 10)
+        assert peak <= 24e6

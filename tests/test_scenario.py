@@ -360,6 +360,23 @@ class TestCli:
             assert cli_main(argv) == 2
             assert "t0: must be less than stop.t_final" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [("position", "position must be nonzero"), ("velocity", "degenerate state: zero velocity")],
+    )
+    def test_zero_cartesian_vector_rejected(self, tmp_path, capsys, key, message):
+        data = minimal_config_dict()
+        data["initial_state"][key] = [0.0, 0.0, 0.0]
+        path = tmp_path / "zero.yaml"
+        path.write_text(yaml.safe_dump(data))
+        for argv in (
+            ["validate", str(path)],
+            ["run", str(path), "--out", str(tmp_path)],
+            ["bench", str(path)],
+        ):
+            assert cli_main(argv) == 2
+            assert f"initial_state: {message}" in capsys.readouterr().err
+
     def test_bench_rejects_tiny_eval_count(self, capsys):
         code = cli_main(
             ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10"]
