@@ -53,7 +53,7 @@ is the propagator's policy) and may be called concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, exp, pi, sin
+from math import atan2, cos, exp, hypot, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ import numpy as np
 from .controls import ControlProfile
 from .environment import Environment
 from .errors import SingularityError
-from .quat import UnitQuaternion, dcm_from_quat, renormalize
+from .quat import UnitQuaternion, dcm_from_quat, dcm_rows, renormalize_rows, row_norms
 from .states import (
     CartesianState,
     RvhState,
@@ -70,8 +70,12 @@ from .states import (
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
+    rv_rows_to_cartesian,
     rv_to_cartesian,
+    rvh_c_ba_rows,
+    rvh_rows_to_cartesian,
     rvh_to_cartesian,
+    spherical_rows_to_cartesian,
     spherical_to_cartesian,
     twist_about_b1,
 )
@@ -446,20 +450,33 @@ def beta_from_sigma(sigma: float, c_ba: np.ndarray) -> float:
     """
     c21 = c_ba[1, 0]
     c31 = c_ba[2, 0]
-    if c21 * c21 + c31 * c31 < VERTICAL_SIN_EPS * VERTICAL_SIN_EPS:
+    if _vertical(c21, c31):
         raise SingularityError("beta undefined in vertical flight")
-    return atan2(
-        sin(sigma) * c21 - cos(sigma) * c31,
-        cos(sigma) * c21 + sin(sigma) * c31,
-    )
+    return _beta(sigma, c21, c31)
 
 
 def sigma_from_beta(beta: float, c_ba: np.ndarray) -> float:
     """Inverse of :func:`beta_from_sigma` (same vertical-flight guard)."""
     c21 = c_ba[1, 0]
     c31 = c_ba[2, 0]
-    if c21 * c21 + c31 * c31 < VERTICAL_SIN_EPS * VERTICAL_SIN_EPS:
+    if _vertical(c21, c31):
         raise SingularityError("beta undefined in vertical flight")
+    return _sigma(beta, c21, c31)
+
+
+def _vertical(c21, c31):
+    """Whether B's first axis lies along A's, from C_BA(2,1) and C_BA(3,1).
+
+    Works on floats and, elementwise, on arrays.
+    """
+    return c21 * c21 + c31 * c31 < VERTICAL_SIN_EPS * VERTICAL_SIN_EPS
+
+
+def _beta(sigma, c21, c31):
+    return atan2(sin(sigma) * c21 - cos(sigma) * c31, cos(sigma) * c21 + sin(sigma) * c31)
+
+
+def _sigma(beta, c21, c31):
     return beta + atan2(c31, c21)
 
 
@@ -506,60 +523,152 @@ def _rvl_from_rv(y, controls, t0):
     return out
 
 
-def _bank_columns(sigma, c_ba):
-    try:
-        beta = beta_from_sigma(sigma, c_ba)
-    except SingularityError:
-        beta = 0.0
-    return {"sigma": sigma, "beta": beta}
+def _bank_columns(sigma, c21, c31):
+    """The ``sigma`` and ``beta`` columns from the native bank and C_BA(2,1), C_BA(3,1).
+
+    ``sigma`` is a list of floats and the matrix entries are arrays; beta is
+    0.0 in vertical flight, where it is undefined.
+    """
+    vertical = _vertical(c21, c31).tolist()
+    beta = [
+        0.0 if vert else _beta(sig, a, b)
+        for sig, a, b, vert in zip(sigma, c21.tolist(), c31.tolist(), vertical)
+    ]
+    return {"sigma": np.array(sigma, dtype=float), "beta": np.array(beta, dtype=float)}
 
 
-def _ten_parameter_columns(native_bank):
-    """Gauge columns of a ten-parameter form; ``native_bank(t, controls, c_ba)`` gives sigma."""
+def _two_quaternion_columns(native_bank):
+    """Gauge columns of a ten-parameter form.
+
+    ``native_bank(t, controls, c21, c31)`` gives the native bank ``sigma``
+    as a list of floats, one per sample time in the list ``t``.
+    """
 
     def columns(t, y, controls):
-        c_ba = dcm_from_quat(renormalize(y[6:10]))
+        c_ba = dcm_rows(renormalize_rows(y[:, 6:10]))
+        c21, c31 = c_ba[:, 1, 0], c_ba[:, 2, 0]
         return {
-            "norm_qa": float(np.linalg.norm(y[1:5])),
-            "norm_qb": float(np.linalg.norm(y[6:10])),
-            "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
-            "eps_b1": y[6], "eps_b2": y[7], "eps_b3": y[8], "eta_b": y[9],
-            **_bank_columns(native_bank(t, controls, c_ba), c_ba),
+            "norm_qa": row_norms(y[:, 1:5]),
+            "norm_qb": row_norms(y[:, 6:10]),
+            "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
+            "eps_b1": y[:, 6], "eps_b2": y[:, 7], "eps_b3": y[:, 8], "eta_b": y[:, 9],
+            **_bank_columns(native_bank(t.tolist(), controls, c21, c31), c21, c31),
         }
 
     return columns
 
 
-def _rv_bank(t, controls, c_ba):
+def _rv_bank(t, controls, c21, c31):
+    bank = [controls.bank(tk) for tk in t]
     if controls.bank_mode == "sigma":
-        return controls.bank(t)
-    try:
-        return sigma_from_beta(controls.bank(t), c_ba)
-    except SingularityError:
-        return 0.0
+        return bank
+    vertical = _vertical(c21, c31).tolist()
+    return [
+        0.0 if vert else _sigma(b, a, c)
+        for b, a, c, vert in zip(bank, c21.tolist(), c31.tolist(), vertical)
+    ]
+
+
+def _rvl_bank(t, controls, c21, c31):
+    # the lift gauge's second axis is the lift direction: native bank zero
+    return [0.0] * len(t)
 
 
 def _rvh_columns(t, y, controls):
-    # the in-plane gauge's native bank is the physical one offset by pi
-    sigma = controls.bank(t) if controls.bank_mode == "sigma" else controls.bank(t) + pi
+    sigma = [controls.bank(tk) for tk in t.tolist()]
+    if controls.bank_mode == "beta":
+        # the in-plane gauge's native bank is the physical one offset by pi
+        sigma = [b + pi for b in sigma]
+    c_ba = rvh_c_ba_rows(*_unit_pair(y))
+    zero = np.zeros(len(y))
     return {
-        "norm_qa": float(np.linalg.norm(y[1:5])),
-        "norm_qb": float(np.hypot(y[6], y[7])),
-        "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
-        "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
-        **_bank_columns(sigma, RvhState.from_array(y).c_ba()),
+        "norm_qa": row_norms(y[:, 1:5]),
+        "norm_qb": np.hypot(y[:, 6], y[:, 7]),
+        "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
+        "eps_b1": zero, "eps_b2": zero, "eps_b3": y[:, 6], "eta_b": y[:, 7],
+        **_bank_columns(sigma, c_ba[:, 1, 0], c_ba[:, 2, 0]),
     }
 
 
-_NO_QUATERNIONS = dict.fromkeys(
-    ("norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
-     "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma"),
-    float("nan"),
+_NO_QUATERNIONS = (
+    "norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
+    "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma",
 )
 
 
 def _baseline_columns(t, y, controls):
-    return {**_NO_QUATERNIONS, "beta": controls.bank(t)}
+    nan = np.full(len(y), np.nan)
+    return {
+        **dict.fromkeys(_NO_QUATERNIONS, nan),
+        "beta": np.array([controls.bank(tk) for tk in t.tolist()], dtype=float),
+    }
+
+
+# --- conversion of state rows to Cartesian coordinates ---------------------
+#
+# Each form's ``to_cartesian_rows`` checks its rows as the state classes of
+# ``states`` check one state in ``to_cartesian``, with the same messages,
+# renormalizes the quaternions as they do, and hands the rows to the
+# row-stacked form of the same conversion.
+
+
+def _require_positive(values, what):
+    bad = values <= 0.0
+    if bad.any():
+        raise ValueError(f"{what} must be positive, got {float(values[bad][0])!r}")
+
+
+def _nonzero_positions(p, v):
+    if (row_norms(p) <= 0.0).any():
+        raise ValueError("position must be nonzero")
+    return p, v
+
+
+def _unit_pair(y):
+    """The rvh in-plane pair of each row over its ``math.hypot`` norm."""
+    n = np.array([hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
+    if (n == 0.0).any():
+        raise ValueError("cannot renormalize a zero-norm in-plane rotation pair")
+    return y[:, 6] / n, y[:, 7] / n
+
+
+def _rv_rows(y):
+    u = np.array(y, dtype=float)
+    u[:, 1:5] = renormalize_rows(u[:, 1:5])
+    u[:, 6:10] = renormalize_rows(u[:, 6:10])
+    _require_positive(u[:, 0], "radius")
+    _require_positive(u[:, 5], "speed")
+    return _nonzero_positions(*rv_rows_to_cartesian(u))
+
+
+def _rvh_rows(y):
+    u = np.array(y, dtype=float)
+    u[:, 6], u[:, 7] = _unit_pair(u)
+    u[:, 1:5] = renormalize_rows(u[:, 1:5])
+    _require_positive(u[:, 0], "radius")
+    _require_positive(u[:, 5], "speed")
+    n = np.hypot(u[:, 6], u[:, 7])
+    bad = np.abs(n - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(
+            f"in-plane rotation pair norm {float(n[bad][0])!r} violates unit constraint"
+        )
+    return _nonzero_positions(*rvh_rows_to_cartesian(u))
+
+
+def _spherical_rows(y):
+    y = np.asarray(y, dtype=float)
+    _require_positive(y[:, 0], "radius")
+    for col, what in ((2, "latitude"), (4, "flight path angle")):
+        bad = np.abs(y[:, col]) > pi / 2 + 1e-12
+        if bad.any():
+            raise ValueError(f"{what} {float(y[bad, col][0])!r} outside [-pi/2, pi/2]")
+    return _nonzero_positions(*spherical_rows_to_cartesian(y))
+
+
+def _cartesian_rows(y):
+    y = np.asarray(y, dtype=float)
+    return _nonzero_positions(y[:, 0:3].copy(), y[:, 3:6].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,13 +679,19 @@ class Parameterization:
     * ``to_cartesian(y)`` maps a flat state to a :class:`CartesianState`,
       renormalizing its quaternions first.  Scenario loading also calls it
       on the native initial state to surface range and degeneracy errors.
+    * ``to_cartesian_rows(y)`` does the same for state rows ``y``
+      (n, size), giving positions and velocities ``(p, v)``, each (n, 3):
+      it raises the ``ValueError`` of the first row ``to_cartesian`` would
+      reject, and gives each row the bits ``to_cartesian`` gives it.  Both
+      run the form's one conversion in :mod:`quatflight.states`.
     * ``from_cartesian(c, controls, t0)`` fixes the form's gauge for a
       physical state at the initial time ``t0``.
-    * ``gauge_columns(t, y, controls)`` gives the per-sample diagnostics
-      that depend on the form: quaternion components and norms, the native
-      bank ``sigma`` and the plane-referenced bank ``beta`` (0.0 where it
-      is undefined).  Forms without quaternions give NaN for all of these
-      except ``beta``, which is their bank command.
+    * ``gauge_columns(t, y, controls)`` gives, for sample times ``t`` (n,)
+      and rows ``y``, one array per diagnostic column that depends on the
+      form: quaternion components and norms, the native bank ``sigma`` and
+      the plane-referenced bank ``beta`` (0.0 where it is undefined).
+      Forms without quaternions give NaN for all of these except ``beta``,
+      which is their bank command.
     * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
       quaternions (the rvh in-plane pair counts as one), which the
       propagator renormalizes and scenario loading checks.
@@ -591,6 +706,7 @@ class Parameterization:
 
     make_rhs: Callable
     to_cartesian: Callable
+    to_cartesian_rows: Callable
     from_cartesian: Callable
     gauge_columns: Callable
     quat_spans: tuple
@@ -612,8 +728,9 @@ PARAMETERIZATIONS = {
     "rv": Parameterization(
         make_rhs=make_rv_rhs,
         to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
+        to_cartesian_rows=_rv_rows,
         from_cartesian=lambda c, controls, t0: cartesian_to_rv(c).to_array(),
-        gauge_columns=_ten_parameter_columns(_rv_bank),
+        gauge_columns=_two_quaternion_columns(_rv_bank),
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
@@ -621,11 +738,11 @@ PARAMETERIZATIONS = {
     "rvl": Parameterization(
         make_rhs=make_rvl_rhs,
         to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
+        to_cartesian_rows=_rv_rows,
         from_cartesian=lambda c, controls, t0: _rvl_from_rv(
             cartesian_to_rv(c).to_array(), controls, t0
         ),
-        # the lift gauge's second axis is the lift direction: native bank zero
-        gauge_columns=_ten_parameter_columns(lambda t, controls, c_ba: 0.0),
+        gauge_columns=_two_quaternion_columns(_rvl_bank),
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
@@ -634,6 +751,7 @@ PARAMETERIZATIONS = {
     "rvh": Parameterization(
         make_rhs=make_rvh_rhs,
         to_cartesian=lambda y: rvh_to_cartesian(RvhState.from_array(y)),
+        to_cartesian_rows=_rvh_rows,
         from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c).to_array(),
         gauge_columns=_rvh_columns,
         quat_spans=((1, 5), (6, 8)),
@@ -643,6 +761,7 @@ PARAMETERIZATIONS = {
     "spherical": Parameterization(
         make_rhs=make_spherical_rhs,
         to_cartesian=lambda y: spherical_to_cartesian(SphericalState.from_array(y)),
+        to_cartesian_rows=_spherical_rows,
         from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c).to_array(),
         gauge_columns=_baseline_columns,
         quat_spans=(),
@@ -652,6 +771,7 @@ PARAMETERIZATIONS = {
     "cartesian": Parameterization(
         make_rhs=make_cartesian_rhs,
         to_cartesian=CartesianState.from_array,
+        to_cartesian_rows=_cartesian_rows,
         from_cartesian=lambda c, controls, t0: c.to_array(),
         gauge_columns=_baseline_columns,
         quat_spans=(),
@@ -661,33 +781,41 @@ PARAMETERIZATIONS = {
 }
 
 
-# --- per-sample diagnostics ------------------------------------------------
+# --- diagnostics of propagated samples -------------------------------------
 
 
-def sample_diagnostics(name: str, t: float, y, controls: ControlProfile, env: Environment):
-    """Derived quantities at one propagated sample.
+def sample_diagnostics(name: str, t, y, controls: ControlProfile, env: Environment) -> dict:
+    """Derived quantities of propagated samples, one array per CSV column.
 
-    Position, velocity, angular-momentum magnitude and specific orbital
-    energy come from the Cartesian conversion; the form's
-    ``gauge_columns`` add its quaternion and bank-angle columns.
+    ``t`` (n,) are the sample times and ``y`` (n, size) the form's state
+    rows.  Position, velocity, their magnitudes, the angular-momentum
+    magnitude and the specific orbital energy come from one
+    ``to_cartesian_rows`` call; the form's ``gauge_columns`` add its
+    quaternion and bank-angle columns.  Every value has the bits the
+    per-sample arithmetic gives: the energy is Python-float arithmetic per
+    row (float ``**`` is the C library's ``pow``) and the profiles are
+    evaluated per sample time.
     """
+    t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     spec = PARAMETERIZATIONS[name]
-    cart = spec.to_cartesian(y)
-    h_mag = float(np.linalg.norm(np.cross(cart.position, cart.velocity)))
-    energy = 0.5 * cart.v**2 - env.body.mu / cart.r
+    p, v = spec.to_cartesian_rows(y)
+    r = row_norms(p)
+    speed = row_norms(v)
+    mu = env.body.mu
+    energy = [0.5 * s**2 - mu / q for s, q in zip(speed.tolist(), r.tolist())]
     out = {
-        "x": float(cart.position[0]),
-        "y": float(cart.position[1]),
-        "z": float(cart.position[2]),
-        "vx": float(cart.velocity[0]),
-        "vy": float(cart.velocity[1]),
-        "vz": float(cart.velocity[2]),
-        "r": cart.r,
-        "v": cart.v,
-        "h_mag": h_mag,
-        "energy": energy,
-        "alpha": controls.alpha(t),
+        "x": p[:, 0],
+        "y": p[:, 1],
+        "z": p[:, 2],
+        "vx": v[:, 0],
+        "vy": v[:, 1],
+        "vz": v[:, 2],
+        "r": r,
+        "v": speed,
+        "h_mag": row_norms(np.cross(p, v)),
+        "energy": np.array(energy, dtype=float),
+        "alpha": np.array([controls.alpha(tk) for tk in t.tolist()], dtype=float),
     }
     out.update(spec.gauge_columns(t, y, controls))
     return out

@@ -124,25 +124,30 @@ def quat_from_axis_angle(aa: AxisAngle) -> UnitQuaternion:
 
 def dcm_from_quat(q: UnitQuaternion) -> np.ndarray:
     """Direction cosine matrix from Euler parameters (passive convention)."""
-    e1, e2, e3, eta = q.eps1, q.eps2, q.eps3, q.eta
-    return np.array(
-        [
-            [
-                1.0 - 2.0 * (e2 * e2 + e3 * e3),
-                2.0 * (e1 * e2 + e3 * eta),
-                2.0 * (e1 * e3 - e2 * eta),
-            ],
-            [
-                2.0 * (e2 * e1 - e3 * eta),
-                1.0 - 2.0 * (e3 * e3 + e1 * e1),
-                2.0 * (e2 * e3 + e1 * eta),
-            ],
-            [
-                2.0 * (e3 * e1 + e2 * eta),
-                2.0 * (e3 * e2 - e1 * eta),
-                1.0 - 2.0 * (e1 * e1 + e2 * e2),
-            ],
-        ]
+    return np.array(_dcm_entries(q.eps1, q.eps2, q.eps3, q.eta)).reshape(3, 3)
+
+
+def dcm_rows(q) -> np.ndarray:
+    """Row-stacked :func:`dcm_from_quat`: Euler parameters (n, 4) to DCMs (n, 3, 3)."""
+    return np.stack(_dcm_entries(q[:, 0], q[:, 1], q[:, 2], q[:, 3]), axis=1).reshape(-1, 3, 3)
+
+
+def _dcm_entries(e1, e2, e3, eta):
+    """The nine DCM entries, row by row, of floats or, elementwise, of arrays.
+
+    Array arithmetic rounds like float arithmetic, so a stacked matrix has
+    the bits of the single one.
+    """
+    return (
+        1.0 - 2.0 * (e2 * e2 + e3 * e3),
+        2.0 * (e1 * e2 + e3 * eta),
+        2.0 * (e1 * e3 - e2 * eta),
+        2.0 * (e2 * e1 - e3 * eta),
+        1.0 - 2.0 * (e3 * e3 + e1 * e1),
+        2.0 * (e2 * e3 + e1 * eta),
+        2.0 * (e3 * e1 + e2 * eta),
+        2.0 * (e3 * e2 - e1 * eta),
+        1.0 - 2.0 * (e1 * e1 + e2 * e2),
     )
 
 
@@ -264,3 +269,32 @@ def renormalize(q) -> UnitQuaternion:
         raise ValueError("cannot renormalize a zero-norm quaternion")
     q = q / n
     return UnitQuaternion(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
+
+
+def renormalize_rows(q) -> np.ndarray:
+    """Row-stacked :func:`renormalize`: each row of ``q`` (n, 4) over its norm.
+
+    Raises ``ValueError`` as :func:`renormalize` does, for the first
+    offending row: a zero norm, or a result off unit norm by more than
+    ``UNIT_NORM_TOL`` (summed in :class:`UnitQuaternion`'s order).
+    """
+    n = row_norms(q)
+    if (n == 0.0).any():
+        raise ValueError("cannot renormalize a zero-norm quaternion")
+    u = q / n[:, None]
+    e1, e2, e3, eta = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
+    un = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + eta * eta)
+    bad = np.abs(un - 1.0) > UNIT_NORM_TOL
+    if bad.any():
+        raise ValueError(f"quaternion norm {float(un[bad][0])!r} violates unit constraint")
+    return u
+
+
+def row_norms(x) -> np.ndarray:
+    """Euclidean norm of each row of ``x`` (n, k), as ``np.linalg.norm`` gives it per row.
+
+    ``np.linalg.norm(x, axis=1)`` and ``einsum`` sum in other orders and
+    can differ in the last bit; the square root of a stacked row-by-row
+    product takes the same dot product as the per-row call.
+    """
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]

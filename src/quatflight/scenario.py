@@ -5,8 +5,12 @@ aerodynamic and vehicle parameters, an initial state in any supported form,
 piecewise-linear control profiles, integrator settings, and stop
 conditions.  Running it propagates the same physical initial condition in
 each selected parameterization, writes one CSV per parameterization, and
-(optionally) a comparison report built by converting every sample to
-observation-frame coordinates on a shared time grid.
+(optionally) a comparison report of the forms' observation-frame positions
+and speeds on a shared time grid.
+
+Output is computed column-wise: each CSV converts the rows it writes, and
+the report the grid and final rows of each form, in one call of the form's
+``to_cartesian_rows``, with the bits a row-by-row conversion gives.
 
 All physical quantities are SI; angles are radians.
 """
@@ -29,6 +33,7 @@ from .dynamics import PARAMETERIZATIONS, sample_diagnostics
 from .environment import AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from .errors import ConfigError, PropagationError, SingularityError
 from .propagation import IntegratorConfig, StopEvent, Trajectory, propagate
+from .quat import row_norms
 
 OUTPUT_DIR_ENV_VAR = "QUATFLIGHT_OUTPUT_DIR"
 
@@ -466,29 +471,38 @@ def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) ->
 
 
 def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
-    """One row per retained sample, fixed column schema, 17 significant digits."""
-    env = config.environment
-    stride = config.csv_stride
-    idx = list(range(0, len(trajectory), stride))
+    """Every ``csv_stride``-th sample and the last, fixed column schema, 17 significant digits.
+
+    The written rows are selected first and converted in one
+    ``sample_diagnostics`` call, so a long trajectory with a coarse stride
+    never converts the samples it does not write.  A NaN cell is left
+    blank: it marks a column that does not apply to the form.
+    """
+    idx = list(range(0, len(trajectory), config.csv_stride))
     if idx[-1] != len(trajectory) - 1:
         idx.append(len(trajectory) - 1)
+    t = trajectory.t[idx]
+    columns = sample_diagnostics(name, t, trajectory.y[idx], config.controls, config.environment)
+    columns["t"] = t
+    # one %-template per row: "%.17g" for a column without NaN, an empty
+    # field for an all-NaN one, preformatted cells for a mixed one
+    fields, cells = [], []
+    for col in CSV_COLUMNS:
+        values = columns[col]
+        nan = np.isnan(values)
+        if nan.all():
+            fields.append("")
+        elif nan.any():
+            fields.append("%s")
+            cells.append(["" if x != x else format(x, ".17g") for x in values.tolist()])
+        else:
+            fields.append("%.17g")
+            cells.append(values.tolist())
+    row = ",".join(fields) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for i in idx:
-            t = float(trajectory.t[i])
-            diag = sample_diagnostics(name, t, trajectory.y[i], config.controls, env)
-            row = [_fmt(t)]
-            for col in CSV_COLUMNS[1:]:
-                row.append(_fmt(diag[col]))
-            writer.writerow(row)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(row % values for values in zip(*cells))
     return str(path)
-
-
-def _fmt(x) -> str:
-    if x != x:  # NaN marks a column that does not apply
-        return ""
-    return format(float(x), ".17g")
 
 
 def read_trajectory_csv(path) -> dict:
@@ -529,9 +543,12 @@ class ComparisonReport:
 
 
 def build_comparison(config: ScenarioConfig, results, compare_times) -> ComparisonReport:
-    """Pairwise position/speed differences at shared exact sample times."""
-    env = config.environment
-    samples = {}
+    """Pairwise position/speed differences at shared exact sample times.
+
+    Each form's samples on the grid and its final sample are converted to
+    Cartesian coordinates in one ``to_cartesian_rows`` call.
+    """
+    samples = {}  # name -> ({grid time: row in p and speed}, p, speed)
     norm_drift = {}
     timing = {}
     final_states = {}
@@ -540,14 +557,15 @@ def build_comparison(config: ScenarioConfig, results, compare_times) -> Comparis
             continue
         spec = PARAMETERIZATIONS[res.name]
         traj = res.trajectory
-        by_time = {}
+        rows = {}
         for grid_t in compare_times:
             try:
-                i = traj.index_of_time(grid_t)
+                rows[grid_t] = traj.index_of_time(grid_t)
             except KeyError:
                 continue
-            by_time[grid_t] = spec.to_cartesian(traj.y[i])
-        samples[res.name] = by_time
+        p, v = spec.to_cartesian_rows(traj.y[[*rows.values(), len(traj) - 1]])
+        speed = row_norms(v)
+        samples[res.name] = ({grid_t: k for k, grid_t in enumerate(rows)}, p, speed)
         timing[res.name] = {
             "wall_time_s": traj.wall_time,
             "derivative_evaluations": traj.n_evals,
@@ -559,13 +577,12 @@ def build_comparison(config: ScenarioConfig, results, compare_times) -> Comparis
             norms = np.linalg.norm(traj.y[:, lo:hi], axis=1)
             drift.append(float(np.max(np.abs(norms - 1.0))))
         norm_drift[res.name] = drift
-        cart_final = spec.to_cartesian(traj.final_state)
         final_states[res.name] = {
             "t": float(traj.t[-1]),
-            "position": [float(x) for x in cart_final.position],
-            "velocity": [float(x) for x in cart_final.velocity],
-            "r": cart_final.r,
-            "v": cart_final.v,
+            "position": p[-1].tolist(),
+            "velocity": v[-1].tolist(),
+            "r": float(row_norms(p[-1:])[0]),
+            "v": float(speed[-1]),
             "stop": res.event.kind,
         }
 
@@ -574,18 +591,18 @@ def build_comparison(config: ScenarioConfig, results, compare_times) -> Comparis
     names = list(samples)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            shared = sorted(set(samples[a]) & set(samples[b]))
+            (rows_a, p_a, speed_a), (rows_b, p_b, speed_b) = samples[a], samples[b]
+            shared = sorted(set(rows_a) & set(rows_b))
             if not shared:
                 continue
-            e_r = []
-            e_v = []
-            for t in shared:
-                ca, cb = samples[a][t], samples[b][t]
-                e_r.append(float(np.linalg.norm(ca.position - cb.position)))
-                e_v.append(abs(ca.v - cb.v))
+            ka = [rows_a[t] for t in shared]
+            kb = [rows_b[t] for t in shared]
             key = f"{a}|{b}"
             times[key] = shared
-            pair_errors[key] = (e_r, e_v)
+            pair_errors[key] = (
+                row_norms(p_a[ka] - p_b[kb]).tolist(),
+                np.abs(speed_a[ka] - speed_b[kb]).tolist(),
+            )
     return ComparisonReport(
         scenario=config.name,
         times=times,

@@ -19,6 +19,12 @@ store them as flat arrays in the layout of each class's ``to_array``:
 * ``SphericalState`` -- the classic longitude/latitude/flight-path-angle/
   azimuth baseline, singular in vertical flight.
 
+Each conversion to Cartesian coordinates is written once, for floats and
+arrays alike: the single-state functions (``rv_to_cartesian`` ...) and the
+row-stacked ones over arrays in a class's ``to_array`` layout
+(``rv_rows_to_cartesian`` ...) run the same arithmetic and give a row the
+bits of its single state.
+
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
 the velocity vector) is admissible.  Conversions from Cartesian states fix
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .quat import UnitQuaternion, dcm_from_quat, quat_from_dcm, renormalize
+from .quat import UnitQuaternion, dcm_from_quat, dcm_rows, quat_from_dcm, renormalize
 
 # Angular-momentum floor (m^2/s) below which the rvh form is rejected.
 ANGULAR_MOMENTUM_FLOOR = 1e-6
@@ -116,9 +122,7 @@ class RvhState:
 
     def c_ba(self) -> np.ndarray:
         """Direction cosine matrix of B relative to A (simple rotation about axis 3)."""
-        e3, eta = self.eps_b3, self.eta_b
-        c = 1.0 - 2.0 * e3 * e3
-        s = 2.0 * e3 * eta
+        c, s = _in_plane_cos_sin(self.eps_b3, self.eta_b)
         return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -214,9 +218,27 @@ def _shortest_arc(target, tie_axis) -> UnitQuaternion:
 
 def rv_to_cartesian(state: RvState) -> CartesianState:
     """Map a ten-parameter state to observation-frame position and velocity."""
-    c_ae = dcm_from_quat(state.qa)
-    c_be = dcm_from_quat(state.qb) @ c_ae
-    return CartesianState(state.r * c_ae[0, :], state.v * c_be[0, :])
+    c_ae, c_ba = dcm_from_quat(state.qa), dcm_from_quat(state.qb)
+    return CartesianState(*_through_frames(state.r, c_ae, state.v, c_ba))
+
+
+def rv_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of ten-parameter rows ``y`` (n, 10).
+
+    The rows are in :meth:`RvState.to_array` layout with unit quaternions;
+    nothing is renormalized or checked here.
+    """
+    return _through_frames(y[:, 0:1], dcm_rows(y[:, 1:5]), y[:, 5:6], dcm_rows(y[:, 6:10]))
+
+
+def _through_frames(r, c_ae, v, c_ba):
+    """Position and velocity from the radius, A's DCM over E, the speed and B's DCM over A.
+
+    Takes one state (floats and 3x3 matrices) or stacked rows ((n, 1)
+    columns and (n, 3, 3) stacks); a stacked matrix product rounds like
+    the single one, so a row gets the bits of its single state.
+    """
+    return r * c_ae[..., 0, :], v * (c_ba @ c_ae)[..., 0, :]
 
 
 def cartesian_to_rv(state: CartesianState) -> RvState:
@@ -253,8 +275,34 @@ def twist_about_b1(qb: UnitQuaternion, angle: float) -> UnitQuaternion:
 def rvh_to_cartesian(state: RvhState) -> CartesianState:
     """Map an eight-parameter state to observation-frame position and velocity."""
     c_ae = dcm_from_quat(state.qa)
-    c_be = state.c_ba() @ c_ae
-    return CartesianState(state.r * c_ae[0, :], state.v * c_be[0, :])
+    return CartesianState(*_through_frames(state.r, c_ae, state.v, state.c_ba()))
+
+
+def rvh_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of eight-parameter rows ``y`` (n, 8).
+
+    The rows are in :meth:`RvhState.to_array` layout with a unit position
+    quaternion and a unit in-plane pair; nothing is checked here.
+    """
+    c_ba = rvh_c_ba_rows(y[:, 6], y[:, 7])
+    return _through_frames(y[:, 0:1], dcm_rows(y[:, 1:5]), y[:, 5:6], c_ba)
+
+
+def rvh_c_ba_rows(eps_b3, eta_b) -> np.ndarray:
+    """Row-stacked :meth:`RvhState.c_ba` of unit in-plane pairs (n,) to (n, 3, 3)."""
+    c, s = _in_plane_cos_sin(eps_b3, eta_b)
+    c_ba = np.zeros((len(c), 3, 3))
+    c_ba[:, 0, 0] = c
+    c_ba[:, 0, 1] = s
+    c_ba[:, 1, 0] = -s
+    c_ba[:, 1, 1] = c
+    c_ba[:, 2, 2] = 1.0
+    return c_ba
+
+
+def _in_plane_cos_sin(eps_b3, eta_b):
+    """Cosine and sine of the in-plane angle from its half-angle pair (floats or arrays)."""
+    return 1.0 - 2.0 * eps_b3 * eps_b3, 2.0 * eps_b3 * eta_b
 
 
 def cartesian_to_rvh(state: CartesianState) -> RvhState:
@@ -287,15 +335,34 @@ def cartesian_to_rvh(state: CartesianState) -> RvhState:
 
 def spherical_to_cartesian(state: SphericalState) -> CartesianState:
     """Map the spherical baseline state to position and velocity."""
-    ct, st = math.cos(state.lat), math.sin(state.lat)
-    cl, sl = math.cos(state.lon), math.sin(state.lon)
-    up = np.array([ct * cl, ct * sl, st])
-    east = np.array([-sl, cl, 0.0])
-    north = np.array([-st * cl, -st * sl, ct])
-    cg, sg = math.cos(state.gamma), math.sin(state.gamma)
-    cp, sp = math.cos(state.psi), math.sin(state.psi)
-    vel = state.v * (sg * up + cg * (cp * north + sp * east))
-    return CartesianState(state.r * up, vel)
+    angles = (state.lat, state.lon, state.gamma, state.psi)
+    trig = [f(a) for a in angles for f in (math.cos, math.sin)]
+    pos, vel = _spherical_components(state.r, state.v, *trig)
+    return CartesianState(np.array(pos), np.array(vel))
+
+
+def spherical_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of spherical rows ``y`` (n, 6), unchecked.
+
+    The sines and cosines are taken row by row with :mod:`math`; NumPy's
+    are not promised to round like the C library's.
+    """
+    angles = [y[:, k].tolist() for k in (2, 1, 4, 5)]  # lat, lon, gamma, psi
+    trig = [np.array([f(a) for a in col]) for col in angles for f in (math.cos, math.sin)]
+    pos, vel = _spherical_components(y[:, 0], y[:, 3], *trig)
+    return np.column_stack(pos), np.column_stack(vel)
+
+
+def _spherical_components(r, v, ct, st, cl, sl, cg, sg, cp, sp):
+    """Position and velocity components from the radius, speed and the cosines
+    and sines of latitude, longitude, flight path angle and azimuth (floats,
+    or arrays elementwise)."""
+    up = (ct * cl, ct * sl, st)
+    east = (-sl, cl, 0.0)
+    north = (-st * cl, -st * sl, ct)
+    pos = [r * u for u in up]
+    vel = [v * (sg * u + cg * (cp * n + sp * e)) for u, n, e in zip(up, north, east)]
+    return pos, vel
 
 
 def cartesian_to_spherical(state: CartesianState) -> SphericalState:
