@@ -50,9 +50,6 @@ from .states import (
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
-    rv_to_cartesian,
-    rvh_to_cartesian,
-    spherical_to_cartesian,
 )
 
 __version__ = "0.1.0"
@@ -102,9 +99,6 @@ __all__ = [
     "quat_rates",
     "renormalize",
     "run_scenario",
-    "rv_to_cartesian",
-    "rvh_to_cartesian",
     "sigma_from_beta",
     "skew",
-    "spherical_to_cartesian",
 ]

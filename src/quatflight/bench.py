@@ -63,46 +63,47 @@ def count_trig_calls(rhs, t, y) -> int:
 
 
 def benchmark_derivatives(config: ScenarioConfig, n_evals: int):
-    """Time ``n_evals`` derivative evaluations per parameterization.
+    """:func:`benchmark_form` for each of the scenario's parameterizations."""
+    return [benchmark_form(name, config, n_evals) for name in config.parameterizations]
 
-    Returns a list of :class:`BenchRow`, one per parameterization, with
-    mean and median nanoseconds per evaluation (over 20 timing batches) and
-    the exact trig-call count of a single evaluation.
+
+def benchmark_form(name: str, config: ScenarioConfig, n_evals: int) -> BenchRow:
+    """Time ``n_evals`` derivative evaluations of one parameterization.
+
+    Returns a :class:`BenchRow` with the mean and median nanoseconds per
+    evaluation (over 20 timing batches) and the exact trig-call count of a
+    single evaluation, all at the initial state.  Raises
+    :class:`SingularityError` when the form's initial state or its first
+    derivative trips a guard.
     """
     if n_evals < MIN_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_EVALS}")
-    env = config.environment
-    rows = []
-    for name in config.parameterizations:
-        spec = dynamics.PARAMETERIZATIONS[name]
-        y0 = initial_array_for(name, config)
-        rhs = spec.make_rhs(config.controls, env)
-        t0 = config.t0
-        trig = count_trig_calls(rhs, t0, y0)
+    spec = dynamics.PARAMETERIZATIONS[name]
+    y0 = initial_array_for(name, config)
+    rhs = spec.make_rhs(config.controls, config.environment)
+    t0 = config.t0
+    trig = count_trig_calls(rhs, t0, y0)
 
-        for _ in range(1000):  # warmup
+    for _ in range(1000):  # warmup
+        rhs(t0, y0)
+    n_batches = 20
+    per_batch = max(1, n_evals // n_batches)
+    batch_ns = []
+    done = 0
+    for _ in range(n_batches):
+        tic = time.perf_counter()
+        for _ in range(per_batch):
             rhs(t0, y0)
-        n_batches = 20
-        per_batch = max(1, n_evals // n_batches)
-        batch_ns = []
-        done = 0
-        for _ in range(n_batches):
-            tic = time.perf_counter()
-            for _ in range(per_batch):
-                rhs(t0, y0)
-            toc = time.perf_counter()
-            batch_ns.append((toc - tic) / per_batch * 1e9)
-            done += per_batch
-        rows.append(
-            BenchRow(
-                name=name,
-                n_evals=done,
-                mean_ns=statistics.fmean(batch_ns),
-                median_ns=statistics.median(batch_ns),
-                trig_calls=trig,
-            )
-        )
-    return rows
+        toc = time.perf_counter()
+        batch_ns.append((toc - tic) / per_batch * 1e9)
+        done += per_batch
+    return BenchRow(
+        name=name,
+        n_evals=done,
+        mean_ns=statistics.fmean(batch_ns),
+        median_ns=statistics.median(batch_ns),
+        trig_calls=trig,
+    )
 
 
 def format_bench_table(rows) -> str:

@@ -10,9 +10,9 @@ import argparse
 import json
 import sys
 
-from .bench import benchmark_derivatives, format_bench_table
+from .bench import benchmark_form, format_bench_table
 from .dynamics import PARAMETERIZATIONS
-from .errors import ConfigError
+from .errors import ConfigError, SingularityError
 from .scenario import load_scenario, resolve_output_dir, run_scenario
 
 EXIT_OK = 0
@@ -93,18 +93,26 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     config = load_scenario(args.config)
-    try:
-        rows = benchmark_derivatives(config, args.evals)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows, guards = [], {}
+    for name in config.parameterizations:
+        try:
+            rows.append(benchmark_form(name, config, args.evals))
+        except SingularityError as exc:
+            guards[name] = str(exc)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     print(format_bench_table(rows))
+    for name, message in guards.items():
+        print(f"{name}: singularity_guard ({message})")
     if args.json_path:
         payload = [row.__dict__ for row in rows]
         out = resolve_output_dir(None) / args.json_path if "/" not in args.json_path else args.json_path
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {out}")
+    if any(name not in config.stop.expected_guards for name in guards):
+        return EXIT_GUARD
     return EXIT_OK
 
 

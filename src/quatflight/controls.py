@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isfinite
 
 BANK_MODES = ("sigma", "beta")
 
@@ -29,6 +30,8 @@ class PiecewiseLinear:
         values = [float(v) for v in values]
         if len(times) != len(values) or not times:
             raise ValueError("times and values must be equal-length and non-empty")
+        if not all(map(isfinite, times + values)):
+            raise ValueError("times and values must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         self.times = times

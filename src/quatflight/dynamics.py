@@ -53,7 +53,7 @@ is the propagator's policy) and may be called concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, exp, hypot, pi, sin
+from math import atan2, cos, exp, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,19 +64,14 @@ from .errors import SingularityError
 from .quat import UnitQuaternion, dcm_from_quat, dcm_rows, renormalize_rows, row_norms
 from .states import (
     CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
+    cartesian_rows_to_cartesian,
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
     rv_rows_to_cartesian,
-    rv_to_cartesian,
-    rvh_c_ba_rows,
     rvh_rows_to_cartesian,
-    rvh_to_cartesian,
+    rvh_unit_pair,
     spherical_rows_to_cartesian,
-    spherical_to_cartesian,
     twist_about_b1,
 )
 
@@ -579,14 +574,15 @@ def _rvh_columns(t, y, controls):
     if controls.bank_mode == "beta":
         # the in-plane gauge's native bank is the physical one offset by pi
         sigma = [b + pi for b in sigma]
-    c_ba = rvh_c_ba_rows(*_unit_pair(y))
+    eps_b3, eta_b = rvh_unit_pair(y)
     zero = np.zeros(len(y))
     return {
         "norm_qa": row_norms(y[:, 1:5]),
         "norm_qb": np.hypot(y[:, 6], y[:, 7]),
         "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
         "eps_b1": zero, "eps_b2": zero, "eps_b3": y[:, 6], "eta_b": y[:, 7],
-        **_bank_columns(sigma, c_ba[:, 1, 0], c_ba[:, 2, 0]),
+        # C_BA(2,1) and C_BA(3,1) of the in-plane rotation (states.rvh_c_ba_rows)
+        **_bank_columns(sigma, -2.0 * eps_b3 * eta_b, zero),
     }
 
 
@@ -604,86 +600,15 @@ def _baseline_columns(t, y, controls):
     }
 
 
-# --- conversion of state rows to Cartesian coordinates ---------------------
-#
-# Each form's ``to_cartesian_rows`` checks its rows as the state classes of
-# ``states`` check one state in ``to_cartesian``, with the same messages,
-# renormalizes the quaternions as they do, and hands the rows to the
-# row-stacked form of the same conversion.
-
-
-def _require_positive(values, what):
-    bad = values <= 0.0
-    if bad.any():
-        raise ValueError(f"{what} must be positive, got {float(values[bad][0])!r}")
-
-
-def _nonzero_positions(p, v):
-    if (row_norms(p) <= 0.0).any():
-        raise ValueError("position must be nonzero")
-    return p, v
-
-
-def _unit_pair(y):
-    """The rvh in-plane pair of each row over its ``math.hypot`` norm."""
-    n = np.array([hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
-    if (n == 0.0).any():
-        raise ValueError("cannot renormalize a zero-norm in-plane rotation pair")
-    return y[:, 6] / n, y[:, 7] / n
-
-
-def _rv_rows(y):
-    u = np.array(y, dtype=float)
-    u[:, 1:5] = renormalize_rows(u[:, 1:5])
-    u[:, 6:10] = renormalize_rows(u[:, 6:10])
-    _require_positive(u[:, 0], "radius")
-    _require_positive(u[:, 5], "speed")
-    return _nonzero_positions(*rv_rows_to_cartesian(u))
-
-
-def _rvh_rows(y):
-    u = np.array(y, dtype=float)
-    u[:, 6], u[:, 7] = _unit_pair(u)
-    u[:, 1:5] = renormalize_rows(u[:, 1:5])
-    _require_positive(u[:, 0], "radius")
-    _require_positive(u[:, 5], "speed")
-    n = np.hypot(u[:, 6], u[:, 7])
-    bad = np.abs(n - 1.0) > 1e-9
-    if bad.any():
-        raise ValueError(
-            f"in-plane rotation pair norm {float(n[bad][0])!r} violates unit constraint"
-        )
-    return _nonzero_positions(*rvh_rows_to_cartesian(u))
-
-
-def _spherical_rows(y):
-    y = np.asarray(y, dtype=float)
-    _require_positive(y[:, 0], "radius")
-    for col, what in ((2, "latitude"), (4, "flight path angle")):
-        bad = np.abs(y[:, col]) > pi / 2 + 1e-12
-        if bad.any():
-            raise ValueError(f"{what} {float(y[bad, col][0])!r} outside [-pi/2, pi/2]")
-    return _nonzero_positions(*spherical_rows_to_cartesian(y))
-
-
-def _cartesian_rows(y):
-    y = np.asarray(y, dtype=float)
-    return _nonzero_positions(y[:, 0:3].copy(), y[:, 3:6].copy())
-
-
 @dataclass(frozen=True, eq=False)
 class Parameterization:
     """One state form: everything needed to build, initialise and describe it.
 
     * ``make_rhs(controls, env)`` builds the derivative ``rhs(t, y)``.
-    * ``to_cartesian(y)`` maps a flat state to a :class:`CartesianState`,
-      renormalizing its quaternions first.  Scenario loading also calls it
-      on the native initial state to surface range and degeneracy errors.
-    * ``to_cartesian_rows(y)`` does the same for state rows ``y``
-      (n, size), giving positions and velocities ``(p, v)``, each (n, 3):
-      it raises the ``ValueError`` of the first row ``to_cartesian`` would
-      reject, and gives each row the bits ``to_cartesian`` gives it.  Both
-      run the form's one conversion in :mod:`quatflight.states`.
+    * ``to_cartesian_rows(y)`` is the form's one conversion in
+      :mod:`quatflight.states`: it renormalizes state rows ``y``
+      (n, size), raises the ``ValueError`` of the first row out of range,
+      and gives positions and velocities ``(p, v)``, each (n, 3).
     * ``from_cartesian(c, controls, t0)`` fixes the form's gauge for a
       physical state at the initial time ``t0``.
     * ``gauge_columns(t, y, controls)`` gives, for sample times ``t`` (n,)
@@ -705,7 +630,6 @@ class Parameterization:
     """
 
     make_rhs: Callable
-    to_cartesian: Callable
     to_cartesian_rows: Callable
     from_cartesian: Callable
     gauge_columns: Callable
@@ -713,6 +637,11 @@ class Parameterization:
     scales: np.ndarray
     radius_index: int
     from_rv: Optional[Callable] = None
+
+    def to_cartesian(self, y) -> CartesianState:
+        """One flat state ``y`` converted as a one-row ``to_cartesian_rows``."""
+        p, v = self.to_cartesian_rows(np.asarray(y, dtype=float)[None, :])
+        return CartesianState(p[0], v[0])
 
     def radius(self, y) -> float:
         if self.radius_index >= 0:
@@ -727,8 +656,7 @@ _TEN_PARAMETER_SCALES = np.array(
 PARAMETERIZATIONS = {
     "rv": Parameterization(
         make_rhs=make_rv_rhs,
-        to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
-        to_cartesian_rows=_rv_rows,
+        to_cartesian_rows=rv_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: cartesian_to_rv(c).to_array(),
         gauge_columns=_two_quaternion_columns(_rv_bank),
         quat_spans=((1, 5), (6, 10)),
@@ -737,8 +665,7 @@ PARAMETERIZATIONS = {
     ),
     "rvl": Parameterization(
         make_rhs=make_rvl_rhs,
-        to_cartesian=lambda y: rv_to_cartesian(RvState.from_array(y)),
-        to_cartesian_rows=_rv_rows,
+        to_cartesian_rows=rv_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: _rvl_from_rv(
             cartesian_to_rv(c).to_array(), controls, t0
         ),
@@ -750,8 +677,7 @@ PARAMETERIZATIONS = {
     ),
     "rvh": Parameterization(
         make_rhs=make_rvh_rhs,
-        to_cartesian=lambda y: rvh_to_cartesian(RvhState.from_array(y)),
-        to_cartesian_rows=_rvh_rows,
+        to_cartesian_rows=rvh_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c).to_array(),
         gauge_columns=_rvh_columns,
         quat_spans=((1, 5), (6, 8)),
@@ -760,8 +686,7 @@ PARAMETERIZATIONS = {
     ),
     "spherical": Parameterization(
         make_rhs=make_spherical_rhs,
-        to_cartesian=lambda y: spherical_to_cartesian(SphericalState.from_array(y)),
-        to_cartesian_rows=_spherical_rows,
+        to_cartesian_rows=spherical_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c).to_array(),
         gauge_columns=_baseline_columns,
         quat_spans=(),
@@ -770,8 +695,7 @@ PARAMETERIZATIONS = {
     ),
     "cartesian": Parameterization(
         make_rhs=make_cartesian_rhs,
-        to_cartesian=CartesianState.from_array,
-        to_cartesian_rows=_cartesian_rows,
+        to_cartesian_rows=cartesian_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: c.to_array(),
         gauge_columns=_baseline_columns,
         quat_spans=(),

@@ -78,17 +78,17 @@ class AeroModel:
 
 @dataclass(frozen=True)
 class Vehicle:
-    """Point-mass vehicle: mass (kg), nominal thrust (N), thrust offset angle (rad)."""
+    """Point-mass vehicle: mass (kg) and thrust offset angle (rad).
+
+    The thrust itself is a command, ``ControlProfile.thrust``.
+    """
 
     mass: float
-    thrust: float = 0.0
     thrust_offset: float = 0.0
 
     def __post_init__(self):
         if self.mass <= 0.0:
             raise ValueError("mass must be positive")
-        if self.thrust < 0.0:
-            raise ValueError("thrust must be non-negative")
 
 
 @dataclass(frozen=True)

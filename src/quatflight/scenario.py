@@ -8,9 +8,10 @@ each selected parameterization, writes one CSV per parameterization, and
 (optionally) a comparison report of the forms' observation-frame positions
 and speeds on a shared time grid.
 
-Output is computed column-wise: each CSV converts the rows it writes, and
-the report the grid and final rows of each form, in one call of the form's
-``to_cartesian_rows``, with the bits a row-by-row conversion gives.
+Each form has one conversion to Cartesian coordinates, its
+``to_cartesian_rows`` over state rows: each CSV converts the rows it
+writes, and the report the grid and final rows of each form, in one call;
+loading converts the initial state as a one-row stack.
 
 All physical quantities are SI; angles are radians.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,21 +165,25 @@ class _Validator:
         return value
 
     def number(self, data, key, path, default=None, minimum=None, exclusive=False):
+        where = f"{path}.{key}".lstrip(".")  # top-level keys have an empty path
         if key not in data:
             if default is None:
-                self.fail(f"{path}.{key}", "missing required value")
+                self.fail(where, "missing required value")
                 return 0.0
             return default
         raw = data[key]
         if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            self.fail(f"{path}.{key}", f"must be a number, got {raw!r}")
+            self.fail(where, f"must be a number, got {raw!r}")
             return 0.0
         value = float(raw)
+        if not math.isfinite(value):
+            self.fail(where, f"must be finite, got {value}")
+            return 0.0
         if minimum is not None:
             if exclusive and value <= minimum:
-                self.fail(f"{path}.{key}", f"must be > {minimum}, got {value}")
+                self.fail(where, f"must be > {minimum}, got {value}")
             elif not exclusive and value < minimum:
-                self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+                self.fail(where, f"must be >= {minimum}, got {value}")
         return value
 
     def vector(self, data, key, path, length):
@@ -189,26 +195,30 @@ class _Validator:
             self.fail(f"{path}.{key}", f"must be a {length}-vector")
             return [0.0] * length
         try:
-            return [float(x) for x in raw]
+            values = [float(x) for x in raw]
         except (TypeError, ValueError):
             self.fail(f"{path}.{key}", "entries must be numbers")
             return [0.0] * length
+        if not all(map(math.isfinite, values)):
+            self.fail(f"{path}.{key}", f"entries must be finite, got {values}")
+            return [0.0] * length
+        return values
 
 
 def _parse_profile(validator, data, key, path, default=0.0):
     raw = data.get(key)
     if raw is None:
         return PiecewiseLinear.constant(default)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return PiecewiseLinear.constant(float(raw))
-    if not isinstance(raw, dict) or "times" not in raw or "values" not in raw:
-        validator.fail(f"{path}.{key}", "must be a number or {times, values} mapping")
-        return PiecewiseLinear.constant(default)
     try:
-        return PiecewiseLinear(raw["times"], raw["values"])
+        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            return PiecewiseLinear.constant(float(raw))
+        if isinstance(raw, dict) and "times" in raw and "values" in raw:
+            return PiecewiseLinear(raw["times"], raw["values"])
     except (TypeError, ValueError) as exc:
         validator.fail(f"{path}.{key}", str(exc))
         return PiecewiseLinear.constant(default)
+    validator.fail(f"{path}.{key}", "must be a number or {times, values} mapping")
+    return PiecewiseLinear.constant(default)
 
 
 def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
@@ -250,9 +260,10 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
 
     sec = v.section(data, "vehicle")
     mass = v.number(sec, "mass", "vehicle", minimum=0.0, exclusive=True)
-    thrust = v.number(sec, "thrust", "vehicle", default=0.0, minimum=0.0)
+    if v.number(sec, "thrust", "vehicle", default=0.0) != 0.0:
+        v.fail("vehicle.thrust", "no force reads it; give the thrust as controls.thrust")
     delta = v.number(sec, "thrust_offset", "vehicle", default=0.0)
-    vehicle = Vehicle(mass=mass, thrust=thrust, thrust_offset=delta) if not v.errors else None
+    vehicle = Vehicle(mass=mass, thrust_offset=delta) if not v.errors else None
 
     init = _parse_initial_state(v, data)
     controls = _parse_controls(v, data)
@@ -351,6 +362,8 @@ def _parse_integrator(v, data):
         v.fail("integrator.renormalize", "must be a boolean")
         renorm = True
     max_steps = int(v.number(sec, "max_steps", "integrator", default=2e6, minimum=1.0))
+    if v.errors:
+        return None
     return IntegratorConfig(
         method=method,
         step=step,

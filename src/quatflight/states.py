@@ -19,11 +19,14 @@ store them as flat arrays in the layout of each class's ``to_array``:
 * ``SphericalState`` -- the classic longitude/latitude/flight-path-angle/
   azimuth baseline, singular in vertical flight.
 
-Each conversion to Cartesian coordinates is written once, for floats and
-arrays alike: the single-state functions (``rv_to_cartesian`` ...) and the
-row-stacked ones over arrays in a class's ``to_array`` layout
-(``rv_rows_to_cartesian`` ...) run the same arithmetic and give a row the
-bits of its single state.
+Each form converts to Cartesian coordinates through exactly one function,
+over state rows (n, size) in its class's ``to_array`` layout:
+``rv_rows_to_cartesian`` (shared by ``rv`` and ``rvl``),
+``rvh_rows_to_cartesian``, ``spherical_rows_to_cartesian`` and
+``cartesian_rows_to_cartesian``.  Each renormalizes the rows' quaternions,
+checks every row as the state classes check one state, with the same
+messages, and returns positions and velocities ``(p, v)``, each (n, 3).  A
+single state converts as a one-row stack.
 
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
@@ -41,7 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .quat import UnitQuaternion, dcm_from_quat, dcm_rows, quat_from_dcm, renormalize
+from .quat import (
+    UnitQuaternion,
+    dcm_from_quat,
+    dcm_rows,
+    quat_from_dcm,
+    renormalize,
+    renormalize_rows,
+    row_norms,
+)
 
 # Angular-momentum floor (m^2/s) below which the rvh form is rejected.
 ANGULAR_MOMENTUM_FLOOR = 1e-6
@@ -119,11 +130,6 @@ class RvhState:
             float(y[6]) / n,
             float(y[7]) / n,
         )
-
-    def c_ba(self) -> np.ndarray:
-        """Direction cosine matrix of B relative to A (simple rotation about axis 3)."""
-        c, s = _in_plane_cos_sin(self.eps_b3, self.eta_b)
-        return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,31 +222,6 @@ def _shortest_arc(target, tie_axis) -> UnitQuaternion:
     )
 
 
-def rv_to_cartesian(state: RvState) -> CartesianState:
-    """Map a ten-parameter state to observation-frame position and velocity."""
-    c_ae, c_ba = dcm_from_quat(state.qa), dcm_from_quat(state.qb)
-    return CartesianState(*_through_frames(state.r, c_ae, state.v, c_ba))
-
-
-def rv_rows_to_cartesian(y):
-    """Positions and velocities (n, 3) of ten-parameter rows ``y`` (n, 10).
-
-    The rows are in :meth:`RvState.to_array` layout with unit quaternions;
-    nothing is renormalized or checked here.
-    """
-    return _through_frames(y[:, 0:1], dcm_rows(y[:, 1:5]), y[:, 5:6], dcm_rows(y[:, 6:10]))
-
-
-def _through_frames(r, c_ae, v, c_ba):
-    """Position and velocity from the radius, A's DCM over E, the speed and B's DCM over A.
-
-    Takes one state (floats and 3x3 matrices) or stacked rows ((n, 1)
-    columns and (n, 3, 3) stacks); a stacked matrix product rounds like
-    the single one, so a row gets the bits of its single state.
-    """
-    return r * c_ae[..., 0, :], v * (c_ba @ c_ae)[..., 0, :]
-
-
 def cartesian_to_rv(state: CartesianState) -> RvState:
     """Fix a deterministic gauge for the ten-parameter form.
 
@@ -272,39 +253,6 @@ def twist_about_b1(qb: UnitQuaternion, angle: float) -> UnitQuaternion:
     return quat_from_dcm(r1 @ dcm_from_quat(qb))
 
 
-def rvh_to_cartesian(state: RvhState) -> CartesianState:
-    """Map an eight-parameter state to observation-frame position and velocity."""
-    c_ae = dcm_from_quat(state.qa)
-    return CartesianState(*_through_frames(state.r, c_ae, state.v, state.c_ba()))
-
-
-def rvh_rows_to_cartesian(y):
-    """Positions and velocities (n, 3) of eight-parameter rows ``y`` (n, 8).
-
-    The rows are in :meth:`RvhState.to_array` layout with a unit position
-    quaternion and a unit in-plane pair; nothing is checked here.
-    """
-    c_ba = rvh_c_ba_rows(y[:, 6], y[:, 7])
-    return _through_frames(y[:, 0:1], dcm_rows(y[:, 1:5]), y[:, 5:6], c_ba)
-
-
-def rvh_c_ba_rows(eps_b3, eta_b) -> np.ndarray:
-    """Row-stacked :meth:`RvhState.c_ba` of unit in-plane pairs (n,) to (n, 3, 3)."""
-    c, s = _in_plane_cos_sin(eps_b3, eta_b)
-    c_ba = np.zeros((len(c), 3, 3))
-    c_ba[:, 0, 0] = c
-    c_ba[:, 0, 1] = s
-    c_ba[:, 1, 0] = -s
-    c_ba[:, 1, 1] = c
-    c_ba[:, 2, 2] = 1.0
-    return c_ba
-
-
-def _in_plane_cos_sin(eps_b3, eta_b):
-    """Cosine and sine of the in-plane angle from its half-angle pair (floats or arrays)."""
-    return 1.0 - 2.0 * eps_b3 * eps_b3, 2.0 * eps_b3 * eta_b
-
-
 def cartesian_to_rvh(state: CartesianState) -> RvhState:
     """Angular-momentum gauge: third axes of A and B along ``r x v``.
 
@@ -333,40 +281,8 @@ def cartesian_to_rvh(state: CartesianState) -> RvhState:
     return RvhState(r=r, qa=qa, v=v, eps_b3=math.sin(half), eta_b=math.cos(half))
 
 
-def spherical_to_cartesian(state: SphericalState) -> CartesianState:
-    """Map the spherical baseline state to position and velocity."""
-    angles = (state.lat, state.lon, state.gamma, state.psi)
-    trig = [f(a) for a in angles for f in (math.cos, math.sin)]
-    pos, vel = _spherical_components(state.r, state.v, *trig)
-    return CartesianState(np.array(pos), np.array(vel))
-
-
-def spherical_rows_to_cartesian(y):
-    """Positions and velocities (n, 3) of spherical rows ``y`` (n, 6), unchecked.
-
-    The sines and cosines are taken row by row with :mod:`math`; NumPy's
-    are not promised to round like the C library's.
-    """
-    angles = [y[:, k].tolist() for k in (2, 1, 4, 5)]  # lat, lon, gamma, psi
-    trig = [np.array([f(a) for a in col]) for col in angles for f in (math.cos, math.sin)]
-    pos, vel = _spherical_components(y[:, 0], y[:, 3], *trig)
-    return np.column_stack(pos), np.column_stack(vel)
-
-
-def _spherical_components(r, v, ct, st, cl, sl, cg, sg, cp, sp):
-    """Position and velocity components from the radius, speed and the cosines
-    and sines of latitude, longitude, flight path angle and azimuth (floats,
-    or arrays elementwise)."""
-    up = (ct * cl, ct * sl, st)
-    east = (-sl, cl, 0.0)
-    north = (-st * cl, -st * sl, ct)
-    pos = [r * u for u in up]
-    vel = [v * (sg * u + cg * (cp * n + sp * e)) for u, n, e in zip(up, north, east)]
-    return pos, vel
-
-
 def cartesian_to_spherical(state: CartesianState) -> SphericalState:
-    """Inverse of :func:`spherical_to_cartesian`.
+    """Inverse of :func:`spherical_rows_to_cartesian`.
 
     In vertical flight the horizontal velocity vanishes and the azimuth is
     set to zero by convention.
@@ -392,3 +308,108 @@ def cartesian_to_spherical(state: CartesianState) -> SphericalState:
     vn = float(np.dot(state.velocity, north))
     psi = 0.0 if (ve == 0.0 and vn == 0.0) else math.atan2(ve, vn)
     return SphericalState(r=r, lon=lon, lat=lat, v=v, gamma=gamma, psi=psi)
+
+
+# --- conversion of state rows to Cartesian coordinates ---------------------
+
+
+def rv_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of ten-parameter rows ``y`` (n, 10).
+
+    The rows are in :meth:`RvState.to_array` layout; both quaternions are
+    renormalized before the radius and the speed are checked.
+    """
+    u = np.array(y, dtype=float)
+    u[:, 1:5] = renormalize_rows(u[:, 1:5])
+    u[:, 6:10] = renormalize_rows(u[:, 6:10])
+    _require_positive(u[:, 0], "radius")
+    _require_positive(u[:, 5], "speed")
+    return _through_frames(u, dcm_rows(u[:, 6:10]))
+
+
+def rvh_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of eight-parameter rows ``y`` (n, 8).
+
+    The rows are in :meth:`RvhState.to_array` layout; the in-plane pair and
+    then the position quaternion are renormalized before the radius, the
+    speed and the pair's norm are checked.
+    """
+    u = np.array(y, dtype=float)
+    u[:, 6], u[:, 7] = rvh_unit_pair(u)
+    u[:, 1:5] = renormalize_rows(u[:, 1:5])
+    _require_positive(u[:, 0], "radius")
+    _require_positive(u[:, 5], "speed")
+    n = np.hypot(u[:, 6], u[:, 7])
+    bad = np.abs(n - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(
+            f"in-plane rotation pair norm {float(n[bad][0])!r} violates unit constraint"
+        )
+    return _through_frames(u, rvh_c_ba_rows(u[:, 6], u[:, 7]))
+
+
+def rvh_unit_pair(y):
+    """The in-plane pair of each eight-parameter row of ``y`` over its ``math.hypot`` norm."""
+    n = np.array([math.hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
+    if (n == 0.0).any():
+        raise ValueError("cannot renormalize a zero-norm in-plane rotation pair")
+    return y[:, 6] / n, y[:, 7] / n
+
+
+def rvh_c_ba_rows(eps_b3, eta_b) -> np.ndarray:
+    """DCMs (n, 3, 3) of B over A, a rotation about the third axis, from unit in-plane pairs (n,)."""
+    c = 1.0 - 2.0 * eps_b3 * eps_b3
+    s = 2.0 * eps_b3 * eta_b
+    zero, one = np.zeros(len(c)), np.ones(len(c))
+    return np.stack((c, s, zero, -s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
+
+
+def _through_frames(u, c_ba):
+    """Positions and velocities of rows ``u`` (radius, unit A quaternion, speed, ...)
+    whose B frames have the DCMs ``c_ba`` (n, 3, 3) over A."""
+    c_ae = dcm_rows(u[:, 1:5])
+    return _nonzero_positions(u[:, 0:1] * c_ae[:, 0, :], u[:, 5:6] * (c_ba @ c_ae)[:, 0, :])
+
+
+def spherical_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of spherical rows ``y`` (n, 6).
+
+    The rows are in :meth:`SphericalState.to_array` layout.  The sines and
+    cosines are taken row by row with :mod:`math`; NumPy's are not promised
+    to round like the C library's.
+    """
+    y = np.asarray(y, dtype=float)
+    _require_positive(y[:, 0], "radius")
+    for col, what in ((2, "latitude"), (4, "flight path angle")):
+        bad = np.abs(y[:, col]) > math.pi / 2 + 1e-12
+        if bad.any():
+            raise ValueError(f"{what} {float(y[bad, col][0])!r} outside [-pi/2, pi/2]")
+    ct, st, cl, sl, cg, sg, cp, sp = (
+        np.array([f(a) for a in y[:, k].tolist()])
+        for k in (2, 1, 4, 5)  # latitude, longitude, flight path angle, azimuth
+        for f in (math.cos, math.sin)
+    )
+    up = (ct * cl, ct * sl, st)
+    east = (-sl, cl, 0.0)
+    north = (-st * cl, -st * sl, ct)
+    pos = [y[:, 0] * u for u in up]
+    vel = [y[:, 3] * (sg * u + cg * (cp * n + sp * e)) for u, n, e in zip(up, north, east)]
+    return _nonzero_positions(np.column_stack(pos), np.column_stack(vel))
+
+
+def cartesian_rows_to_cartesian(y):
+    """Positions and velocities (n, 3) of Cartesian rows ``y`` (n, 6), copied."""
+    y = np.asarray(y, dtype=float)
+    return _nonzero_positions(y[:, 0:3].copy(), y[:, 3:6].copy())
+
+
+def _require_positive(values, what):
+    bad = values <= 0.0
+    if bad.any():
+        raise ValueError(f"{what} must be positive, got {float(values[bad][0])!r}")
+
+
+def _nonzero_positions(p, v):
+    if (row_norms(p) <= 0.0).any():
+        raise ValueError("position must be nonzero")
+    return p, v

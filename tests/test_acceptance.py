@@ -53,7 +53,6 @@ from quatflight.states import (
     RvState,
     SphericalState,
     cartesian_to_rv,
-    spherical_to_cartesian,
 )
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -124,7 +123,7 @@ def test_criterion_2_oracle_equivalence():
     tic = time.perf_counter()
     for case in range(20):
         sph0 = _random_entry_ic(rng)
-        cart0 = spherical_to_cartesian(sph0)
+        cart0 = PARAMETERIZATIONS["spherical"].to_cartesian(sph0.to_array())
         profile = ControlProfile(
             alpha=PiecewiseLinear([0.0, 100.0], sorted(rng.uniform(0.05, 0.25, size=2))),
             bank=PiecewiseLinear([0.0, 100.0], list(rng.uniform(-1.0, 1.0, size=2))),

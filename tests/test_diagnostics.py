@@ -42,15 +42,7 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.states import (
-    CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
-    rv_to_cartesian,
-    rvh_to_cartesian,
-    spherical_to_cartesian,
-)
+from quatflight.states import CartesianState, RvhState, RvState, SphericalState
 
 BUNDLED = ("entry_table3", "vertical_dive", "circular_orbit", "bench_entry", "norm_drift")
 
@@ -510,11 +502,6 @@ STATE_ROWS = {
     ),
 }
 STATE_ROWS["rvl"] = STATE_ROWS["rv"]
-PER_STATE = {
-    "rv": (RvState, rv_to_cartesian),
-    "rvh": (RvhState, rvh_to_cartesian),
-    "spherical": (SphericalState, spherical_to_cartesian),
-}
 
 
 class TestConversionProperties:
@@ -531,11 +518,6 @@ class TestConversionProperties:
                 assert got.tobytes() == expected.position.tobytes()
             for got in (v[k], single.velocity):
                 assert got.tobytes() == expected.velocity.tobytes()
-            if form in PER_STATE:
-                state_cls, per_state = PER_STATE[form]
-                state = state_cls.from_array(row)
-                assert per_state(state).position.tobytes() == expected.position.tobytes()
-                assert per_state(state).velocity.tobytes() == expected.velocity.tobytes()
 
     @pytest.mark.parametrize("form", list(PARAMETERIZATIONS))
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -377,6 +377,64 @@ class TestCli:
             assert cli_main(argv) == 2
             assert f"initial_state: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("vehicle.mass", ".nan"),
+            ("stop.t_final", ".inf"),
+            ("integrator.rel_tol", ".nan"),
+            ("integrator.rel_tol", "-1.0"),
+            ("initial_state.r", ".inf"),
+            ("aero.S", ".inf"),
+            ("integrator.max_steps", ".inf"),
+            ("compare_points", ".nan"),
+            ("t0", "-.inf"),
+            ("initial_state.velocity", "[0.0, .nan, 0.0]"),
+            ("controls.alpha", ".nan"),
+            ("controls.bank", "{times: [0.0, .inf], values: [0.0, 1.0]}"),
+            ("controls.thrust", "{times: [0.0, 10.0], values: [0.0, .nan]}"),
+        ],
+    )
+    def test_nonfinite_or_out_of_range_number_rejected(self, tmp_path, capsys, path, value):
+        data = minimal_config_dict()
+        if path == "initial_state.r":
+            data["initial_state"] = {"kind": "spherical", "r": 7e6, "v": 7546.0}
+        *sections, key = path.split(".")
+        target = data
+        for section in sections:
+            target = target[section]
+        target[key] = yaml.safe_load(value)
+        config = tmp_path / "nonfinite.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert cli_main(["validate", str(config)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("thrust, code", [(0.0, 0), (5e4, 2), (-1.0, 2)])
+    def test_vehicle_thrust_must_be_zero(self, tmp_path, capsys, thrust, code):
+        data = minimal_config_dict()
+        data["vehicle"]["thrust"] = thrust
+        config = tmp_path / "thrust.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert cli_main(["validate", str(config)]) == code
+        if code:
+            assert "vehicle.thrust: " in capsys.readouterr().err
+
+    def test_bench_leaves_guarded_forms_out(self, tmp_path, capsys):
+        dive = bundled_scenario_path("vertical_dive")
+        assert cli_main(["bench", str(dive), "--evals", "10000"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines()[2:] if ":" not in line]
+        assert rows == ["rv", "rvl", "cartesian"]
+        assert "rvh: singularity_guard (rvh singular: zero angular momentum)" in out
+        assert "spherical: singularity_guard (spherical vertical-flight singularity)" in out
+
+        data = yaml.safe_load(dive.read_text())
+        data["stop"]["expected_guards"] = []
+        unexpected = tmp_path / "dive.yaml"
+        unexpected.write_text(yaml.safe_dump(data))
+        assert cli_main(["bench", str(unexpected), "--evals", "10000"]) == 3
+        assert "rvh: singularity_guard" in capsys.readouterr().out
+
     def test_bench_rejects_tiny_eval_count(self, capsys):
         code = cli_main(
             ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10"]
@@ -421,6 +479,9 @@ class TestPackageExports:
         namespace = {}
         exec("from quatflight import *", namespace)
         assert set(quatflight.__all__) <= set(namespace)
+        # each form converts through its Parameterization's to_cartesian_rows
+        for gone in ("rv_to_cartesian", "rvh_to_cartesian", "spherical_to_cartesian"):
+            assert gone not in quatflight.__all__ and not hasattr(quatflight, gone)
 
 
 class TestEntryScenarioInvariants:

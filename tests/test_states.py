@@ -15,9 +15,6 @@ from quatflight.states import (
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
-    rv_to_cartesian,
-    rvh_to_cartesian,
-    spherical_to_cartesian,
     twist_about_b1,
 )
 
@@ -36,14 +33,14 @@ def random_cartesian(rng):
 class TestRvCartesian:
     def test_aligned_frames(self):
         s = RvState(r=7e6, qa=UnitQuaternion.identity(), v=500.0, qb=UnitQuaternion.identity())
-        c = rv_to_cartesian(s)
+        c = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
         np.testing.assert_allclose(c.position, [7e6, 0, 0], atol=1e-9)
         np.testing.assert_allclose(c.velocity, [500.0, 0, 0], atol=1e-12)
 
     def test_entry_fixture_velocity_perpendicular(self):
         qb = UnitQuaternion(HALF_SQRT2, HALF_SQRT2, 0.0, 0.0)
         s = RvState(r=R_EARTH + 37e3, qa=UnitQuaternion.identity(), v=7138.0, qb=qb)
-        c = rv_to_cartesian(s)
+        c = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
         cos_angle = float(np.dot(c.position, c.velocity)) / (c.r * c.v)
         assert abs(cos_angle) < 1e-12
         np.testing.assert_allclose(c.velocity, [0.0, 7138.0, 0.0], atol=1e-9)
@@ -53,7 +50,7 @@ class TestRvCartesian:
         for _ in range(1000):
             c = random_cartesian(rng)
             s = cartesian_to_rv(c)
-            back = rv_to_cartesian(s)
+            back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-8)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-10)
             assert abs(s.r - c.r) <= 1e-12 * c.r
@@ -77,7 +74,7 @@ class TestRvCartesian:
         s = cartesian_to_rv(c)
         # half turn about the third axis, exactly
         assert s.qb.as_array().tolist() == [0.0, 0.0, 1.0, 0.0]
-        back = rv_to_cartesian(s)
+        back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
         np.testing.assert_allclose(back.position, c.position, rtol=1e-12)
         np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-12)
 
@@ -110,7 +107,7 @@ class TestRvhCartesian:
         for _ in range(500):
             c = random_cartesian(rng)
             s = cartesian_to_rvh(c)
-            back = rvh_to_cartesian(s)
+            back = PARAMETERIZATIONS["rvh"].to_cartesian(s.to_array())
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-8)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
@@ -152,7 +149,7 @@ class TestSphericalCartesian:
             if abs(s.gamma) > math.pi / 2 - 1e-6:
                 continue
             n += 1
-            back = spherical_to_cartesian(s)
+            back = PARAMETERIZATIONS["spherical"].to_cartesian(s.to_array())
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-7)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
@@ -216,6 +213,6 @@ class TestRvlGauge:
         for _ in range(100):
             c = random_cartesian(rng)
             s = RvState.from_array(rvl_from_cartesian(c, twist=rng.uniform(-math.pi, math.pi)))
-            back = rv_to_cartesian(s)
+            back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-9, atol=1e-8)
