@@ -102,7 +102,7 @@ class ControlProfile:
         )
 
     def knot_times(self):
-        """Sorted unique knot times across all profiles (integration break points)."""
+        """Sorted unique knot times across all profiles, where the derivative may jump."""
         knots = set()
         for p in (self.alpha, self.bank, self.wb1, self.thrust):
             knots.update(p.times)

@@ -5,9 +5,24 @@ an adaptive Dormand-Prince 5(4) pair.  Both optionally rescale the state's
 quaternion blocks to unit norm after every accepted step; the derivative
 functions themselves never do this, so the policy lives entirely here.
 
-Steps always land exactly on requested break times (control-profile knots,
-comparison grid points, the terminal time), which keeps independently
-propagated trajectories comparable sample-for-sample without interpolation.
+Steps always land exactly on two kinds of break time:
+
+* other break times (``t_breaks``: comparison grid points) and the
+  terminal time, where the derivative is smooth.  Landing on them keeps
+  independently propagated trajectories comparable sample for sample
+  without interpolation.
+* control knots (``t_knots``, the terminal time included when it is one),
+  where the derivative may jump:
+  ``PiecewiseLinear.rate`` is right-continuous, so at a knot it already
+  gives the next segment's slope.  An adaptive step that lands on a knot
+  evaluates its two ``c = 1`` stages, 6 and 7, at the left limit
+  ``nextafter(knot, -inf)``, so the whole step integrates the segment that
+  ends there; the next step starts at the knot on the next segment.  This
+  is one-sided integration up to a discontinuity (Gear & Osterby, ACM TOMS
+  10(1), 1984).  Evaluated at the knot itself, those stages would put an
+  O(1) jump into the error estimate of every attempt to land, and the
+  step would creep up to the knot through a cascade of rejections.  The
+  fixed RK4 step evaluates its last stage at the knot itself.
 
 A radius-crossing event is refined by bisection inside the bracketing step
 until the event time is known to 1e-6 s and the radius mismatch is below
@@ -16,14 +31,31 @@ on the other side of it, in either direction.  A state that starts exactly
 on the target is not a crossing: the event arms at the first accepted step
 that ends off the target, whichever side that is.
 
-When a derivative evaluation raises a singularity guard, the trajectory
-accumulated so far is returned intact together with a
-``singularity_guard`` stop event.  A fixed step that produces a non-finite
-state ends the run the same way, as a ``step_failure`` with message
-"non-finite state".  An adaptive step whose error estimate is not a number
-(a trial stage overflowed or the derivative returned NaN) is rejected like
-one whose estimate is infinite; if the step size then underflows, the run
-ends with that same message instead of "step size underflow".
+Where a derivative evaluation fails decides what the failure means:
+
+* a singularity guard (``SingularityError``) at the accepted state, the
+  first stage of a step, ends the run: the trajectory accumulated so far
+  is returned intact with a ``singularity_guard`` stop event at that
+  state.  The fixed RK4 step ends the run so on a guard in any stage.
+* in an adaptive step, a guard or an ``ArithmeticError`` (an overflow,
+  say) raised in a trial stage, 2 to 7, is recoverable, as a right-hand
+  side failure is in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3),
+  2005): the step is rejected as if its error estimate were infinite and
+  retried 0.2 times as long.  A trial stage of a too-long step can leave
+  the region where the derivative is defined although the solution never
+  does.
+* an adaptive step whose error estimate is not a number (a trial stage
+  overflowed or the derivative returned NaN) is rejected the same way.
+
+An adaptive step may not shrink below the step floor
+``1e-14 * max(|t|, 1)``.  A rejection that would go below it ends the run
+at the last accepted sample: as ``singularity_guard`` with the guard's
+message when the rejected trial raised one, as ``step_failure`` with the
+exception's type and message when it raised an ``ArithmeticError``, as
+``step_failure`` "non-finite state" when its error estimate was not a
+number, and as ``step_failure`` "step size underflow" otherwise.  A fixed
+step that produces a non-finite state ends the run as ``step_failure``
+"non-finite state".
 
 The Dormand-Prince step and its error norm work on Python floats: the
 state and each stage derivative are unpacked once with ``tolist()``, and
@@ -41,8 +73,10 @@ step to the next, and is reused only where its inputs are bit-identical:
   stage, so a retry costs six evaluations, not seven;
 * after an accepted step, the stage-7 derivative becomes the next step's
   first stage (first same as last) when the new sample is that stage's
-  point exactly: the step was not shortened to land on a break, and
-  renormalization changed no bit of the state.
+  point exactly: the step was not shortened to land on a break time,
+  renormalization changed no bit of the state, and the step did not land
+  on a knot (its stage 7 sat at the knot's left limit, and the next step
+  starts on the knot's other side).
 
 Accepted samples are copied into preallocated time and state buffers that
 double when full; the trajectory receives trimmed copies, so its rows
@@ -56,7 +90,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, sqrt
+from math import inf, isfinite, isnan, nan, nextafter, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -181,14 +215,16 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dp54_step(rhs, t, y, h, k1=None):
+def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
     """One Dormand-Prince step on Python floats.
 
     Returns ``(y5, err, k7)``: the stage-7 state as an array (it is the
     fifth-order solution, since ``_DP_A[6] == _DP_B[:6]`` and
     ``_DP_B[6] == 0``), the error estimate as a list of floats, and the
-    derivative at ``(t + h, y5)``.  ``k1`` is the derivative at ``(t, y)``
-    when the caller already has it.
+    derivative at ``(t_end, y5)``.  ``k1`` is the derivative at ``(t, y)``
+    when the caller already has it.  ``t_end`` is the time of stages 6
+    and 7, both at ``c = 1``: ``t + h`` unless the caller passes the left
+    limit of a control knot the step lands on.
 
     Each stage state is summed weight by weight in table order, skipping
     zero weights, so every component is the float the array expression
@@ -196,6 +232,8 @@ def _dp54_step(rhs, t, y, h, k1=None):
     """
     if k1 is None:
         k1 = rhs(t, y)
+    if t_end is None:
+        t_end = t + h
     a = _DP_A
     y0 = y.tolist()
     d1 = k1.tolist()
@@ -223,7 +261,7 @@ def _dp54_step(rhs, t, y, h, k1=None):
     ).tolist()
     c1, c2, c3, c4, c5 = h * a[5][0], h * a[5][1], h * a[5][2], h * a[5][3], h * a[5][4]
     d6 = rhs(
-        t + _DP_C[5] * h,
+        t_end,
         np.array(
             [
                 v + c1 * p + c2 * q + c3 * r + c4 * s + c5 * u
@@ -239,7 +277,7 @@ def _dp54_step(rhs, t, y, h, k1=None):
             for v, p, r, s, u, w in zip(y0, d1, d3, d4, d5, d6)
         ]
     )
-    k7 = rhs(t + _DP_C[6] * h, y5)
+    k7 = rhs(t_end, y5)
     # _DP_E[1] == 0
     e = _DP_E
     c1, c3, c4, c5, c6, c7 = h * e[0], h * e[2], h * e[3], h * e[4], h * e[5], h * e[6]
@@ -299,10 +337,15 @@ def _pairwise_sum(x):
 
 
 class _BreakSchedule:
-    """Iterator over forced landing times within (t0, t_final]."""
+    """Iterator over forced landing times within (t0, t_final].
 
-    def __init__(self, t0, t_final, t_breaks):
-        pts = sorted({float(b) for b in t_breaks if t0 < b < t_final})
+    ``knots`` holds the landing times that are control knots, the terminal
+    time included when it is one.
+    """
+
+    def __init__(self, t0, t_final, t_breaks, t_knots=()):
+        self.knots = {float(b) for b in t_knots if t0 < b <= t_final}
+        pts = sorted({float(b) for b in (*t_breaks, *t_knots) if t0 < b < t_final})
         pts.append(t_final)
         self.points = pts
         self.i = 0
@@ -324,6 +367,7 @@ def propagate(
     radius_target: Optional[float] = None,
     t_breaks=(),
     scales=None,
+    t_knots=(),
 ):
     """Integrate ``rhs`` from ``(t0, y0)`` until the terminal time or an event.
 
@@ -340,11 +384,28 @@ def propagate(
         start exactly on the target does not count; the event arms once
         the radius leaves it.
     t_breaks : sequence of float
-        Times the stepper must land on exactly (control knots, comparison
-        grids).
+        Times the stepper must land on exactly, where ``rhs`` is smooth
+        (comparison grids).
     scales : array, optional
         Per-component scaling of the absolute tolerance (lengths and speeds
         are many orders of magnitude above quaternion components).
+    t_knots : sequence of float
+        Times where ``rhs`` may jump (control-profile knots).  The stepper
+        lands on them too; an adaptive step that does evaluates its two
+        ``c = 1`` stages at the left limit ``nextafter(knot, -inf)`` and
+        hands the next step no stage-7 derivative, so each step sees one
+        smooth segment of the controls.
+
+    Adaptive steps treat a derivative failure by where it happens.  A
+    ``SingularityError`` at the accepted state ``(t, y)`` ends the run as
+    ``singularity_guard`` at ``t``.  A ``SingularityError`` or
+    ``ArithmeticError`` in a trial stage rejects the step like an infinite
+    error estimate, and the retry is 0.2 times as long.  A step shorter
+    than ``1e-14 * max(|t|, 1)`` ends the run: as ``singularity_guard``
+    with the guard's message when the last trial raised one, otherwise as
+    ``step_failure`` with the exception's message, "non-finite state" or
+    "step size underflow".  A fixed RK4 step ends the run on a
+    ``SingularityError`` in any stage.
 
     Returns
     -------
@@ -374,7 +435,7 @@ def propagate(
     n_rows = 1
     n_steps = 0
     n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_breaks)
+    schedule = _BreakSchedule(t0, t_final, t_breaks, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
     rel_tol = config.rel_tol
@@ -394,6 +455,10 @@ def propagate(
         )
         return traj, event
 
+    def stop(kind, message=""):
+        """End the run at the last accepted sample."""
+        return finish(StopEvent(kind=kind, t_event=t, y_event=y.copy(), message=message))
+
     t = t0
     g_prev = None
     if radius_fn is not None and radius_target is not None:
@@ -408,36 +473,39 @@ def propagate(
     target = schedule.next_after(t)
     while True:
         if target is None:
-            return finish(StopEvent(kind="terminal_time", t_event=t, y_event=y.copy()))
+            return stop("terminal_time")
         if n_steps + n_rejected >= config.max_steps:
             raise PropagationError("maximum step count exceeded", t=t)
 
         h_try = min(h, target - t)
         landing = h_try >= target - t - 1e-15
-        try:
-            if adaptive:
-                if k1 is None:
+        if adaptive:
+            if k1 is None:
+                try:
                     k1 = counted_rhs(t, y)
-                y5, err, k7 = _dp54_step(counted_rhs, t, y, h_try, k1)
+                except SingularityError as exc:
+                    return stop("singularity_guard", str(exc))
+            # the time of stages 6 and 7; a knot is reached from the left
+            t7 = nextafter(target, -inf) if landing and target in schedule.knots else t + h_try
+            failure = None
+            try:
+                y5, err, k7 = _dp54_step(counted_rhs, t, y, h_try, k1, t7)
                 err_norm = _error_norm(err, y.tolist(), y5.tolist(), abs_tol, rel_tol)
-                finite = not isnan(err_norm)
-                if not finite:
-                    err_norm = inf
                 y_new = y5
-            else:
+            except (SingularityError, ArithmeticError) as exc:
+                failure = exc
+                err_norm = nan
+            finite = not isnan(err_norm)
+            if not finite:
+                err_norm = inf
+        else:
+            try:
                 y_new = _rk4_step(counted_rhs, t, y, h_try)
-                err_norm = 0.0
-                # one float sum: NaN or inf in any component carries through
-                finite = isfinite(sum(y_new.tolist()))
-        except SingularityError as exc:
-            return finish(
-                StopEvent(
-                    kind="singularity_guard",
-                    t_event=t,
-                    y_event=y.copy(),
-                    message=str(exc),
-                )
-            )
+            except SingularityError as exc:
+                return stop("singularity_guard", str(exc))
+            err_norm = 0.0
+            # one float sum: NaN or inf in any component carries through
+            finite = isfinite(sum(y_new.tolist()))
 
         if adaptive and err_norm > 1.0:
             # the retry starts from the same (t, y) and keeps k1
@@ -445,25 +513,16 @@ def propagate(
             factor = max(0.2, 0.9 * err_norm ** (-0.2))
             h = h_try * min(factor, 0.9)
             if h < 1e-14 * max(abs(t), 1.0):
-                return finish(
-                    StopEvent(
-                        kind="step_failure",
-                        t_event=t,
-                        y_event=y.copy(),
-                        message="step size underflow" if finite else "non-finite state",
-                    )
-                )
+                if isinstance(failure, SingularityError):
+                    return stop("singularity_guard", str(failure))
+                if failure is not None:
+                    return stop("step_failure", f"{type(failure).__name__}: {failure}")
+                message = "step size underflow" if finite else "non-finite state"
+                return stop("step_failure", message)
             continue
 
         if not finite:
-            return finish(
-                StopEvent(
-                    kind="step_failure",
-                    t_event=t,
-                    y_event=y.copy(),
-                    message="non-finite state",
-                )
-            )
+            return stop("step_failure", "non-finite state")
 
         n_steps += 1
         t_new = target if landing else t + h_try
@@ -493,17 +552,16 @@ def propagate(
             return finish(event)
 
         if adaptive:
-            # stage 7 was evaluated at (t + h_try, y5): reuse its derivative
-            # when the new sample is that point bit for bit
-            k1 = k7 if t_new == t + h_try and y_new is y5 else None
+            # stage 7 was evaluated at (t7, y5): reuse its derivative when
+            # the new sample is that point bit for bit, which a knot landing
+            # never is
+            k1 = k7 if t_new == t7 and y_new is y5 else None
         t = t_new
         y = y_new
 
         if landing:
             if target >= t_final:
-                return finish(
-                    StopEvent(kind="terminal_time", t_event=t, y_event=y.copy())
-                )
+                return stop("terminal_time")
             target = schedule.next_after(t)
 
         if adaptive:

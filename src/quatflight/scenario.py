@@ -186,6 +186,13 @@ class _Validator:
                 self.fail(where, f"must be >= {minimum}, got {value}")
         return value
 
+    def count(self, data, key, path, default, minimum):
+        """A whole number, as an ``int``; ``2.0`` is 2, ``2.7`` an error."""
+        value = self.number(data, key, path, default=default, minimum=minimum)
+        if value != int(value):
+            self.fail(f"{path}.{key}".lstrip("."), f"must be a whole number, got {value}")
+        return int(value)
+
     def vector(self, data, key, path, length):
         raw = data.get(key)
         if raw is None:
@@ -272,8 +279,8 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     params = _parse_parameterizations(v, data)
 
     t0 = v.number(data, "t0", "", default=0.0)
-    compare_points = int(v.number(data, "compare_points", "", default=101.0, minimum=2.0))
-    csv_stride = int(v.number(data, "csv_stride", "", default=1.0, minimum=1.0))
+    compare_points = v.count(data, "compare_points", "", default=101.0, minimum=2.0)
+    csv_stride = v.count(data, "csv_stride", "", default=1.0, minimum=1.0)
 
     if v.errors:
         raise ConfigError(v.errors)
@@ -361,7 +368,7 @@ def _parse_integrator(v, data):
     if not isinstance(renorm, bool):
         v.fail("integrator.renormalize", "must be a boolean")
         renorm = True
-    max_steps = int(v.number(sec, "max_steps", "integrator", default=2e6, minimum=1.0))
+    max_steps = v.count(sec, "max_steps", "integrator", default=2e6, minimum=1.0)
     if v.errors:
         return None
     return IntegratorConfig(
@@ -459,8 +466,6 @@ def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) ->
             event=StopEvent(kind="singularity_guard", t_event=config.t0, message=str(exc)),
         )
     rhs = spec.make_rhs(config.controls, env)
-    breaks = set(config.controls.knot_times())
-    breaks.update(compare_times)
     try:
         trajectory, event = propagate(
             rhs,
@@ -471,8 +476,9 @@ def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) ->
             quat_spans=spec.quat_spans,
             radius_fn=spec.radius if config.stop.radius is not None else None,
             radius_target=config.stop.radius,
-            t_breaks=sorted(breaks),
+            t_breaks=compare_times,
             scales=spec.scales,
+            t_knots=config.controls.knot_times(),
         )
     except PropagationError as exc:
         return RunResult(

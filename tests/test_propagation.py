@@ -65,14 +65,16 @@ def reference_rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_dp54_step(rhs, t, y, h):
+def reference_dp54_step(rhs, t, y, h, t_end=None):
+    """``t_end`` replaces ``t + h`` as the time of the two ``c = 1`` stages."""
     k = [rhs(t, y)]
     for i in range(1, 7):
         yi = y.copy()
         for j, a in enumerate(_DP_A[i]):
             if a != 0.0:
                 yi = yi + (h * a) * k[j]
-        k.append(rhs(t + _DP_C[i] * h, yi))
+        t_i = t_end if _DP_C[i] == 1.0 and t_end is not None else t + _DP_C[i] * h
+        k.append(rhs(t_i, yi))
     y5 = y.copy()
     for b, ki in zip(_DP_B, k):
         if b != 0.0:
@@ -84,17 +86,22 @@ def reference_dp54_step(rhs, t, y, h):
     return y5, err
 
 
-def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), t_breaks=(), scales=None):
+def reference_adaptive(
+    rhs, t0, y0, t_final, config, quat_spans=(), t_breaks=(), scales=None, t_knots=()
+):
     """The array-copying adaptive loop, without events.
 
     Same controller, break landings and renormalization policy as
-    ``propagate``, with the error norm taken by ``np.mean``.  Returns
+    ``propagate``, with the error norm taken by ``np.mean``.  A step that
+    lands on a knot evaluates its ``c = 1`` stages at the knot's left
+    limit.  Every step evaluates all seven stages afresh, so there is no
+    first-same-as-last reuse to skip after a knot.  Returns
     ``(t, y, n_steps, n_rejected)``.
     """
     y = np.asarray(y0, dtype=float).copy()
     ts, ys = [t0], [y]
     n_steps = n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_breaks)
+    schedule = _BreakSchedule(t0, t_final, t_breaks, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     abs_tol = config.abs_tol
     if scales is not None:
@@ -105,7 +112,8 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), t_breaks=(),
     while target is not None:
         h_try = min(h, target - t)
         landing = h_try >= target - t - 1e-15
-        y_new, err = reference_dp54_step(rhs, t, y, h_try)
+        t_end = math.nextafter(target, -math.inf) if landing and target in schedule.knots else None
+        y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end)
         tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
         if math.isnan(err_norm):
@@ -395,6 +403,72 @@ class TestGuardsAndBudget:
         # reached the guard just short of the pole
         assert traj.y[-1][2] > 0.8
 
+    @pytest.mark.parametrize(
+        "failure", [SingularityError("off the circle"), OverflowError("math range error")]
+    )
+    def test_trial_stage_failure_rejects_the_step(self, failure):
+        # the oscillator stays on the unit circle; only the trial states of a
+        # too-long step stray far enough off it to raise
+        trips = []
+
+        def rhs(t, y):
+            x, v = y
+            if x * x + v * v > 1.05:
+                trips.append(t)
+                raise failure
+            return np.array([v, -x])
+
+        cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
+        traj, event = propagate(rhs, 0.0, np.array([1.0, 0.0]), 50.0, cfg)
+        assert event.kind == "terminal_time"
+        assert traj.t[-1] == 50.0
+        assert trips and traj.n_rejected >= len(trips)
+        assert np.all(np.sum(traj.y**2, axis=1) <= 1.05)
+        assert np.allclose(traj.y[-1], [math.cos(50.0), -math.sin(50.0)], atol=0.02)
+
+    def test_guard_at_accepted_state_ends_the_run(self):
+        # the controls forbid flight from the knot on: the step that lands
+        # there sees the segment before it, the next step's first stage not
+        def rhs(t, y):
+            if t >= 1.0:
+                raise SingularityError("past the knot")
+            return np.array([1.0])
+
+        traj, event = propagate(
+            rhs, 0.0, np.array([0.0]), 2.0, IntegratorConfig(), t_knots=[1.0]
+        )
+        assert (event.kind, event.message, event.t_event) == (
+            "singularity_guard",
+            "past the knot",
+            1.0,
+        )
+        assert traj.t[-1] == 1.0
+        assert traj.y[-1][0] == 1.0
+        assert traj.n_rejected == 0
+
+    @pytest.mark.parametrize(
+        "failure, kind, message",
+        [
+            (SingularityError("beyond t*"), "singularity_guard", "beyond t*"),
+            (OverflowError("math range error"), "step_failure", "OverflowError: math range error"),
+        ],
+    )
+    def test_failure_beyond_a_time_ends_at_the_step_floor(self, failure, kind, message):
+        t_star = 0.7
+
+        def rhs(t, y):
+            if t > t_star:
+                raise failure
+            return -y
+
+        traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        assert (event.kind, event.message) == (kind, message)
+        # the steps shrank until even the shortest one allowed crossed t*
+        assert 0.0 < t_star - event.t_event < 1e-13
+        assert event.t_event == traj.t[-1]
+        assert traj.n_rejected > 0
+        assert np.all(np.isfinite(traj.y))
+
 
 class TestAdaptiveVsFixed:
     def test_methods_agree_on_smooth_problem(self):
@@ -481,21 +555,44 @@ class TestStepperMatchesReference:
             assert got == expected or (math.isnan(got) and math.isnan(expected)), (i, got, expected)
 
 
+class TestKnotLandings:
+    def test_rate_jump_at_knot_costs_no_rejection(self):
+        # a right-continuous rate jump at the knot: the step that lands
+        # there integrates the segment before it exactly, and the next
+        # step starts from the derivative after it
+        rhs = lambda t, y: np.array([1.0 if t < 1.0 else 2.0])
+        traj, event = propagate(
+            rhs, 0.0, np.array([0.0]), 2.0, IntegratorConfig(), t_knots=[1.0]
+        )
+        assert event.kind == "terminal_time"
+        assert traj.n_rejected == 0
+        assert traj.y[traj.index_of_time(1.0)][0] == 1.0
+        assert traj.y[-1][0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_rvl_entry_lands_on_bank_knot_without_cascade(self):
+        # rvl in beta mode feeds the bank profile's rate to its derivative
+        config = load_scenario(bundled_scenario_path("entry_table3"))
+        res = run_parameterization("rvl", config)
+        assert res.event.kind == "radius_crossing"
+        assert res.trajectory.n_rejected <= 20
+        assert res.trajectory.n_evals <= 1200
+
+
 class TestDerivativeReuse:
     """The adaptive loop evaluates the derivative at no point twice."""
 
-    T_FINAL = 300.0
+    T_FINAL = 450.0
 
     @staticmethod
     def entry_runs():
         """Every form on the first minutes of the bundled entry, at two tolerances."""
         config = load_scenario(bundled_scenario_path("entry_table3"))
-        breaks = sorted(config.controls.knot_times())
+        knots = config.controls.knot_times()
         for rel_tol in (1e-10, 1e-7):
             integrator = dataclasses.replace(config.integrator, rel_tol=rel_tol)
             for name, spec in PARAMETERIZATIONS.items():
                 rhs = spec.make_rhs(config.controls, config.environment)
-                kwargs = dict(quat_spans=spec.quat_spans, t_breaks=breaks, scales=spec.scales)
+                kwargs = dict(quat_spans=spec.quat_spans, t_knots=knots, scales=spec.scales)
                 yield name, rhs, initial_array_for(name, config), integrator, kwargs
 
     def test_matches_array_loop_bit_for_bit(self):

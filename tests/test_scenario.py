@@ -409,6 +409,37 @@ class TestCli:
         assert cli_main(["validate", str(config)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [("csv_stride", 2.7), ("compare_points", 3.9), ("integrator.max_steps", 10.5)],
+    )
+    def test_non_integer_count_rejected(self, tmp_path, capsys, path, value):
+        *sections, key = path.split(".")
+        data = minimal_config_dict()
+        target = data
+        for section in sections:
+            target = target[section]
+        config = tmp_path / "count.yaml"
+        target[key] = value
+        config.write_text(yaml.safe_dump(data))
+        for argv in (
+            ["validate", str(config)],
+            ["run", str(config), "--out", str(tmp_path)],
+            ["bench", str(config)],
+        ):
+            assert cli_main(argv) == 2
+            assert f"config error: {path}: must be a whole number, got {value}" in (
+                capsys.readouterr().err
+            )
+        target[key] = float(round(value))
+        config.write_text(yaml.safe_dump(data))
+        assert cli_main(["validate", str(config)]) == 0
+        loaded = load_scenario(config)
+        if key == "max_steps":
+            loaded = loaded.integrator
+        assert getattr(loaded, key) == round(value)
+        assert type(getattr(loaded, key)) is int
+
     @pytest.mark.parametrize("thrust, code", [(0.0, 0), (5e4, 2), (-1.0, 2)])
     def test_vehicle_thrust_must_be_zero(self, tmp_path, capsys, thrust, code):
         data = minimal_config_dict()
