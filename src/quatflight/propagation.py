@@ -1,35 +1,47 @@
-"""Numerical propagation of flight states with events and norm control.
+"""Numerical propagation of flight states with events, norm control and dense output.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an adaptive Dormand-Prince 5(4) pair.  Both optionally rescale the state's
 quaternion blocks to unit norm after every accepted step; the derivative
 functions themselves never do this, so the policy lives entirely here.
 
-Steps always land exactly on two kinds of break time:
+Steps land exactly only on the control knots (``t_knots``) and on the
+terminal time.  The derivative may jump at a knot:
+``PiecewiseLinear.rate`` is right-continuous, so at a knot it already gives
+the next segment's slope.  An adaptive step that lands on a knot evaluates
+its two ``c = 1`` stages, 6 and 7, at the left limit
+``nextafter(knot, -inf)``, so the whole step integrates the segment that
+ends there; the next step starts at the knot on the next segment.  This is
+one-sided integration up to a discontinuity (Gear & Osterby, ACM TOMS
+10(1), 1984).  Evaluated at the knot itself, those stages would put an O(1)
+jump into the error estimate of every attempt to land, and the step would
+creep up to the knot through a cascade of rejections.  The fixed RK4 step
+evaluates its last stage at the knot itself.
 
-* other break times (``t_breaks``: comparison grid points) and the
-  terminal time, where the derivative is smooth.  Landing on them keeps
-  independently propagated trajectories comparable sample for sample
-  without interpolation.
-* control knots (``t_knots``, the terminal time included when it is one),
-  where the derivative may jump:
-  ``PiecewiseLinear.rate`` is right-continuous, so at a knot it already
-  gives the next segment's slope.  An adaptive step that lands on a knot
-  evaluates its two ``c = 1`` stages, 6 and 7, at the left limit
-  ``nextafter(knot, -inf)``, so the whole step integrates the segment that
-  ends there; the next step starts at the knot on the next segment.  This
-  is one-sided integration up to a discontinuity (Gear & Osterby, ACM TOMS
-  10(1), 1984).  Evaluated at the knot itself, those stages would put an
-  O(1) jump into the error estimate of every attempt to land, and the
-  step would creep up to the knot through a cascade of rejections.  The
-  fixed RK4 step evaluates its last stage at the knot itself.
+Every accepted step has a continuous extension built from the stage
+derivatives it already computed, so it costs no derivative evaluation: the
+free 4th-order interpolant of Dormand-Prince 5(4) (Shampine, Math. Comp.
+46, 1986; the coefficients of scipy's ``RK45.P``), and the standard
+3rd-order one of RK4.  A step that lands on a knot interpolates with the
+left-limit stages it integrated with.  Two things read the extension:
 
-A radius-crossing event is refined by bisection inside the bracketing step
-until the event time is known to 1e-6 s and the radius mismatch is below
-1e-3 m.  A crossing is an accepted step that ends on the target radius or
-on the other side of it, in either direction.  A state that starts exactly
-on the target is not a crossing: the event arms at the first accepted step
-that ends off the target, whichever side that is.
+* output times (``t_eval``, a comparison grid).  They never shorten a step,
+  so the accepted samples are the same with or without them.  An output
+  time inside an accepted step is sampled from that step's interpolant,
+  as it is: each form's conversion renormalizes the quaternion blocks.  An
+  output time bit-equal to an accepted sample's time, or to ``t0``, takes
+  that sample.  The samples go to ``Trajectory.t_eval`` and ``y_eval``.
+* the radius-crossing event.  A crossing is an accepted step that ends on
+  the target radius or on the other side of it, in either direction.  A
+  state that starts exactly on the target is not a crossing: the event
+  arms at the first accepted step that ends off the target, whichever side
+  that is.  Inside the bracketing step the crossing is located on the
+  interpolant by the Illinois variant of regula falsi (Shampine & Thompson,
+  "Event location for ordinary differential equations", 2000), until the
+  radius misses the target by less than ``EVENT_RADIUS_TOL`` (1e-3 m) and
+  the bracket is shorter than ``EVENT_TIME_TOL`` (1e-6 s).  The event state
+  is the interpolant at that time, renormalized; it ends the trajectory,
+  and no output time after it is sampled.
 
 Where a derivative evaluation fails decides what the failure means:
 
@@ -73,23 +85,22 @@ step to the next, and is reused only where its inputs are bit-identical:
   stage, so a retry costs six evaluations, not seven;
 * after an accepted step, the stage-7 derivative becomes the next step's
   first stage (first same as last) when the new sample is that stage's
-  point exactly: the step was not shortened to land on a break time,
-  renormalization changed no bit of the state, and the step did not land
-  on a knot (its stage 7 sat at the knot's left limit, and the next step
-  starts on the knot's other side).
+  point exactly: renormalization changed no bit of the state, and the
+  step's end is stage 7's time (a knot landing's stage 7 sits at the
+  knot's left limit, and the next step starts on the knot's other side).
 
 Accepted samples are copied into preallocated time and state buffers that
 double when full; the trajectory receives trimmed copies, so its rows
 share memory with nothing else.
 
 Propagation is deterministic: the same configuration and initial state
-produce bitwise-identical trajectories.
+produce bitwise-identical trajectories, with or without output times.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf, isfinite, isnan, nan, nextafter, sqrt
 from typing import Callable, Optional
 
@@ -99,6 +110,7 @@ from .errors import PropagationError, SingularityError
 
 EVENT_TIME_TOL = 1e-6  # s
 EVENT_RADIUS_TOL = 1e-3  # m
+_EVENT_MAX_ITERATIONS = 100
 
 # Dormand-Prince 5(4) coefficients.
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -120,6 +132,30 @@ _DP_E = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
+)
+
+# Continuous extensions: stage i's weight at theta is sum_j P[i][j] * theta**(j + 1).
+# Dormand-Prince: the free 4th-order interpolant (scipy's RK45.P).
+_DP_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+# RK4: the standard 3rd-order extension, b1 = theta - 3 theta^2/2 + 2 theta^3/3,
+# b2 = b3 = theta^2 - 2 theta^3/3, b4 = -theta^2/2 + 2 theta^3/3.
+_RK4_P = np.array(
+    [
+        [1.0, -3.0 / 2.0, 2.0 / 3.0],
+        [0.0, 1.0, -2.0 / 3.0],
+        [0.0, 1.0, -2.0 / 3.0],
+        [0.0, -1.0 / 2.0, 2.0 / 3.0],
+    ]
 )
 
 
@@ -159,7 +195,12 @@ class StopEvent:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Time-ordered propagated samples plus run statistics."""
+    """Time-ordered accepted samples, output-time samples and run statistics.
+
+    ``t`` and ``y`` hold the accepted samples.  ``t_eval`` and ``y_eval``
+    hold the samples at the output times the propagation was given, in
+    order, up to where it stopped.
+    """
 
     t: np.ndarray
     y: np.ndarray
@@ -167,6 +208,8 @@ class Trajectory:
     n_steps: int = 0
     n_rejected: int = 0
     wall_time: float = 0.0
+    t_eval: np.ndarray = field(default_factory=lambda: np.empty(0))
+    y_eval: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self):
         return len(self.t)
@@ -174,13 +217,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.y[-1]
-
-    def index_of_time(self, t: float) -> int:
-        i = int(np.searchsorted(self.t, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.t) and abs(self.t[j] - t) <= 1e-9:
-                return j
-        raise KeyError(f"no sample at t={t!r}")
 
 
 def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
@@ -208,23 +244,25 @@ def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
 
 
 def _rk4_step(rhs, t, y, h):
+    """One classical RK4 step: ``(y_new, (k1, k2, k3, k4))``."""
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
 
 
 def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
     """One Dormand-Prince step on Python floats.
 
-    Returns ``(y5, err, k7)``: the stage-7 state as an array (it is the
-    fifth-order solution, since ``_DP_A[6] == _DP_B[:6]`` and
-    ``_DP_B[6] == 0``), the error estimate as a list of floats, and the
-    derivative at ``(t_end, y5)``.  ``k1`` is the derivative at ``(t, y)``
-    when the caller already has it.  ``t_end`` is the time of stages 6
-    and 7, both at ``c = 1``: ``t + h`` unless the caller passes the left
-    limit of a control knot the step lands on.
+    Returns ``(y5, err, k7, stages)``: the stage-7 state as an array (it
+    is the fifth-order solution, since ``_DP_A[6] == _DP_B[:6]`` and
+    ``_DP_B[6] == 0``), the error estimate as a list of floats, the
+    derivative at ``(t_end, y5)``, and the seven stage derivatives as lists
+    of floats, for the continuous extension.  ``k1`` is the derivative at
+    ``(t, y)`` when the caller already has it.  ``t_end`` is the time of
+    stages 6 and 7, both at ``c = 1``: ``t + h`` unless the caller passes
+    the left limit of a control knot the step lands on.
 
     Each stage state is summed weight by weight in table order, skipping
     zero weights, so every component is the float the array expression
@@ -281,11 +319,23 @@ def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
     # _DP_E[1] == 0
     e = _DP_E
     c1, c3, c4, c5, c6, c7 = h * e[0], h * e[2], h * e[3], h * e[4], h * e[5], h * e[6]
+    d7 = k7.tolist()
     err = [
         c1 * p + c3 * r + c4 * s + c5 * u + c6 * w + c7 * z
-        for p, r, s, u, w, z in zip(d1, d3, d4, d5, d6, k7.tolist())
+        for p, r, s, u, w, z in zip(d1, d3, d4, d5, d6, d7)
     ]
-    return y5, err, k7
+    return y5, err, k7, (d1, d2, d3, d4, d5, d6, d7)
+
+
+def _dense(t, h, y, stages, p):
+    """The state at time ``s`` inside the step of length ``h`` from ``(t, y)``.
+
+    ``stages`` are the step's stage derivatives and ``p`` the coefficients
+    of its continuous extension, one row per stage.
+    """
+    q = h * (p.T @ np.array(stages))
+    exponents = np.arange(1, len(q) + 1)
+    return lambda s: y + ((s - t) / h) ** exponents @ q
 
 
 def _error_norm(err, y, y5, abs_tol, rel_tol):
@@ -337,17 +387,17 @@ def _pairwise_sum(x):
 
 
 class _BreakSchedule:
-    """Iterator over forced landing times within (t0, t_final].
+    """Iterator over the forced landing times within (t0, t_final]: the
+    control knots and the terminal time.
 
     ``knots`` holds the landing times that are control knots, the terminal
     time included when it is one.
     """
 
-    def __init__(self, t0, t_final, t_breaks, t_knots=()):
+    def __init__(self, t0, t_final, t_knots=()):
         self.knots = {float(b) for b in t_knots if t0 < b <= t_final}
-        pts = sorted({float(b) for b in (*t_breaks, *t_knots) if t0 < b < t_final})
-        pts.append(t_final)
-        self.points = pts
+        self.points = sorted(b for b in self.knots if b < t_final)
+        self.points.append(t_final)
         self.i = 0
 
     def next_after(self, t):
@@ -365,7 +415,7 @@ def propagate(
     quat_spans=(),
     radius_fn: Optional[Callable] = None,
     radius_target: Optional[float] = None,
-    t_breaks=(),
+    t_eval=(),
     scales=None,
     t_knots=(),
 ):
@@ -380,21 +430,27 @@ def propagate(
         steps when the config asks for it.
     radius_fn, radius_target : callable, float
         When given, propagation stops where ``radius_fn(y)`` crosses
-        ``radius_target`` in either direction (refined by bisection).  A
-        start exactly on the target does not count; the event arms once
-        the radius leaves it.
-    t_breaks : sequence of float
-        Times the stepper must land on exactly, where ``rhs`` is smooth
-        (comparison grids).
+        ``radius_target`` in either direction.  The crossing is located on
+        the bracketing step's interpolant, with no derivative evaluation,
+        to within ``EVENT_RADIUS_TOL`` of the target and a bracket shorter
+        than ``EVENT_TIME_TOL``.  A start exactly on the target does not
+        count; the event arms once the radius leaves it.
+    t_eval : sequence of float
+        Output times, such as a comparison grid.  Each one within
+        ``[t0, t_final]`` and not after a stop gets a sample in
+        ``Trajectory.t_eval``/``y_eval``: the accepted sample whose time it
+        equals bit for bit, or the interpolant of the accepted step that
+        contains it.  Output times never shorten a step.
     scales : array, optional
         Per-component scaling of the absolute tolerance (lengths and speeds
         are many orders of magnitude above quaternion components).
     t_knots : sequence of float
-        Times where ``rhs`` may jump (control-profile knots).  The stepper
-        lands on them too; an adaptive step that does evaluates its two
-        ``c = 1`` stages at the left limit ``nextafter(knot, -inf)`` and
-        hands the next step no stage-7 derivative, so each step sees one
-        smooth segment of the controls.
+        Times where ``rhs`` may jump (control-profile knots).  They and the
+        terminal time are the only times the stepper lands on.  An adaptive
+        step that lands on a knot evaluates its two ``c = 1`` stages at the
+        left limit ``nextafter(knot, -inf)`` and hands the next step no
+        stage-7 derivative, so each step sees one smooth segment of the
+        controls.
 
     Adaptive steps treat a derivative failure by where it happens.  A
     ``SingularityError`` at the accepted state ``(t, y)`` ends the run as
@@ -435,14 +491,26 @@ def propagate(
     n_rows = 1
     n_steps = 0
     n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_breaks, t_knots)
+    schedule = _BreakSchedule(t0, t_final, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
+    dense_coefficients = _DP_P if adaptive else _RK4_P
     rel_tol = config.rel_tol
     if scales is None:
         abs_tol = [config.abs_tol] * y.size
     else:
         abs_tol = (config.abs_tol * np.asarray(scales, dtype=float)).tolist()
+
+    # output times still to sample, the next one last
+    pending = sorted({float(s) for s in t_eval if t0 <= s <= t_final}, reverse=True)
+    eval_t, eval_y = [], []
+
+    def sample(t_end, y_end, dense):
+        """Sample the pending output times up to ``t_end``, where the state is ``y_end``."""
+        while pending and pending[-1] <= t_end:
+            s = pending.pop()
+            eval_t.append(s)
+            eval_y.append(y_end if s == t_end else dense(s))
 
     def finish(event):
         traj = Trajectory(
@@ -452,6 +520,8 @@ def propagate(
             n_steps=n_steps,
             n_rejected=n_rejected,
             wall_time=time.perf_counter() - start,
+            t_eval=np.array(eval_t),
+            y_eval=np.array(eval_y).reshape(len(eval_t), y_buf.shape[1]),
         )
         return traj, event
 
@@ -460,6 +530,7 @@ def propagate(
         return finish(StopEvent(kind=kind, t_event=t, y_event=y.copy(), message=message))
 
     t = t0
+    sample(t, y, None)
     g_prev = None
     if radius_fn is not None and radius_target is not None:
         g_prev = radius_fn(y) - radius_target
@@ -489,7 +560,7 @@ def propagate(
             t7 = nextafter(target, -inf) if landing and target in schedule.knots else t + h_try
             failure = None
             try:
-                y5, err, k7 = _dp54_step(counted_rhs, t, y, h_try, k1, t7)
+                y5, err, k7, stages = _dp54_step(counted_rhs, t, y, h_try, k1, t7)
                 err_norm = _error_norm(err, y.tolist(), y5.tolist(), abs_tol, rel_tol)
                 y_new = y5
             except (SingularityError, ArithmeticError) as exc:
@@ -500,7 +571,7 @@ def propagate(
                 err_norm = inf
         else:
             try:
-                y_new = _rk4_step(counted_rhs, t, y, h_try)
+                y_new, stages = _rk4_step(counted_rhs, t, y, h_try)
             except SingularityError as exc:
                 return stop("singularity_guard", str(exc))
             err_norm = 0.0
@@ -530,17 +601,23 @@ def propagate(
             y_new = renormalize_quaternion_blocks(y_new, quat_spans)
 
         event = None
+        dense = None
         if g_prev is not None:
             g_new = radius_fn(y_new) - radius_target
             # g_prev == 0.0 only while the event is not yet armed
             if g_prev != 0.0 and (g_new == 0.0 or (g_prev > 0.0) != (g_new > 0.0)):
-                t_new, y_new = _refine_radius_crossing(
-                    counted_rhs, t, y, t_new, radius_fn, radius_target
-                )
-                if renorm:
-                    y_new = renormalize_quaternion_blocks(y_new, quat_spans)
+                if g_new != 0.0:
+                    dense = _dense(t, h_try, y, stages, dense_coefficients)
+                    t_new, y_new = _locate_crossing(
+                        dense, t, t_new, g_prev, g_new, radius_fn, radius_target
+                    )
+                    if renorm:
+                        y_new = renormalize_quaternion_blocks(y_new, quat_spans)
                 event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=y_new.copy())
             g_prev = g_new
+
+        if pending and pending[-1] <= t_new:
+            sample(t_new, y_new, dense or _dense(t, h_try, y, stages, dense_coefficients))
 
         if n_rows == len(t_buf):
             t_buf = np.concatenate((t_buf, np.empty_like(t_buf)))
@@ -574,57 +651,37 @@ def propagate(
             h = config.step
 
 
-def _refine_radius_crossing(rhs, t_lo, y_lo, t_hi, radius_fn, target):
-    """Bisect for the radius crossing inside one accepted step.
+def _locate_crossing(dense, t_a, t_b, g_a, g_b, radius_fn, target):
+    """Illinois iteration for the radius crossing inside one accepted step.
 
-    Probes re-integrate from the left bracket with small fixed steps, so no
-    dense interpolation is needed.  Refinement continues until the bracket
-    is below 1e-6 s and the radius misses the target by less than 1e-3 m.
+    ``dense(s)`` is the step's interpolated state at time ``s``; ``g_a``
+    and ``g_b`` are the radius minus ``target`` at the step's ends ``t_a``
+    and ``t_b``, of opposite signs.  Each iterate is the secant root of the
+    bracket; when the same end is kept twice in a row, its value is halved
+    so the other end moves too.  Returns ``(t, state)`` at the first iterate
+    that misses the target by less than ``EVENT_RADIUS_TOL`` once the
+    bracket is shorter than ``EVENT_TIME_TOL``, or at the last of
+    ``_EVENT_MAX_ITERATIONS``.
     """
-    g_lo = radius_fn(y_lo) - target
-
-    def probe(t_from, y_from, t_to):
-        span = t_to - t_from
-        if span <= 0.0:
-            return y_from
-        n_sub = max(1, min(64, int(span / max(1e-9, (t_hi - t_lo) / 16.0))))
-        h = span / n_sub
-        y = y_from
-        tt = t_from
-        for _ in range(n_sub):
-            y = _rk4_step(rhs, tt, y, h)
-            tt += h
-        return y
-
-    # First tighten the bracket with a fixed scan so bisection probes stay short.
-    n_scan = 16
-    h_scan = (t_hi - t_lo) / n_scan
-    t_a, y_a, g_a = t_lo, y_lo, g_lo
-    for i in range(1, n_scan + 1):
-        t_b = t_lo + i * h_scan if i < n_scan else t_hi
-        y_b = _rk4_step(rhs, t_a, y_a, t_b - t_a)
-        g_b = radius_fn(y_b) - target
-        if g_b == 0.0 or (g_a > 0.0) != (g_b > 0.0):
+    replaced = 0  # +1 after an iterate replaced t_b, -1 after one replaced t_a
+    for _ in range(_EVENT_MAX_ITERATIONS):
+        s = t_b - g_b * (t_b - t_a) / (g_b - g_a)
+        if not t_a < s < t_b:  # rounding, at a bracket a few ulps wide
+            s = 0.5 * (t_a + t_b)
+        y_s = dense(s)
+        g_s = radius_fn(y_s) - target
+        if g_s == 0.0:
             break
-        t_a, y_a, g_a = t_b, y_b, g_b
-    else:
-        t_b, y_b = t_hi, y_a
-
-    for _ in range(200):
-        if (t_b - t_a) < EVENT_TIME_TOL:
-            y_mid = probe(t_a, y_a, 0.5 * (t_a + t_b))
-            if abs(radius_fn(y_mid) - target) < EVENT_RADIUS_TOL:
-                return 0.5 * (t_a + t_b), y_mid
-            if (t_b - t_a) < 1e-12:
-                return 0.5 * (t_a + t_b), y_mid
-        t_m = 0.5 * (t_a + t_b)
-        y_m = probe(t_a, y_a, t_m)
-        g_m = radius_fn(y_m) - target
-        if g_m == 0.0:
-            return t_m, y_m
-        if (g_a > 0.0) != (g_m > 0.0):
-            t_b = t_m
+        if (g_s > 0.0) == (g_b > 0.0):
+            t_b, g_b = s, g_s
+            if replaced > 0:
+                g_a *= 0.5
+            replaced = 1
         else:
-            t_a, y_a, g_a = t_m, y_m, g_m
-    t_m = 0.5 * (t_a + t_b)
-    return t_m, probe(t_a, y_a, t_m)
+            t_a, g_a = s, g_s
+            if replaced < 0:
+                g_b *= 0.5
+            replaced = -1
+        if abs(g_s) < EVENT_RADIUS_TOL and t_b - t_a < EVENT_TIME_TOL:
+            break
+    return s, y_s

@@ -6,7 +6,9 @@ piecewise-linear control profiles, integrator settings, and stop
 conditions.  Running it propagates the same physical initial condition in
 each selected parameterization, writes one CSV per parameterization, and
 (optionally) a comparison report of the forms' observation-frame positions
-and speeds on a shared time grid.
+and speeds on a shared time grid.  The grid is sampled from each accepted
+step's interpolant and does not change the steps, so a CSV, which holds
+accepted samples only, is the same with or without the report.
 
 Each form has one conversion to Cartesian coordinates, its
 ``to_cartesian_rows`` over state rows: each CSV converts the rows it
@@ -454,7 +456,12 @@ def resolve_output_dir(outdir=None) -> Path:
 
 
 def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) -> RunResult:
-    """Propagate one parameterization of the scenario."""
+    """Propagate one parameterization of the scenario.
+
+    ``compare_times`` are sampled from the step interpolants into the
+    trajectory's ``t_eval``/``y_eval``; they do not change its accepted
+    samples.
+    """
     spec = PARAMETERIZATIONS[name]
     env = config.environment
     try:
@@ -476,7 +483,7 @@ def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) ->
             quat_spans=spec.quat_spans,
             radius_fn=spec.radius if config.stop.radius is not None else None,
             radius_target=config.stop.radius,
-            t_breaks=compare_times,
+            t_eval=compare_times,
             scales=spec.scales,
             t_knots=config.controls.knot_times(),
         )
@@ -561,13 +568,14 @@ class ComparisonReport:
         return json.dumps(payload, indent=2)
 
 
-def build_comparison(config: ScenarioConfig, results, compare_times) -> ComparisonReport:
-    """Pairwise position/speed differences at shared exact sample times.
+def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
+    """Pairwise position/speed differences at the shared output times.
 
-    Each form's samples on the grid and its final sample are converted to
-    Cartesian coordinates in one ``to_cartesian_rows`` call.
+    Each form's output-time samples (``Trajectory.t_eval``) and its final
+    sample are converted to Cartesian coordinates in one
+    ``to_cartesian_rows`` call.
     """
-    samples = {}  # name -> ({grid time: row in p and speed}, p, speed)
+    samples = {}  # name -> ({output time: row in p and speed}, p, speed)
     norm_drift = {}
     timing = {}
     final_states = {}
@@ -576,15 +584,9 @@ def build_comparison(config: ScenarioConfig, results, compare_times) -> Comparis
             continue
         spec = PARAMETERIZATIONS[res.name]
         traj = res.trajectory
-        rows = {}
-        for grid_t in compare_times:
-            try:
-                rows[grid_t] = traj.index_of_time(grid_t)
-            except KeyError:
-                continue
-        p, v = spec.to_cartesian_rows(traj.y[[*rows.values(), len(traj) - 1]])
+        p, v = spec.to_cartesian_rows(np.concatenate((traj.y_eval, traj.y[-1:])))
         speed = row_norms(v)
-        samples[res.name] = ({grid_t: k for k, grid_t in enumerate(rows)}, p, speed)
+        samples[res.name] = ({t: k for k, t in enumerate(traj.t_eval.tolist())}, p, speed)
         timing[res.name] = {
             "wall_time_s": traj.wall_time,
             "derivative_evaluations": traj.n_evals,
@@ -668,7 +670,7 @@ def run_scenario(
 
     report = None
     if compare:
-        report = build_comparison(config, results, compare_times)
+        report = build_comparison(config, results)
         report_path = out_path / f"{config.name}_comparison.json"
         report_path.write_text(report.to_json())
 

@@ -129,7 +129,6 @@ def test_criterion_2_oracle_equivalence():
             bank=PiecewiseLinear([0.0, 100.0], list(rng.uniform(-1.0, 1.0, size=2))),
             bank_mode="beta",
         )
-        breaks = sorted(set(profile.knot_times()) | set(checkpoints))
         samples = {}
         for name in ("rv", "rvl", "rvh", "cartesian"):
             spec = PARAMETERIZATIONS[name]
@@ -142,13 +141,13 @@ def test_criterion_2_oracle_equivalence():
                 100.0,
                 cfg,
                 quat_spans=spec.quat_spans,
-                t_breaks=breaks,
+                t_eval=checkpoints,
                 scales=spec.scales,
+                t_knots=profile.knot_times(),
             )
             assert event.kind == "terminal_time"
-            samples[name] = {
-                t: spec.to_cartesian(traj.y[traj.index_of_time(t)]) for t in checkpoints
-            }
+            assert traj.t_eval.tolist() == checkpoints
+            samples[name] = {t: spec.to_cartesian(y) for t, y in zip(checkpoints, traj.y_eval)}
         ref = samples["cartesian"]
         for name in ("rv", "rvl", "rvh"):
             for t in checkpoints:
@@ -302,7 +301,7 @@ def test_criterion_5_gauge_constraints():
         300.0,
         config.integrator,
         quat_spans=spec.quat_spans,
-        t_breaks=config.controls.knot_times(),
+        t_knots=config.controls.knot_times(),
         scales=spec.scales,
     )
     for i in range(len(traj)):
@@ -324,7 +323,7 @@ def test_criterion_5_gauge_constraints():
         300.0,
         config.integrator,
         quat_spans=spec_h.quat_spans,
-        t_breaks=config.controls.knot_times(),
+        t_knots=config.controls.knot_times(),
         scales=spec_h.scales,
     )
     for i in range(len(traj_h)):

@@ -4,10 +4,13 @@ The reference below is the per-sample code the column-wise one replaced:
 one state object, DCM, matrix product, ``np.cross`` and ``np.linalg.norm``
 per sample, and one ``csv.writer`` row per sample.  Every CSV byte, every
 comparison-report byte and every diagnostic column must come out the same,
-bit for bit.
+bit for bit.  A comparison only observes: the CSVs of a ``--compare`` run are
+those of a plain run, and its grid samples agree with propagations that
+land on the grid.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -227,7 +230,7 @@ def ref_write_trajectory_csv(path, name, trajectory, config):
             writer.writerow([ref_fmt(t)] + [ref_fmt(diag[col]) for col in CSV_COLUMNS[1:]])
 
 
-def ref_build_comparison(config, results, compare_times):
+def ref_build_comparison(config, results):
     samples, norm_drift, timing, final_states = {}, {}, {}, {}
     for res in results:
         if res.trajectory is None or len(res.trajectory) == 0:
@@ -235,14 +238,9 @@ def ref_build_comparison(config, results, compare_times):
         spec = PARAMETERIZATIONS[res.name]
         to_cartesian = REF_TO_CARTESIAN[res.name]
         traj = res.trajectory
-        by_time = {}
-        for grid_t in compare_times:
-            try:
-                i = traj.index_of_time(grid_t)
-            except KeyError:
-                continue
-            by_time[grid_t] = to_cartesian(traj.y[i])
-        samples[res.name] = by_time
+        samples[res.name] = {
+            grid_t: to_cartesian(y) for grid_t, y in zip(traj.t_eval.tolist(), traj.y_eval)
+        }
         timing[res.name] = {
             "wall_time_s": traj.wall_time,
             "derivative_evaluations": traj.n_evals,
@@ -304,15 +302,14 @@ def bundled_runs(tmp_path_factory):
         config = load_scenario(bundled_scenario_path(name))
         outdir = tmp_path_factory.mktemp(name)
         results, report, _ = run_scenario(config, outdir=outdir, compare=True)
-        grid = tuple(np.linspace(config.t0, config.stop.t_final, config.compare_points))
-        runs[name] = (config, results, report, grid, outdir)
+        runs[name] = (config, results, report, outdir)
     return runs
 
 
 class TestMatchesPerRowReference:
     def test_bundled_csvs_byte_identical(self, bundled_runs, tmp_path):
         written = 0
-        for name, (config, results, _, _, _) in bundled_runs.items():
+        for name, (config, results, _, _) in bundled_runs.items():
             for res in results:
                 if res.csv_path is None:
                     continue
@@ -327,14 +324,70 @@ class TestMatchesPerRowReference:
         assert config.csv_stride == 200 and len(norm_drift.trajectory) > 100_000
 
     def test_comparison_json_byte_identical(self, bundled_runs):
-        for name, (config, results, report, grid, outdir) in bundled_runs.items():
-            expected = ref_build_comparison(config, results, grid).to_json()
+        for name, (config, results, report, outdir) in bundled_runs.items():
+            expected = ref_build_comparison(config, results).to_json()
             assert report.to_json() == expected, name
             assert (outdir / f"{name}_comparison.json").read_text() == expected, name
 
     def test_report_rebuilt_from_the_same_results_is_identical(self, bundled_runs):
-        config, results, report, grid, _ = bundled_runs["entry_table3"]
-        assert build_comparison(config, results, grid).to_json() == report.to_json()
+        config, results, report, _ = bundled_runs["entry_table3"]
+        assert build_comparison(config, results).to_json() == report.to_json()
+
+
+@pytest.fixture(scope="module")
+def plain_runs(tmp_path_factory):
+    """The bundled scenarios run without ``--compare``."""
+    runs = {}
+    for name in BUNDLED:
+        config = load_scenario(bundled_scenario_path(name))
+        results, _, _ = run_scenario(config, outdir=tmp_path_factory.mktemp(f"{name}_plain"))
+        runs[name] = results
+    return runs
+
+
+class TestComparisonObservesOnly:
+    """The compare grid is sampled from the step interpolants, never landed on."""
+
+    def test_compare_csvs_byte_identical_to_plain_csvs(self, bundled_runs, plain_runs):
+        written = 0
+        for name, (_, results, _, _) in bundled_runs.items():
+            for res, plain in zip(results, plain_runs[name]):
+                assert (res.name, res.event.kind) == (plain.name, plain.event.kind), name
+                if res.csv_path is None:
+                    continue
+                with open(res.csv_path, "rb") as a, open(plain.csv_path, "rb") as b:
+                    assert a.read() == b.read(), (name, res.name)
+                written += 1
+        assert written == 18
+
+    def test_rk4_grid_adds_no_steps(self, bundled_runs, plain_runs):
+        # the fixed step's time grows by repeated + 0.1 and misses most grid
+        # times by rounding; landing on them would add sub-1e-10 s steps
+        (with_grid,) = bundled_runs["norm_drift"][1]
+        (plain,) = plain_runs["norm_drift"]
+        traj = with_grid.trajectory
+        assert len(traj) == 100_001
+        assert traj.n_steps == 100_000
+        assert np.array_equal(traj.final_state, plain.trajectory.final_state)
+        assert len(traj.t_eval) == bundled_runs["norm_drift"][0].compare_points
+
+    def test_grid_samples_match_a_landed_propagation(self, bundled_runs):
+        config, results, _, _ = bundled_runs["entry_table3"]
+        checked = 0
+        for res in results:
+            spec = PARAMETERIZATIONS[res.name]
+            traj = res.trajectory
+            positions, _ = spec.to_cartesian_rows(traj.y_eval)
+            for t, p in zip(traj.t_eval.tolist(), positions):
+                if t == config.t0:
+                    continue
+                stop = dataclasses.replace(config.stop, t_final=t)
+                landed = scenario.run_parameterization(res.name, dataclasses.replace(config, stop=stop))
+                assert (landed.event.kind, landed.event.t_event) == ("terminal_time", t)
+                p_landed = spec.to_cartesian(landed.trajectory.final_state).position
+                assert float(np.linalg.norm(p - p_landed)) < 1e-3, (res.name, t)
+                checked += 1
+        assert checked == 5 * (len(results[0].trajectory.t_eval) - 1)
 
 
 def _controls(mode):

@@ -23,6 +23,7 @@ from quatflight.propagation import (
     _DP_B,
     _DP_C,
     _DP_E,
+    EVENT_RADIUS_TOL,
     EVENT_TIME_TOL,
     IntegratorConfig,
     StopEvent,
@@ -86,12 +87,10 @@ def reference_dp54_step(rhs, t, y, h, t_end=None):
     return y5, err
 
 
-def reference_adaptive(
-    rhs, t0, y0, t_final, config, quat_spans=(), t_breaks=(), scales=None, t_knots=()
-):
+def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None, t_knots=()):
     """The array-copying adaptive loop, without events.
 
-    Same controller, break landings and renormalization policy as
+    Same controller, knot landings and renormalization policy as
     ``propagate``, with the error norm taken by ``np.mean``.  A step that
     lands on a knot evaluates its ``c = 1`` stages at the knot's left
     limit.  Every step evaluates all seven stages afresh, so there is no
@@ -101,7 +100,7 @@ def reference_adaptive(
     y = np.asarray(y0, dtype=float).copy()
     ts, ys = [t0], [y]
     n_steps = n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_breaks, t_knots)
+    schedule = _BreakSchedule(t0, t_final, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     abs_tol = config.abs_tol
     if scales is not None:
@@ -203,10 +202,9 @@ class TestScalarProbe:
     def test_time_grid_strictly_increasing(self):
         rhs = lambda t, y: -y
         cfg = IntegratorConfig(method="rk45-adaptive")
-        traj, _ = propagate(rhs, 0.0, np.array([1.0]), 2.0, cfg, t_breaks=[0.5, 1.5])
+        traj, _ = propagate(rhs, 0.0, np.array([1.0]), 2.0, cfg, t_eval=[0.5, 1.5, 2.0])
         assert np.all(np.diff(traj.t) > 0)
-        for b in (0.5, 1.5, 2.0):
-            assert traj.index_of_time(b) >= 0
+        assert traj.t_eval.tolist() == [0.5, 1.5, 2.0]
 
 
 class TestCircularOrbit:
@@ -319,6 +317,66 @@ class TestRadiusEvent:
         assert event.kind == "radius_crossing"
         assert abs(event.t_event - 2.0) < EVENT_TIME_TOL
         assert traj.t[-1] == event.t_event
+
+
+class TestEventOnInterpolant:
+    # start altitude, radial speed and target altitude
+    DIRECTIONS = {"falling": (60e3, -300.0, 20e3), "rising": (20e3, 900.0, 50e3)}
+
+    @pytest.mark.parametrize(
+        "config",
+        [IntegratorConfig(), IntegratorConfig(method="rk4-fixed", step=1.0)],
+        ids=["rk45-adaptive", "rk4-fixed"],
+    )
+    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    def test_located_without_derivative_calls(self, direction, config):
+        altitude, v_r, target = self.DIRECTIONS[direction]
+        target += EARTH.radius
+        spec = PARAMETERIZATIONS["rv"]
+        controls = ControlProfile.constant()
+        rhs = spec.make_rhs(controls, vacuum_env(spin=EARTH.spin_rate))
+        c0 = CartesianState([EARTH.radius + altitude, 0.0, 0.0], [v_r, 2000.0, 500.0])
+        y0 = spec.from_cartesian(c0, controls, 0.0)
+        n_calls = 0
+
+        def spy(t, y):
+            nonlocal n_calls
+            n_calls += 1
+            return rhs(t, y)
+
+        radii = []  # (radius - target, derivative calls made so far)
+
+        def radius(y):
+            r = spec.radius(y)
+            radii.append((r - target, n_calls))
+            return r
+
+        def run(cfg, rhs, radius_fn):
+            return propagate(
+                rhs,
+                0.0,
+                y0,
+                500.0,
+                cfg,
+                quat_spans=spec.quat_spans,
+                radius_fn=radius_fn,
+                radius_target=target,
+                scales=spec.scales,
+            )
+
+        traj, event = run(config, spy, radius)
+        assert event.kind == "radius_crossing"
+        # the first radius on the other side is that of the accepted step
+        # that brackets the crossing; no derivative call follows it
+        above = radii[0][0] > 0.0
+        bracketed = next(calls for g, calls in radii if g == 0.0 or (g > 0.0) != above)
+        assert n_calls == bracketed
+        assert traj.t[-1] == event.t_event
+        assert abs(spec.radius(event.y_event) - target) < EVENT_RADIUS_TOL
+        for lo, hi in spec.quat_spans:
+            assert abs(np.linalg.norm(event.y_event[lo:hi]) - 1.0) < 1e-15
+        _, reference = run(IntegratorConfig(rel_tol=1e-13, abs_tol=1e-12), rhs, spec.radius)
+        assert abs(event.t_event - reference.t_event) < EVENT_TIME_TOL
 
 
 class TestRenormalizationPolicy:
@@ -501,14 +559,14 @@ class TestStepperMatchesReference:
                     with pytest.raises(SingularityError):
                         _rk4_step(rhs, t, y, h)
                 else:
-                    assert np.array_equal(_rk4_step(rhs, t, y, h), expected), (name, h)
+                    assert np.array_equal(_rk4_step(rhs, t, y, h)[0], expected), (name, h)
                 try:
                     y5_ref, err_ref = reference_dp54_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
                         _dp54_step(rhs, t, y, h)
                 else:
-                    y5, err, _ = _dp54_step(rhs, t, y, h)
+                    y5, err, _, _ = _dp54_step(rhs, t, y, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
                     assert np.array_equal(err, err_ref), (name, h)
 
@@ -566,7 +624,7 @@ class TestKnotLandings:
         )
         assert event.kind == "terminal_time"
         assert traj.n_rejected == 0
-        assert traj.y[traj.index_of_time(1.0)][0] == 1.0
+        assert traj.y[traj.t.tolist().index(1.0)][0] == 1.0
         assert traj.y[-1][0] == pytest.approx(3.0, abs=1e-12)
 
     def test_rvl_entry_lands_on_bank_knot_without_cascade(self):
@@ -639,7 +697,7 @@ class TestNoAliasingNoMutation:
     def test_derivatives_and_steps_leave_inputs_alone(self):
         steppers = {
             "rhs": lambda rhs, t, y: (rhs(t, y),),
-            "rk4": lambda rhs, t, y: (_rk4_step(rhs, t, y, 0.1),),
+            "rk4": lambda rhs, t, y: _rk4_step(rhs, t, y, 0.1),
             "dp54": lambda rhs, t, y: _dp54_step(rhs, t, y, 0.1),
         }
         for name, rhs, t, y in random_cases(seed=9, n=8):
