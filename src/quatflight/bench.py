@@ -62,11 +62,6 @@ def count_trig_calls(rhs, t, y) -> int:
     return counts["n"]
 
 
-def benchmark_derivatives(config: ScenarioConfig, n_evals: int):
-    """:func:`benchmark_form` for each of the scenario's parameterizations."""
-    return [benchmark_form(name, config, n_evals) for name in config.parameterizations]
-
-
 def benchmark_form(name: str, config: ScenarioConfig, n_evals: int) -> BenchRow:
     """Time ``n_evals`` derivative evaluations of one parameterization.
 

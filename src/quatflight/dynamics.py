@@ -435,30 +435,6 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
     return rhs
 
 
-def beta_from_sigma(sigma: float, c_ba: np.ndarray) -> float:
-    """Plane-referenced bank angle from the gauge bank angle.
-
-    Raises
-    ------
-    SingularityError
-        In vertical flight, where the reference plane is undefined.
-    """
-    c21 = c_ba[1, 0]
-    c31 = c_ba[2, 0]
-    if _vertical(c21, c31):
-        raise SingularityError("beta undefined in vertical flight")
-    return _beta(sigma, c21, c31)
-
-
-def sigma_from_beta(beta: float, c_ba: np.ndarray) -> float:
-    """Inverse of :func:`beta_from_sigma` (same vertical-flight guard)."""
-    c21 = c_ba[1, 0]
-    c31 = c_ba[2, 0]
-    if _vertical(c21, c31):
-        raise SingularityError("beta undefined in vertical flight")
-    return _sigma(beta, c21, c31)
-
-
 def _vertical(c21, c31):
     """Whether B's first axis lies along A's, from C_BA(2,1) and C_BA(3,1).
 
@@ -473,23 +449,6 @@ def _beta(sigma, c21, c31):
 
 def _sigma(beta, c21, c31):
     return beta + atan2(c31, c21)
-
-
-def beta_rate(
-    sigma_dot: float, wb1: float, wb2: float, wb3: float, c_ba: np.ndarray
-) -> float:
-    """Rate of the plane-referenced bank angle.
-
-    Raises
-    ------
-    SingularityError
-        In vertical flight.
-    """
-    c11 = c_ba[0, 0]
-    denom = 1.0 - c11 * c11
-    if denom < VERTICAL_SIN_EPS:
-        raise SingularityError("beta rate undefined in vertical flight")
-    return (sigma_dot + wb1) - (c11 / denom) * (wb2 * c_ba[1, 0] + wb3 * c_ba[2, 0])
 
 
 # --- parameterization registry -------------------------------------------

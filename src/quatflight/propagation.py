@@ -549,7 +549,9 @@ def propagate(
             raise PropagationError("maximum step count exceeded", t=t)
 
         h_try = min(h, target - t)
-        landing = h_try >= target - t - 1e-15
+        # a step whose end rounds onto the target lands there too; otherwise
+        # the next step would have length zero
+        landing = h_try >= target - t - 1e-15 or t + h_try >= target
         if adaptive:
             if k1 is None:
                 try:

@@ -7,6 +7,11 @@ frame A's basis by ``angle`` about ``axis``, then ``dcm_from_quat(q) @ p_A``
 gives the components of a vector in B's basis from its components in A's
 basis.
 
+This module holds what the state conversions and diagnostics use: the
+direction cosine matrix of a quaternion, one at a time or over row stacks,
+its inverse, and renormalization.  The axis-angle forms and the rate
+kinematics that the tests check these against live in ``tests/reference.py``.
+
 All operations are pure functions on immutable values and are safe to call
 concurrently.
 """
@@ -60,66 +65,6 @@ class UnitQuaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.eps1, self.eps2, self.eps3, self.eta])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-
-@dataclass(frozen=True, eq=False)
-class AxisAngle:
-    """A rotation of ``angle`` radians about the unit vector ``axis``."""
-
-    axis: np.ndarray
-    angle: float
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("axis must be a 3-vector")
-        n = float(np.linalg.norm(axis))
-        if abs(n - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"axis norm {n!r} violates unit constraint")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "angle", float(self.angle))
-
-
-def skew(p) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector, so that ``skew(p) @ q = p x q``."""
-    p1, p2, p3 = float(p[0]), float(p[1]), float(p[2])
-    return np.array(
-        [
-            [0.0, -p3, p2],
-            [p3, 0.0, -p1],
-            [-p2, p1, 0.0],
-        ]
-    )
-
-
-def dcm_from_axis_angle(aa: AxisAngle) -> np.ndarray:
-    """Direction cosine matrix of a frame rotated by ``aa`` from the base frame."""
-    q1, q2, q3 = aa.axis
-    c = math.cos(aa.angle)
-    s = math.sin(aa.angle)
-    k = 1.0 - c
-    return np.array(
-        [
-            [k * q1 * q1 + c, k * q1 * q2 + q3 * s, k * q1 * q3 - q2 * s],
-            [k * q2 * q1 - q3 * s, k * q2 * q2 + c, k * q2 * q3 + q1 * s],
-            [k * q3 * q1 + q2 * s, k * q3 * q2 - q1 * s, k * q3 * q3 + c],
-        ]
-    )
-
-
-def quat_from_axis_angle(aa: AxisAngle) -> UnitQuaternion:
-    """Euler parameters of a rotation by ``angle`` about ``axis``."""
-    half = 0.5 * aa.angle
-    s = math.sin(half)
-    return UnitQuaternion(
-        float(aa.axis[0]) * s,
-        float(aa.axis[1]) * s,
-        float(aa.axis[2]) * s,
-        math.cos(half),
-    )
 
 
 def dcm_from_quat(q: UnitQuaternion) -> np.ndarray:
@@ -213,46 +158,6 @@ def quat_from_dcm(c) -> UnitQuaternion:
     if eta < 0.0 or (eta == 0.0 and q[np.argmax(np.abs(q[:3]))] < 0.0):
         q = -q
     return renormalize(q)
-
-
-def quat_rates(q: UnitQuaternion, omega) -> np.ndarray:
-    """Euler parameter rates for angular velocity ``omega`` (rotated-frame basis).
-
-    The output satisfies ``sum(q_i * qdot_i) = 0``, the differential form of
-    the unit-norm constraint.
-    """
-    e1, e2, e3, eta = q.eps1, q.eps2, q.eps3, q.eta
-    w1, w2, w3 = float(omega[0]), float(omega[1]), float(omega[2])
-    return np.array(
-        [
-            0.5 * (eta * w1 - e3 * w2 + e2 * w3),
-            0.5 * (e3 * w1 + eta * w2 - e1 * w3),
-            0.5 * (-e2 * w1 + e1 * w2 + eta * w3),
-            -0.5 * (e1 * w1 + e2 * w2 + e3 * w3),
-        ]
-    )
-
-
-def omega_from_quat_rates(qdot, q: UnitQuaternion) -> np.ndarray:
-    """Angular velocity recovered from Euler parameters and their rates."""
-    return omega_from_rate_arrays(np.asarray(qdot, dtype=float), q.as_array())
-
-
-def omega_from_rate_arrays(qdot, q) -> np.ndarray:
-    """Array-based variant of :func:`omega_from_quat_rates`.
-
-    Accepts raw 4-vectors so it can be applied to propagated samples whose
-    norms carry integration drift.
-    """
-    e1, e2, e3, eta = float(q[0]), float(q[1]), float(q[2]), float(q[3])
-    d1, d2, d3, deta = (float(qdot[0]), float(qdot[1]), float(qdot[2]), float(qdot[3]))
-    return np.array(
-        [
-            2.0 * (eta * d1 - deta * e1 + e3 * d2 - d3 * e2),
-            2.0 * (eta * d2 - deta * e2 - e3 * d1 + d3 * e1),
-            2.0 * (eta * d3 - deta * e3 + e2 * d1 - d2 * e1),
-        ]
-    )
 
 
 def renormalize(q) -> UnitQuaternion:

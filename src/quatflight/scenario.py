@@ -20,7 +20,6 @@ All physical quantities are SI; angles are radians.
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
 import json
 import math
@@ -529,18 +528,6 @@ def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         fh.writelines(row % values for values in zip(*cells))
     return str(path)
-
-
-def read_trajectory_csv(path) -> dict:
-    """Columns of a trajectory CSV as float arrays (NaN for blanks)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = {h: [] for h in header}
-        for row in reader:
-            for h, cell in zip(header, row):
-                cols[h].append(float(cell) if cell != "" else float("nan"))
-    return {h: np.array(vals) for h, vals in cols.items()}
 
 
 @dataclass(eq=False)

@@ -49,7 +49,6 @@ from .quat import (
     dcm_from_quat,
     dcm_rows,
     quat_from_dcm,
-    renormalize,
     renormalize_rows,
     row_norms,
 )
@@ -84,12 +83,6 @@ class RvState:
         out[6:10] = self.qb.as_array()
         return out
 
-    @classmethod
-    def from_array(cls, y) -> "RvState":
-        """Build from a propagated sample; quaternions are renormalized."""
-        y = np.asarray(y, dtype=float)
-        return cls(float(y[0]), renormalize(y[1:5]), float(y[5]), renormalize(y[6:10]))
-
 
 @dataclass(frozen=True)
 class RvhState:
@@ -119,18 +112,6 @@ class RvhState:
         out[7] = self.eta_b
         return out
 
-    @classmethod
-    def from_array(cls, y) -> "RvhState":
-        y = np.asarray(y, dtype=float)
-        n = math.hypot(float(y[6]), float(y[7]))
-        return cls(
-            float(y[0]),
-            renormalize(y[1:5]),
-            float(y[5]),
-            float(y[6]) / n,
-            float(y[7]) / n,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CartesianState:
@@ -151,11 +132,6 @@ class CartesianState:
 
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.position, self.velocity])
-
-    @classmethod
-    def from_array(cls, y) -> "CartesianState":
-        y = np.asarray(y, dtype=float)
-        return cls(y[0:3].copy(), y[3:6].copy())
 
     @property
     def r(self) -> float:
@@ -192,11 +168,6 @@ class SphericalState:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.r, self.lon, self.lat, self.v, self.gamma, self.psi])
-
-    @classmethod
-    def from_array(cls, y) -> "SphericalState":
-        y = np.asarray(y, dtype=float)
-        return cls(*(float(x) for x in y))
 
 
 def _shortest_arc(target, tie_axis) -> UnitQuaternion:

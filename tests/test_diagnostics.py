@@ -23,19 +23,11 @@ from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
     VERTICAL_SIN_EPS,
-    beta_from_sigma,
     sample_diagnostics,
-    sigma_from_beta,
 )
 from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.propagation import Trajectory
-from quatflight.quat import (
-    AxisAngle,
-    dcm_from_axis_angle,
-    dcm_from_quat,
-    quat_from_dcm,
-    renormalize,
-)
+from quatflight.quat import dcm_from_quat, quat_from_dcm, renormalize
 from quatflight.scenario import (
     CSV_COLUMNS,
     ComparisonReport,
@@ -45,7 +37,18 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.states import CartesianState, RvhState, RvState, SphericalState
+from quatflight.states import CartesianState
+
+from reference import (
+    AxisAngle,
+    beta_from_sigma,
+    cartesian_state_from_array,
+    dcm_from_axis_angle,
+    rv_state_from_array,
+    rvh_state_from_array,
+    sigma_from_beta,
+    spherical_state_from_array,
+)
 
 BUNDLED = ("entry_table3", "vertical_dive", "circular_orbit", "bench_entry", "norm_drift")
 
@@ -96,11 +99,11 @@ def ref_spherical_state_to_cartesian(s):
 
 
 REF_TO_CARTESIAN = {
-    "rv": lambda y: ref_rv_state_to_cartesian(RvState.from_array(y)),
-    "rvl": lambda y: ref_rv_state_to_cartesian(RvState.from_array(y)),
-    "rvh": lambda y: ref_rvh_state_to_cartesian(RvhState.from_array(y)),
-    "spherical": lambda y: ref_spherical_state_to_cartesian(SphericalState.from_array(y)),
-    "cartesian": CartesianState.from_array,
+    "rv": lambda y: ref_rv_state_to_cartesian(rv_state_from_array(y)),
+    "rvl": lambda y: ref_rv_state_to_cartesian(rv_state_from_array(y)),
+    "rvh": lambda y: ref_rvh_state_to_cartesian(rvh_state_from_array(y)),
+    "spherical": lambda y: ref_spherical_state_to_cartesian(spherical_state_from_array(y)),
+    "cartesian": cartesian_state_from_array,
 }
 
 
@@ -163,7 +166,7 @@ def ref_rvh_columns(t, y, controls):
         "norm_qb": float(np.hypot(y[6], y[7])),
         "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
         "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
-        **ref_bank_columns(sigma, ref_rvh_c_ba(RvhState.from_array(y))),
+        **ref_bank_columns(sigma, ref_rvh_c_ba(rvh_state_from_array(y))),
     }
 
 

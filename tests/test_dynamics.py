@@ -6,28 +6,13 @@ import pytest
 from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
-    beta_from_sigma,
-    beta_rate,
     make_cartesian_rhs,
     make_rv_rhs,
     make_spherical_rhs,
-    sigma_from_beta,
 )
-from quatflight.environment import (
-    EARTH,
-    AeroModel,
-    Atmosphere,
-    CentralBody,
-    ControlInput,
-    Environment,
-    Vehicle,
-    aero_forces,
-    apparent_force_B,
-    density,
-    net_force_B,
-)
+from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.errors import SingularityError
-from quatflight.quat import UnitQuaternion, dcm_from_quat, omega_from_rate_arrays, renormalize
+from quatflight.quat import UnitQuaternion, dcm_from_quat, renormalize
 from quatflight.states import (
     CartesianState,
     RvhState,
@@ -36,6 +21,20 @@ from quatflight.states import (
     cartesian_to_rv,
     cartesian_to_spherical,
     rvh_c_ba_rows,
+)
+
+from reference import (
+    ControlInput,
+    aero_forces,
+    apparent_force_B,
+    beta_from_sigma,
+    beta_rate,
+    cartesian_state_from_array,
+    density,
+    net_force_B,
+    omega_from_rate_arrays,
+    sigma_from_beta,
+    spherical_state_from_array,
 )
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -457,7 +456,7 @@ class TestSphericalDerivatives:
                 for _ in range(steps):
                     y = rk4_step(cart_rhs, tt, y, h)
                     tt += h
-                return cartesian_to_spherical(CartesianState.from_array(y)).to_array()
+                return cartesian_to_spherical(cartesian_state_from_array(y)).to_array()
 
             dt = 1e-2
             fd = (sph_at(dt) - sph_at(-dt)) / (2.0 * dt)
@@ -478,15 +477,13 @@ class TestSphericalDerivatives:
         cart_rhs = make_cartesian_rhs(profile, env)
         y_sph = rk4_run(sph_rhs, 0.0, s.to_array(), 10.0, 2000)
         y_cart = rk4_run(cart_rhs, 0.0, PARAMETERIZATIONS["spherical"].to_cartesian(s.to_array()).to_array(), 10.0, 2000)
-        pos_sph = PARAMETERIZATIONS["spherical"].to_cartesian(SphericalState.from_array(y_sph).to_array()).position
+        pos_sph = PARAMETERIZATIONS["spherical"].to_cartesian(spherical_state_from_array(y_sph).to_array()).position
         np.testing.assert_allclose(pos_sph, y_cart[0:3], rtol=1e-6)
 
 
 def _spherical_rates_with_forced_lift(s, env, lift, beta):
     # pick alpha so the linear lift model produces the requested force
     rho = env.atmosphere.rho0
-    from quatflight.environment import density
-
     rho = density(s.r - env.body.radius, env.atmosphere)
     if rho == 0.0:
         env = make_env(spin=env.body.spin_rate, rho0=1.225)
@@ -606,8 +603,6 @@ class TestBankAngleMaps:
 
         beta0, _ = beta_at(t0, y0, t0)
         ydot = rhs(t0, y0)
-        from quatflight.quat import omega_from_rate_arrays
-
         wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
         c_ba = dcm_from_quat(renormalize(y0[6:10]))
         analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)

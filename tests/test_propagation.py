@@ -110,7 +110,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
     target = schedule.next_after(t)
     while target is not None:
         h_try = min(h, target - t)
-        landing = h_try >= target - t - 1e-15
+        landing = h_try >= target - t - 1e-15 or t + h_try >= target
         t_end = math.nextafter(target, -math.inf) if landing and target in schedule.knots else None
         y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end)
         tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
@@ -626,6 +626,18 @@ class TestKnotLandings:
         assert traj.n_rejected == 0
         assert traj.y[traj.t.tolist().index(1.0)][0] == 1.0
         assert traj.y[-1][0] == pytest.approx(3.0, abs=1e-12)
+
+    def test_step_rounding_onto_a_knot_lands_there(self):
+        # after 188 steps of 0.1 s the gap to the knot at 18.9 exceeds 0.1
+        # by 1.4e-15, yet t + 0.1 rounds onto 18.9: that step must count as
+        # the landing, or the next step has length zero
+        rhs = lambda t, y: np.array([1.0])
+        cfg = IntegratorConfig(method="rk4-fixed", step=0.1)
+        traj, event = propagate(rhs, 0.0, np.array([0.0]), 20.0, cfg, t_knots=[18.9])
+        assert event.kind == "terminal_time"
+        assert 18.9 in traj.t.tolist()
+        assert (np.diff(traj.t) > 0).all()
+        assert traj.n_evals == 4 * traj.n_steps
 
     def test_rvl_entry_lands_on_bank_knot_without_cascade(self):
         # rvl in beta mode feeds the bank profile's rate to its derivative

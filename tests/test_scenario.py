@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -23,7 +25,6 @@ from quatflight.scenario import (
     initial_array_for,
     load_scenario,
     parse_config,
-    read_trajectory_csv,
     run_parameterization,
     run_scenario,
     write_trajectory_csv,
@@ -36,6 +37,8 @@ from quatflight.states import (
     SphericalState,
     cartesian_to_spherical,
 )
+
+from reference import read_trajectory_csv
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -505,7 +508,31 @@ class TestCli:
 
 
 class TestPackageExports:
+    # the scenario API, the registry, the configuration types, propagation
+    # and the errors; everything else is imported from its submodule
+    EXPORTS = {
+        "ScenarioConfig", "load_scenario", "run_scenario", "bundled_scenario_path",
+        "PARAMETERIZATIONS", "CartesianState",
+        "ControlProfile", "PiecewiseLinear", "AeroModel", "Atmosphere", "CentralBody",
+        "Environment", "Vehicle", "EARTH", "IntegratorConfig",
+        "propagate", "StopEvent", "Trajectory",
+        "QuatflightError", "ConfigError", "PropagationError", "SingularityError",
+    }
+    # test oracles, which live in tests/reference.py, and wrappers the
+    # program has no use for
+    GONE = {
+        "quat": (
+            "AxisAngle", "skew", "dcm_from_axis_angle", "quat_from_axis_angle",
+            "quat_rates", "omega_from_rate_arrays", "omega_from_quat_rates",
+        ),
+        "environment": ("ControlInput", "density", "aero_forces", "net_force_B", "apparent_force_B"),
+        "dynamics": ("beta_from_sigma", "sigma_from_beta", "beta_rate"),
+        "scenario": ("read_trajectory_csv",),
+        "bench": ("benchmark_derivatives",),
+    }
+
     def test_every_export_resolves(self):
+        assert sorted(quatflight.__all__) == sorted(self.EXPORTS)
         assert [n for n in quatflight.__all__ if not hasattr(quatflight, n)] == []
         namespace = {}
         exec("from quatflight import *", namespace)
@@ -513,6 +540,36 @@ class TestPackageExports:
         # each form converts through its Parameterization's to_cartesian_rows
         for gone in ("rv_to_cartesian", "rvh_to_cartesian", "spherical_to_cartesian"):
             assert gone not in quatflight.__all__ and not hasattr(quatflight, gone)
+        for module, names in self.GONE.items():
+            for gone in names:
+                assert not hasattr(importlib.import_module(f"quatflight.{module}"), gone), gone
+                assert not hasattr(quatflight, gone), gone
+        for cls in (RvState, RvhState, CartesianState, SphericalState):
+            assert not hasattr(cls, "from_array"), cls
+        assert not hasattr(quatflight.quat.UnitQuaternion, "norm")
+
+    def test_src_holds_only_what_the_program_runs(self):
+        # a top-level function or class in the package is referenced by the
+        # package or the benchmark, or exported; test-only code lives in tests/
+        root = Path(__file__).resolve().parents[1]
+        package = root / "src" / "quatflight"
+        referenced = set()
+        defined = []
+        for path in [*package.glob("*.py"), *(root / "perfbench").rglob("*.py")]:
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+            if path.parent == package:
+                defined += [
+                    (path.name, node.name)
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                ]
+        kept = referenced | set(quatflight.__all__)
+        assert [d for d in defined if d[1] not in kept] == []
 
 
 class TestEntryScenarioInvariants:
