@@ -67,14 +67,15 @@ def benchmark_form(name: str, config: ScenarioConfig, n_evals: int) -> BenchRow:
 
     Returns a :class:`BenchRow` with the mean and median nanoseconds per
     evaluation (over 20 timing batches) and the exact trig-call count of a
-    single evaluation, all at the initial state.  Raises
+    single evaluation, all at the initial state, passed as the list of
+    floats the steppers hand the derivative.  Raises
     :class:`SingularityError` when the form's initial state or its first
     derivative trips a guard.
     """
     if n_evals < MIN_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_EVALS}")
     spec = dynamics.PARAMETERIZATIONS[name]
-    y0 = initial_array_for(name, config)
+    y0 = initial_array_for(name, config).tolist()
     rhs = spec.make_rhs(config.controls, config.environment)
     t0 = config.t0
     trig = count_trig_calls(rhs, t0, y0)

@@ -39,12 +39,13 @@ never as names bound when the closure is built, so that
 :func:`quatflight.bench.count_trig_calls` can count them by patching the
 module.
 
-Each derivative unpacks its state once, with ``y.tolist()``, and does all
-of its arithmetic on Python floats, then builds its result with one
-``np.array`` call.  Indexing the array element by element gives NumPy
-scalars instead, whose arithmetic costs more per operation than the trig
-calls the quaternion forms avoid; the values, and so every trajectory, are
-the same bit for bit either way.
+Each derivative takes its state as a list of Python floats, unpacks it
+once, does all of its arithmetic on floats and returns its result as a new
+list of floats; the propagator passes lists between stages and builds no
+array for a derivative call.  An ndarray argument still unpacks, but into
+NumPy scalars, whose arithmetic costs more per operation than the trig
+calls the quaternion forms avoid and whose overflow warns where a float
+gives inf; the values are the same bit for bit either way.
 
 Derivative functions are pure: they never renormalize the quaternions (that
 is the propagator's policy) and may be called concurrently.
@@ -53,7 +54,7 @@ is the propagator's policy) and may be called concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, exp, pi, sin
+from math import atan2, cos, exp, pi, sin, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,7 +141,7 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
-        r, ea1, ea2, ea3, eta_a, v, eb1, eb2, eb3, eta_b = y.tolist()
+        r, ea1, ea2, ea3, eta_a, v, eb1, eb2, eb3, eta_b = y
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:
@@ -219,7 +220,7 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
         else:
             wb1 = 0.0
 
-        return np.array((
+        return [
             v * b11,
             0.5 * (eta_a * wa1 - ea3 * wa2 + ea2 * wa3),
             0.5 * (ea3 * wa1 + eta_a * wa2 - ea1 * wa3),
@@ -230,7 +231,7 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
             0.5 * (eb3 * wb1 + eta_b * wb2 - eb1 * wb3),
             0.5 * (-eb2 * wb1 + eb1 * wb2 + eta_b * wb3),
             -0.5 * (eb1 * wb1 + eb2 * wb2 + eb3 * wb3),
-        ))
+        ]
 
     return rhs
 
@@ -243,7 +244,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
-        r, ea1, ea2, ea3, eta_a, v, eb3, eta_b = y.tolist()
+        r, ea1, ea2, ea3, eta_a, v, eb3, eta_b = y
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:
@@ -299,7 +300,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
         wa3 = (2.0 * v / r) * eta_b * eb3
         wb3 = ft2 / (m * v) - (2.0 * v / r) * eta_b * eb3
 
-        return np.array((
+        return [
             v * b11,
             0.5 * (wa1 * eta_a + wa3 * ea2),
             0.5 * (wa1 * ea3 - wa3 * ea1),
@@ -308,7 +309,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
             ft1 / m,
             0.5 * wb3 * eta_b,
             -0.5 * wb3 * eb3,
-        ))
+        ]
 
     return rhs
 
@@ -325,7 +326,7 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
     bank_of = controls.bank
 
     def rhs(t, y):
-        px, py, pz, vx, vy, vz = y.tolist()
+        px, py, pz, vx, vy, vz = y
         r2 = px * px + py * py + pz * pz
         r = r2**0.5
         v = (vx * vx + vy * vy + vz * vz) ** 0.5
@@ -371,7 +372,7 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
             ax += 2.0 * we * vy + we * we * px
             ay += -2.0 * we * vx + we * we * py
 
-        return np.array([vx, vy, vz, ax, ay, az])
+        return [vx, vy, vz, ax, ay, az]
 
     return rhs
 
@@ -389,7 +390,7 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
     gamma_max = pi / 2 - SPHERICAL_GAMMA_EPS
 
     def rhs(t, y):
-        r, _lon, lat, v, gamma, psi = y.tolist()
+        r, _lon, lat, v, gamma, psi = y
         if r <= 0.0:
             raise SingularityError("nonpositive radius")
         if v <= 0.0:
@@ -430,7 +431,7 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
             - 2.0 * we * ((sg / cg) * cp * ct - st)
             + (we2r / (v * cg)) * sp * st * ct
         )
-        return np.array([rdot, londot, latdot, vdot, gammadot, psidot])
+        return [rdot, londot, latdot, vdot, gammadot, psidot]
 
     return rhs
 
@@ -605,7 +606,9 @@ class Parameterization:
     def radius(self, y) -> float:
         if self.radius_index >= 0:
             return float(y[self.radius_index])
-        return float(np.linalg.norm(y[0:3]))
+        # np.linalg.norm's arithmetic on a state list, without its overhead
+        p = np.array(y[0:3], dtype=float)
+        return sqrt(p.dot(p))
 
 
 _TEN_PARAMETER_SCALES = np.array(

@@ -69,14 +69,17 @@ number, and as ``step_failure`` "step size underflow" otherwise.  A fixed
 step that produces a non-finite state ends the run as ``step_failure``
 "non-finite state".
 
-The Dormand-Prince step and its error norm work on Python floats: the
-state and each stage derivative are unpacked once with ``tolist()``, and
-only the arrays handed to the derivative function are built.  Every
-component is the float the array expressions give, in the same order
-(numpy's summation order included), so trajectories are bit for bit those
-of the array form.  The step returns its stage-7 state as the fifth-order
-solution: that stage's weights are the solution weights, summed in the
-same order.
+The state is a list of Python floats from ``y0`` to the last sample, and
+the derivative takes and returns one: both steps, the error norm and the
+renormalization pass lists between stages and build no array per stage or
+per step.  Every component is the float the array expressions give, in the
+same order (numpy's summation order included, and the quaternion norms on
+``np.dot``), so trajectories are bit for bit those of the array form.  The
+Dormand-Prince step returns its stage-7 state as the fifth-order solution:
+that stage's weights are the solution weights, summed in the same order.
+Arrays appear where a run's results are kept: the accepted rows in the
+state buffer, an interpolant's matrix product, and the trajectory and stop
+event handed back.
 
 The derivative is never evaluated twice at the same ``(t, y)`` from one
 step to the next, and is reused only where its inputs are bit-identical:
@@ -219,11 +222,15 @@ class Trajectory:
         return self.y[-1]
 
 
-def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
-    """Rescale each quaternion block of a state array to unit norm.
+def renormalize_quaternion_blocks(y: list, quat_spans) -> list:
+    """Rescale each quaternion block of a state, a list of floats, to unit norm.
 
     Returns ``y`` itself when every block's norm is exactly 1.0 (dividing
-    by it would change no bit), otherwise a rescaled copy.
+    by it would change no bit), otherwise a rescaled copy.  Each block's
+    squared norm is the ``np.dot`` of the block, as an array, with itself:
+    numpy's dot may fuse multiply and add, so no order of float products
+    and sums reproduces its bits, even for two components; a float sum of
+    squares would move trajectories off those of the array form.
 
     Raises
     ------
@@ -232,37 +239,48 @@ def renormalize_quaternion_blocks(y: np.ndarray, quat_spans) -> np.ndarray:
     """
     out = y
     for lo, hi in quat_spans:
-        block = y[lo:hi]
+        block = np.array(y[lo:hi])
         n = sqrt(block.dot(block))
         if n == 0.0:
             raise ValueError("cannot renormalize a zero-norm quaternion block")
         if n != 1.0:
             if out is y:
-                out = y.copy()
-            out[lo:hi] /= n
+                out = list(y)
+            out[lo:hi] = [v / n for v in y[lo:hi]]
     return out
 
 
 def _rk4_step(rhs, t, y, h):
-    """One classical RK4 step: ``(y_new, (k1, k2, k3, k4))``."""
+    """One classical RK4 step on lists of floats: ``(y_new, (k1, k2, k3, k4))``.
+
+    Every component is the float the array expressions give: each stage
+    state is ``y + (0.5*h)*k`` (``y + h*k3`` for the last) and the new
+    state ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``.
+    """
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k1, k2, k3, k4)
+    c = 0.5 * h
+    k2 = rhs(t + c, [v + c * p for v, p in zip(y, k1)])
+    k3 = rhs(t + c, [v + c * p for v, p in zip(y, k2)])
+    k4 = rhs(t + h, [v + h * p for v, p in zip(y, k3)])
+    c = h / 6.0
+    y_new = [
+        v + c * (((p + 2.0 * q) + 2.0 * r) + s)
+        for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+    ]
+    return y_new, (k1, k2, k3, k4)
 
 
 def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
-    """One Dormand-Prince step on Python floats.
+    """One Dormand-Prince step on lists of floats.
 
-    Returns ``(y5, err, k7, stages)``: the stage-7 state as an array (it
-    is the fifth-order solution, since ``_DP_A[6] == _DP_B[:6]`` and
-    ``_DP_B[6] == 0``), the error estimate as a list of floats, the
-    derivative at ``(t_end, y5)``, and the seven stage derivatives as lists
-    of floats, for the continuous extension.  ``k1`` is the derivative at
-    ``(t, y)`` when the caller already has it.  ``t_end`` is the time of
-    stages 6 and 7, both at ``c = 1``: ``t + h`` unless the caller passes
-    the left limit of a control knot the step lands on.
+    Returns ``(y5, err, k7, stages)``, each a list of floats: the stage-7
+    state (it is the fifth-order solution, since ``_DP_A[6] == _DP_B[:6]``
+    and ``_DP_B[6] == 0``), the error estimate, the derivative at
+    ``(t_end, y5)``, and the seven stage derivatives, for the continuous
+    extension.  ``k1`` is the derivative at ``(t, y)`` when the caller
+    already has it.  ``t_end`` is the time of stages 6 and 7, both at
+    ``c = 1``: ``t + h`` unless the caller passes the left limit of a
+    control knot the step lands on.
 
     Each stage state is summed weight by weight in table order, skipping
     zero weights, so every component is the float the array expression
@@ -273,69 +291,61 @@ def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
     if t_end is None:
         t_end = t + h
     a = _DP_A
-    y0 = y.tolist()
-    d1 = k1.tolist()
+    d1 = k1
     c1 = h * a[1][0]
-    d2 = rhs(t + _DP_C[1] * h, np.array([v + c1 * p for v, p in zip(y0, d1)])).tolist()
+    d2 = rhs(t + _DP_C[1] * h, [v + c1 * p for v, p in zip(y, d1)])
     c1, c2 = h * a[2][0], h * a[2][1]
-    d3 = rhs(
-        t + _DP_C[2] * h,
-        np.array([v + c1 * p + c2 * q for v, p, q in zip(y0, d1, d2)]),
-    ).tolist()
+    d3 = rhs(t + _DP_C[2] * h, [v + c1 * p + c2 * q for v, p, q in zip(y, d1, d2)])
     c1, c2, c3 = h * a[3][0], h * a[3][1], h * a[3][2]
     d4 = rhs(
         t + _DP_C[3] * h,
-        np.array([v + c1 * p + c2 * q + c3 * r for v, p, q, r in zip(y0, d1, d2, d3)]),
-    ).tolist()
+        [v + c1 * p + c2 * q + c3 * r for v, p, q, r in zip(y, d1, d2, d3)],
+    )
     c1, c2, c3, c4 = h * a[4][0], h * a[4][1], h * a[4][2], h * a[4][3]
     d5 = rhs(
         t + _DP_C[4] * h,
-        np.array(
-            [
-                v + c1 * p + c2 * q + c3 * r + c4 * s
-                for v, p, q, r, s in zip(y0, d1, d2, d3, d4)
-            ]
-        ),
-    ).tolist()
+        [
+            v + c1 * p + c2 * q + c3 * r + c4 * s
+            for v, p, q, r, s in zip(y, d1, d2, d3, d4)
+        ],
+    )
     c1, c2, c3, c4, c5 = h * a[5][0], h * a[5][1], h * a[5][2], h * a[5][3], h * a[5][4]
     d6 = rhs(
         t_end,
-        np.array(
-            [
-                v + c1 * p + c2 * q + c3 * r + c4 * s + c5 * u
-                for v, p, q, r, s, u in zip(y0, d1, d2, d3, d4, d5)
-            ]
-        ),
-    ).tolist()
+        [
+            v + c1 * p + c2 * q + c3 * r + c4 * s + c5 * u
+            for v, p, q, r, s, u in zip(y, d1, d2, d3, d4, d5)
+        ],
+    )
     # a[6][1] == 0: the second stage does not enter the solution
     c1, c3, c4, c5, c6 = h * a[6][0], h * a[6][2], h * a[6][3], h * a[6][4], h * a[6][5]
-    y5 = np.array(
-        [
-            v + c1 * p + c3 * r + c4 * s + c5 * u + c6 * w
-            for v, p, r, s, u, w in zip(y0, d1, d3, d4, d5, d6)
-        ]
-    )
-    k7 = rhs(t_end, y5)
+    y5 = [
+        v + c1 * p + c3 * r + c4 * s + c5 * u + c6 * w
+        for v, p, r, s, u, w in zip(y, d1, d3, d4, d5, d6)
+    ]
+    d7 = rhs(t_end, y5)
     # _DP_E[1] == 0
     e = _DP_E
     c1, c3, c4, c5, c6, c7 = h * e[0], h * e[2], h * e[3], h * e[4], h * e[5], h * e[6]
-    d7 = k7.tolist()
     err = [
         c1 * p + c3 * r + c4 * s + c5 * u + c6 * w + c7 * z
         for p, r, s, u, w, z in zip(d1, d3, d4, d5, d6, d7)
     ]
-    return y5, err, k7, (d1, d2, d3, d4, d5, d6, d7)
+    return y5, err, d7, (d1, d2, d3, d4, d5, d6, d7)
 
 
 def _dense(t, h, y, stages, p):
     """The state at time ``s`` inside the step of length ``h`` from ``(t, y)``.
 
-    ``stages`` are the step's stage derivatives and ``p`` the coefficients
-    of its continuous extension, one row per stage.
+    ``y`` and the step's stage derivatives ``stages`` are lists of floats,
+    converted to arrays once per interpolant; ``p`` holds the coefficients
+    of its continuous extension, one row per stage.  Each evaluation
+    returns the state as a list of floats.
     """
     q = h * (p.T @ np.array(stages))
+    y = np.array(y)
     exponents = np.arange(1, len(q) + 1)
-    return lambda s: y + ((s - t) / h) ** exponents @ q
+    return lambda s: (y + ((s - t) / h) ** exponents @ q).tolist()
 
 
 def _error_norm(err, y, y5, abs_tol, rel_tol):
@@ -424,7 +434,11 @@ def propagate(
     Parameters
     ----------
     rhs : callable
-        Derivative function ``rhs(t, y) -> ydot``.
+        Derivative function ``rhs(t, y) -> ydot``.  ``y`` is a list of
+        Python floats, which ``rhs`` must not modify, and ``ydot`` a new
+        list of floats of the same length.
+    y0 : array_like
+        Initial state, a flat sequence of numbers.
     quat_spans : sequence of (lo, hi)
         Index ranges holding unit quaternions, renormalized after accepted
         steps when the config asks for it.
@@ -474,7 +488,7 @@ def propagate(
     """
     if t_final <= t0:
         raise ValueError("t_final must exceed t0")
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     start = time.perf_counter()
     n_evals = 0
 
@@ -485,7 +499,7 @@ def propagate(
 
     # accepted samples are rows [0, n_rows); both buffers double when full
     t_buf = np.empty(256)
-    y_buf = np.empty((256, y.size))
+    y_buf = np.empty((256, len(y)))
     t_buf[0] = t0
     y_buf[0] = y
     n_rows = 1
@@ -497,7 +511,7 @@ def propagate(
     dense_coefficients = _DP_P if adaptive else _RK4_P
     rel_tol = config.rel_tol
     if scales is None:
-        abs_tol = [config.abs_tol] * y.size
+        abs_tol = [config.abs_tol] * len(y)
     else:
         abs_tol = (config.abs_tol * np.asarray(scales, dtype=float)).tolist()
 
@@ -527,7 +541,7 @@ def propagate(
 
     def stop(kind, message=""):
         """End the run at the last accepted sample."""
-        return finish(StopEvent(kind=kind, t_event=t, y_event=y.copy(), message=message))
+        return finish(StopEvent(kind=kind, t_event=t, y_event=np.array(y), message=message))
 
     t = t0
     sample(t, y, None)
@@ -563,7 +577,7 @@ def propagate(
             failure = None
             try:
                 y5, err, k7, stages = _dp54_step(counted_rhs, t, y, h_try, k1, t7)
-                err_norm = _error_norm(err, y.tolist(), y5.tolist(), abs_tol, rel_tol)
+                err_norm = _error_norm(err, y, y5, abs_tol, rel_tol)
                 y_new = y5
             except (SingularityError, ArithmeticError) as exc:
                 failure = exc
@@ -578,7 +592,7 @@ def propagate(
                 return stop("singularity_guard", str(exc))
             err_norm = 0.0
             # one float sum: NaN or inf in any component carries through
-            finite = isfinite(sum(y_new.tolist()))
+            finite = isfinite(sum(y_new))
 
         if adaptive and err_norm > 1.0:
             # the retry starts from the same (t, y) and keeps k1
@@ -615,7 +629,7 @@ def propagate(
                     )
                     if renorm:
                         y_new = renormalize_quaternion_blocks(y_new, quat_spans)
-                event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=y_new.copy())
+                event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=np.array(y_new))
             g_prev = g_new
 
         if pending and pending[-1] <= t_new:

@@ -11,7 +11,9 @@ statement of something ``src/quatflight`` computes another way:
   kernel ``dynamics.make_forces`` and the derivative functions;
 * the plane-referenced bank angle and its rate, written with ``math``
   alone so they do not call the code they check;
-* state records from flat arrays, and a trajectory CSV reader.
+* state records from flat arrays, and a trajectory CSV reader;
+* :func:`array_rhs`, through which the array oracles call a derivative
+  that takes and returns lists of floats.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import SingularityError
 from quatflight.quat import UNIT_NORM_TOL, UnitQuaternion, renormalize
 from quatflight.states import CartesianState, RvhState, RvState, SphericalState
+
+def array_rhs(rhs):
+    """The list-native derivative ``rhs`` as a derivative of arrays."""
+    return lambda t, y: np.asarray(rhs(t, y.tolist()))
+
 
 # --- rotation algebra ------------------------------------------------------
 

@@ -45,6 +45,7 @@ from quatflight.states import (
 
 from reference import (
     AxisAngle,
+    array_rhs,
     beta_from_sigma,
     beta_rate,
     dcm_from_axis_angle,
@@ -421,7 +422,7 @@ def test_criterion_7_bank_angle_maps():
     )
     t0 = 40.0
     y0 = traj.y[-1]
-    ydot = rhs(t0, y0)
+    ydot = array_rhs(rhs)(t0, y0)
     wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
     c_ba = dcm_from_quat(renormalize(y0[6:10]))
     analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)
@@ -454,6 +455,8 @@ def test_criterion_7_bank_angle_maps():
 
 
 def _rk4(rhs, t, y, h):
+    """One RK4 step on arrays; the derivative's lists are converted here."""
+    rhs = array_rhs(rhs)
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)

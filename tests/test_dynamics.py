@@ -26,6 +26,7 @@ from quatflight.states import (
 from reference import (
     ControlInput,
     aero_forces,
+    array_rhs,
     apparent_force_B,
     beta_from_sigma,
     beta_rate,
@@ -68,6 +69,8 @@ def rates(name, state, env, **controls):
 
 
 def rk4_step(rhs, t, y, h):
+    """One RK4 step on arrays; the derivative's lists are converted here."""
+    rhs = array_rhs(rhs)
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
@@ -444,7 +447,7 @@ class TestSphericalDerivatives:
             )
             sph_rhs = make_spherical_rhs(profile, env)
             cart_rhs = make_cartesian_rhs(profile, env)
-            analytic = sph_rhs(0.0, s.to_array())
+            analytic = np.asarray(sph_rhs(0.0, s.to_array().tolist()))
 
             c0 = PARAMETERIZATIONS["spherical"].to_cartesian(s.to_array()).to_array()
 
@@ -602,7 +605,7 @@ class TestBankAngleMaps:
             return beta_from_sigma(profile.bank(t), c_ba), y
 
         beta0, _ = beta_at(t0, y0, t0)
-        ydot = rhs(t0, y0)
+        ydot = array_rhs(rhs)(t0, y0)
         wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
         c_ba = dcm_from_quat(renormalize(y0[6:10]))
         analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)

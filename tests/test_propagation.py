@@ -42,10 +42,14 @@ from quatflight.scenario import (
 )
 from quatflight.states import CartesianState, cartesian_to_rv
 
+from reference import array_rhs
+
 MU = EARTH.mu
 
 
 # Textbook stepper: the array-copying forms the stepper must match bit for bit.
+# Derivatives take and return lists of floats; the oracles convert at their
+# boundary and do their own arithmetic on arrays.
 
 
 def reference_renormalize(y, quat_spans):
@@ -59,6 +63,7 @@ def reference_renormalize(y, quat_spans):
 
 
 def reference_rk4_step(rhs, t, y, h):
+    rhs = array_rhs(rhs)
     k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + (0.5 * h) * k1)
     k3 = rhs(t + 0.5 * h, y + (0.5 * h) * k2)
@@ -68,6 +73,7 @@ def reference_rk4_step(rhs, t, y, h):
 
 def reference_dp54_step(rhs, t, y, h, t_end=None):
     """``t_end`` replaces ``t + h`` as the time of the two ``c = 1`` stages."""
+    rhs = array_rhs(rhs)
     k = [rhs(t, y)]
     for i in range(1, 7):
         yi = y.copy()
@@ -187,20 +193,20 @@ def vacuum_env(spin=0.0):
 
 class TestScalarProbe:
     def test_exponential_decay_rk4(self):
-        rhs = lambda t, y: -y
+        rhs = lambda t, y: [-v for v in y]
         cfg = IntegratorConfig(method="rk4-fixed", step=0.01)
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
         assert event.kind == "terminal_time"
         np.testing.assert_allclose(traj.final_state[0], math.exp(-1.0), atol=1e-9)
 
     def test_exponential_decay_adaptive(self):
-        rhs = lambda t, y: -y
+        rhs = lambda t, y: [-v for v in y]
         cfg = IntegratorConfig(method="rk45-adaptive", rel_tol=1e-12, abs_tol=1e-14)
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
         np.testing.assert_allclose(traj.final_state[0], math.exp(-1.0), rtol=1e-11)
 
     def test_time_grid_strictly_increasing(self):
-        rhs = lambda t, y: -y
+        rhs = lambda t, y: [-v for v in y]
         cfg = IntegratorConfig(method="rk45-adaptive")
         traj, _ = propagate(rhs, 0.0, np.array([1.0]), 2.0, cfg, t_eval=[0.5, 1.5, 2.0])
         assert np.all(np.diff(traj.t) > 0)
@@ -306,7 +312,7 @@ class TestRadiusEvent:
         # comes back at t = 2 s, from above or from below
         target = 10.0
         traj, event = propagate(
-            lambda t, y: np.array([y[1], -side]),
+            lambda t, y: [y[1], -side],
             0.0,
             np.array([target, side]),
             5.0,
@@ -382,13 +388,13 @@ class TestEventOnInterpolant:
 class TestRenormalizationPolicy:
     def test_unit_state_unchanged(self):
         y = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-        out = renormalize_quaternion_blocks(y, ((1, 5),))
+        out = renormalize_quaternion_blocks(y.tolist(), ((1, 5),))
         np.testing.assert_allclose(out, y, atol=0)
 
     def test_small_drift_rescaled(self):
         q = np.array([0.0, 0.0, 0.0, 1.0 + 1e-9])
         y = np.concatenate([[7e6], q])
-        out = renormalize_quaternion_blocks(y, ((1, 5),))
+        out = np.asarray(renormalize_quaternion_blocks(y.tolist(), ((1, 5),)))
         assert abs(np.linalg.norm(out[1:5]) - 1.0) < 1e-15
         assert out[0] == 7e6
         # direction preserved
@@ -396,7 +402,7 @@ class TestRenormalizationPolicy:
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            renormalize_quaternion_blocks(np.zeros(5), ((1, 5),))
+            renormalize_quaternion_blocks([0.0] * 5, ((1, 5),))
 
     def test_policy_on_off_position_agreement(self):
         # renormalization changes the trajectory by far less than the
@@ -438,7 +444,7 @@ class TestDeterminism:
 
 class TestGuardsAndBudget:
     def test_max_steps_exceeded(self):
-        rhs = lambda t, y: -y
+        rhs = lambda t, y: [-v for v in y]
         cfg = IntegratorConfig(method="rk4-fixed", step=0.001, max_steps=10)
         with pytest.raises(PropagationError, match="step count"):
             propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
@@ -474,7 +480,7 @@ class TestGuardsAndBudget:
             if x * x + v * v > 1.05:
                 trips.append(t)
                 raise failure
-            return np.array([v, -x])
+            return [v, -x]
 
         cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
         traj, event = propagate(rhs, 0.0, np.array([1.0, 0.0]), 50.0, cfg)
@@ -490,7 +496,7 @@ class TestGuardsAndBudget:
         def rhs(t, y):
             if t >= 1.0:
                 raise SingularityError("past the knot")
-            return np.array([1.0])
+            return [1.0]
 
         traj, event = propagate(
             rhs, 0.0, np.array([0.0]), 2.0, IntegratorConfig(), t_knots=[1.0]
@@ -517,7 +523,7 @@ class TestGuardsAndBudget:
         def rhs(t, y):
             if t > t_star:
                 raise failure
-            return -y
+            return [-v for v in y]
 
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         assert (event.kind, event.message) == (kind, message)
@@ -552,21 +558,22 @@ class TestStepperMatchesReference:
         cases = random_cases(seed=7, n=24)
         assert {name for name, *_ in cases} == set(PARAMETERIZATIONS)
         for name, rhs, t, y in cases:
+            y_list = y.tolist()
             for h in STEPS:
                 try:
                     expected = reference_rk4_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
-                        _rk4_step(rhs, t, y, h)
+                        _rk4_step(rhs, t, y_list, h)
                 else:
-                    assert np.array_equal(_rk4_step(rhs, t, y, h)[0], expected), (name, h)
+                    assert np.array_equal(_rk4_step(rhs, t, y_list, h)[0], expected), (name, h)
                 try:
                     y5_ref, err_ref = reference_dp54_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
-                        _dp54_step(rhs, t, y, h)
+                        _dp54_step(rhs, t, y_list, h)
                 else:
-                    y5, err, _, _ = _dp54_step(rhs, t, y, h)
+                    y5, err, _, _ = _dp54_step(rhs, t, y_list, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
                     assert np.array_equal(err, err_ref), (name, h)
 
@@ -576,7 +583,8 @@ class TestStepperMatchesReference:
             spans = PARAMETERIZATIONS[name].quat_spans
             drifted = y * (1.0 + rng.uniform(-1e-6, 1e-6, y.size))
             assert np.array_equal(
-                renormalize_quaternion_blocks(drifted, spans), reference_renormalize(drifted, spans)
+                renormalize_quaternion_blocks(drifted.tolist(), spans),
+                reference_renormalize(drifted, spans),
             ), name
 
     def test_stage7_weights_are_solution_weights(self):
@@ -585,6 +593,7 @@ class TestStepperMatchesReference:
 
     def test_supplied_first_stage_changes_nothing(self):
         for name, rhs, t, y in random_cases(seed=10, n=8):
+            y = y.tolist()
             for h in STEPS:
                 try:
                     expected = _dp54_step(rhs, t, y, h)
@@ -618,7 +627,7 @@ class TestKnotLandings:
         # a right-continuous rate jump at the knot: the step that lands
         # there integrates the segment before it exactly, and the next
         # step starts from the derivative after it
-        rhs = lambda t, y: np.array([1.0 if t < 1.0 else 2.0])
+        rhs = lambda t, y: [1.0 if t < 1.0 else 2.0]
         traj, event = propagate(
             rhs, 0.0, np.array([0.0]), 2.0, IntegratorConfig(), t_knots=[1.0]
         )
@@ -631,7 +640,7 @@ class TestKnotLandings:
         # after 188 steps of 0.1 s the gap to the knot at 18.9 exceeds 0.1
         # by 1.4e-15, yet t + 0.1 rounds onto 18.9: that step must count as
         # the landing, or the next step has length zero
-        rhs = lambda t, y: np.array([1.0])
+        rhs = lambda t, y: [1.0]
         cfg = IntegratorConfig(method="rk4-fixed", step=0.1)
         traj, event = propagate(rhs, 0.0, np.array([0.0]), 20.0, cfg, t_knots=[18.9])
         assert event.kind == "terminal_time"
@@ -685,7 +694,7 @@ class TestDerivativeReuse:
             seen = set()
 
             def recording(t, y):
-                key = (t, y.tobytes())
+                key = (t, np.array(y).tobytes())
                 assert key not in seen, (name, t)
                 seen.add(key)
                 return rhs(t, y)
@@ -695,14 +704,19 @@ class TestDerivativeReuse:
 
 
 def unusual_layouts(y):
-    """The state as a read-only array and as a non-contiguous row view."""
+    """The state as a read-only array, as a non-contiguous row view and as a list."""
     read_only = y.copy()
     read_only.setflags(write=False)
     backing = np.zeros((3, 2 * y.size))
     backing[1, ::2] = y
     view = backing[1, ::2]
     assert not view.flags.c_contiguous
-    return {"read-only": (read_only, read_only), "row view": (view, backing)}
+    as_list = y.tolist()
+    return {
+        "read-only": (read_only, read_only),
+        "row view": (view, backing),
+        "list": (as_list, as_list),
+    }
 
 
 class TestNoAliasingNoMutation:
@@ -729,6 +743,7 @@ class TestNoAliasingNoMutation:
                         assert np.array_equal(b, ref), label
                         assert not np.shares_memory(a, b), label
                         assert not np.shares_memory(a, owner), label
+                        assert a is not b and a is not owner, label
 
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_trajectory_rows_are_independent(self, method):
@@ -752,7 +767,7 @@ class TestNoAliasingNoMutation:
 class TestNonFiniteDerivative:
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_nan_derivative_ends_as_step_failure(self, method):
-        rhs = lambda t, y: -y * (math.nan if t > 0.5 else 1.0)
+        rhs = lambda t, y: [-v * (math.nan if t > 0.5 else 1.0) for v in y]
         cfg = IntegratorConfig(method=method, step=0.1)
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
         assert (event.kind, event.message) == ("step_failure", "non-finite state")
@@ -771,7 +786,7 @@ class TestNonFiniteDerivative:
 
         def rhs(t, y):
             times.append(t)
-            return np.full_like(y, bad) if len(times) == 7 else -y
+            return [bad] * len(y) if len(times) == 7 else [-v for v in y]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -780,7 +795,7 @@ class TestNonFiniteDerivative:
         h_retry = times[12]
         assert times[7:13] == [c * h_retry for c in _DP_C[1:]]
         assert 0.0 < h_retry < times[6]
-        clean, _ = propagate(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
+        clean, _ = propagate(lambda t, y: [-v for v in y], 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         assert event.kind == "terminal_time"
         # the first attempt was rejected, so the first accepted step is shorter
         assert traj.t[1] < clean.t[1]
@@ -794,7 +809,7 @@ class TestTrajectoryMemory:
         # trajectory, not the derivative, sets the peak, so a constant
         # derivative stands in for the rv one to keep the traced run short.
         spec = PARAMETERIZATIONS["rv"]
-        zero = np.zeros(10)
+        zero = [0.0] * 10
         constant = dataclasses.replace(spec, make_rhs=lambda controls, env: lambda t, y: zero)
         monkeypatch.setitem(PARAMETERIZATIONS, "rv", constant)
         config = load_scenario(bundled_scenario_path("norm_drift"))
@@ -806,3 +821,46 @@ class TestTrajectoryMemory:
             tracemalloc.stop()
         assert res.trajectory.y.shape == (100_001, 10)
         assert peak <= 24e6
+
+
+class TestListProtocol:
+    """The state and every derivative pass as lists of Python floats.
+
+    A NumPy scalar in a state keeps the bits but costs more per operation,
+    and turns a float overflow into a ``RuntimeWarning``.
+    """
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("name", list(PARAMETERIZATIONS))
+    def test_derivative_sees_and_returns_float_lists(self, name, method, monkeypatch):
+        config = load_scenario(bundled_scenario_path("entry_table3"))
+        config.integrator = dataclasses.replace(config.integrator, method=method, step=1.0)
+        spec = PARAMETERIZATIONS[name]
+        strays = []
+
+        def not_float_list(v):
+            return type(v) is not list or any(type(c) is not float for c in v)
+
+        def make_checked_rhs(controls, env):
+            rhs = spec.make_rhs(controls, env)
+
+            def checked(t, y):
+                ydot = rhs(t, y)
+                if not_float_list(y) or not_float_list(ydot):
+                    strays.append((t, type(y), type(ydot)))
+                return ydot
+
+            return checked
+
+        monkeypatch.setitem(
+            PARAMETERIZATIONS, name, dataclasses.replace(spec, make_rhs=make_checked_rhs)
+        )
+        grid = np.linspace(config.t0, config.stop.t_final, config.compare_points)
+        res = run_parameterization(name, config, compare_times=tuple(grid))
+        traj = res.trajectory
+        # the run covered a radius stop, knot landings and grid samples
+        assert res.event.kind == "radius_crossing"
+        assert {300.0, 400.0, 600.0, 800.0} <= set(traj.t.tolist())
+        assert len(traj.t_eval) > 50
+        assert traj.n_evals > 0
+        assert strays == []

@@ -625,7 +625,7 @@ class TestEntryScenarioInvariants:
 
         def make_poisoned_rhs(controls, env):
             rhs = spec.make_rhs(controls, env)
-            return lambda t, y: rhs(t, y) * (math.nan if t > 10.0 else 1.0)
+            return lambda t, y: [v * (math.nan if t > 10.0 else 1.0) for v in rhs(t, y)]
 
         monkeypatch.setitem(
             PARAMETERIZATIONS, "cartesian", dataclasses.replace(spec, make_rhs=make_poisoned_rhs)
