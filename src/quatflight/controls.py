@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite, nextafter
+from typing import Callable
 
 BANK_MODES = ("sigma", "beta")
 
@@ -101,9 +102,78 @@ class ControlProfile:
             bank_mode=bank_mode,
         )
 
+    def lookup(self, third: str, rate: bool = False) -> Callable:
+        """``lookup(t) -> (alpha, thrust, x)``: every command a derivative reads, in one call.
+
+        ``x`` is the profile named ``third`` (``"bank"`` or ``"wb1"``) at
+        ``t``, or its ``rate`` when ``rate`` is set.  Each value has the bits
+        of ``PiecewiseLinear.__call__`` or ``.rate`` at any ``t`` whose
+        distance to every knot is a finite float.  The table behind it is
+        built once, from the profiles' ``times`` and ``values``, and never
+        changes, so a lookup is pure.
+        """
+        breaks, rows = _segment_table(
+            (
+                _pieces(self.alpha, False),
+                _pieces(self.thrust, False),
+                _pieces(getattr(self, third), rate),
+            )
+        )
+
+        def lookup(t):
+            a, da, ta, sa, b, db, tb, sb, c, dc, tc, sc = rows[bisect_right(breaks, t)]
+            return a + da * (t - ta) / sa, b + db * (t - tb) / sb, c + dc * (t - tc) / sc
+
+        return lookup
+
     def knot_times(self):
         """Sorted unique knot times across all profiles, where the derivative may jump."""
         knots = set()
         for p in (self.alpha, self.bank, self.wb1, self.thrust):
             knots.update(p.times)
         return sorted(knots)
+
+
+def _pieces(profile, rate):
+    """One profile as ``[(start, (v0, dv, t0, dt)), ...]``, starts increasing.
+
+    From its start to the next one the profile's value (its slope with
+    ``rate``) is ``v0 + dv * (t - t0) / dt``: on a segment ``[t0, t1)``
+    that is ``PiecewiseLinear.__call__``'s formula with ``dv = v1 - v0`` and
+    ``dt = t1 - t0``.  A constant ``c`` is ``(c, -0.0, start, 1.0)``, whose
+    second term is -0.0 for every ``t >= start`` and leaves every float
+    ``c`` as it is, -0.0 included; before the first knot it is
+    ``(c, 0.0, t0, 1.0)`` with ``t0`` the first knot, -0.0 for ``t < t0``.
+    The first knot itself is a piece of its own, ``[t0, nextafter(t0))``,
+    since ``__call__`` returns the first value there without the formula.
+    """
+    times, values = profile.times, profile.values
+    first, last = times[0], times[-1]
+    if rate:
+        out = [(-inf, (0.0, 0.0, first, 1.0))]
+        for t0, t1, v0, v1 in zip(times, times[1:], values, values[1:]):
+            out.append((t0, ((v1 - v0) / (t1 - t0), -0.0, t0, 1.0)))
+        out.append((last, (0.0, -0.0, last, 1.0)))
+        return out
+    out = [(-inf, (values[0], 0.0, first, 1.0)), (first, (values[0], -0.0, first, 1.0))]
+    for i, (t0, t1, v0, v1) in enumerate(zip(times, times[1:], values, values[1:])):
+        out.append((nextafter(t0, inf) if i == 0 else t0, (v0, v1 - v0, t0, t1 - t0)))
+    if len(times) > 1:
+        out.append((last, (values[-1], -0.0, last, 1.0)))
+    return out
+
+
+def _segment_table(columns):
+    """Merge the pieces of several profiles into ``(breaks, rows)``.
+
+    ``rows[bisect_right(breaks, t)]`` concatenates, column by column, the
+    piece in force at ``t``: the last one whose start is at or before it.
+    """
+    breaks = sorted({start for column in columns for start, _ in column[1:]})
+    rows = []
+    for b in [-inf] + breaks:
+        row = ()
+        for column in columns:
+            row += next(piece for start, piece in reversed(column) if start <= b)
+        rows.append(row)
+    return breaks, rows

@@ -30,12 +30,20 @@ force model's thrust/bank terms, and the rv/rvl forms stay finite in
 vertical flight; the spherical baseline divides by cos(flight path angle)
 and is guarded instead.
 
-All five derivative functions take the aerodynamic and thrust forces from
-one kernel, :func:`make_forces`, built once per ``make_rhs`` call; each
-form only banks the transverse force into its own basis and adds gravity
-and the rotating-frame terms.  The kernel and the derivative closures look
-up ``sin``, ``cos`` and ``atan2`` as globals of this module at call time,
-never as names bound when the closure is built, so that
+Each derivative evaluation reads every command its form needs from one
+call of a lookup that :meth:`ControlProfile.lookup` builds once per
+``make_rhs`` call: the angle of attack, the thrust, and a third command,
+the bank angle (rv, rvh and the baselines), the ``wb1`` command (rvl in
+``sigma`` mode) or the bank rate (rvl in ``beta`` mode).  The lookup reads
+a per-segment table fixed when it is built, so the derivatives keep no
+state between calls, and its values have the bits of the profiles' own
+``__call__`` and ``rate``.  All five derivative functions then take the
+aerodynamic and thrust forces from one kernel, :func:`make_forces`, also
+built once per ``make_rhs`` call; each form only banks the transverse
+force into its own basis and adds gravity and the rotating-frame terms.
+The kernel and the derivative closures look up ``sin``, ``cos`` and
+``atan2`` as globals of this module at call time, never as names bound
+when the closure is built, so that
 :func:`quatflight.bench.count_trig_calls` can count them by patching the
 module.
 
@@ -86,11 +94,12 @@ _LENGTH_SCALE = 1.0e6
 _SPEED_SCALE = 1.0e3
 
 
-def make_forces(controls: ControlProfile, env: Environment) -> Callable:
-    """The force kernel ``forces(t, r, v) -> (axial, transverse)`` of every form.
+def make_forces(env: Environment) -> Callable:
+    """The force kernel ``forces(r, v, alpha, thrust) -> (axial, transverse)`` of every form.
 
     Evaluates the exponential atmosphere, the lift slope with its parabolic
-    drag polar, and the offset thrust at radius ``r`` and speed ``v``.
+    drag polar, and the offset thrust at radius ``r`` and speed ``v`` for
+    the commanded angle of attack ``alpha`` and thrust.
     ``axial`` (N) acts along the velocity and ``transverse`` (N) along the
     lift direction normal to it; each form banks the transverse force into
     its own basis and adds gravity and the rotating-frame terms.
@@ -99,12 +108,8 @@ def make_forces(controls: ControlProfile, env: Environment) -> Callable:
     rho0, hscale = env.atmosphere.rho0, env.atmosphere.scale_height
     sref, cla, cd0, kdrag = env.aero.s, env.aero.cl_alpha, env.aero.cd0, env.aero.k
     delta = env.vehicle.thrust_offset
-    alpha_of = controls.alpha
-    thrust_of = controls.thrust
 
-    def forces(t, r, v):
-        alpha = alpha_of(t)
-        thrust = thrust_of(t)
+    def forces(r, v, alpha, thrust):
         rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
         qdyn = 0.5 * rho * v * v
         cl = cla * alpha
@@ -135,10 +140,16 @@ def make_rvl_rhs(controls: ControlProfile, env: Environment) -> Callable:
 
 def _make_two_quaternion_rhs(controls, env, lift_along_b2):
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
-    forces = make_forces(controls, env)
-    bank_of = controls.bank
-    wb1_of = controls.wb1
+    forces = make_forces(env)
     beta_mode = controls.bank_mode == "beta"
+    # the third command: the bank angle (rv), the bank rate (rvl, beta
+    # mode) or the wb1 command (rvl, sigma mode)
+    if not lift_along_b2:
+        lookup = controls.lookup("bank")
+    elif beta_mode:
+        lookup = controls.lookup("bank", rate=True)
+    else:
+        lookup = controls.lookup("wb1")
 
     def rhs(t, y):
         r, ea1, ea2, ea3, eta_a, v, eb1, eb2, eb3, eta_b = y
@@ -161,16 +172,17 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
         a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
         a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
 
-        axial, transverse = forces(t, r, v)
+        alpha, thrust, command = lookup(t)
+        axial, transverse = forces(r, v, alpha, thrust)
 
         if lift_along_b2:
             f2_aero = transverse
             f3_aero = 0.0
         elif transverse != 0.0:
             if beta_mode:
-                sigma = bank_of(t) + atan2(b31, b21)
+                sigma = command + atan2(b31, b21)
             else:
-                sigma = bank_of(t)
+                sigma = command
             f2_aero = transverse * cos(sigma)
             f3_aero = transverse * sin(sigma)
         else:
@@ -214,9 +226,9 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
                     raise SingularityError(
                         "bank tracking undefined in vertical flight"
                     )
-                wb1 = bank_of.rate(t) + (b11 / denom) * (wb2 * b21 + wb3 * b31)
+                wb1 = command + (b11 / denom) * (wb2 * b21 + wb3 * b31)
             else:
-                wb1 = wb1_of(t)
+                wb1 = command
         else:
             wb1 = 0.0
 
@@ -239,8 +251,8 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
 def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
     """Right-hand side of the eight-parameter angular-momentum-gauge form."""
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
-    forces = make_forces(controls, env)
-    bank_of = controls.bank
+    forces = make_forces(env)
+    lookup = controls.lookup("bank")
     beta_mode = controls.bank_mode == "beta"
 
     def rhs(t, y):
@@ -262,13 +274,14 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
         a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
         a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
 
-        axial, transverse = forces(t, r, v)
+        alpha, thrust, bank = lookup(t)
+        axial, transverse = forces(r, v, alpha, thrust)
 
         if transverse != 0.0:
             # The in-plane gauge keeps C_BA(2,1) = -sin(angle) < 0 and
             # C_BA(3,1) = 0, so the physical bank differs from the native
             # one by exactly pi.
-            sigma = bank_of(t) + pi if beta_mode else bank_of(t)
+            sigma = bank + pi if beta_mode else bank
             f2_aero = transverse * cos(sigma)
             f3_aero = transverse * sin(sigma)
         else:
@@ -322,8 +335,8 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
     velocity} plane and is undefined in vertical flight.
     """
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
-    forces = make_forces(controls, env)
-    bank_of = controls.bank
+    forces = make_forces(env)
+    lookup = controls.lookup("bank")
 
     def rhs(t, y):
         px, py, pz, vx, vy, vz = y
@@ -335,7 +348,8 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
         if v <= 0.0:
             raise SingularityError("kinetic singularity: nonpositive speed")
 
-        axial, transverse = forces(t, r, v)
+        alpha, thrust, beta = lookup(t)
+        axial, transverse = forces(r, v, alpha, thrust)
 
         ax = (axial / (m * v)) * vx
         ay = (axial / (m * v)) * vy
@@ -355,7 +369,6 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
             g1x = g2y * g3z - g2z * g3y
             g1y = g2z * g3x - g2x * g3z
             g1z = g2x * g3y - g2y * g3x
-            beta = bank_of(t)
             cb = cos(beta)
             sb = sin(beta)
             scale = transverse / m
@@ -385,8 +398,8 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
     command is the physical bank angle.
     """
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
-    forces = make_forces(controls, env)
-    bank_of = controls.bank
+    forces = make_forces(env)
+    lookup = controls.lookup("bank")
     gamma_max = pi / 2 - SPHERICAL_GAMMA_EPS
 
     def rhs(t, y):
@@ -407,8 +420,8 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
         st = sin(lat)
         ct = cos(lat)
 
-        axial, transverse = forces(t, r, v)
-        beta = bank_of(t)
+        alpha, thrust, beta = lookup(t)
+        axial, transverse = forces(r, v, alpha, thrust)
         cb = cos(beta)
         sb = sin(beta)
 

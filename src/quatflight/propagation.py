@@ -70,16 +70,24 @@ step that produces a non-finite state ends the run as ``step_failure``
 "non-finite state".
 
 The state is a list of Python floats from ``y0`` to the last sample, and
-the derivative takes and returns one: both steps, the error norm and the
-renormalization pass lists between stages and build no array per stage or
-per step.  Every component is the float the array expressions give, in the
-same order (numpy's summation order included, and the quaternion norms on
-``np.dot``), so trajectories are bit for bit those of the array form.  The
-Dormand-Prince step returns its stage-7 state as the fifth-order solution:
-that stage's weights are the solution weights, summed in the same order.
-Arrays appear where a run's results are kept: the accepted rows in the
-state buffer, an interpolant's matrix product, and the trajectory and stop
-event handed back.
+the derivative takes and returns one.  The RK4 step, the Dormand-Prince
+step and the error norm are straight-line functions generated for the
+state's size on first use in ``propagate`` and kept per size: each unpacks
+its lists into local names once and writes every component out, so no
+stage runs a loop or builds an array.  Their source is registered with
+:mod:`linecache` under names such as ``<quatflight dp54 n=10>``, where
+``inspect.getsource`` and the tracebacks that the ``traceback`` module
+formats find it.  Every component is the float the array expressions
+give, with the same terms in the same order: zero weights are skipped,
+the error norm's maximum is NaN when either side is (as ``np.maximum``)
+and its sum of squares follows numpy's pairwise order, and the
+renormalization keeps the quaternion norms on ``np.dot``.  So trajectories
+are bit for bit those of the array form.  The Dormand-Prince step returns
+its stage-7 state as the fifth-order solution: that stage's weights are
+the solution weights, summed in the same order.  Arrays appear where a
+run's results are kept: the accepted rows in the state buffer, an
+interpolant's matrix product, and the trajectory and stop event handed
+back.
 
 The derivative is never evaluated twice at the same ``(t, y)`` from one
 step to the next, and is reused only where its inputs are bit-identical:
@@ -102,8 +110,10 @@ produce bitwise-identical trajectories, with or without output times.
 
 from __future__ import annotations
 
+import linecache
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from math import inf, isfinite, isnan, nan, nextafter, sqrt
 from typing import Callable, Optional
 
@@ -180,8 +190,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
             raise ValueError(f"unknown integration method {self.method!r}")
-        if self.step <= 0.0 or self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("step and tolerances must be positive")
+        if not all(isfinite(x) and x > 0.0 for x in (self.step, self.rel_tol, self.abs_tol)):
+            raise ValueError("step and tolerances must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -250,88 +260,166 @@ def renormalize_quaternion_blocks(y: list, quat_spans) -> list:
     return out
 
 
-def _rk4_step(rhs, t, y, h):
-    """One classical RK4 step on lists of floats: ``(y_new, (k1, k2, k3, k4))``.
+def _names(prefix, n):
+    return [f"{prefix}_{i}" for i in range(n)]
 
-    Every component is the float the array expressions give: each stage
-    state is ``y + (0.5*h)*k`` (``y + h*k3`` for the last) and the new
-    state ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``.
+
+def _unpack(prefix, n, source):
+    """``prefix_0, prefix_1, ... = source``, a tuple target even for ``n == 1``."""
+    return f"    {', '.join(_names(prefix, n))}{',' if n == 1 else ''} = {source}"
+
+
+def _state_list(terms):
+    """A list display with one component per line."""
+    return "[\n" + "".join(f"        {term},\n" for term in terms) + "    ]"
+
+
+def _rk4_source(n):
+    """``rk4(rhs, t, y, h) -> (y_new, (k1, k2, k3, k4))`` for states of ``n`` floats.
+
+    Each stage state is ``y_i + c * k_i`` with ``c = 0.5*h`` (``h`` for the
+    last stage) and the new state ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``,
+    the float operations of the array expressions.
     """
-    k1 = rhs(t, y)
-    c = 0.5 * h
-    k2 = rhs(t + c, [v + c * p for v, p in zip(y, k1)])
-    k3 = rhs(t + c, [v + c * p for v, p in zip(y, k2)])
-    k4 = rhs(t + h, [v + h * p for v, p in zip(y, k3)])
-    c = h / 6.0
-    y_new = [
-        v + c * (((p + 2.0 * q) + 2.0 * r) + s)
-        for v, p, q, r, s in zip(y, k1, k2, k3, k4)
+    y = _names("y", n)
+    lines = [
+        "def rk4(rhs, t, y, h):",
+        _unpack("y", n, "y"),
+        "    k1 = rhs(t, y)",
+        _unpack("k1", n, "k1"),
+        "    c = 0.5 * h",
     ]
-    return y_new, (k1, k2, k3, k4)
+    for stage, (at, step) in enumerate((("t + c", "c"), ("t + c", "c"), ("t + h", "h")), 2):
+        prev = _names(f"k{stage - 1}", n)
+        terms = [f"{v} + {step} * {p}" for v, p in zip(y, prev)]
+        lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
+        lines.append(_unpack(f"k{stage}", n, f"k{stage}"))
+    lines.append("    c = h / 6.0")
+    terms = [
+        f"{v} + c * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
+        for v, p, q, r, s in zip(y, *(_names(f"k{j}", n) for j in range(1, 5)))
+    ]
+    lines.append(f"    return {_state_list(terms)}, (k1, k2, k3, k4)")
+    return "\n".join(lines) + "\n"
 
 
-def _dp54_step(rhs, t, y, h, k1=None, t_end=None):
-    """One Dormand-Prince step on lists of floats.
+def _dp54_source(n):
+    """``dp54(rhs, t, y, h, k1=None, t_end=None) -> (y5, err, k7, stages)`` for ``n`` floats.
 
-    Returns ``(y5, err, k7, stages)``, each a list of floats: the stage-7
-    state (it is the fifth-order solution, since ``_DP_A[6] == _DP_B[:6]``
-    and ``_DP_B[6] == 0``), the error estimate, the derivative at
-    ``(t_end, y5)``, and the seven stage derivatives, for the continuous
-    extension.  ``k1`` is the derivative at ``(t, y)`` when the caller
-    already has it.  ``t_end`` is the time of stages 6 and 7, both at
-    ``c = 1``: ``t + h`` unless the caller passes the left limit of a
-    control knot the step lands on.
-
-    Each stage state is summed weight by weight in table order, skipping
-    zero weights, so every component is the float the array expression
-    ``((y + (h*a1)*k1) + (h*a2)*k2) + ...`` gives.
+    The stages follow the tableau ``_DP_C``/``_DP_A``: stage ``i``'s state
+    adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
+    skipping zero weights, and stages at ``c = 1`` are evaluated at
+    ``t_end``.  Stage 7's state is ``y5``, the fifth-order solution
+    (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), and the error estimate
+    sums ``(h*e_j) * k_j`` the same way over ``_DP_E``.
     """
-    if k1 is None:
-        k1 = rhs(t, y)
-    if t_end is None:
-        t_end = t + h
-    a = _DP_A
-    d1 = k1
-    c1 = h * a[1][0]
-    d2 = rhs(t + _DP_C[1] * h, [v + c1 * p for v, p in zip(y, d1)])
-    c1, c2 = h * a[2][0], h * a[2][1]
-    d3 = rhs(t + _DP_C[2] * h, [v + c1 * p + c2 * q for v, p, q in zip(y, d1, d2)])
-    c1, c2, c3 = h * a[3][0], h * a[3][1], h * a[3][2]
-    d4 = rhs(
-        t + _DP_C[3] * h,
-        [v + c1 * p + c2 * q + c3 * r for v, p, q, r in zip(y, d1, d2, d3)],
-    )
-    c1, c2, c3, c4 = h * a[4][0], h * a[4][1], h * a[4][2], h * a[4][3]
-    d5 = rhs(
-        t + _DP_C[4] * h,
-        [
-            v + c1 * p + c2 * q + c3 * r + c4 * s
-            for v, p, q, r, s in zip(y, d1, d2, d3, d4)
-        ],
-    )
-    c1, c2, c3, c4, c5 = h * a[5][0], h * a[5][1], h * a[5][2], h * a[5][3], h * a[5][4]
-    d6 = rhs(
-        t_end,
-        [
-            v + c1 * p + c2 * q + c3 * r + c4 * s + c5 * u
-            for v, p, q, r, s, u in zip(y, d1, d2, d3, d4, d5)
-        ],
-    )
-    # a[6][1] == 0: the second stage does not enter the solution
-    c1, c3, c4, c5, c6 = h * a[6][0], h * a[6][2], h * a[6][3], h * a[6][4], h * a[6][5]
-    y5 = [
-        v + c1 * p + c3 * r + c4 * s + c5 * u + c6 * w
-        for v, p, r, s, u, w in zip(y, d1, d3, d4, d5, d6)
+    y = _names("y", n)
+    lines = [
+        "def dp54(rhs, t, y, h, k1=None, t_end=None):",
+        "    if k1 is None:",
+        "        k1 = rhs(t, y)",
+        "    if t_end is None:",
+        "        t_end = t + h",
+        _unpack("y", n, "y"),
+        _unpack("k1", n, "k1"),
     ]
-    d7 = rhs(t_end, y5)
-    # _DP_E[1] == 0
-    e = _DP_E
-    c1, c3, c4, c5, c6, c7 = h * e[0], h * e[2], h * e[3], h * e[4], h * e[5], h * e[6]
-    err = [
-        c1 * p + c3 * r + c4 * s + c5 * u + c6 * w + c7 * z
-        for p, r, s, u, w, z in zip(d1, d3, d4, d5, d6, d7)
+    for stage in range(2, 8):
+        weights = [(j, a) for j, a in enumerate(_DP_A[stage - 1], 1) if a != 0.0]
+        lines.append(f"    # stage {stage}, c = {_DP_C[stage - 1]!r}")
+        for j, a in weights:
+            lines.append(f"    a{stage}{j} = h * {a!r}")
+        terms = [
+            " + ".join([v] + [f"a{stage}{j} * k{j}_{i}" for j, _ in weights])
+            for i, v in enumerate(y)
+        ]
+        c = _DP_C[stage - 1]
+        at = "t_end" if c == 1.0 else f"t + {c!r} * h"
+        if stage == 7:
+            lines.append(f"    y5 = {_state_list(terms)}")
+            lines.append(f"    k7 = rhs({at}, y5)")
+        else:
+            lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
+        lines.append(_unpack(f"k{stage}", n, f"k{stage}"))
+    weights = [(j, e) for j, e in enumerate(_DP_E, 1) if e != 0.0]
+    lines.append("    # error estimate")
+    for j, e in weights:
+        lines.append(f"    e{j} = h * {e!r}")
+    terms = [" + ".join(f"e{j} * k{j}_{i}" for j, _ in weights) for i in range(n)]
+    lines.append(f"    err = {_state_list(terms)}")
+    lines.append("    return y5, err, k7, (k1, k2, k3, k4, k5, k6, k7)")
+    return "\n".join(lines) + "\n"
+
+
+def _pairwise_source(x):
+    """The sum of the names ``x`` in the order numpy's ``np.add.reduce`` uses.
+
+    Below 8 terms a running sum from 0.0; up to 128 eight running sums,
+    one per residue mod 8, combined as a balanced tree, then the leftover
+    terms; beyond that the two halves, split at a multiple of 8, summed
+    separately.  ``+`` chains associate to the left.
+    """
+    n = len(x)
+    if n < 8:
+        return " + ".join(["0.0"] + x)
+    if n <= 128:
+        stop = n - n % 8
+        r = [_group(" + ".join(x[j:stop:8])) for j in range(8)]
+        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        return " + ".join([f"({tree})"] + x[stop:])
+    half = n // 2
+    half -= half % 8
+    return f"{_group(_pairwise_source(x[:half]))} + {_group(_pairwise_source(x[half:]))}"
+
+
+def _group(expr):
+    return f"({expr})" if " " in expr else expr
+
+
+def _error_norm_source(n):
+    """``error_norm(err, y, y5, abs_tol, rel_tol)`` for states of ``n`` floats.
+
+    The RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|, |y5_i|))``, bit
+    for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``: the same
+    products and quotients, a maximum that is NaN when either side is (as
+    ``np.maximum``), and numpy's summation order.  Squares are products,
+    because ``**`` on floats raises ``OverflowError`` where numpy gives inf.
+    """
+    lines = [
+        "def error_norm(err, y, y5, abs_tol, rel_tol):",
+        _unpack("e", n, "err"),
+        _unpack("y", n, "y"),
+        _unpack("z", n, "y5"),
+        _unpack("a", n, "abs_tol"),
     ]
-    return y5, err, d7, (d1, d2, d3, d4, d5, d6, d7)
+    for i in range(n):
+        lines += [
+            f"    p = abs(y_{i})",
+            f"    q = abs(z_{i})",
+            f"    r = e_{i} / (a_{i} + rel_tol * (p if p >= q else (q if q >= p else p + q)))",
+            f"    s_{i} = r * r",
+        ]
+    lines.append(f"    return sqrt(({_pairwise_source(_names('s', n))}) / {float(n)!r})")
+    return "\n".join(lines) + "\n"
+
+
+_SOURCES = {"rk4": _rk4_source, "dp54": _dp54_source, "error_norm": _error_norm_source}
+
+
+@cache
+def _generated(kind, n):
+    """The straight-line function ``kind`` for states of ``n`` floats, built on first use.
+
+    ``kind`` is ``"rk4"``, ``"dp54"`` or ``"error_norm"``; one function is
+    kept per kind and state size.  The source is registered with
+    :mod:`linecache` under ``<quatflight {kind} n={n}>``, so
+    ``inspect.getsource`` and the ``traceback`` module show its lines.
+    """
+    source = _SOURCES[kind](n)
+    filename = f"<quatflight {kind} n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"sqrt": sqrt}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[kind]
 
 
 def _dense(t, h, y, stages, p):
@@ -346,54 +434,6 @@ def _dense(t, h, y, stages, p):
     y = np.array(y)
     exponents = np.arange(1, len(q) + 1)
     return lambda s: (y + ((s - t) / h) ** exponents @ q).tolist()
-
-
-def _error_norm(err, y, y5, abs_tol, rel_tol):
-    """RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|, |y5_i|))`` on floats.
-
-    Bit for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``: the same
-    products and quotients, a maximum that is NaN when either side is (as
-    ``np.maximum``), and numpy's summation order.  Squares are products,
-    because ``**`` on floats raises ``OverflowError`` where numpy gives
-    inf, and the builtin ``sum`` compensates from Python 3.12 on.
-    """
-    sq = []
-    for e, p, q, atol in zip(err, y, y5, abs_tol):
-        p = abs(p)
-        q = abs(q)
-        m = p if p >= q else (q if q >= p else p + q)
-        r = e / (atol + rel_tol * m)
-        sq.append(r * r)
-    return sqrt(_pairwise_sum(sq) / len(sq))
-
-
-def _pairwise_sum(x):
-    """Sum of a list of floats in the order numpy's ``np.add.reduce`` uses."""
-    n = len(x)
-    if n < 8:
-        s = 0.0
-        for v in x:
-            s += v
-        return s
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r0 += x[i]
-            r1 += x[i + 1]
-            r2 += x[i + 2]
-            r3 += x[i + 3]
-            r4 += x[i + 4]
-            r5 += x[i + 5]
-            r6 += x[i + 6]
-            r7 += x[i + 7]
-        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for v in x[stop:]:
-            s += v
-        return s
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
 class _BreakSchedule:
@@ -508,7 +548,13 @@ def propagate(
     schedule = _BreakSchedule(t0, t_final, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
-    dense_coefficients = _DP_P if adaptive else _RK4_P
+    if adaptive:
+        dp54_step = _generated("dp54", len(y))
+        error_norm = _generated("error_norm", len(y))
+        dense_coefficients = _DP_P
+    else:
+        rk4_step = _generated("rk4", len(y))
+        dense_coefficients = _RK4_P
     rel_tol = config.rel_tol
     if scales is None:
         abs_tol = [config.abs_tol] * len(y)
@@ -576,8 +622,8 @@ def propagate(
             t7 = nextafter(target, -inf) if landing and target in schedule.knots else t + h_try
             failure = None
             try:
-                y5, err, k7, stages = _dp54_step(counted_rhs, t, y, h_try, k1, t7)
-                err_norm = _error_norm(err, y, y5, abs_tol, rel_tol)
+                y5, err, k7, stages = dp54_step(counted_rhs, t, y, h_try, k1, t7)
+                err_norm = error_norm(err, y, y5, abs_tol, rel_tol)
                 y_new = y5
             except (SingularityError, ArithmeticError) as exc:
                 failure = exc
@@ -587,7 +633,7 @@ def propagate(
                 err_norm = inf
         else:
             try:
-                y_new, stages = _rk4_step(counted_rhs, t, y, h_try)
+                y_new, stages = rk4_step(counted_rhs, t, y, h_try)
             except SingularityError as exc:
                 return stop("singularity_guard", str(exc))
             err_norm = 0.0

@@ -221,6 +221,79 @@ class TestPiecewiseLinear:
         assert profile.knot_times() == [0.0, 2.0, 5.0, 8.0]
 
 
+class TestControlLookup:
+    """``ControlProfile.lookup`` has the bits of ``PiecewiseLinear.__call__`` and ``.rate``."""
+
+    @staticmethod
+    def probe_times(controls):
+        knots = controls.knot_times()
+        times = [knots[0] - 1e3, knots[0] - 1.0, knots[-1] + 1.0, knots[-1] + 1e3]
+        for k in knots:
+            times += [k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+        rng = np.random.default_rng(11)
+        times += rng.uniform(knots[0] - 5.0, knots[-1] + 5.0, 200).tolist()
+        return times
+
+    @staticmethod
+    def assert_same_bits(controls, third, rate):
+        lookup = controls.lookup(third, rate)
+        profile = getattr(controls, third)
+        third_of = profile.rate if rate else profile
+        for t in TestControlLookup.probe_times(controls):
+            expected = (controls.alpha(t), controls.thrust(t), third_of(t))
+            got = lookup(t)
+            assert [v.hex() for v in got] == [v.hex() for v in expected], (third, rate, t)
+
+    CASES = {
+        "signed zeros": ControlProfile(
+            # -0.0 at the first knot, where __call__ returns it as it is,
+            # and flat -0.0 segments, where the formula makes it +0.0
+            alpha=PiecewiseLinear([0.0, 10.0, 20.0, 30.0], [-0.0, 0.5, -0.0, -0.0]),
+            bank=PiecewiseLinear([-5.0, 3.0, 12.5, 40.0], [-0.0, -0.0, 2.0, -1.0]),
+            wb1=PiecewiseLinear([2.0, 7.0], [0.5, -0.0]),
+            thrust=PiecewiseLinear([5.0], [-0.0]),
+        ),
+        "single knots": ControlProfile(
+            alpha=PiecewiseLinear([3.0], [0.2]),
+            bank=PiecewiseLinear([-1.0], [-0.0]),
+            wb1=PiecewiseLinear([8.0], [1e-3]),
+            thrust=PiecewiseLinear([0.0], [5e4]),
+        ),
+        "adjacent knots": ControlProfile(
+            # a knot one ulp after another profile's first knot
+            alpha=PiecewiseLinear([1.0, 4.0], [-0.0, 0.3]),
+            bank=PiecewiseLinear([math.nextafter(1.0, 2.0), 2.0, 9.0], [1.0, -0.5, 0.25]),
+            wb1=PiecewiseLinear([1.0, math.nextafter(1.0, 2.0), 6.0], [-0.0, 1e-3, 2e-3]),
+            thrust=PiecewiseLinear([0.0, 1.0], [2e4, 0.0]),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("third, rate", [("bank", False), ("bank", True), ("wb1", False)])
+    def test_bits_of_call_and_rate(self, case, third, rate):
+        self.assert_same_bits(self.CASES[case], third, rate)
+
+    def test_reads_only_times_and_values(self):
+        # a stand-in that forwards times and values, as a tracing proxy does
+        class Forwarding:
+            def __init__(self, profile):
+                self._profile = profile
+
+            def __getattr__(self, name):
+                return getattr(self._profile, name)
+
+            def __call__(self, t):
+                return self._profile(t)
+
+        base = self.CASES["signed zeros"]
+        proxied = ControlProfile(
+            alpha=Forwarding(base.alpha), bank=Forwarding(base.bank),
+            wb1=Forwarding(base.wb1), thrust=Forwarding(base.thrust),
+        )
+        t = 12.0
+        assert proxied.lookup("bank")(t) == base.lookup("bank")(t)
+
+
 class TestValidation:
     def test_positive_fields_enforced(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import traceback
 import tracemalloc
 import warnings
 
@@ -28,9 +30,7 @@ from quatflight.propagation import (
     IntegratorConfig,
     StopEvent,
     _BreakSchedule,
-    _dp54_step,
-    _error_norm,
-    _rk4_step,
+    _generated,
     propagate,
     renormalize_quaternion_blocks,
 )
@@ -45,6 +45,18 @@ from quatflight.states import CartesianState, cartesian_to_rv
 from reference import array_rhs
 
 MU = EARTH.mu
+
+
+def rk4_step(rhs, t, y, h):
+    return _generated("rk4", len(y))(rhs, t, y, h)
+
+
+def dp54_step(rhs, t, y, h, k1=None, t_end=None):
+    return _generated("dp54", len(y))(rhs, t, y, h, k1, t_end)
+
+
+def error_norm(err, y, y5, abs_tol, rel_tol):
+    return _generated("error_norm", len(err))(err, y, y5, abs_tol, rel_tol)
 
 
 # Textbook stepper: the array-copying forms the stepper must match bit for bit.
@@ -534,6 +546,16 @@ class TestGuardsAndBudget:
         assert np.all(np.isfinite(traj.y))
 
 
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("name", ["step", "rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_nonfinite_or_nonpositive_rejected(self, name, value):
+        # a NaN tolerance used to pass and end a run as a misleading
+        # "non-finite state" step failure
+        with pytest.raises(ValueError, match="positive and finite"):
+            IntegratorConfig(**{name: value})
+
+
 class TestAdaptiveVsFixed:
     def test_methods_agree_on_smooth_problem(self):
         env = vacuum_env(spin=EARTH.spin_rate)
@@ -564,18 +586,47 @@ class TestStepperMatchesReference:
                     expected = reference_rk4_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
-                        _rk4_step(rhs, t, y_list, h)
+                        rk4_step(rhs, t, y_list, h)
                 else:
-                    assert np.array_equal(_rk4_step(rhs, t, y_list, h)[0], expected), (name, h)
+                    assert np.array_equal(rk4_step(rhs, t, y_list, h)[0], expected), (name, h)
                 try:
                     y5_ref, err_ref = reference_dp54_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
-                        _dp54_step(rhs, t, y_list, h)
+                        dp54_step(rhs, t, y_list, h)
                 else:
-                    y5, err, _, _ = _dp54_step(rhs, t, y_list, h)
+                    y5, err, _, _ = dp54_step(rhs, t, y_list, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
                     assert np.array_equal(err, err_ref), (name, h)
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 9, 16, 17])
+    def test_steps_bitwise_equal_at_any_size(self, n):
+        rng = np.random.default_rng(n)
+
+        def rhs(t, y):
+            # each component reads its neighbours, so a stage that mixed
+            # up components would show
+            return [
+                math.sin(t + y[i]) * y[(i + 1) % n] - 0.5 * y[i - 1] + 1e-3 * t
+                for i in range(n)
+            ]
+
+        for _ in range(20):
+            y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+            t = float(rng.uniform(0.0, 100.0))
+            for h in STEPS:
+                y_list = y.tolist()
+                assert np.array_equal(
+                    rk4_step(rhs, t, y_list, h)[0], reference_rk4_step(rhs, t, y, h)
+                ), (n, h)
+                for t_end in (None, math.nextafter(t + h, -math.inf)):
+                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h, t_end)
+                    step = dp54_step(rhs, t, y_list, h, None, t_end)
+                    y5, err, k7, _ = step
+                    assert np.array_equal(y5, y5_ref), (n, h)
+                    assert np.array_equal(err, err_ref), (n, h)
+                    assert k7 == rhs(t + h if t_end is None else t_end, y5), (n, h)
+                    assert dp54_step(rhs, t, y_list, h, rhs(t, y_list), t_end) == step, (n, h)
 
     def test_renormalization_bitwise_equal_to_norm_division(self):
         rng = np.random.default_rng(8)
@@ -596,14 +647,14 @@ class TestStepperMatchesReference:
             y = y.tolist()
             for h in STEPS:
                 try:
-                    expected = _dp54_step(rhs, t, y, h)
+                    expected = dp54_step(rhs, t, y, h)
                 except SingularityError:
                     continue
-                supplied = _dp54_step(rhs, t, y, h, rhs(t, y))
+                supplied = dp54_step(rhs, t, y, h, rhs(t, y))
                 for a, b in zip(supplied, expected):
                     assert np.array_equal(a, b), (name, h)
 
-    @pytest.mark.parametrize("n", [6, 8, 10])
+    @pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 9, 10, 16, 17, 300])
     def test_error_norm_bitwise_equal_to_numpy(self, n):
         rng = np.random.default_rng(n)
         rel_tol = 1e-9
@@ -618,8 +669,39 @@ class TestStepperMatchesReference:
             tol = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
             with np.errstate(all="ignore"):
                 expected = float(np.sqrt(np.mean((err / tol) ** 2)))
-            got = _error_norm(err.tolist(), y.tolist(), y5.tolist(), abs_tol.tolist(), rel_tol)
+            got = error_norm(err.tolist(), y.tolist(), y5.tolist(), abs_tol.tolist(), rel_tol)
             assert got == expected or (math.isnan(got) and math.isnan(expected)), (i, got, expected)
+
+
+class TestGeneratedSource:
+    """The generated steps show their own lines in ``inspect`` and in tracebacks."""
+
+    def test_source_is_registered(self):
+        for kind in ("rk4", "dp54", "error_norm"):
+            fn = _generated(kind, 4)
+            assert inspect.getsourcefile(fn) == f"<quatflight {kind} n=4>"
+            assert inspect.getsource(fn).startswith(f"def {kind}(")
+
+    @pytest.mark.parametrize(
+        "method, line",
+        [("rk45-adaptive", "k4 = rhs(t + 0.8 * h, ["), ("rk4-fixed", "k4 = rhs(t + h, [")],
+    )
+    def test_traceback_shows_the_stage_line(self, method, line):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == 4:
+                raise RuntimeError("planted in stage 4")
+            return [1.0, -1.0, 0.5]
+
+        with pytest.raises(RuntimeError) as info:
+            propagate(rhs, 0.0, [0.0, 0.0, 0.0], 1.0, IntegratorConfig(method=method))
+        kind = "dp54" if method == "rk45-adaptive" else "rk4"
+        frames = traceback.extract_tb(info.value.__traceback__)
+        stage = [f for f in frames if f.filename == f"<quatflight {kind} n=3>"]
+        assert [f.line for f in stage] == [line]
+        assert line in "".join(traceback.format_exception(info.value))
 
 
 class TestKnotLandings:
@@ -723,8 +805,8 @@ class TestNoAliasingNoMutation:
     def test_derivatives_and_steps_leave_inputs_alone(self):
         steppers = {
             "rhs": lambda rhs, t, y: (rhs(t, y),),
-            "rk4": lambda rhs, t, y: _rk4_step(rhs, t, y, 0.1),
-            "dp54": lambda rhs, t, y: _dp54_step(rhs, t, y, 0.1),
+            "rk4": lambda rhs, t, y: rk4_step(rhs, t, y, 0.1),
+            "dp54": lambda rhs, t, y: dp54_step(rhs, t, y, 0.1),
         }
         for name, rhs, t, y in random_cases(seed=9, n=8):
             for step_name, step in steppers.items():

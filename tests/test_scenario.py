@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import quatflight
+import quatflight.scenario as scenario_module
 from quatflight.cli import main as cli_main
 from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import ConfigError
@@ -505,6 +506,51 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert "valid" in proc.stdout
+
+
+class TestYamlLoading:
+    LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+    def test_libyaml_parser_when_available(self):
+        assert scenario_module._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @staticmethod
+    def generated_entry_case(seed):
+        """The bundled entry with its initial state and knot values perturbed."""
+        rng = np.random.default_rng(seed)
+        data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
+        y = parse_config(data).initial_state.y
+        sph = cartesian_to_spherical(PARAMETERIZATIONS["rv"].to_cartesian(y))
+        data["initial_state"] = {
+            "kind": "spherical",
+            **{k: getattr(sph, k) * rng.uniform(0.98, 1.02) for k in ("r", "lon", "v", "psi")},
+            "lat": float(rng.uniform(-0.3, 0.3)),
+            "gamma": 0.0,
+        }
+        for key in ("alpha", "bank"):
+            profile = data["controls"][key]
+            profile["values"] = [v + float(rng.uniform(-0.05, 0.05)) for v in profile["values"]]
+        return yaml.safe_dump(data, sort_keys=False)
+
+    def test_loaders_parse_to_equal_dicts(self):
+        bundled = sorted(bundled_scenario_path("norm_drift").parent.glob("*.yaml"))
+        texts = [path.read_text() for path in bundled]
+        texts += [self.generated_entry_case(seed) for seed in range(3)]
+        assert len(texts) == 8
+        for text in texts:
+            parsed = [yaml.load(text, Loader=loader) for loader in self.LOADERS]
+            assert all(p == parsed[0] for p in parsed)
+            assert parsed[0] == yaml.safe_load(text)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_malformed_yaml_is_a_config_error(self, loader, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: entry\nbody: {mu: 3.986e14, radius: [6378137.0\n")
+        with pytest.raises(ConfigError, match="bad.yaml"):
+            load_scenario(bad)
+        assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestPackageExports:
