@@ -68,9 +68,9 @@ def benchmark_form(name: str, config: ScenarioConfig, n_evals: int) -> BenchRow:
     Returns a :class:`BenchRow` with the mean and median nanoseconds per
     evaluation (over 20 timing batches) and the exact trig-call count of a
     single evaluation, all at the initial state, passed as the list of
-    floats the steppers hand the derivative.  Raises
-    :class:`SingularityError` when the form's initial state or its first
-    derivative trips a guard.
+    floats the steppers hand the derivative.  Raises what the form's
+    initial state or its first derivative raises, such as a
+    :class:`SingularityError` or an ``OverflowError``.
     """
     if n_evals < MIN_EVALS:
         raise ValueError(f"n_evals must be at least {MIN_EVALS}")

@@ -12,13 +12,12 @@ import sys
 
 from .bench import benchmark_form, format_bench_table
 from .dynamics import PARAMETERIZATIONS
-from .errors import ConfigError, SingularityError
-from .scenario import load_scenario, resolve_output_dir, run_scenario
+from .errors import ConfigError
+from .propagation import DERIVATIVE_FAILURES, stop_for
+from .scenario import exit_code_for, load_scenario, resolve_output_dir, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_GUARD = 3
-EXIT_INTEGRATION = 4
 
 _PARAM_CHOICES = list(PARAMETERIZATIONS) + ["all"]
 
@@ -93,27 +92,26 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     config = load_scenario(args.config)
-    rows, guards = [], {}
+    rows, stops = [], {}
     for name in config.parameterizations:
         try:
             rows.append(benchmark_form(name, config, args.evals))
-        except SingularityError as exc:
-            guards[name] = str(exc)
+        except DERIVATIVE_FAILURES as exc:
+            stops[name] = stop_for(exc)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     print(format_bench_table(rows))
-    for name, message in guards.items():
-        print(f"{name}: singularity_guard ({message})")
+    for name, (kind, message) in stops.items():
+        print(f"{name}: {kind} ({message})")
     if args.json_path:
         payload = [row.__dict__ for row in rows]
         out = resolve_output_dir(None) / args.json_path if "/" not in args.json_path else args.json_path
         with open(out, "w") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote {out}")
-    if any(name not in config.stop.expected_guards for name in guards):
-        return EXIT_GUARD
-    return EXIT_OK
+    kinds = {name: kind for name, (kind, _) in stops.items()}
+    return exit_code_for(kinds, config.stop.expected_guards)
 
 
 def cmd_validate(args) -> int:

@@ -43,31 +43,28 @@ left-limit stages it integrated with.  Two things read the extension:
   is the interpolant at that time, renormalized; it ends the trajectory,
   and no output time after it is sampled.
 
-Where a derivative evaluation fails decides what the failure means:
+A derivative evaluation may fail by a singularity guard (``SingularityError``)
+or an ``ArithmeticError`` (an overflow, say).  :func:`stop_for` names the
+stop either ends a run with: ``singularity_guard`` with the guard's message,
+or ``step_failure`` with the exception's type and message.  A step also
+fails, as ``step_failure`` "non-finite state", when its new state is not
+finite or its error estimate is NaN.  Where a failure happens decides what
+it means:
 
-* a singularity guard (``SingularityError``) at the accepted state, the
-  first stage of a step, ends the run: the trajectory accumulated so far
-  is returned intact with a ``singularity_guard`` stop event at that
-  state.  The fixed RK4 step ends the run so on a guard in any stage.
-* in an adaptive step, a guard or an ``ArithmeticError`` (an overflow,
-  say) raised in a trial stage, 2 to 7, is recoverable, as a right-hand
-  side failure is in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3),
-  2005): the step is rejected as if its error estimate were infinite and
-  retried 0.2 times as long.  A trial stage of a too-long step can leave
-  the region where the derivative is defined although the solution never
-  does.
-* an adaptive step whose error estimate is not a number (a trial stage
-  overflowed or the derivative returned NaN) is rejected the same way.
+* at the accepted state, the first stage of a step, it ends the run at
+  that state, and the trajectory accumulated so far is returned intact.
+  A failed fixed RK4 step ends the run the same way.
+* a failed adaptive step is recoverable, as a right-hand side failure is
+  in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3), 2005): the step is
+  rejected as if its error estimate were infinite and retried 0.2 times as
+  long.  A trial stage of a too-long step can leave the region where the
+  derivative is defined although the solution never does.
 
 An adaptive step may not shrink below the step floor
 ``1e-14 * max(|t|, 1)``.  A rejection that would go below it ends the run
-at the last accepted sample: as ``singularity_guard`` with the guard's
-message when the rejected trial raised one, as ``step_failure`` with the
-exception's type and message when it raised an ``ArithmeticError``, as
-``step_failure`` "non-finite state" when its error estimate was not a
-number, and as ``step_failure`` "step size underflow" otherwise.  A fixed
-step that produces a non-finite state ends the run as ``step_failure``
-"non-finite state".
+at the last accepted sample with the rejected trial's failure, or as
+``step_failure`` "step size underflow" when the trial did not fail.  Any
+other exception is a defect and is not caught.
 
 The state is a list of Python floats from ``y0`` to the last sample, and
 the derivative takes and returns one.  The RK4 step, the Dormand-Prince
@@ -94,10 +91,10 @@ step to the next, and is reused only where its inputs are bit-identical:
 
 * a rejected step's retry starts from the same point and keeps its first
   stage, so a retry costs six evaluations, not seven;
-* after an accepted step, the stage-7 derivative becomes the next step's
-  first stage (first same as last) when the new sample is that stage's
-  point exactly: renormalization changed no bit of the state, and the
-  step's end is stage 7's time (a knot landing's stage 7 sits at the
+* after an accepted adaptive step, the stage-7 derivative becomes the
+  next step's first stage (first same as last) when the new sample is that
+  stage's point exactly: renormalization changed no bit of the state, and
+  the step's end is stage 7's time (a knot landing's stage 7 sits at the
   knot's left limit, and the next step starts on the knot's other side).
 
 Accepted samples are copied into preallocated time and state buffers that
@@ -114,7 +111,7 @@ import linecache
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from math import inf, isfinite, isnan, nan, nextafter, sqrt
+from math import inf, isfinite, isnan, nextafter, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,6 +203,23 @@ class StopEvent:
     message: str = ""
 
 
+# what a derivative evaluation may raise without being a defect of the program
+DERIVATIVE_FAILURES = (SingularityError, ArithmeticError)
+
+
+def stop_for(exc) -> tuple:
+    """The ``(kind, message)`` of the stop a derivative failure ``exc`` ends a run with.
+
+    A ``SingularityError`` is a ``singularity_guard`` with the guard's
+    message; an ``ArithmeticError`` is a ``step_failure`` with the
+    exception's type and message, such as ``"OverflowError: math range
+    error"``.
+    """
+    if isinstance(exc, SingularityError):
+        return "singularity_guard", str(exc)
+    return "step_failure", f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Time-ordered accepted samples, output-time samples and run statistics.
@@ -275,21 +289,22 @@ def _state_list(terms):
 
 
 def _rk4_source(n):
-    """``rk4(rhs, t, y, h) -> (y_new, (k1, k2, k3, k4))`` for states of ``n`` floats.
+    """``rk4(rhs, t, y, h, k1, t_end) -> (y_new, None, None, stages)`` for ``n`` floats.
 
-    Each stage state is ``y_i + c * k_i`` with ``c = 0.5*h`` (``h`` for the
-    last stage) and the new state ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``,
-    the float operations of the array expressions.
+    The step contract of :func:`_dp54_source`, with no error estimate and no
+    reusable last stage.  Each stage state is ``y_i + c * k_i`` with
+    ``c = 0.5*h`` (``h`` for the last stage, evaluated at ``t_end``) and the
+    new state ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``, the float
+    operations of the array expressions.
     """
     y = _names("y", n)
     lines = [
-        "def rk4(rhs, t, y, h):",
+        "def rk4(rhs, t, y, h, k1, t_end):",
         _unpack("y", n, "y"),
-        "    k1 = rhs(t, y)",
         _unpack("k1", n, "k1"),
         "    c = 0.5 * h",
     ]
-    for stage, (at, step) in enumerate((("t + c", "c"), ("t + c", "c"), ("t + h", "h")), 2):
+    for stage, (at, step) in enumerate((("t + c", "c"), ("t + c", "c"), ("t_end", "h")), 2):
         prev = _names(f"k{stage - 1}", n)
         terms = [f"{v} + {step} * {p}" for v, p in zip(y, prev)]
         lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
@@ -299,27 +314,30 @@ def _rk4_source(n):
         f"{v} + c * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
         for v, p, q, r, s in zip(y, *(_names(f"k{j}", n) for j in range(1, 5)))
     ]
-    lines.append(f"    return {_state_list(terms)}, (k1, k2, k3, k4)")
+    lines.append(f"    return {_state_list(terms)}, None, None, (k1, k2, k3, k4)")
     return "\n".join(lines) + "\n"
 
 
 def _dp54_source(n):
-    """``dp54(rhs, t, y, h, k1=None, t_end=None) -> (y5, err, k7, stages)`` for ``n`` floats.
+    """``dp54(rhs, t, y, h, k1, t_end) -> (y5, err, k7, stages)`` for ``n`` floats.
+
+    The step contract both generated steps share: from the state ``y`` at
+    ``t``, whose derivative ``k1`` the caller has evaluated, a step of
+    length ``h`` whose last stage (here the two ``c = 1`` stages) is
+    evaluated at ``t_end``.  It returns the new state, the error estimate
+    (``None`` for RK4), the derivative at ``(t_end, y_new)`` (``None`` for
+    RK4, whose last stage is not at the new state) and every stage
+    derivative, for the step's interpolant.
 
     The stages follow the tableau ``_DP_C``/``_DP_A``: stage ``i``'s state
     adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
-    skipping zero weights, and stages at ``c = 1`` are evaluated at
-    ``t_end``.  Stage 7's state is ``y5``, the fifth-order solution
-    (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), and the error estimate
-    sums ``(h*e_j) * k_j`` the same way over ``_DP_E``.
+    skipping zero weights.  Stage 7's state is ``y5``, the fifth-order
+    solution (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), and the error
+    estimate sums ``(h*e_j) * k_j`` the same way over ``_DP_E``.
     """
     y = _names("y", n)
     lines = [
-        "def dp54(rhs, t, y, h, k1=None, t_end=None):",
-        "    if k1 is None:",
-        "        k1 = rhs(t, y)",
-        "    if t_end is None:",
-        "        t_end = t + h",
+        "def dp54(rhs, t, y, h, k1, t_end):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
     ]
@@ -506,16 +524,9 @@ def propagate(
         stage-7 derivative, so each step sees one smooth segment of the
         controls.
 
-    Adaptive steps treat a derivative failure by where it happens.  A
-    ``SingularityError`` at the accepted state ``(t, y)`` ends the run as
-    ``singularity_guard`` at ``t``.  A ``SingularityError`` or
-    ``ArithmeticError`` in a trial stage rejects the step like an infinite
-    error estimate, and the retry is 0.2 times as long.  A step shorter
-    than ``1e-14 * max(|t|, 1)`` ends the run: as ``singularity_guard``
-    with the guard's message when the last trial raised one, otherwise as
-    ``step_failure`` with the exception's message, "non-finite state" or
-    "step size underflow".  A fixed RK4 step ends the run on a
-    ``SingularityError`` in any stage.
+    A derivative failure ends the run or rejects the step as the module
+    docstring states; no ``SingularityError`` or ``ArithmeticError`` that
+    ``rhs`` raises escapes.
 
     Returns
     -------
@@ -548,13 +559,14 @@ def propagate(
     schedule = _BreakSchedule(t0, t_final, t_knots)
     renorm = config.renormalize_every_step and quat_spans
     adaptive = config.method == "rk45-adaptive"
+    step = _generated("dp54" if adaptive else "rk4", len(y))
     if adaptive:
-        dp54_step = _generated("dp54", len(y))
         error_norm = _generated("error_norm", len(y))
         dense_coefficients = _DP_P
+        h = min(1.0, (t_final - t0) / 100.0)
     else:
-        rk4_step = _generated("rk4", len(y))
         dense_coefficients = _RK4_P
+        h = config.step
     rel_tol = config.rel_tol
     if scales is None:
         abs_tol = [config.abs_tol] * len(y)
@@ -595,12 +607,7 @@ def propagate(
     if radius_fn is not None and radius_target is not None:
         g_prev = radius_fn(y) - radius_target
 
-    if adaptive:
-        h = min(1.0, (t_final - t0) / 100.0)
-    else:
-        h = config.step
     k1 = None  # the derivative at (t, y), once known
-
     target = schedule.next_after(t)
     while True:
         if target is None:
@@ -612,55 +619,41 @@ def propagate(
         # a step whose end rounds onto the target lands there too; otherwise
         # the next step would have length zero
         landing = h_try >= target - t - 1e-15 or t + h_try >= target
-        if adaptive:
-            if k1 is None:
-                try:
-                    k1 = counted_rhs(t, y)
-                except SingularityError as exc:
-                    return stop("singularity_guard", str(exc))
-            # the time of stages 6 and 7; a knot is reached from the left
-            t7 = nextafter(target, -inf) if landing and target in schedule.knots else t + h_try
-            failure = None
+        if k1 is None:
             try:
-                y5, err, k7, stages = dp54_step(counted_rhs, t, y, h_try, k1, t7)
-                err_norm = error_norm(err, y, y5, abs_tol, rel_tol)
-                y_new = y5
-            except (SingularityError, ArithmeticError) as exc:
-                failure = exc
-                err_norm = nan
-            finite = not isnan(err_norm)
-            if not finite:
-                err_norm = inf
+                k1 = counted_rhs(t, y)
+            except DERIVATIVE_FAILURES as exc:
+                return stop(*stop_for(exc))
+        # the time of the last stage; an adaptive step reaches a knot from the left
+        if adaptive and landing and target in schedule.knots:
+            t_end = nextafter(target, -inf)
         else:
-            try:
-                y_new, stages = rk4_step(counted_rhs, t, y, h_try)
-            except SingularityError as exc:
-                return stop("singularity_guard", str(exc))
-            err_norm = 0.0
+            t_end = t + h_try
+        try:
+            y_step, err, k_last, stages = step(counted_rhs, t, y, h_try, k1, t_end)
+            err_norm = error_norm(err, y, y_step, abs_tol, rel_tol) if adaptive else 0.0
             # one float sum: NaN or inf in any component carries through
-            finite = isfinite(sum(y_new))
+            finite = isfinite(sum(y_step)) and not isnan(err_norm)
+            failure = None if finite else ("step_failure", "non-finite state")
+        except DERIVATIVE_FAILURES as exc:
+            failure = stop_for(exc)
+        if failure:
+            if not adaptive:
+                return stop(*failure)
+            err_norm = inf
 
-        if adaptive and err_norm > 1.0:
+        if err_norm > 1.0:
             # the retry starts from the same (t, y) and keeps k1
             n_rejected += 1
             factor = max(0.2, 0.9 * err_norm ** (-0.2))
             h = h_try * min(factor, 0.9)
             if h < 1e-14 * max(abs(t), 1.0):
-                if isinstance(failure, SingularityError):
-                    return stop("singularity_guard", str(failure))
-                if failure is not None:
-                    return stop("step_failure", f"{type(failure).__name__}: {failure}")
-                message = "step size underflow" if finite else "non-finite state"
-                return stop("step_failure", message)
+                return stop(*(failure or ("step_failure", "step size underflow")))
             continue
-
-        if not finite:
-            return stop("step_failure", "non-finite state")
 
         n_steps += 1
         t_new = target if landing else t + h_try
-        if renorm:
-            y_new = renormalize_quaternion_blocks(y_new, quat_spans)
+        y_new = renormalize_quaternion_blocks(y_step, quat_spans) if renorm else y_step
 
         event = None
         dense = None
@@ -690,11 +683,10 @@ def propagate(
         if event is not None:
             return finish(event)
 
-        if adaptive:
-            # stage 7 was evaluated at (t7, y5): reuse its derivative when
-            # the new sample is that point bit for bit, which a knot landing
-            # never is
-            k1 = k7 if t_new == t7 and y_new is y5 else None
+        # a DP5(4) step's k_last is the derivative at (t_end, y_step): reuse
+        # it when the new sample is that point bit for bit, which a knot
+        # landing never is (an RK4 step returns None)
+        k1 = k_last if t_new == t_end and y_new is y_step else None
         t = t_new
         y = y_new
 
@@ -709,8 +701,6 @@ def propagate(
             else:
                 factor = 5.0
             h = h_try * min(5.0, max(0.2, factor))
-        else:
-            h = config.step
 
 
 def _locate_crossing(dense, t_a, t_b, g_a, g_b, radius_fn, target):

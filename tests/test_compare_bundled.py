@@ -1,0 +1,83 @@
+"""The comparison of ``tools/compare_bundled.py``, on small output trees; no scenario runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_bundled.py"
+_SPEC = importlib.util.spec_from_file_location("compare_bundled", _PATH)
+compare_bundled = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_bundled)
+
+
+def report(wall_time, final=1.5):
+    return json.dumps(
+        {
+            "scenario": "dive",
+            "final_states": {"rv": [final, float("nan"), -0.0]},
+            "timing": {"rv": {"wall_time_s": wall_time, "accepted_steps": 11}},
+        }
+    )
+
+
+def write_tree(root, **changes):
+    """One scenario's outputs, with ``changes`` replacing files by name."""
+    files = {
+        "dive_rv.csv": "t,x\n0.0,1.0\n",
+        "dive_comparison.json": report(0.25),
+        "stdout.txt": "dive [rv] -> terminal_time at t=1.000 s -> <out>/dive_rv.csv\n",
+        "exit_code.txt": "0\n",
+    }
+    files.update(changes)
+    (root / "dive").mkdir(parents=True)
+    for name, text in files.items():
+        if text is not None:
+            (root / "dive" / name).write_text(text)
+    return root
+
+
+def test_equal_trees_and_wall_times_do_not_differ(tmp_path):
+    parent = write_tree(tmp_path / "parent")
+    change = write_tree(tmp_path / "change", **{"dive_comparison.json": report(7.0)})
+    assert compare_bundled.differences(parent, change) == []
+
+
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("dive_rv.csv", "t,x\n0.0,1.0000000000000002\n", "differs: dive/dive_rv.csv"),
+        ("dive_rv.csv", "t,x\r\n0.0,1.0\r\n", "differs: dive/dive_rv.csv"),
+        ("dive_comparison.json", report(0.25, final=1.25), "differs: dive/dive_comparison.json"),
+        ("exit_code.txt", "1\n", "differs: dive/exit_code.txt\n  parent: 0\n  change: 1"),
+        ("stdout.txt", "", "differs: dive/stdout.txt\n  parent: dive [rv] -> terminal_time"),
+        ("dive_rv.csv", None, "only in parent: dive/dive_rv.csv"),
+        ("dive_rvh.csv", "t,x\n", "only in change: dive/dive_rvh.csv"),
+    ],
+)
+def test_each_difference_is_reported(tmp_path, name, text, line):
+    parent = write_tree(tmp_path / "parent")
+    change = write_tree(tmp_path / "change", **{name: text})
+    found = compare_bundled.differences(parent, change)
+    assert len(found) == 1 and found[0].startswith(line)
+
+
+def test_a_signed_zero_differs(tmp_path):
+    parent = write_tree(tmp_path / "parent")
+    flipped = report(0.25).replace("-0.0", "0.0")
+    change = write_tree(tmp_path / "change", **{"dive_comparison.json": flipped})
+    assert compare_bundled.differences(parent, change) == ["differs: dive/dive_comparison.json"]
+
+
+@pytest.mark.parametrize("changes, code", [({}, 0), ({"exit_code.txt": "4\n"}, 1)])
+def test_exit_status(tmp_path, monkeypatch, capsys, changes, code):
+    # stand-in runs: the parent side writes the tree above, the change side
+    # the tree with ``changes``
+    def fake_run(checkout, out):
+        write_tree(out, **(changes if checkout.name == "change" else {}))
+
+    monkeypatch.setattr(compare_bundled, "run_bundled", fake_run)
+    assert compare_bundled.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == code
+    out = capsys.readouterr().out
+    assert out.endswith(f"{code} differences; 1 scenarios and 1 CSVs in the change\n")

@@ -47,12 +47,18 @@ from reference import array_rhs
 MU = EARTH.mu
 
 
-def rk4_step(rhs, t, y, h):
-    return _generated("rk4", len(y))(rhs, t, y, h)
+def generated_step(kind, rhs, t, y, h, k1=None, t_end=None):
+    """A generated step, with the first stage ``k1`` evaluated and ``t_end = t + h`` unless given."""
+    k1 = rhs(t, y) if k1 is None else k1
+    return _generated(kind, len(y))(rhs, t, y, h, k1, t + h if t_end is None else t_end)
+
+
+def rk4_step(rhs, t, y, h, k1=None, t_end=None):
+    return generated_step("rk4", rhs, t, y, h, k1, t_end)
 
 
 def dp54_step(rhs, t, y, h, k1=None, t_end=None):
-    return _generated("dp54", len(y))(rhs, t, y, h, k1, t_end)
+    return generated_step("dp54", rhs, t, y, h, k1, t_end)
 
 
 def error_norm(err, y, y5, abs_tol, rel_tol):
@@ -545,6 +551,22 @@ class TestGuardsAndBudget:
         assert traj.n_rejected > 0
         assert np.all(np.isfinite(traj.y))
 
+    def test_overflow_in_a_fixed_step_stage_ends_the_run(self):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == 7:  # stage 3 of the second step
+                raise OverflowError("math range error")
+            return [-v for v in y]
+
+        cfg = IntegratorConfig(method="rk4-fixed", step=0.1)
+        traj, event = propagate(rhs, 0.0, [1.0], 1.0, cfg)
+        assert (event.kind, event.message) == ("step_failure", "OverflowError: math range error")
+        assert traj.t.tolist() == [0.0, 0.1] and event.t_event == 0.1
+        assert np.array_equal(event.y_event, traj.y[-1])
+        assert traj.n_steps == 1 and traj.n_rejected == 0
+
 
 class TestIntegratorConfig:
     @pytest.mark.parametrize("name", ["step", "rel_tol", "abs_tol"])
@@ -673,6 +695,96 @@ class TestStepperMatchesReference:
             assert got == expected or (math.isnan(got) and math.isnan(expected)), (i, got, expected)
 
 
+class TestStepContract:
+    """Both generated steps take ``(rhs, t, y, h, k1, t_end)`` and return a 4-tuple."""
+
+    @pytest.mark.parametrize("kind, n_stages", [("rk4", 4), ("dp54", 7)])
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_one_signature_and_result(self, kind, n_stages, n):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return [math.cos(t) * v - 0.1 * i for i, v in enumerate(y)]
+
+        t, h = 2.0, 0.25
+        y = [0.5 + i for i in range(n)]
+        k1 = rhs(t, y)
+        t_end = math.nextafter(t + h, -math.inf)
+        del calls[:]
+        out = _generated(kind, n)(rhs, t, y, h, k1, t_end)
+        assert isinstance(out, tuple) and len(out) == 4
+        y_new, err, k_last, stages = out
+        assert len(y_new) == n and all(isinstance(v, float) for v in y_new)
+        # the caller's first stage is used as given, never evaluated again
+        assert len(calls) == n_stages - 1 and t not in calls
+        assert len(stages) == n_stages and stages[0] is k1
+        if kind == "rk4":
+            assert err is None and k_last is None
+            assert calls[-1] == t_end
+        else:
+            assert len(err) == n
+            assert calls[-2:] == [t_end, t_end]
+            assert k_last == rhs(t_end, y_new) and stages[-1] is k_last
+
+
+class TestFailurePolicy:
+    """Where a derivative fails, and how, decides how the run ends (one policy, two methods)."""
+
+    T_STAR = 0.35  # a trial stage fails beyond it
+
+    @staticmethod
+    def failing_rhs(what, t_star):
+        def rhs(t, y):
+            if t > t_star:
+                if what == "nan":
+                    return [math.nan] * len(y)
+                raise {"guard": SingularityError("planted"), "overflow": OverflowError("planted")}[what]
+            return [-v for v in y]
+
+        return rhs
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    @pytest.mark.parametrize("where", ["first stage", "trial stage"])
+    @pytest.mark.parametrize(
+        "what, kind, message",
+        [
+            ("guard", "singularity_guard", "planted"),
+            ("overflow", "step_failure", "OverflowError: planted"),
+            ("nan", "step_failure", "non-finite state"),
+        ],
+    )
+    def test_failure_ends_at_the_last_accepted_sample(self, method, where, what, kind, message):
+        t_star = -1.0 if where == "first stage" else self.T_STAR
+        cfg = IntegratorConfig(method=method, step=0.1)
+        traj, event = propagate(self.failing_rhs(what, t_star), 0.0, [1.0, 2.0], 1.0, cfg)
+        assert event.kind == kind
+        assert event.message.startswith(message)
+        assert event.t_event == traj.t[-1]
+        assert np.array_equal(event.y_event, traj.y[-1])
+        assert np.all(np.isfinite(traj.y))
+        # a fixed step ends the run at once; an adaptive trial is rejected
+        # down to the step floor unless its first stage raised
+        rejects = method == "rk45-adaptive" and (where == "trial stage" or what == "nan")
+        assert (traj.n_rejected > 0) == rejects
+        if where == "first stage":
+            assert len(traj) == 1 and event.t_event == 0.0
+        elif method == "rk4-fixed":
+            assert self.T_STAR - 0.1 < event.t_event < self.T_STAR
+        else:
+            assert 0.0 < self.T_STAR - event.t_event < 1e-13
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_a_nonfinite_state_is_never_accepted(self, method):
+        # the state overflows to inf within two seconds; the error estimate
+        # divides by that inf and reads 0, so only the state itself shows it
+        cfg = IntegratorConfig(method=method)
+        traj, event = propagate(lambda t, y: [1e308], 0.0, [0.0], 100.0, cfg)
+        assert (event.kind, event.message) == ("step_failure", "non-finite state")
+        assert event.t_event == traj.t[-1] < 2.0
+        assert np.all(np.isfinite(traj.y))
+
+
 class TestGeneratedSource:
     """The generated steps show their own lines in ``inspect`` and in tracebacks."""
 
@@ -684,7 +796,7 @@ class TestGeneratedSource:
 
     @pytest.mark.parametrize(
         "method, line",
-        [("rk45-adaptive", "k4 = rhs(t + 0.8 * h, ["), ("rk4-fixed", "k4 = rhs(t + h, [")],
+        [("rk45-adaptive", "k4 = rhs(t + 0.8 * h, ["), ("rk4-fixed", "k4 = rhs(t_end, [")],
     )
     def test_traceback_shows_the_stage_line(self, method, line):
         calls = []
@@ -821,6 +933,9 @@ class TestNoAliasingNoMutation:
                     label = (name, step_name, layout)
                     assert np.array_equal(owner, before), label
                     for a, b, ref in zip(first, second, expected):
+                        if ref is None:  # RK4's error estimate and last-stage derivative
+                            assert a is None and b is None, label
+                            continue
                         assert np.array_equal(a, ref), label
                         assert np.array_equal(b, ref), label
                         assert not np.shares_memory(a, b), label

@@ -470,6 +470,47 @@ class TestCli:
         assert cli_main(["bench", str(unexpected), "--evals", "10000"]) == 3
         assert "rvh: singularity_guard" in capsys.readouterr().out
 
+    @staticmethod
+    def overflowing(tmp_path, scenario, **changes):
+        """A bundled scenario flown from 100 km from the centre, where the
+        atmosphere's density ``exp((re - r) / hscale)`` overflows."""
+        data = yaml.safe_load(bundled_scenario_path(scenario).read_text())
+        if data["initial_state"]["kind"] == "cartesian":
+            data["initial_state"]["position"] = [100e3, 0.0, 0.0]
+        else:
+            data["initial_state"]["r"] = 100e3
+        for section, values in changes.items():
+            data[section].update(values)
+        path = tmp_path / f"{scenario}.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return path
+
+    @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+    def test_run_overflowing_derivative_is_a_step_failure(self, tmp_path, capsys, method):
+        config = self.overflowing(tmp_path, "bench_entry", integrator={"method": method})
+        assert cli_main(["run", str(config), "--out", str(tmp_path)]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        for name, line in zip(PARAMETERIZATIONS, lines):
+            assert line.startswith(
+                f"bench_entry [{name}] -> step_failure at t=0.000 s (OverflowError: math range error)"
+            )
+
+    def test_bench_overflowing_derivative_is_a_step_failure(self, tmp_path, capsys):
+        config = self.overflowing(tmp_path, "bench_entry")
+        assert cli_main(["bench", str(config), "--evals", "10000"]) == 4
+        out = capsys.readouterr().out
+        for name in PARAMETERIZATIONS:
+            assert f"{name}: step_failure (OverflowError: math range error)" in out
+        # an unexpected guard takes precedence, as it does for run
+        for expected, code in (([], 3), (["rvh", "spherical"], 4)):
+            dive = self.overflowing(tmp_path, "vertical_dive", stop={"expected_guards": expected})
+            assert cli_main(["bench", str(dive), "--evals", "10000"]) == code
+            assert cli_main(["run", str(dive), "--out", str(tmp_path)]) == code
+            out = capsys.readouterr().out
+            assert "rv: step_failure (OverflowError: math range error)" in out
+            assert "rvh: singularity_guard (rvh singular: zero angular momentum)" in out
+
     def test_bench_rejects_tiny_eval_count(self, capsys):
         code = cli_main(
             ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10"]

@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Check that a change leaves the outputs of every bundled scenario as they were.
+
+Usage::
+
+    python tools/compare_bundled.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+Each checkout is a source tree of quatflight, such as a ``git archive`` of a
+commit.  Every scenario bundled in a checkout's ``src/quatflight/scenarios/``
+is run as ``python -m quatflight run SCENARIO --compare`` with that
+checkout's ``src/`` on ``PYTHONPATH``, into a temporary directory per
+checkout.  Then every difference between the two sides is reported:
+
+* a CSV, or any other output file, that differs in a byte;
+* a comparison JSON that differs outside its ``wall_time_s`` entries;
+* a file that only one side wrote;
+* stdout that differs once each side's output directory reads ``<out>``;
+* a different exit code.
+
+The exit status is 0 when there is no difference and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+IGNORED_KEY = "wall_time_s"  # measured run time, different on every run
+
+
+def run_bundled(checkout: Path, out: Path) -> None:
+    """Run each bundled scenario of ``checkout`` into ``out/<scenario>/``.
+
+    Next to a scenario's outputs, ``stdout.txt`` holds its stdout with the
+    output directory written as ``<out>``, and ``exit_code.txt`` its exit
+    code.
+    """
+    src = checkout.resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out.mkdir(parents=True, exist_ok=True)
+    for scenario in sorted((src / "quatflight" / "scenarios").glob("*.yaml")):
+        outdir = out / scenario.stem
+        outdir.mkdir()
+        command = [sys.executable, "-m", "quatflight", "run", str(scenario), "--compare"]
+        proc = subprocess.run(
+            command + ["--out", str(outdir)], capture_output=True, text=True, env=env, cwd=outdir
+        )
+        (outdir / "stdout.txt").write_text(proc.stdout.replace(str(outdir), "<out>"))
+        (outdir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+
+
+def _canonical(data: bytes) -> str:
+    """A JSON document without its ``IGNORED_KEY`` entries, as a comparable string."""
+
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if k != IGNORED_KEY}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    # dumping compares floats by repr, so NaN equals NaN and -0.0 differs from 0.0
+    return json.dumps(strip(json.loads(data)), sort_keys=True)
+
+
+def differences(parent: Path, change: Path) -> list:
+    """One line per difference between the output trees ``parent`` and ``change``."""
+
+    def files(root):
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    old_files, new_files = files(parent), files(change)
+    found = [f"only in parent: {rel}" for rel in sorted(old_files - new_files)]
+    found += [f"only in change: {rel}" for rel in sorted(new_files - old_files)]
+    for rel in sorted(old_files & new_files):
+        old, new = (parent / rel).read_bytes(), (change / rel).read_bytes()
+        if rel.suffix == ".json":
+            same = _canonical(old) == _canonical(new)
+        else:
+            same = old == new
+        if same:
+            continue
+        line = f"differs: {rel}"
+        if rel.suffix == ".txt":
+            pairs = zip(old.decode().splitlines() + [""], new.decode().splitlines() + [""])
+            first = next(((a, b) for a, b in pairs if a != b), ("", ""))
+            line += f"\n  parent: {first[0]}\n  change: {first[1]}"
+        found.append(line)
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="source checkout of the parent")
+    parser.add_argument("change", type=Path, help="source checkout of the change")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = (Path(tmp) / "parent", Path(tmp) / "change")
+        for checkout, out in zip((args.parent, args.change), sides):
+            run_bundled(checkout, out)
+        found = differences(*sides)
+        n_csv = len(list(sides[1].rglob("*.csv")))
+        n_scenarios = len(list(sides[1].iterdir()))
+    for line in found:
+        print(line)
+    print(f"{len(found)} differences; {n_scenarios} scenarios and {n_csv} CSVs in the change")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
