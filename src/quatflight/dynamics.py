@@ -78,6 +78,7 @@ from .states import (
     cartesian_to_rvh,
     cartesian_to_spherical,
     rv_rows_to_cartesian,
+    rvh_pair_norms,
     rvh_rows_to_cartesian,
     rvh_unit_pair,
     spherical_rows_to_cartesian,
@@ -551,7 +552,7 @@ def _rvh_columns(t, y, controls):
     zero = np.zeros(len(y))
     return {
         "norm_qa": row_norms(y[:, 1:5]),
-        "norm_qb": np.hypot(y[:, 6], y[:, 7]),
+        "norm_qb": rvh_pair_norms(y),
         "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
         "eps_b1": zero, "eps_b2": zero, "eps_b3": y[:, 6], "eta_b": y[:, 7],
         # C_BA(2,1) and C_BA(3,1) of the in-plane rotation (states.rvh_c_ba_rows)

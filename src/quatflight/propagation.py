@@ -1,9 +1,23 @@
 """Numerical propagation of flight states with events, norm control and dense output.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
-an adaptive Dormand-Prince 5(4) pair.  Both optionally rescale the state's
-quaternion blocks to unit norm after every accepted step; the derivative
-functions themselves never do this, so the policy lives entirely here.
+an adaptive Dormand-Prince 5(4) pair.  Both optionally keep the state's
+quaternion blocks at unit norm by projection: every block of a step's new
+state is divided by its norm (:func:`renormalize_quaternion_blocks`), as in
+Hairer, Lubich & Wanner, *Geometric Numerical Integration*, §IV.4.  The
+derivative functions themselves never do this, so the policy lives
+entirely here, and it is applied inside the step:
+
+* the RK4 step projects the state it returns;
+* the Dormand-Prince step projects its fifth-order solution ``y5`` before
+  it evaluates stage 7 there, and returns the projected state.  So stage 7
+  is the derivative at the new sample, and the next step can start from it
+  (below).  The error estimate stays valid: stage 7 has no weight in the
+  solution (``b7 = 0``) and enters only the estimate, and the projection
+  moves ``y5`` by the norm drift, which is at most of the size of the local
+  error.  The estimate therefore changes by a higher-order term, about
+  ``h * e7 * L * |P(y5) - y5|`` for a Lipschitz constant ``L`` of the
+  derivative.
 
 Steps land exactly only on the control knots (``t_knots``) and on the
 terminal time.  The derivative may jump at a knot:
@@ -40,7 +54,7 @@ left-limit stages it integrated with.  Two things read the extension:
   "Event location for ordinary differential equations", 2000), until the
   radius misses the target by less than ``EVENT_RADIUS_TOL`` (1e-3 m) and
   the bracket is shorter than ``EVENT_TIME_TOL`` (1e-6 s).  The event state
-  is the interpolant at that time, renormalized; it ends the trajectory,
+  is the interpolant at that time, projected; it ends the trajectory,
   and no output time after it is sampled.
 
 A derivative evaluation may fail by a singularity guard (``SingularityError``)
@@ -53,12 +67,14 @@ it means:
 
 * at the accepted state, the first stage of a step, it ends the run at
   that state, and the trajectory accumulated so far is returned intact.
-  A failed fixed RK4 step ends the run the same way.
-* a failed adaptive step is recoverable, as a right-hand side failure is
-  in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3), 2005): the step is
-  rejected as if its error estimate were infinite and retried 0.2 times as
-  long.  A trial stage of a too-long step can leave the region where the
-  derivative is defined although the solution never does.
+  A failed fixed RK4 step ends the run the same way, and so does a failed
+  adaptive step whose first stage is not finite, since every retry would
+  keep that stage.
+* any other failed adaptive step is recoverable, as a right-hand side
+  failure is in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3), 2005):
+  the step is rejected as if its error estimate were infinite and retried
+  0.2 times as long.  A trial stage of a too-long step can leave the region
+  where the derivative is defined although the solution never does.
 
 An adaptive step may not shrink below the step floor
 ``1e-14 * max(|t|, 1)``.  A rejection that would go below it ends the run
@@ -77,12 +93,11 @@ stage runs a loop or builds an array.  Their source is registered with
 formats find it.  Every component is the float the array expressions
 give, with the same terms in the same order: zero weights are skipped,
 the error norm's maximum is NaN when either side is (as ``np.maximum``)
-and its sum of squares follows numpy's pairwise order, and the
-renormalization keeps the quaternion norms on ``np.dot``.  So trajectories
+and its sum of squares follows numpy's pairwise order.  So trajectories
 are bit for bit those of the array form.  The Dormand-Prince step returns
-its stage-7 state as the fifth-order solution: that stage's weights are
-the solution weights, summed in the same order.  Arrays appear where a
-run's results are kept: the accepted rows in the state buffer, an
+its projected stage-7 state as the fifth-order solution: that stage's
+weights are the solution weights, summed in the same order.  Arrays
+appear where a run's results are kept: the accepted rows, an
 interpolant's matrix product, and the trajectory and stop event handed
 back.
 
@@ -92,14 +107,14 @@ step to the next, and is reused only where its inputs are bit-identical:
 * a rejected step's retry starts from the same point and keeps its first
   stage, so a retry costs six evaluations, not seven;
 * after an accepted adaptive step, the stage-7 derivative becomes the
-  next step's first stage (first same as last) when the new sample is that
-  stage's point exactly: renormalization changed no bit of the state, and
-  the step's end is stage 7's time (a knot landing's stage 7 sits at the
-  knot's left limit, and the next step starts on the knot's other side).
+  next step's first stage (first same as last) when the step ends at stage
+  7's time.  Stage 7 is evaluated at the projected new state, so only a
+  knot landing evaluates a fresh first stage: its stage 7 sits at the
+  knot's left limit, and the next step starts on the knot's other side.
 
-Accepted samples are copied into preallocated time and state buffers that
-double when full; the trajectory receives trimmed copies, so its rows
-share memory with nothing else.
+Accepted samples are written into arrays of ``_CHUNK_ROWS`` rows, a new one
+when the last is full; the trajectory receives one concatenation of those
+arrays, so its rows share memory with nothing else.
 
 Propagation is deterministic: the same configuration and initial state
 produce bitwise-identical trajectories, with or without output times.
@@ -110,8 +125,8 @@ from __future__ import annotations
 import linecache
 import time
 from dataclasses import dataclass, field
-from functools import cache
-from math import inf, isfinite, isnan, nextafter, sqrt
+from functools import cache, partial
+from math import hypot, inf, isfinite, isnan, nextafter, sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,6 +136,7 @@ from .errors import PropagationError, SingularityError
 EVENT_TIME_TOL = 1e-6  # s
 EVENT_RADIUS_TOL = 1e-3  # m
 _EVENT_MAX_ITERATIONS = 100
+_CHUNK_ROWS = 512  # accepted samples per storage array
 
 # Dormand-Prince 5(4) coefficients.
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -250,11 +266,9 @@ def renormalize_quaternion_blocks(y: list, quat_spans) -> list:
     """Rescale each quaternion block of a state, a list of floats, to unit norm.
 
     Returns ``y`` itself when every block's norm is exactly 1.0 (dividing
-    by it would change no bit), otherwise a rescaled copy.  Each block's
-    squared norm is the ``np.dot`` of the block, as an array, with itself:
-    numpy's dot may fuse multiply and add, so no order of float products
-    and sums reproduces its bits, even for two components; a float sum of
-    squares would move trajectories off those of the array form.
+    by it would change no bit), otherwise a rescaled copy.  A block's norm
+    is ``math.hypot`` of its components, as in ``states.rvh_pair_norms``;
+    its bits depend on no BLAS kernel.
 
     Raises
     ------
@@ -263,14 +277,14 @@ def renormalize_quaternion_blocks(y: list, quat_spans) -> list:
     """
     out = y
     for lo, hi in quat_spans:
-        block = np.array(y[lo:hi])
-        n = sqrt(block.dot(block))
+        n = hypot(*y[lo:hi])
         if n == 0.0:
             raise ValueError("cannot renormalize a zero-norm quaternion block")
         if n != 1.0:
             if out is y:
-                out = list(y)
-            out[lo:hi] = [v / n for v in y[lo:hi]]
+                out = y[:]
+            for i in range(lo, hi):
+                out[i] /= n
     return out
 
 
@@ -289,17 +303,17 @@ def _state_list(terms):
 
 
 def _rk4_source(n):
-    """``rk4(rhs, t, y, h, k1, t_end) -> (y_new, None, None, stages)`` for ``n`` floats.
+    """``rk4(rhs, t, y, h, k1, t_end, project=None) -> (y_new, None, None, stages)``, ``n`` floats.
 
     The step contract of :func:`_dp54_source`, with no error estimate and no
     reusable last stage.  Each stage state is ``y_i + c * k_i`` with
     ``c = 0.5*h`` (``h`` for the last stage, evaluated at ``t_end``) and the
     new state ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``, the float
-    operations of the array expressions.
+    operations of the array expressions, then projected.
     """
     y = _names("y", n)
     lines = [
-        "def rk4(rhs, t, y, h, k1, t_end):",
+        "def rk4(rhs, t, y, h, k1, t_end, project=None):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
         "    c = 0.5 * h",
@@ -314,30 +328,36 @@ def _rk4_source(n):
         f"{v} + c * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
         for v, p, q, r, s in zip(y, *(_names(f"k{j}", n) for j in range(1, 5)))
     ]
-    lines.append(f"    return {_state_list(terms)}, None, None, (k1, k2, k3, k4)")
+    lines.append(f"    y_new = {_state_list(terms)}")
+    lines.append("    if project is not None:")
+    lines.append("        y_new = project(y_new)")
+    lines.append("    return y_new, None, None, (k1, k2, k3, k4)")
     return "\n".join(lines) + "\n"
 
 
 def _dp54_source(n):
-    """``dp54(rhs, t, y, h, k1, t_end) -> (y5, err, k7, stages)`` for ``n`` floats.
+    """``dp54(rhs, t, y, h, k1, t_end, project=None) -> (y5, err, k7, stages)``, ``n`` floats.
 
     The step contract both generated steps share: from the state ``y`` at
     ``t``, whose derivative ``k1`` the caller has evaluated, a step of
     length ``h`` whose last stage (here the two ``c = 1`` stages) is
-    evaluated at ``t_end``.  It returns the new state, the error estimate
-    (``None`` for RK4), the derivative at ``(t_end, y_new)`` (``None`` for
-    RK4, whose last stage is not at the new state) and every stage
-    derivative, for the step's interpolant.
+    evaluated at ``t_end``.  ``project``, when given, maps a state list to
+    the new state (the quaternion renormalization); it is applied to the
+    step's solution before anything reads it.  The step returns the new
+    state, the error estimate (``None`` for RK4), the derivative at
+    ``(t_end, y_new)`` (``None`` for RK4, whose last stage is not at the new
+    state) and every stage derivative, for the step's interpolant.
 
     The stages follow the tableau ``_DP_C``/``_DP_A``: stage ``i``'s state
     adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
     skipping zero weights.  Stage 7's state is ``y5``, the fifth-order
-    solution (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), and the error
-    estimate sums ``(h*e_j) * k_j`` the same way over ``_DP_E``.
+    solution (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), projected
+    before stage 7 is evaluated there, and the error estimate sums
+    ``(h*e_j) * k_j`` the same way over ``_DP_E``.
     """
     y = _names("y", n)
     lines = [
-        "def dp54(rhs, t, y, h, k1, t_end):",
+        "def dp54(rhs, t, y, h, k1, t_end, project=None):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
     ]
@@ -354,6 +374,8 @@ def _dp54_source(n):
         at = "t_end" if c == 1.0 else f"t + {c!r} * h"
         if stage == 7:
             lines.append(f"    y5 = {_state_list(terms)}")
+            lines.append("    if project is not None:")
+            lines.append("        y5 = project(y5)")
             lines.append(f"    k7 = rhs({at}, y5)")
         else:
             lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
@@ -498,8 +520,8 @@ def propagate(
     y0 : array_like
         Initial state, a flat sequence of numbers.
     quat_spans : sequence of (lo, hi)
-        Index ranges holding unit quaternions, renormalized after accepted
-        steps when the config asks for it.
+        Index ranges holding unit quaternions, projected to unit norm inside
+        every step when the config asks for it (see the module docstring).
     radius_fn, radius_target : callable, float
         When given, propagation stops where ``radius_fn(y)`` crosses
         ``radius_target`` in either direction.  The crossing is located on
@@ -548,16 +570,21 @@ def propagate(
         n_evals += 1
         return rhs(t, yy)
 
-    # accepted samples are rows [0, n_rows); both buffers double when full
-    t_buf = np.empty(256)
-    y_buf = np.empty((256, len(y)))
-    t_buf[0] = t0
-    y_buf[0] = y
+    # the accepted samples, in arrays of _CHUNK_ROWS rows; rows [0, n_rows)
+    # of the last ones are filled.  Rows are not kept as lists of floats
+    # until a chunk fills: that holds thousands of float objects alive, and
+    # a run under tracemalloc took four times as long.
+    t_chunk, y_chunk = np.empty(_CHUNK_ROWS), np.empty((_CHUNK_ROWS, len(y)))
+    t_chunks, y_chunks = [t_chunk], [y_chunk]
+    t_chunk[0] = t0
+    y_chunk[0] = y
     n_rows = 1
     n_steps = 0
     n_rejected = 0
     schedule = _BreakSchedule(t0, t_final, t_knots)
-    renorm = config.renormalize_every_step and quat_spans
+    project = None
+    if config.renormalize_every_step and quat_spans:
+        project = partial(renormalize_quaternion_blocks, quat_spans=tuple(quat_spans))
     adaptive = config.method == "rk45-adaptive"
     step = _generated("dp54" if adaptive else "rk4", len(y))
     if adaptive:
@@ -586,14 +613,14 @@ def propagate(
 
     def finish(event):
         traj = Trajectory(
-            t=t_buf[:n_rows].copy(),
-            y=y_buf[:n_rows].copy(),
+            t=np.concatenate(t_chunks[:-1] + [t_chunk[:n_rows]]),
+            y=np.concatenate(y_chunks[:-1] + [y_chunk[:n_rows]]),
             n_evals=n_evals,
             n_steps=n_steps,
             n_rejected=n_rejected,
             wall_time=time.perf_counter() - start,
             t_eval=np.array(eval_t),
-            y_eval=np.array(eval_y).reshape(len(eval_t), y_buf.shape[1]),
+            y_eval=np.array(eval_y).reshape(len(eval_t), len(y)),
         )
         return traj, event
 
@@ -630,16 +657,20 @@ def propagate(
         else:
             t_end = t + h_try
         try:
-            y_step, err, k_last, stages = step(counted_rhs, t, y, h_try, k1, t_end)
-            err_norm = error_norm(err, y, y_step, abs_tol, rel_tol) if adaptive else 0.0
+            y_new, err, k_last, stages = step(counted_rhs, t, y, h_try, k1, t_end, project)
+            err_norm = error_norm(err, y, y_new, abs_tol, rel_tol) if adaptive else 0.0
             # one float sum: NaN or inf in any component carries through
-            finite = isfinite(sum(y_step)) and not isnan(err_norm)
+            finite = isfinite(sum(y_new)) and not isnan(err_norm)
             failure = None if finite else ("step_failure", "non-finite state")
         except DERIVATIVE_FAILURES as exc:
             failure = stop_for(exc)
         if failure:
             if not adaptive:
                 return stop(*failure)
+            if not isfinite(sum(k1)):
+                # every retry would keep this first stage and fail again
+                n_rejected += 1
+                return stop("step_failure", "non-finite state")
             err_norm = inf
 
         if err_norm > 1.0:
@@ -653,7 +684,6 @@ def propagate(
 
         n_steps += 1
         t_new = target if landing else t + h_try
-        y_new = renormalize_quaternion_blocks(y_step, quat_spans) if renorm else y_step
 
         event = None
         dense = None
@@ -666,27 +696,29 @@ def propagate(
                     t_new, y_new = _locate_crossing(
                         dense, t, t_new, g_prev, g_new, radius_fn, radius_target
                     )
-                    if renorm:
-                        y_new = renormalize_quaternion_blocks(y_new, quat_spans)
+                    if project is not None:
+                        y_new = project(y_new)
                 event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=np.array(y_new))
             g_prev = g_new
 
         if pending and pending[-1] <= t_new:
             sample(t_new, y_new, dense or _dense(t, h_try, y, stages, dense_coefficients))
 
-        if n_rows == len(t_buf):
-            t_buf = np.concatenate((t_buf, np.empty_like(t_buf)))
-            y_buf = np.concatenate((y_buf, np.empty_like(y_buf)))
-        t_buf[n_rows] = t_new
-        y_buf[n_rows] = y_new
+        if n_rows == _CHUNK_ROWS:
+            t_chunk, y_chunk = np.empty(_CHUNK_ROWS), np.empty((_CHUNK_ROWS, len(y)))
+            t_chunks.append(t_chunk)
+            y_chunks.append(y_chunk)
+            n_rows = 0
+        t_chunk[n_rows] = t_new
+        y_chunk[n_rows] = y_new
         n_rows += 1
         if event is not None:
             return finish(event)
 
-        # a DP5(4) step's k_last is the derivative at (t_end, y_step): reuse
-        # it when the new sample is that point bit for bit, which a knot
-        # landing never is (an RK4 step returns None)
-        k1 = k_last if t_new == t_end and y_new is y_step else None
+        # a DP5(4) step's k_last is the derivative at (t_end, y_new), the
+        # new sample unless the step landed on a knot (an RK4 step returns
+        # None)
+        k1 = k_last if t_new == t_end else None
         t = t_new
         y = y_new
 

@@ -319,9 +319,14 @@ def rvh_rows_to_cartesian(y):
     return _through_frames(u, rvh_c_ba_rows(u[:, 6], u[:, 7]))
 
 
+def rvh_pair_norms(y):
+    """The ``math.hypot`` norm of the in-plane pair of each eight-parameter row of ``y``."""
+    return np.array([math.hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
+
+
 def rvh_unit_pair(y):
-    """The in-plane pair of each eight-parameter row of ``y`` over its ``math.hypot`` norm."""
-    n = np.array([math.hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
+    """The in-plane pair of each eight-parameter row of ``y`` over its :func:`rvh_pair_norms`."""
+    n = rvh_pair_norms(y)
     if (n == 0.0).any():
         raise ValueError("cannot renormalize a zero-norm in-plane rotation pair")
     return y[:, 6] / n, y[:, 7] / n

@@ -81,3 +81,45 @@ def test_exit_status(tmp_path, monkeypatch, capsys, changes, code):
     assert compare_bundled.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == code
     out = capsys.readouterr().out
     assert out.endswith(f"{code} differences; 1 scenarios and 1 CSVs in the change\n")
+
+
+def test_a_differing_csv_is_measured(tmp_path):
+    old, new = "t,x,s\n0.0,1.0,\n1.0,2.0,\n2.0,3.0,\n", "t,x,s\n0.0,1.0,\n1.0,2.5,7.0\n2.0,2.75,\n"
+    parent = write_tree(tmp_path / "parent", **{"dive_rv.csv": old})
+    change = write_tree(tmp_path / "change", **{"dive_rv.csv": new})
+    assert compare_bundled.differences(parent, change) == [
+        "differs: dive/dive_rv.csv\n"
+        "  2 of 3 rows differ\n"
+        "    x: 2 rows, largest 5.000e-01\n"
+        "    s: 1 rows, 1 not numbers"
+    ]
+
+
+@pytest.mark.parametrize(
+    "changed, lines",
+    [
+        (
+            "t,x\n0.0,1.0\n",
+            ["  2 rows in parent, 1 in change; the first 1 compared", "  0 of 1 rows differ"],
+        ),
+        ("t,y\n0.0,1.0\n1.0,2.0\n", ["  header differs"]),
+        ("t,x\r\n0.0,1.0\r\n1.0,2.0\r\n", ["  0 of 2 rows differ"]),
+    ],
+)
+def test_rows_and_header_of_a_differing_csv(tmp_path, changed, lines):
+    parent = write_tree(tmp_path / "parent", **{"dive_rv.csv": "t,x\n0.0,1.0\n1.0,2.0\n"})
+    change = write_tree(tmp_path / "change", **{"dive_rv.csv": changed})
+    (found,) = compare_bundled.differences(parent, change)
+    assert found.split("\n") == ["differs: dive/dive_rv.csv"] + lines
+
+
+def test_every_differing_stdout_line_is_shown(tmp_path):
+    parent = write_tree(tmp_path / "parent", **{"stdout.txt": "a\nb 1.0\nc\nd 2.0\n"})
+    change = write_tree(tmp_path / "change", **{"stdout.txt": "a\nb 1.5\nc\nd 2.5\ne\n"})
+    (found,) = compare_bundled.differences(parent, change)
+    assert found.split("\n") == [
+        "differs: dive/stdout.txt",
+        "  parent: b 1.0", "  change: b 1.5",
+        "  parent: d 2.0", "  change: d 2.5",
+        "  parent: ", "  change: e",
+    ]

@@ -163,7 +163,7 @@ def ref_rvh_columns(t, y, controls):
     sigma = controls.bank(t) if controls.bank_mode == "sigma" else controls.bank(t) + math.pi
     return {
         "norm_qa": float(np.linalg.norm(y[1:5])),
-        "norm_qb": float(np.hypot(y[6], y[7])),
+        "norm_qb": math.hypot(y[6], y[7]),
         "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
         "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
         **ref_bank_columns(sigma, ref_rvh_c_ba(rvh_state_from_array(y))),

@@ -73,7 +73,7 @@ def error_norm(err, y, y5, abs_tol, rel_tol):
 def reference_renormalize(y, quat_spans):
     out = y.copy()
     for lo, hi in quat_spans:
-        n = float(np.linalg.norm(out[lo:hi]))
+        n = math.hypot(*out[lo:hi])
         if n == 0.0:
             raise ValueError("cannot renormalize a zero-norm quaternion block")
         out[lo:hi] /= n
@@ -89,8 +89,12 @@ def reference_rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_dp54_step(rhs, t, y, h, t_end=None):
-    """``t_end`` replaces ``t + h`` as the time of the two ``c = 1`` stages."""
+def reference_dp54_step(rhs, t, y, h, t_end=None, project=None):
+    """``t_end`` replaces ``t + h`` as the time of the two ``c = 1`` stages.
+
+    ``project``, when given, maps stage 7's state, the fifth-order
+    solution, before stage 7 is evaluated there, and the returned solution.
+    """
     rhs = array_rhs(rhs)
     k = [rhs(t, y)]
     for i in range(1, 7):
@@ -98,12 +102,16 @@ def reference_dp54_step(rhs, t, y, h, t_end=None):
         for j, a in enumerate(_DP_A[i]):
             if a != 0.0:
                 yi = yi + (h * a) * k[j]
+        if i == 6 and project is not None:
+            yi = project(yi)
         t_i = t_end if _DP_C[i] == 1.0 and t_end is not None else t + _DP_C[i] * h
         k.append(rhs(t_i, yi))
     y5 = y.copy()
     for b, ki in zip(_DP_B, k):
         if b != 0.0:
             y5 = y5 + (h * b) * ki
+    if project is not None:
+        y5 = project(y5)
     err = np.zeros_like(y)
     for e, ki in zip(_DP_E, k):
         if e != 0.0:
@@ -114,18 +122,20 @@ def reference_dp54_step(rhs, t, y, h, t_end=None):
 def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None, t_knots=()):
     """The array-copying adaptive loop, without events.
 
-    Same controller, knot landings and renormalization policy as
-    ``propagate``, with the error norm taken by ``np.mean``.  A step that
-    lands on a knot evaluates its ``c = 1`` stages at the knot's left
-    limit.  Every step evaluates all seven stages afresh, so there is no
-    first-same-as-last reuse to skip after a knot.  Returns
+    Same controller, knot landings and projection as ``propagate``, with
+    the error norm taken by ``np.mean``.  A step that lands on a knot
+    evaluates its ``c = 1`` stages at the knot's left limit.  Every step
+    evaluates all seven stages afresh, so there is no first-same-as-last
+    reuse to skip after a knot.  Returns
     ``(t, y, n_steps, n_rejected)``.
     """
     y = np.asarray(y0, dtype=float).copy()
     ts, ys = [t0], [y]
     n_steps = n_rejected = 0
     schedule = _BreakSchedule(t0, t_final, t_knots)
-    renorm = config.renormalize_every_step and quat_spans
+    project = None
+    if config.renormalize_every_step and quat_spans:
+        project = lambda v: reference_renormalize(v, quat_spans)
     abs_tol = config.abs_tol
     if scales is not None:
         abs_tol = abs_tol * np.asarray(scales, dtype=float)
@@ -136,7 +146,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
         h_try = min(h, target - t)
         landing = h_try >= target - t - 1e-15 or t + h_try >= target
         t_end = math.nextafter(target, -math.inf) if landing and target in schedule.knots else None
-        y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end)
+        y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end, project)
         tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
         if math.isnan(err_norm):
@@ -147,7 +157,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
             continue
         n_steps += 1
         t = target if landing else t + h_try
-        y = reference_renormalize(y_new, quat_spans) if renorm else y_new
+        y = y_new
         ts.append(t)
         ys.append(y)
         if landing:
@@ -897,6 +907,75 @@ class TestDerivativeReuse:
             assert len(seen) == traj.n_evals, name
 
 
+class TestProjectionKeepsFirstSameAsLast:
+    """Projection before stage 7 leaves the stage-7 derivative reusable in every form."""
+
+    # (n_evals, n_steps, n_rejected) of the baselines, which have no
+    # quaternion block to project, at the two tolerances
+    BASELINE_COUNTS = {
+        (1e-10, "spherical"): (1019, 156, 13),
+        (1e-10, "cartesian"): (1103, 166, 17),
+        (1e-7, "spherical"): (389, 51, 13),
+        (1e-7, "cartesian"): (431, 58, 13),
+    }
+
+    @pytest.fixture(scope="class")
+    def entry_runs(self):
+        """Every form over the whole bundled entry, to its radius stop, at two tolerances."""
+        config = load_scenario(bundled_scenario_path("entry_table3"))
+        runs = {}
+        for rel_tol in (1e-10, 1e-7):
+            integrator = dataclasses.replace(config.integrator, rel_tol=rel_tol)
+            scenario = dataclasses.replace(config, integrator=integrator)
+            for name in PARAMETERIZATIONS:
+                runs[rel_tol, name] = run_parameterization(name, scenario)
+        return set(config.controls.knot_times()), runs
+
+    def test_six_calls_per_attempt(self, entry_runs):
+        knots, runs = entry_runs
+        for (rel_tol, name), res in runs.items():
+            traj = res.trajectory
+            assert res.event.kind == "radius_crossing", name
+            # the first step's first stage, and one more after each knot
+            # landing that the run goes on from
+            fresh = 1 + sum(t in knots for t in traj.t[1:-1].tolist())
+            assert fresh > 1, name
+            attempts = traj.n_steps + traj.n_rejected
+            assert traj.n_evals == 6 * attempts + fresh, (rel_tol, name)
+
+    def test_accepted_quaternions_are_unit(self, entry_runs):
+        _, runs = entry_runs
+        for (rel_tol, name), res in runs.items():
+            for lo, hi in PARAMETERIZATIONS[name].quat_spans:
+                norms = np.linalg.norm(res.trajectory.y[:, lo:hi], axis=1)
+                assert np.max(np.abs(norms - 1.0)) <= 1e-15, (rel_tol, name, lo)
+
+    def test_baseline_counts_unchanged(self, entry_runs):
+        _, runs = entry_runs
+        for key, counts in self.BASELINE_COUNTS.items():
+            traj = runs[key].trajectory
+            assert (traj.n_evals, traj.n_steps, traj.n_rejected) == counts, key
+
+    def test_projected_steps_bitwise_equal_to_textbook_forms(self):
+        for name, rhs, t, y in random_cases(seed=12, n=8):
+            spans = PARAMETERIZATIONS[name].quat_spans
+            project = lambda v: renormalize_quaternion_blocks(v, spans)
+            reference_project = lambda v: reference_renormalize(v, spans)
+            y_list = y.tolist()
+            for h in STEPS:
+                try:
+                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h, None, reference_project)
+                    rk4_ref = reference_renormalize(reference_rk4_step(rhs, t, y, h), spans)
+                except SingularityError:
+                    continue
+                k1 = rhs(t, y_list)
+                y5, err, k7, _ = _generated("dp54", len(y))(rhs, t, y_list, h, k1, t + h, project)
+                assert np.array_equal(y5, y5_ref) and np.array_equal(err, err_ref), (name, h)
+                assert k7 == rhs(t + h, y5), (name, h)
+                y4 = _generated("rk4", len(y))(rhs, t, y_list, h, k1, t + h, project)[0]
+                assert np.array_equal(y4, rk4_ref), (name, h)
+
+
 def unusual_layouts(y):
     """The state as a read-only array, as a non-contiguous row view and as a list."""
     read_only = y.copy()
@@ -962,6 +1041,31 @@ class TestNoAliasingNoMutation:
 
 
 class TestNonFiniteDerivative:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_first_stage_ends_after_one_attempt(self, bad):
+        # every retry would keep the first stage, so the first failed
+        # attempt ends the run: one first-stage call and six trial stages
+        traj, event = propagate(lambda t, y: [bad], 0.0, [0.0], 1.0, IntegratorConfig())
+        assert (event.kind, event.message) == ("step_failure", "non-finite state")
+        assert (traj.n_evals, traj.n_steps, traj.n_rejected) == (7, 0, 1)
+        assert len(traj) == 1 and event.t_event == 0.0
+
+    def test_nonfinite_first_stage_after_a_knot_landing(self):
+        # the derivative turns NaN at the knot: the landing's c = 1 stages
+        # run at its left limit, the next step's first stage at the knot
+        times = []
+
+        def rhs(t, y):
+            times.append(t)
+            return [math.nan if t >= 0.5 else -y[0]]
+
+        traj, event = propagate(rhs, 0.0, [1.0], 1.0, IntegratorConfig(), t_knots=[0.5])
+        assert (event.kind, event.message) == ("step_failure", "non-finite state")
+        assert event.t_event == traj.t[-1] == 0.5
+        assert np.all(np.isfinite(traj.y))
+        assert traj.n_rejected == 1
+        assert len(times) - times.index(0.5) == 7
+
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_nan_derivative_ends_as_step_failure(self, method):
         rhs = lambda t, y: [-v * (math.nan if t > 0.5 else 1.0) for v in y]
@@ -1018,6 +1122,16 @@ class TestTrajectoryMemory:
             tracemalloc.stop()
         assert res.trajectory.y.shape == (100_001, 10)
         assert peak <= 24e6
+
+    @pytest.mark.parametrize("n_rows", [2, 511, 512, 513, 1024, 1537])
+    def test_rows_across_chunk_boundaries(self, n_rows):
+        # accepted rows are stored in arrays of a few hundred rows each;
+        # every row comes back once, in order, whatever the run's length
+        cfg = IntegratorConfig(method="rk4-fixed", step=1.0)
+        traj, _ = propagate(lambda t, y: [1.0, -2.0], 0.0, [0.0, 0.0], n_rows - 1.0, cfg)
+        expected = np.arange(n_rows, dtype=float)
+        assert np.array_equal(traj.t, expected)
+        assert np.array_equal(traj.y, np.column_stack((expected, -2.0 * expected)))
 
 
 class TestListProtocol:

@@ -11,10 +11,13 @@ is run as ``python -m quatflight run SCENARIO --compare`` with that
 checkout's ``src/`` on ``PYTHONPATH``, into a temporary directory per
 checkout.  Then every difference between the two sides is reported:
 
-* a CSV, or any other output file, that differs in a byte;
+* a CSV, or any other output file, that differs in a byte.  For a CSV the
+  report says by how much: how many rows differ, and in each column that
+  differs, in how many rows and by how much at most;
 * a comparison JSON that differs outside its ``wall_time_s`` entries;
 * a file that only one side wrote;
-* stdout that differs once each side's output directory reads ``<out>``;
+* stdout that differs once each side's output directory reads ``<out>``,
+  with every line that differs;
 * a different exit code.
 
 The exit status is 0 when there is no difference and 1 otherwise.
@@ -23,6 +26,9 @@ The exit status is 0 when there is no difference and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -68,8 +74,55 @@ def _canonical(data: bytes) -> str:
     return json.dumps(strip(json.loads(data)), sort_keys=True)
 
 
+def _difference(a: str, b: str):
+    """``|a - b|`` of two CSV cells, or ``None`` when either is not a number.
+
+    An empty cell, which is how a CSV writes NaN, is not a number.
+    """
+    try:
+        return abs(float(a) - float(b))
+    except ValueError:
+        return None
+
+
+def csv_summary(old: bytes, new: bytes) -> list:
+    """Lines saying by how much two CSVs differ, row by row and column by column."""
+    old_rows = list(csv.reader(io.StringIO(old.decode())))
+    new_rows = list(csv.reader(io.StringIO(new.decode())))
+    if old_rows[:1] != new_rows[:1]:
+        return ["  header differs"]
+    header = old_rows[0] if old_rows else []
+    pairs = list(zip(old_rows[1:], new_rows[1:]))
+    lines = []
+    if len(old_rows) != len(new_rows):
+        lines.append(
+            f"  {len(old_rows) - 1} rows in parent, {len(new_rows) - 1} in change; "
+            f"the first {len(pairs)} compared"
+        )
+    lines.append(f"  {sum(a != b for a, b in pairs)} of {len(pairs)} rows differ")
+    columns = {}  # column -> the differences of its cells that differ
+    for a, b in pairs:
+        for name, x, y in zip(header, a, b):
+            if x != y:
+                columns.setdefault(name, []).append(_difference(x, y))
+    for name in filter(columns.__contains__, header):
+        found = columns[name]
+        numbers = [d for d in found if d is not None]
+        parts = [f"{len(found)} rows"]
+        if numbers:
+            parts.append(f"largest {max(numbers):.3e}")
+        if len(numbers) < len(found):
+            parts.append(f"{len(found) - len(numbers)} not numbers")
+        lines.append(f"    {name}: {', '.join(parts)}")
+    return lines
+
+
 def differences(parent: Path, change: Path) -> list:
-    """One line per difference between the output trees ``parent`` and ``change``."""
+    """One entry per difference between the output trees ``parent`` and ``change``.
+
+    An entry's first line names the difference; further lines, indented,
+    show the stdout lines that differ or measure a CSV's difference.
+    """
 
     def files(root):
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
@@ -85,12 +138,15 @@ def differences(parent: Path, change: Path) -> list:
             same = old == new
         if same:
             continue
-        line = f"differs: {rel}"
+        lines = [f"differs: {rel}"]
         if rel.suffix == ".txt":
-            pairs = zip(old.decode().splitlines() + [""], new.decode().splitlines() + [""])
-            first = next(((a, b) for a, b in pairs if a != b), ("", ""))
-            line += f"\n  parent: {first[0]}\n  change: {first[1]}"
-        found.append(line)
+            old_lines, new_lines = old.decode().splitlines(), new.decode().splitlines()
+            for a, b in itertools.zip_longest(old_lines, new_lines, fillvalue=""):
+                if a != b:
+                    lines += [f"  parent: {a}", f"  change: {b}"]
+        elif rel.suffix == ".csv":
+            lines += csv_summary(old, new)
+        found.append("\n".join(lines))
     return found
 
 
