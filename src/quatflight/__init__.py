@@ -9,14 +9,14 @@ angular-momentum gauge break down.
 The package exports the scenario API (:func:`load_scenario`,
 :func:`run_scenario`), the registry of forms (``PARAMETERIZATIONS``), the
 configuration types a scenario is built from, :func:`propagate` and the
-error types.  Everything else, such as the state classes and the
+error types.  Everything else, such as the state conversions and the
 quaternion algebra, is imported from its submodule.
 """
 
 from .controls import ControlProfile, PiecewiseLinear
 from .dynamics import PARAMETERIZATIONS
 from .environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
-from .errors import ConfigError, PropagationError, QuatflightError, SingularityError
+from .errors import ConfigError, QuatflightError, SingularityError
 from .propagation import IntegratorConfig, StopEvent, Trajectory, propagate
 from .scenario import ScenarioConfig, bundled_scenario_path, load_scenario, run_scenario
 from .states import CartesianState
@@ -35,7 +35,6 @@ __all__ = [
     "IntegratorConfig",
     "PARAMETERIZATIONS",
     "PiecewiseLinear",
-    "PropagationError",
     "QuatflightError",
     "ScenarioConfig",
     "SingularityError",

@@ -70,7 +70,7 @@ import numpy as np
 from .controls import ControlProfile
 from .environment import Environment
 from .errors import SingularityError
-from .quat import UnitQuaternion, dcm_from_quat, dcm_rows, renormalize_rows, row_norms
+from .quat import dcm_from_quat, dcm_rows, renormalize_rows, row_norms
 from .states import (
     CartesianState,
     cartesian_rows_to_cartesian,
@@ -469,8 +469,8 @@ def _sigma(beta, c21, c31):
 # --- parameterization registry -------------------------------------------
 
 
-def rvl_twist(qb: UnitQuaternion, controls: ControlProfile, t0: float) -> UnitQuaternion:
-    """Lift-gauge B quaternion from an rv-gauge one at the initial time ``t0``.
+def rvl_twist(qb, controls: ControlProfile, t0: float):
+    """Lift-gauge B Euler parameters from rv-gauge ones ``qb`` at the initial time ``t0``.
 
     Twists B about its first axis so the second axis points at the bank
     command at ``t0``.  In ``sigma`` mode the twist equals that command,
@@ -488,7 +488,7 @@ def rvl_twist(qb: UnitQuaternion, controls: ControlProfile, t0: float) -> UnitQu
 
 def _rvl_from_rv(y, controls, t0):
     out = np.array(y, dtype=float)
-    out[6:10] = rvl_twist(UnitQuaternion.from_array(y[6:10]), controls, t0).as_array()
+    out[6:10] = rvl_twist(out[6:10], controls, t0)
     return out
 
 
@@ -583,8 +583,8 @@ class Parameterization:
       :mod:`quatflight.states`: it renormalizes state rows ``y``
       (n, size), raises the ``ValueError`` of the first row out of range,
       and gives positions and velocities ``(p, v)``, each (n, 3).
-    * ``from_cartesian(c, controls, t0)`` fixes the form's gauge for a
-      physical state at the initial time ``t0``.
+    * ``from_cartesian(c, controls, t0)`` gives the row of a physical
+      state, in the form's gauge at the initial time ``t0``.
     * ``gauge_columns(t, y, controls)`` gives, for sample times ``t`` (n,)
       and rows ``y``, one array per diagnostic column that depends on the
       form: quaternion components and norms, the native bank ``sigma`` and
@@ -598,7 +598,7 @@ class Parameterization:
     * ``radius_index`` locates the radius in ``y``; -1 when it must be
       derived from a Cartesian position.
     * ``from_rv(y, controls, t0)``, when set, derives the form from an rv
-      state array while keeping its gauge and its bits, so a native rv
+      row while keeping its gauge and its bits, so a native rv
       initial state is reused instead of regauged through Cartesian
       coordinates.
     """
@@ -633,7 +633,7 @@ PARAMETERIZATIONS = {
     "rv": Parameterization(
         make_rhs=make_rv_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: cartesian_to_rv(c).to_array(),
+        from_cartesian=lambda c, controls, t0: cartesian_to_rv(c),
         gauge_columns=_two_quaternion_columns(_rv_bank),
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
@@ -642,9 +642,7 @@ PARAMETERIZATIONS = {
     "rvl": Parameterization(
         make_rhs=make_rvl_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: _rvl_from_rv(
-            cartesian_to_rv(c).to_array(), controls, t0
-        ),
+        from_cartesian=lambda c, controls, t0: _rvl_from_rv(cartesian_to_rv(c), controls, t0),
         gauge_columns=_two_quaternion_columns(_rvl_bank),
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
@@ -654,7 +652,7 @@ PARAMETERIZATIONS = {
     "rvh": Parameterization(
         make_rhs=make_rvh_rhs,
         to_cartesian_rows=rvh_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c).to_array(),
+        from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c),
         gauge_columns=_rvh_columns,
         quat_spans=((1, 5), (6, 8)),
         scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
@@ -663,7 +661,7 @@ PARAMETERIZATIONS = {
     "spherical": Parameterization(
         make_rhs=make_spherical_rhs,
         to_cartesian_rows=spherical_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c).to_array(),
+        from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c),
         gauge_columns=_baseline_columns,
         quat_spans=(),
         scales=np.array([_LENGTH_SCALE, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
@@ -672,7 +670,7 @@ PARAMETERIZATIONS = {
     "cartesian": Parameterization(
         make_rhs=make_cartesian_rhs,
         to_cartesian_rows=cartesian_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: c.to_array(),
+        from_cartesian=lambda c, controls, t0: np.concatenate((c.position, c.velocity)),
         gauge_columns=_baseline_columns,
         quat_spans=(),
         scales=np.array([_LENGTH_SCALE] * 3 + [_SPEED_SCALE] * 3, dtype=float),

@@ -20,13 +20,3 @@ class ConfigError(QuatflightError):
             messages = [messages]
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
-
-
-class PropagationError(QuatflightError):
-    """Numerical integration could not continue (step failure, step budget)."""
-
-    def __init__(self, message, t=None):
-        self.t = t
-        if t is not None:
-            message = f"{message} (t={t:.6f} s)"
-        super().__init__(message)

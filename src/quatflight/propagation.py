@@ -79,7 +79,9 @@ it means:
 An adaptive step may not shrink below the step floor
 ``1e-14 * max(|t|, 1)``.  A rejection that would go below it ends the run
 at the last accepted sample with the rejected trial's failure, or as
-``step_failure`` "step size underflow" when the trial did not fail.  Any
+``step_failure`` "step size underflow" when the trial did not fail.  A
+run whose accepted and rejected steps reach ``IntegratorConfig.max_steps``
+ends the same way, as ``step_failure`` "maximum step count exceeded".  Any
 other exception is a defect and is not caught.
 
 The state is a list of Python floats from ``y0`` to the last sample, and
@@ -131,7 +133,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PropagationError, SingularityError
+from .errors import SingularityError
 
 EVENT_TIME_TOL = 1e-6  # s
 EVENT_RADIUS_TOL = 1e-3  # m
@@ -556,8 +558,8 @@ def propagate(
 
     Raises
     ------
-    PropagationError
-        If the step budget is exhausted.
+    ValueError
+        If ``t_final`` does not exceed ``t0``.
     """
     if t_final <= t0:
         raise ValueError("t_final must exceed t0")
@@ -640,7 +642,7 @@ def propagate(
         if target is None:
             return stop("terminal_time")
         if n_steps + n_rejected >= config.max_steps:
-            raise PropagationError("maximum step count exceeded", t=t)
+            return stop("step_failure", "maximum step count exceeded")
 
         h_try = min(h, target - t)
         # a step whose end rounds onto the target lands there too; otherwise

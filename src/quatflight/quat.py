@@ -7,19 +7,20 @@ frame A's basis by ``angle`` about ``axis``, then ``dcm_from_quat(q) @ p_A``
 gives the components of a vector in B's basis from its components in A's
 basis.
 
-This module holds what the state conversions and diagnostics use: the
-direction cosine matrix of a quaternion, one at a time or over row stacks,
-its inverse, and renormalization.  The axis-angle forms and the rate
+A quaternion is any sequence of four floats, such as a slice of a state
+row, or four columns of a stack of rows (n, 4).  This module holds what the
+state conversions and diagnostics use: the direction cosine matrix of a
+quaternion, one at a time or over row stacks, its inverse, and the
+renormalization of row stacks.  The axis-angle forms and the rate
 kinematics that the tests check these against live in ``tests/reference.py``.
 
-All operations are pure functions on immutable values and are safe to call
-concurrently.
+All operations are pure functions that do not modify their arguments and
+are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,49 +28,9 @@ UNIT_NORM_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """Four Euler parameters with a unit-norm invariant.
-
-    Attributes
-    ----------
-    eps1, eps2, eps3 : float
-        Vector part (direction of the rotation axis scaled by sin(angle/2)).
-    eta : float
-        Scalar part, cos(angle/2).
-    """
-
-    eps1: float
-    eps2: float
-    eps3: float
-    eta: float
-
-    def __post_init__(self):
-        n = math.sqrt(
-            self.eps1 * self.eps1
-            + self.eps2 * self.eps2
-            + self.eps3 * self.eps3
-            + self.eta * self.eta
-        )
-        if abs(n - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"quaternion norm {n!r} violates unit constraint")
-
-    @classmethod
-    def identity(cls) -> "UnitQuaternion":
-        return cls(0.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def from_array(cls, q) -> "UnitQuaternion":
-        q = np.asarray(q, dtype=float)
-        return cls(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.eps1, self.eps2, self.eps3, self.eta])
-
-
-def dcm_from_quat(q: UnitQuaternion) -> np.ndarray:
-    """Direction cosine matrix from Euler parameters (passive convention)."""
-    return np.array(_dcm_entries(q.eps1, q.eps2, q.eps3, q.eta)).reshape(3, 3)
+def dcm_from_quat(q) -> np.ndarray:
+    """Direction cosine matrix from Euler parameters ``q``, any 4-sequence (passive convention)."""
+    return np.array(_dcm_entries(*map(float, q))).reshape(3, 3)
 
 
 def dcm_rows(q) -> np.ndarray:
@@ -96,13 +57,14 @@ def _dcm_entries(e1, e2, e3, eta):
     )
 
 
-def quat_from_dcm(c) -> UnitQuaternion:
+def quat_from_dcm(c) -> np.ndarray:
     """Euler parameters of an orthonormal direction cosine matrix.
 
     Uses a largest-denominator branch selection so the extraction stays
     well conditioned near 180-degree rotations.  The scalar part of the
     result is non-negative; when it is exactly zero the sign is fixed by
-    making the largest vector component positive.
+    making the largest vector component positive.  The result is divided
+    by its norm.
 
     Raises
     ------
@@ -157,31 +119,15 @@ def quat_from_dcm(c) -> UnitQuaternion:
     q = np.array([e1, e2, e3, eta])
     if eta < 0.0 or (eta == 0.0 and q[np.argmax(np.abs(q[:3]))] < 0.0):
         q = -q
-    return renormalize(q)
-
-
-def renormalize(q) -> UnitQuaternion:
-    """Rescale a 4-vector to unit norm, preserving its direction.
-
-    Raises
-    ------
-    ValueError
-        If the input norm is zero.
-    """
-    q = np.asarray(q, dtype=float)
-    n = float(np.linalg.norm(q))
-    if n == 0.0:
-        raise ValueError("cannot renormalize a zero-norm quaternion")
-    q = q / n
-    return UnitQuaternion(float(q[0]), float(q[1]), float(q[2]), float(q[3]))
+    return q / np.linalg.norm(q)
 
 
 def renormalize_rows(q) -> np.ndarray:
-    """Row-stacked :func:`renormalize`: each row of ``q`` (n, 4) over its norm.
+    """Each row of Euler parameters ``q`` (n, 4) over its norm.
 
-    Raises ``ValueError`` as :func:`renormalize` does, for the first
-    offending row: a zero norm, or a result off unit norm by more than
-    ``UNIT_NORM_TOL`` (summed in :class:`UnitQuaternion`'s order).
+    Raises ``ValueError`` for the first offending row: a zero norm, or a
+    result off unit norm by more than ``UNIT_NORM_TOL``, its squares summed
+    in component order.
     """
     n = row_norms(q)
     if (n == 0.0).any():

@@ -34,7 +34,7 @@ import yaml
 from .controls import BANK_MODES, ControlProfile, PiecewiseLinear
 from .dynamics import PARAMETERIZATIONS, sample_diagnostics
 from .environment import AeroModel, Atmosphere, CentralBody, Environment, Vehicle
-from .errors import ConfigError, PropagationError, SingularityError
+from .errors import ConfigError, SingularityError
 from .propagation import IntegratorConfig, StopEvent, Trajectory, propagate
 from .quat import row_norms
 
@@ -149,6 +149,11 @@ class RunResult:
         return self.event.kind == "singularity_guard"
 
 
+def _is_number(raw) -> bool:
+    """Whether a YAML value is a number: an int or a float, not a bool or a string."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 class _Validator:
     """Collects field-level error messages while walking the config tree."""
 
@@ -177,7 +182,7 @@ class _Validator:
                 return 0.0
             return default
         raw = data[key]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        if not _is_number(raw):
             self.fail(where, f"must be a number, got {raw!r}")
             return 0.0
         value = float(raw)
@@ -206,11 +211,10 @@ class _Validator:
         if not isinstance(raw, (list, tuple)) or len(raw) != length:
             self.fail(f"{path}.{key}", f"must be a {length}-vector")
             return [0.0] * length
-        try:
-            values = [float(x) for x in raw]
-        except (TypeError, ValueError):
-            self.fail(f"{path}.{key}", "entries must be numbers")
+        if not all(map(_is_number, raw)):
+            self.fail(f"{path}.{key}", f"entries must be numbers, got {raw!r}")
             return [0.0] * length
+        values = [float(x) for x in raw]
         if not all(map(math.isfinite, values)):
             self.fail(f"{path}.{key}", f"entries must be finite, got {values}")
             return [0.0] * length
@@ -221,16 +225,23 @@ def _parse_profile(validator, data, key, path, default=0.0):
     raw = data.get(key)
     if raw is None:
         return PiecewiseLinear.constant(default)
+    if _is_number(raw):
+        knots = ([0.0], [raw])
+    elif isinstance(raw, dict) and all(
+        isinstance(raw.get(k), (list, tuple)) and all(map(_is_number, raw[k]))
+        for k in ("times", "values")
+    ):
+        knots = (raw["times"], raw["values"])
+    else:
+        validator.fail(
+            f"{path}.{key}", "must be a number or a {times, values} mapping of number lists"
+        )
+        return PiecewiseLinear.constant(default)
     try:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return PiecewiseLinear.constant(float(raw))
-        if isinstance(raw, dict) and "times" in raw and "values" in raw:
-            return PiecewiseLinear(raw["times"], raw["values"])
-    except (TypeError, ValueError) as exc:
+        return PiecewiseLinear(*knots)
+    except ValueError as exc:
         validator.fail(f"{path}.{key}", str(exc))
         return PiecewiseLinear.constant(default)
-    validator.fail(f"{path}.{key}", "must be a number or {times, values} mapping")
-    return PiecewiseLinear.constant(default)
 
 
 def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
@@ -475,27 +486,19 @@ def run_parameterization(name: str, config: ScenarioConfig, compare_times=()) ->
             trajectory=None,
             event=StopEvent(kind="singularity_guard", t_event=config.t0, message=str(exc)),
         )
-    rhs = spec.make_rhs(config.controls, env)
-    try:
-        trajectory, event = propagate(
-            rhs,
-            config.t0,
-            y0,
-            config.stop.t_final,
-            config.integrator,
-            quat_spans=spec.quat_spans,
-            radius_fn=spec.radius if config.stop.radius is not None else None,
-            radius_target=config.stop.radius,
-            t_eval=compare_times,
-            scales=spec.scales,
-            t_knots=config.controls.knot_times(),
-        )
-    except PropagationError as exc:
-        return RunResult(
-            name=name,
-            trajectory=None,
-            event=StopEvent(kind="step_failure", t_event=exc.t or config.t0, message=str(exc)),
-        )
+    trajectory, event = propagate(
+        spec.make_rhs(config.controls, env),
+        config.t0,
+        y0,
+        config.stop.t_final,
+        config.integrator,
+        quat_spans=spec.quat_spans,
+        radius_fn=spec.radius if config.stop.radius is not None else None,
+        radius_target=config.stop.radius,
+        t_eval=compare_times,
+        scales=spec.scales,
+        t_knots=config.controls.knot_times(),
+    )
     return RunResult(name=name, trajectory=trajectory, event=event)
 
 

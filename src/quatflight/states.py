@@ -1,31 +1,38 @@
-"""Flight-state representations and conversions between them.
+"""Flight states as flat float64 rows, and the conversions between forms.
 
-Four state classes describe the same physical point-mass motion over a
-central rotating body; the five forms of ``dynamics.PARAMETERIZATIONS``
-store them as flat arrays in the layout of each class's ``to_array``:
+Every form of ``dynamics.PARAMETERIZATIONS`` stores, steps and converts its
+state as one flat row of floats, in this layout:
 
-* ``RvState`` -- radius and speed plus two unit quaternions: one orients the
-  position frame A (first axis along the position vector) relative to the
-  body-fixed observation frame E, the other orients the velocity frame B
-  (first axis along the E-relative velocity) relative to A.  The
-  lift-aligned ``rvl`` form has the same ten parameters, with the B frame's
-  second axis pinned to the positive lift direction by its gauge rule, so
-  it has no class of its own.
-* ``RvhState`` -- eight parameters; the third axes of A and B both point
-  along the relative angular momentum, leaving a single in-plane rotation
-  angle between them (stored as its half-angle sine/cosine pair).
-* ``CartesianState`` -- observation-frame position and relative velocity,
-  the gauge-free ground truth every other form converts through.
-* ``SphericalState`` -- the classic longitude/latitude/flight-path-angle/
-  azimuth baseline, singular in vertical flight.
+* ``rv`` and ``rvl`` -- ``(r, eps_a1, eps_a2, eps_a3, eta_a, v, eps_b1,
+  eps_b2, eps_b3, eta_b)``: radius and speed plus two unit quaternions.  The
+  first orients the position frame A (first axis along the position
+  vector) relative to the body-fixed observation frame E, the second the
+  velocity frame B (first axis along the E-relative velocity) relative to
+  A.  The lift-aligned ``rvl`` form pins B's second axis to the positive
+  lift direction by its gauge rule.
+* ``rvh`` -- ``(r, eps_a1, eps_a2, eps_a3, eta_a, v, eps_b3, eta_b)``: the
+  third axes of A and B both point along the relative angular momentum,
+  leaving one in-plane rotation between them, stored as the sine/cosine
+  pair of its half angle.
+* ``spherical`` -- ``(r, lon, lat, v, gamma, psi)``: radius, longitude in
+  the rotating observation frame, geocentric latitude, speed, flight path
+  angle (positive above the local horizontal) and azimuth (from north,
+  positive toward east); singular in vertical flight.
+* ``cartesian`` -- ``(x, y, z, vx, vy, vz)``: observation-frame position
+  and relative velocity, the gauge-free ground truth every other form
+  converts through.  :class:`CartesianState` holds one such state as two
+  3-vectors.
 
-Each form converts to Cartesian coordinates through exactly one function,
-over state rows (n, size) in its class's ``to_array`` layout:
-``rv_rows_to_cartesian`` (shared by ``rv`` and ``rvl``),
-``rvh_rows_to_cartesian``, ``spherical_rows_to_cartesian`` and
-``cartesian_rows_to_cartesian``.  Each renormalizes the rows' quaternions,
-checks every row as the state classes check one state, with the same
-messages, and returns positions and velocities ``(p, v)``, each (n, 3).  A
+Each form converts state rows (n, size) to Cartesian coordinates through
+exactly one function: ``rv_rows_to_cartesian`` (shared by ``rv`` and
+``rvl``), ``rvh_rows_to_cartesian``, ``spherical_rows_to_cartesian`` and
+``cartesian_rows_to_cartesian``.  These hold a state's validity rules.
+Each renormalizes the rows' quaternions and raises the ``ValueError`` of
+the first row that breaks a rule of its form: a zero-norm quaternion or
+in-plane pair, a radius that is not positive, a speed that is not
+positive (``rv``, ``rvl``, ``rvh``), a latitude or flight path angle
+outside [-pi/2, pi/2] by more than 1e-12 (``spherical``), or a zero
+position.  It returns positions and velocities ``(p, v)``, each (n, 3).  A
 single state converts as a one-row stack.
 
 The quaternion gauges are not unique: any initial orientation of the
@@ -44,73 +51,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .quat import (
-    UnitQuaternion,
-    dcm_from_quat,
-    dcm_rows,
-    quat_from_dcm,
-    renormalize_rows,
-    row_norms,
-)
+from .quat import dcm_from_quat, dcm_rows, quat_from_dcm, renormalize_rows, row_norms
 
 # Angular-momentum floor (m^2/s) below which the rvh form is rejected.
 ANGULAR_MOMENTUM_FLOOR = 1e-6
 
-_E1 = np.array([1.0, 0.0, 0.0])
 _E3 = np.array([0.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class RvState:
-    """Ten-parameter state: radius, speed, and the two frame quaternions."""
-
-    r: float
-    qa: UnitQuaternion
-    v: float
-    qb: UnitQuaternion
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.r!r}")
-        if self.v <= 0.0:
-            raise ValueError(f"speed must be positive, got {self.v!r}")
-
-    def to_array(self) -> np.ndarray:
-        out = np.empty(10)
-        out[0] = self.r
-        out[1:5] = self.qa.as_array()
-        out[5] = self.v
-        out[6:10] = self.qb.as_array()
-        return out
-
-
-@dataclass(frozen=True)
-class RvhState:
-    """Eight-parameter state with both frames' third axes along the angular momentum."""
-
-    r: float
-    qa: UnitQuaternion
-    v: float
-    eps_b3: float
-    eta_b: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.r!r}")
-        if self.v <= 0.0:
-            raise ValueError(f"speed must be positive, got {self.v!r}")
-        n = math.hypot(self.eps_b3, self.eta_b)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"in-plane rotation pair norm {n!r} violates unit constraint")
-
-    def to_array(self) -> np.ndarray:
-        out = np.empty(8)
-        out[0] = self.r
-        out[1:5] = self.qa.as_array()
-        out[5] = self.v
-        out[6] = self.eps_b3
-        out[7] = self.eta_b
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +76,6 @@ class CartesianState:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
 
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.position, self.velocity])
-
     @property
     def r(self) -> float:
         return float(np.linalg.norm(self.position))
@@ -142,36 +85,8 @@ class CartesianState:
         return float(np.linalg.norm(self.velocity))
 
 
-@dataclass(frozen=True)
-class SphericalState:
-    """Radius, longitude, geocentric latitude, speed, flight path angle, azimuth.
-
-    Longitude is measured in the rotating observation frame.  The flight
-    path angle is positive above the local horizontal; azimuth is measured
-    from north, positive toward east.
-    """
-
-    r: float
-    lon: float
-    lat: float
-    v: float
-    gamma: float
-    psi: float
-
-    def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.r!r}")
-        if abs(self.lat) > math.pi / 2 + 1e-12:
-            raise ValueError(f"latitude {self.lat!r} outside [-pi/2, pi/2]")
-        if abs(self.gamma) > math.pi / 2 + 1e-12:
-            raise ValueError(f"flight path angle {self.gamma!r} outside [-pi/2, pi/2]")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.r, self.lon, self.lat, self.v, self.gamma, self.psi])
-
-
-def _shortest_arc(target, tie_axis) -> UnitQuaternion:
-    """Quaternion of the frame whose first axis points along ``target``.
+def _shortest_arc(target, tie_axis) -> np.ndarray:
+    """Euler parameters of the frame whose first axis points along ``target``.
 
     ``target`` is a unit vector expressed in the base frame.  The rotation
     is the shortest arc taking the base frame's first axis onto ``target``;
@@ -183,18 +98,14 @@ def _shortest_arc(target, tie_axis) -> UnitQuaternion:
     dot = float(target[0])
     if s < 1e-12:
         if dot > 0.0:
-            return UnitQuaternion.identity()
-        return UnitQuaternion(float(tie_axis[0]), float(tie_axis[1]), float(tie_axis[2]), 0.0)
-    axis = cross / s
+            return np.array([0.0, 0.0, 0.0, 1.0])
+        return np.array([*tie_axis, 0.0])
     half = 0.5 * math.atan2(s, dot)
-    sh = math.sin(half)
-    return UnitQuaternion(
-        float(axis[0]) * sh, float(axis[1]) * sh, float(axis[2]) * sh, math.cos(half)
-    )
+    return np.array([*(cross / s * math.sin(half)), math.cos(half)])
 
 
-def cartesian_to_rv(state: CartesianState) -> RvState:
-    """Fix a deterministic gauge for the ten-parameter form.
+def cartesian_to_rv(state: CartesianState) -> np.ndarray:
+    """The ten-parameter row of ``state``, in a deterministic gauge.
 
     The position-frame quaternion is the shortest-arc rotation taking the
     observation frame's first axis onto the position direction; the
@@ -209,11 +120,11 @@ def cartesian_to_rv(state: CartesianState) -> RvState:
     qa = _shortest_arc(state.position / r, _E3)
     vhat_a = dcm_from_quat(qa) @ (state.velocity / v)
     qb = _shortest_arc(vhat_a, _E3)
-    return RvState(r=r, qa=qa, v=v, qb=qb)
+    return np.array([r, *qa, v, *qb])
 
 
-def twist_about_b1(qb: UnitQuaternion, angle: float) -> UnitQuaternion:
-    """Rotate the B frame about its own first axis by ``angle``.
+def twist_about_b1(qb, angle: float) -> np.ndarray:
+    """Euler parameters of the B frame ``qb`` rotated about its own first axis by ``angle``.
 
     Used to move between gauges that differ only by the orientation of the
     {b2, b3} pair about the velocity direction.
@@ -224,8 +135,8 @@ def twist_about_b1(qb: UnitQuaternion, angle: float) -> UnitQuaternion:
     return quat_from_dcm(r1 @ dcm_from_quat(qb))
 
 
-def cartesian_to_rvh(state: CartesianState) -> RvhState:
-    """Angular-momentum gauge: third axes of A and B along ``r x v``.
+def cartesian_to_rvh(state: CartesianState) -> np.ndarray:
+    """The eight-parameter row of ``state``: third axes of A and B along ``r x v``.
 
     Raises
     ------
@@ -249,11 +160,11 @@ def cartesian_to_rvh(state: CartesianState) -> RvhState:
     cos_phi = float(np.dot(a1, state.velocity)) / v
     sin_phi = h / (r * v)
     half = 0.5 * math.atan2(sin_phi, cos_phi)
-    return RvhState(r=r, qa=qa, v=v, eps_b3=math.sin(half), eta_b=math.cos(half))
+    return np.array([r, *qa, v, math.sin(half), math.cos(half)])
 
 
-def cartesian_to_spherical(state: CartesianState) -> SphericalState:
-    """Inverse of :func:`spherical_rows_to_cartesian`.
+def cartesian_to_spherical(state: CartesianState) -> np.ndarray:
+    """The spherical row of ``state``; inverse of :func:`spherical_rows_to_cartesian`.
 
     In vertical flight the horizontal velocity vanishes and the azimuth is
     set to zero by convention.
@@ -278,7 +189,7 @@ def cartesian_to_spherical(state: CartesianState) -> SphericalState:
     ve = float(np.dot(state.velocity, east))
     vn = float(np.dot(state.velocity, north))
     psi = 0.0 if (ve == 0.0 and vn == 0.0) else math.atan2(ve, vn)
-    return SphericalState(r=r, lon=lon, lat=lat, v=v, gamma=gamma, psi=psi)
+    return np.array([r, lon, lat, v, gamma, psi])
 
 
 # --- conversion of state rows to Cartesian coordinates ---------------------
@@ -287,8 +198,8 @@ def cartesian_to_spherical(state: CartesianState) -> SphericalState:
 def rv_rows_to_cartesian(y):
     """Positions and velocities (n, 3) of ten-parameter rows ``y`` (n, 10).
 
-    The rows are in :meth:`RvState.to_array` layout; both quaternions are
-    renormalized before the radius and the speed are checked.
+    Both quaternions are renormalized before the radius and the speed are
+    checked.
     """
     u = np.array(y, dtype=float)
     u[:, 1:5] = renormalize_rows(u[:, 1:5])
@@ -301,9 +212,8 @@ def rv_rows_to_cartesian(y):
 def rvh_rows_to_cartesian(y):
     """Positions and velocities (n, 3) of eight-parameter rows ``y`` (n, 8).
 
-    The rows are in :meth:`RvhState.to_array` layout; the in-plane pair and
-    then the position quaternion are renormalized before the radius, the
-    speed and the pair's norm are checked.
+    The in-plane pair and then the position quaternion are renormalized
+    before the radius, the speed and the pair's norm are checked.
     """
     u = np.array(y, dtype=float)
     u[:, 6], u[:, 7] = rvh_unit_pair(u)
@@ -350,8 +260,7 @@ def _through_frames(u, c_ba):
 def spherical_rows_to_cartesian(y):
     """Positions and velocities (n, 3) of spherical rows ``y`` (n, 6).
 
-    The rows are in :meth:`SphericalState.to_array` layout.  The sines and
-    cosines are taken row by row with :mod:`math`; NumPy's are not promised
+    The sines and cosines are taken row by row with :mod:`math`; NumPy's are not promised
     to round like the C library's.
     """
     y = np.asarray(y, dtype=float)

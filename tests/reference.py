@@ -11,7 +11,9 @@ statement of something ``src/quatflight`` computes another way:
   kernel ``dynamics.make_forces`` and the derivative functions;
 * the plane-referenced bank angle and its rate, written with ``math``
   alone so they do not call the code they check;
-* state records from flat arrays, and a trajectory CSV reader;
+* :func:`unit`, a 4-vector over its norm, builders of the flat state
+  rows of the quaternion, spherical and Cartesian forms, and a trajectory
+  CSV reader;
 * :func:`array_rhs`, through which the array oracles call a derivative
   that takes and returns lists of floats.
 """
@@ -27,8 +29,11 @@ import numpy as np
 from quatflight.dynamics import VERTICAL_SIN_EPS
 from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import SingularityError
-from quatflight.quat import UNIT_NORM_TOL, UnitQuaternion, renormalize
-from quatflight.states import CartesianState, RvhState, RvState, SphericalState
+from quatflight.quat import UNIT_NORM_TOL
+from quatflight.states import CartesianState
+
+IDENTITY = (0.0, 0.0, 0.0, 1.0)  # Euler parameters of no rotation
+
 
 def array_rhs(rhs):
     """The list-native derivative ``rhs`` as a derivative of arrays."""
@@ -83,25 +88,26 @@ def dcm_from_axis_angle(aa: AxisAngle) -> np.ndarray:
     )
 
 
-def quat_from_axis_angle(aa: AxisAngle) -> UnitQuaternion:
+def quat_from_axis_angle(aa: AxisAngle) -> np.ndarray:
     """Euler parameters of a rotation by ``angle`` about ``axis``."""
     half = 0.5 * aa.angle
     s = math.sin(half)
-    return UnitQuaternion(
-        float(aa.axis[0]) * s,
-        float(aa.axis[1]) * s,
-        float(aa.axis[2]) * s,
-        math.cos(half),
-    )
+    return np.array([*(aa.axis * s), math.cos(half)])
 
 
-def quat_rates(q: UnitQuaternion, omega) -> np.ndarray:
-    """Euler parameter rates for angular velocity ``omega`` (rotated-frame basis).
+def unit(q) -> np.ndarray:
+    """A 4-sequence over its ``np.linalg.norm``, as ``quat_from_dcm`` ends."""
+    q = np.asarray(q, dtype=float)
+    return q / np.linalg.norm(q)
+
+
+def quat_rates(q, omega) -> np.ndarray:
+    """Euler parameter rates of unit ``q`` for angular velocity ``omega`` (rotated-frame basis).
 
     The output satisfies ``sum(q_i * qdot_i) = 0``, the differential form of
     the unit-norm constraint.
     """
-    e1, e2, e3, eta = q.eps1, q.eps2, q.eps3, q.eta
+    e1, e2, e3, eta = map(float, q)
     w1, w2, w3 = float(omega[0]), float(omega[1]), float(omega[2])
     return np.array(
         [
@@ -281,35 +287,27 @@ def beta_rate(
     return (sigma_dot + wb1) - (c11 / denom) * (wb2 * c_ba[1, 0] + wb3 * c_ba[2, 0])
 
 
-# --- states from arrays, trajectories from CSV --------------------------------
+# --- state rows, trajectories from CSV ----------------------------------------
 
 
-def rv_state_from_array(y) -> RvState:
-    """Build from a propagated sample; quaternions are renormalized."""
-    y = np.asarray(y, dtype=float)
-    return RvState(float(y[0]), renormalize(y[1:5]), float(y[5]), renormalize(y[6:10]))
+def rv_row(r, qa, v, qb) -> np.ndarray:
+    """Ten-parameter row: radius, Euler parameters of A over E, speed, those of B over A."""
+    return np.array([r, *qa, v, *qb], dtype=float)
 
 
-def rvh_state_from_array(y) -> RvhState:
-    y = np.asarray(y, dtype=float)
-    n = math.hypot(float(y[6]), float(y[7]))
-    return RvhState(
-        float(y[0]),
-        renormalize(y[1:5]),
-        float(y[5]),
-        float(y[6]) / n,
-        float(y[7]) / n,
-    )
+def rvh_row(r, qa, v, eps_b3, eta_b) -> np.ndarray:
+    """Eight-parameter row: radius, Euler parameters of A over E, speed, in-plane pair."""
+    return np.array([r, *qa, v, eps_b3, eta_b], dtype=float)
 
 
-def cartesian_state_from_array(y) -> CartesianState:
-    y = np.asarray(y, dtype=float)
-    return CartesianState(y[0:3].copy(), y[3:6].copy())
+def spherical_row(r, lon, lat, v, gamma, psi) -> np.ndarray:
+    """Spherical row: radius, longitude, latitude, speed, flight path angle, azimuth."""
+    return np.array([r, lon, lat, v, gamma, psi], dtype=float)
 
 
-def spherical_state_from_array(y) -> SphericalState:
-    y = np.asarray(y, dtype=float)
-    return SphericalState(*(float(x) for x in y))
+def cartesian_row(c: CartesianState) -> np.ndarray:
+    """The Cartesian row ``(x, y, z, vx, vy, vz)`` of ``c``."""
+    return np.concatenate((c.position, c.velocity))
 
 
 def read_trajectory_csv(path) -> dict:

@@ -29,19 +29,13 @@ from quatflight.environment import (
 )
 from quatflight.errors import SingularityError
 from quatflight.propagation import IntegratorConfig, propagate
-from quatflight.quat import dcm_from_quat, quat_from_dcm, renormalize
+from quatflight.quat import dcm_from_quat, quat_from_dcm
 from quatflight.scenario import (
     bundled_scenario_path,
     initial_array_for,
     load_scenario,
 )
-from quatflight.states import (
-    CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
-    cartesian_to_rv,
-)
+from quatflight.states import CartesianState, cartesian_to_rv
 
 from reference import (
     AxisAngle,
@@ -52,6 +46,10 @@ from reference import (
     omega_from_rate_arrays,
     quat_from_axis_angle,
     quat_rates,
+    rv_row,
+    rvh_row,
+    spherical_row,
+    unit,
 )
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
@@ -92,19 +90,19 @@ def test_criterion_1_quaternion_round_trips():
         q_back = quat_from_dcm(c_quat)
         assert np.max(np.abs(dcm_from_quat(q_back) - c_quat)) < 1e-12
 
-        q_rand = renormalize(rng.normal(size=4))
+        q_rand = unit(rng.normal(size=4))
         omega = rng.normal(size=3)
         qdot = quat_rates(q_rand, omega)
-        omega_back = omega_from_rate_arrays(qdot, q_rand.as_array())
+        omega_back = omega_from_rate_arrays(qdot, q_rand)
         assert np.max(np.abs(omega_back - omega)) < 1e-12
-        assert abs(float(np.dot(q_rand.as_array(), qdot))) < 1e-14
+        assert abs(float(np.dot(q_rand, qdot))) < 1e-14
     elapsed = time.perf_counter() - tic
     assert elapsed < 1.0, f"quaternion suite took {elapsed:.2f} s"
     print(f"\nPASS criterion 1: 1000 quaternion round trips within 1e-12 in {elapsed:.2f} s")
 
 
 def _random_entry_ic(rng):
-    return SphericalState(
+    return spherical_row(
         r=RE + rng.uniform(60e3, 120e3),
         lon=rng.uniform(-math.pi, math.pi),
         lat=rng.uniform(-1.0, 1.0),
@@ -122,7 +120,7 @@ def test_criterion_2_oracle_equivalence():
     tic = time.perf_counter()
     for case in range(20):
         sph0 = _random_entry_ic(rng)
-        cart0 = PARAMETERIZATIONS["spherical"].to_cartesian(sph0.to_array())
+        cart0 = PARAMETERIZATIONS["spherical"].to_cartesian(sph0)
         profile = ControlProfile(
             alpha=PiecewiseLinear([0.0, 100.0], sorted(rng.uniform(0.05, 0.25, size=2))),
             bank=PiecewiseLinear([0.0, 100.0], list(rng.uniform(-1.0, 1.0, size=2))),
@@ -218,14 +216,13 @@ def test_criterion_4_vertical_flight_dichotomy():
 
     # (a) the ten-parameter forms: finite derivatives exactly at the
     # vertical configuration and a full dive to the surface
-    vertical = RvState(
+    y0 = rv_row(
         r=RE + 15e3,
-        qa=renormalize([0.0, 0.0, 0.0, 1.0]),
+        qa=unit([0.0, 0.0, 0.0, 1.0]),
         v=300.0,
-        qb=renormalize([0.0, 0.0, 1.0, 0.0]),
+        qb=unit([0.0, 0.0, 1.0, 0.0]),
     )
-    assert vertical.qb.eps1 == 0.0 and vertical.qb.eta == 0.0
-    y0 = vertical.to_array()
+    assert y0[6] == 0.0 and y0[9] == 0.0
     for maker in (make_rv_rhs, make_rvl_rhs):
         rhs = maker(profile, env)
         ydot = rhs(0.0, y0)
@@ -255,9 +252,9 @@ def test_criterion_4_vertical_flight_dichotomy():
 
     # (c) the eight-parameter form guards as its in-plane pair decays to zero
     eta_b0 = 1.02e-8
-    near_vertical = RvhState(
+    near_vertical = rvh_row(
         r=RE + 15e3,
-        qa=renormalize([0.0, 0.0, 0.0, 1.0]),
+        qa=unit([0.0, 0.0, 0.0, 1.0]),
         v=300.0,
         eps_b3=math.sqrt(1.0 - eta_b0 * eta_b0),
         eta_b=eta_b0,
@@ -267,7 +264,7 @@ def test_criterion_4_vertical_flight_dichotomy():
     traj, event = propagate(
         rvh_rhs,
         0.0,
-        near_vertical.to_array(),
+        near_vertical,
         60.0,
         cfg,
         quat_spans=spec.quat_spans,
@@ -384,13 +381,13 @@ def test_criterion_7_bank_angle_maps():
         vel *= rng.uniform(200.0, 8000.0) / np.linalg.norm(vel)
         cart = CartesianState(pos, vel)
         s = cartesian_to_rv(cart)
-        c_ba = dcm_from_quat(s.qb)
+        c_ba = dcm_from_quat(s[6:10])
         if 1.0 - c_ba[0, 0] ** 2 < 1e-6:
             continue
         checked += 1
         sigma = rng.uniform(-math.pi, math.pi)
         beta = beta_from_sigma(sigma, c_ba)
-        c_be = c_ba @ dcm_from_quat(s.qa)
+        c_be = c_ba @ dcm_from_quat(s[1:5])
         lift_e = c_be.T @ np.array([0.0, math.cos(sigma), math.sin(sigma)])
         g3 = vel / np.linalg.norm(vel)
         h = np.cross(pos, vel)
@@ -414,7 +411,7 @@ def test_criterion_7_bank_angle_maps():
     traj, _ = propagate(
         rhs,
         0.0,
-        cartesian_to_rv(cart0).to_array(),
+        cartesian_to_rv(cart0),
         40.0,
         cfg,
         quat_spans=spec.quat_spans,
@@ -424,7 +421,7 @@ def test_criterion_7_bank_angle_maps():
     y0 = traj.y[-1]
     ydot = array_rhs(rhs)(t0, y0)
     wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
-    c_ba = dcm_from_quat(renormalize(y0[6:10]))
+    c_ba = dcm_from_quat(unit(y0[6:10]))
     analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)
 
     errs = []
@@ -441,8 +438,8 @@ def test_criterion_7_bank_angle_maps():
         for _ in range(n):
             ym = _rk4(rhs, tt, ym, -step)
             tt -= step
-        bp = beta_from_sigma(profile.bank(t0 + h), dcm_from_quat(renormalize(yp[6:10])))
-        bm = beta_from_sigma(profile.bank(t0 - h), dcm_from_quat(renormalize(ym[6:10])))
+        bp = beta_from_sigma(profile.bank(t0 + h), dcm_from_quat(unit(yp[6:10])))
+        bm = beta_from_sigma(profile.bank(t0 - h), dcm_from_quat(unit(ym[6:10])))
         fd = ((bp - bm + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * h)
         errs.append(abs(fd - analytic))
     ratio = errs[0] / max(errs[1], 1e-18)

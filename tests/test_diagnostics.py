@@ -1,7 +1,7 @@
 """Column-wise diagnostics, CSV writing and comparison against a per-row reference.
 
 The reference below is the per-sample code the column-wise one replaced:
-one state object, DCM, matrix product, ``np.cross`` and ``np.linalg.norm``
+one state row, DCM, matrix product, ``np.cross`` and ``np.linalg.norm``
 per sample, and one ``csv.writer`` row per sample.  Every CSV byte, every
 comparison-report byte and every diagnostic column must come out the same,
 bit for bit.  A comparison only observes: the CSVs of a ``--compare`` run are
@@ -27,7 +27,7 @@ from quatflight.dynamics import (
 )
 from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.propagation import Trajectory
-from quatflight.quat import dcm_from_quat, quat_from_dcm, renormalize
+from quatflight.quat import dcm_from_quat, quat_from_dcm
 from quatflight.scenario import (
     CSV_COLUMNS,
     ComparisonReport,
@@ -42,12 +42,9 @@ from quatflight.states import CartesianState
 from reference import (
     AxisAngle,
     beta_from_sigma,
-    cartesian_state_from_array,
     dcm_from_axis_angle,
-    rv_state_from_array,
-    rvh_state_from_array,
     sigma_from_beta,
-    spherical_state_from_array,
+    unit,
 )
 
 BUNDLED = ("entry_table3", "vertical_dive", "circular_orbit", "bench_entry", "norm_drift")
@@ -57,7 +54,7 @@ BUNDLED = ("entry_table3", "vertical_dive", "circular_orbit", "bench_entry", "no
 
 
 def ref_dcm(q):
-    e1, e2, e3, eta = q.eps1, q.eps2, q.eps3, q.eta
+    e1, e2, e3, eta = map(float, q)
     return np.array(
         [
             [1.0 - 2.0 * (e2 * e2 + e3 * e3), 2.0 * (e1 * e2 + e3 * eta), 2.0 * (e1 * e3 - e2 * eta)],
@@ -67,43 +64,51 @@ def ref_dcm(q):
     )
 
 
-def ref_rvh_c_ba(s):
-    e3, eta = s.eps_b3, s.eta_b
+def ref_unit_pair(y):
+    """The in-plane pair of an eight-parameter row over its norm."""
+    n = math.hypot(float(y[6]), float(y[7]))
+    return float(y[6]) / n, float(y[7]) / n
+
+
+def ref_rvh_c_ba(y):
+    e3, eta = ref_unit_pair(y)
     c = 1.0 - 2.0 * e3 * e3
     sn = 2.0 * e3 * eta
     return np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def ref_rv_state_to_cartesian(s):
-    c_ae = ref_dcm(s.qa)
-    c_be = ref_dcm(s.qb) @ c_ae
-    return CartesianState(s.r * c_ae[0, :], s.v * c_be[0, :])
+def ref_rv_to_cartesian(y):
+    c_ae = ref_dcm(unit(y[1:5]))
+    c_be = ref_dcm(unit(y[6:10])) @ c_ae
+    return CartesianState(float(y[0]) * c_ae[0, :], float(y[5]) * c_be[0, :])
 
 
-def ref_rvh_state_to_cartesian(s):
-    c_ae = ref_dcm(s.qa)
-    c_be = ref_rvh_c_ba(s) @ c_ae
-    return CartesianState(s.r * c_ae[0, :], s.v * c_be[0, :])
+def ref_rvh_to_cartesian(y):
+    c_ae = ref_dcm(unit(y[1:5]))
+    c_be = ref_rvh_c_ba(y) @ c_ae
+    return CartesianState(float(y[0]) * c_ae[0, :], float(y[5]) * c_be[0, :])
 
 
-def ref_spherical_state_to_cartesian(s):
-    ct, st_ = math.cos(s.lat), math.sin(s.lat)
-    cl, sl = math.cos(s.lon), math.sin(s.lon)
+def ref_spherical_to_cartesian(y):
+    r, lon, lat, v, gamma, psi = map(float, y)
+    ct, st_ = math.cos(lat), math.sin(lat)
+    cl, sl = math.cos(lon), math.sin(lon)
     up = np.array([ct * cl, ct * sl, st_])
     east = np.array([-sl, cl, 0.0])
     north = np.array([-st_ * cl, -st_ * sl, ct])
-    cg, sg = math.cos(s.gamma), math.sin(s.gamma)
-    cp, sp = math.cos(s.psi), math.sin(s.psi)
-    vel = s.v * (sg * up + cg * (cp * north + sp * east))
-    return CartesianState(s.r * up, vel)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    cp, sp = math.cos(psi), math.sin(psi)
+    vel = v * (sg * up + cg * (cp * north + sp * east))
+    return CartesianState(r * up, vel)
 
 
+# each takes a row that its form's conversion accepts
 REF_TO_CARTESIAN = {
-    "rv": lambda y: ref_rv_state_to_cartesian(rv_state_from_array(y)),
-    "rvl": lambda y: ref_rv_state_to_cartesian(rv_state_from_array(y)),
-    "rvh": lambda y: ref_rvh_state_to_cartesian(rvh_state_from_array(y)),
-    "spherical": lambda y: ref_spherical_state_to_cartesian(spherical_state_from_array(y)),
-    "cartesian": cartesian_state_from_array,
+    "rv": ref_rv_to_cartesian,
+    "rvl": ref_rv_to_cartesian,
+    "rvh": ref_rvh_to_cartesian,
+    "spherical": ref_spherical_to_cartesian,
+    "cartesian": lambda y: CartesianState(y[0:3].copy(), y[3:6].copy()),
 }
 
 
@@ -138,7 +143,7 @@ def ref_bank_columns(sigma, c_ba):
 
 def ref_ten_parameter_columns(native_bank):
     def columns(t, y, controls):
-        c_ba = ref_dcm(renormalize(y[6:10]))
+        c_ba = ref_dcm(unit(y[6:10]))
         return {
             "norm_qa": float(np.linalg.norm(y[1:5])),
             "norm_qb": float(np.linalg.norm(y[6:10])),
@@ -166,7 +171,7 @@ def ref_rvh_columns(t, y, controls):
         "norm_qb": math.hypot(y[6], y[7]),
         "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
         "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
-        **ref_bank_columns(sigma, ref_rvh_c_ba(rvh_state_from_array(y))),
+        **ref_bank_columns(sigma, ref_rvh_c_ba(y)),
     }
 
 
@@ -508,16 +513,21 @@ class TestColumnsMatchReference:
             ("spherical", 2, (1.6,), "latitude"),
             ("spherical", 4, (-1.6,), "flight path angle"),
             ("cartesian", 0, (0.0, 0.0, 0.0), "position must be nonzero"),
+            ("rv", 5, (-2.0,), "speed must be positive"),
+            ("rv", 6, (0.0, 0.0, 0.0, 0.0), "zero-norm quaternion"),
+            ("rvh", 0, (0.0,), "radius must be positive"),
+            ("rvh", 1, (0.0, 0.0, 0.0, 0.0), "zero-norm quaternion"),
+            ("rvh", 6, (0.0, 0.0), "zero-norm in-plane rotation pair"),
+            ("spherical", 0, (-1.0,), "radius must be positive"),
         ],
     )
     def test_rows_are_checked_like_single_states(self, form, col, value, message):
+        # a state's validity rules live in its form's row conversion alone
         y = random_rows(form, np.random.default_rng(19), n=4)[:4]
         y[2, col : col + len(value)] = value
         spec = PARAMETERIZATIONS[form]
         with pytest.raises(ValueError, match=message):
             spec.to_cartesian_rows(y)
-        with pytest.raises(ValueError, match=message):
-            REF_TO_CARTESIAN[form](y[2])
         with pytest.raises(ValueError, match=message):
             spec.to_cartesian(y[2])
 
@@ -529,7 +539,7 @@ def _nonzero(n):
     return st.tuples(*[st.floats(-1.0, 1.0)] * n).filter(lambda xs: sum(x * x for x in xs) > 0.01)
 
 
-_quaternions = _nonzero(4).map(renormalize)
+_quaternions = _nonzero(4).map(unit)
 _directions = _nonzero(3).map(lambda xyz: np.array(xyz) / math.sqrt(sum(x * x for x in xyz)))
 _radii = st.floats(EARTH.radius + 1e3, EARTH.radius + 1e6)
 _speeds = st.floats(100.0, 8000.0)
@@ -538,7 +548,7 @@ _drift = st.sampled_from([1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 3e-13])
 
 
 def _drifted(q, scale):
-    return (q.as_array() * scale).tolist()
+    return (q * scale).tolist()
 
 
 STATE_ROWS = {
@@ -595,7 +605,7 @@ class TestConversionProperties:
     def test_quat_from_dcm_near_half_turn(self, axis, delta):
         c = dcm_from_axis_angle(AxisAngle(axis, math.pi - delta))
         q = quat_from_dcm(c)
-        assert q.eta >= 0.0
+        assert q[3] >= 0.0
         np.testing.assert_allclose(dcm_from_quat(q), c, atol=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)

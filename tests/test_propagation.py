@@ -19,7 +19,7 @@ from quatflight.environment import (
     Environment,
     Vehicle,
 )
-from quatflight.errors import PropagationError, SingularityError
+from quatflight.errors import SingularityError
 from quatflight.propagation import (
     _DP_A,
     _DP_B,
@@ -264,7 +264,7 @@ class TestCircularOrbit:
         env = vacuum_env()
         period = 2.0 * math.pi * math.sqrt(r**3 / MU)
         c0 = CartesianState([r, 0, 0], [0, v, 0])
-        y0 = cartesian_to_rv(c0).to_array()
+        y0 = cartesian_to_rv(c0)
         rhs = make_rv_rhs(ControlProfile.constant(), env)
         spec = PARAMETERIZATIONS["rv"]
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
@@ -439,7 +439,7 @@ class TestRenormalizationPolicy:
         r = 6.8e6
         v = math.sqrt(MU / r)
         c0 = CartesianState([r, 0, 0], [0, v * 0.98, v * 0.1])
-        y0 = cartesian_to_rv(c0).to_array()
+        y0 = cartesian_to_rv(c0)
         rhs = make_rv_rhs(ControlProfile.constant(), env)
         spec = PARAMETERIZATIONS["rv"]
         t1 = 1000.0
@@ -457,7 +457,7 @@ class TestDeterminism:
         env = vacuum_env(spin=EARTH.spin_rate)
         rhs = make_rv_rhs(ControlProfile.constant(alpha=0.1, bank=0.4), env)
         c0 = CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0])
-        y0 = cartesian_to_rv(c0).to_array()
+        y0 = cartesian_to_rv(c0)
         spec = PARAMETERIZATIONS["rv"]
         cfg = IntegratorConfig()
         out = []
@@ -472,10 +472,17 @@ class TestDeterminism:
 
 class TestGuardsAndBudget:
     def test_max_steps_exceeded(self):
+        # the step budget ends the run at its last accepted sample, as a
+        # step failure, and the samples accepted until then are returned
         rhs = lambda t, y: [-v for v in y]
-        cfg = IntegratorConfig(method="rk4-fixed", step=0.001, max_steps=10)
-        with pytest.raises(PropagationError, match="step count"):
-            propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
+        for method in ("rk4-fixed", "rk45-adaptive"):
+            cfg = IntegratorConfig(method=method, step=0.001, max_steps=10)
+            traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
+            assert (event.kind, event.message) == ("step_failure", "maximum step count exceeded")
+            assert traj.n_steps + traj.n_rejected == 10
+            assert len(traj) == traj.n_steps + 1
+            assert 0.0 < event.t_event == traj.t[-1] < 1.0
+            assert event.y_event.tolist() == traj.y[-1].tolist()
 
     def test_singularity_guard_returns_partial_trajectory(self):
         from quatflight.dynamics import make_spherical_rhs
@@ -593,7 +600,7 @@ class TestAdaptiveVsFixed:
         env = vacuum_env(spin=EARTH.spin_rate)
         rhs = make_rv_rhs(ControlProfile.constant(alpha=0.05, bank=0.2), env)
         c0 = CartesianState([EARTH.radius + 80e3, 0, 0], [0.0, 7400.0, 1000.0])
-        y0 = cartesian_to_rv(c0).to_array()
+        y0 = cartesian_to_rv(c0)
         spec = PARAMETERIZATIONS["rv"]
         adaptive = IntegratorConfig(method="rk45-adaptive", rel_tol=1e-12, abs_tol=1e-12)
         fixed = IntegratorConfig(method="rk4-fixed", step=0.01)
@@ -1025,7 +1032,7 @@ class TestNoAliasingNoMutation:
     def test_trajectory_rows_are_independent(self, method):
         env = vacuum_env(spin=EARTH.spin_rate)
         rhs = make_rv_rhs(ControlProfile.constant(alpha=0.1, bank=0.4), env)
-        y0 = cartesian_to_rv(CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0])).to_array()
+        y0 = cartesian_to_rv(CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0]))
         y0.setflags(write=False)
         spec = PARAMETERIZATIONS["rv"]
         cfg = IntegratorConfig(method=method, step=1.0)

@@ -30,16 +30,9 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.quat import renormalize
-from quatflight.states import (
-    CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
-    cartesian_to_spherical,
-)
+from quatflight.states import CartesianState, cartesian_to_spherical
 
-from reference import read_trajectory_csv
+from reference import read_trajectory_csv, rv_row, rvh_row, spherical_row, unit
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -128,6 +121,7 @@ FIELD_INDEX = {
     "spherical": {"r": 0, "lon": 1, "lat": 2, "v": 3, "gamma": 4, "psi": 5},
     "cartesian": {"position": slice(0, 3), "velocity": slice(3, 6)},
 }
+SPHERICAL_KEYS = tuple(FIELD_INDEX["spherical"])
 
 
 def initial_state_fields(kind, y):
@@ -141,24 +135,26 @@ def _nonzero(n):
     return st.tuples(*[st.floats(-1.0, 1.0)] * n).filter(lambda xs: sum(x * x for x in xs) > 0.01)
 
 
-_quaternions = _nonzero(4).map(renormalize)
+_quaternions = _nonzero(4).map(unit)
 _directions = _nonzero(3).map(lambda xyz: np.array(xyz) / math.sqrt(sum(x * x for x in xyz)))
 _radii = st.floats(6378137.0 + 1e5, 6378137.0 + 1e6)
 _speeds = st.floats(100.0, 8000.0)
 _angles = st.floats(-math.pi, math.pi)
 
+# state rows of each native form
 NATIVE_STATES = {
-    "rv": st.builds(RvState, r=_radii, qa=_quaternions, v=_speeds, qb=_quaternions),
+    "rv": st.builds(rv_row, r=_radii, qa=_quaternions, v=_speeds, qb=_quaternions),
     "rvh": st.builds(
-        lambda r, qa, v, half: RvhState(r=r, qa=qa, v=v, eps_b3=math.sin(half), eta_b=math.cos(half)),
+        lambda r, qa, v, half: rvh_row(r, qa, v, math.sin(half), math.cos(half)),
         _radii, _quaternions, _speeds, st.floats(0.01, math.pi / 2 - 0.01),
     ),
     "spherical": st.builds(
-        SphericalState, r=_radii, lon=_angles, lat=st.floats(-1.5, 1.5), v=_speeds,
+        spherical_row, r=_radii, lon=_angles, lat=st.floats(-1.5, 1.5), v=_speeds,
         gamma=st.floats(-1.5, 1.5), psi=_angles,
     ),
     "cartesian": st.builds(
-        lambda up, r, ahead, v: CartesianState(r * up, v * ahead), _directions, _radii, _directions, _speeds
+        lambda up, r, ahead, v: np.concatenate((r * up, v * ahead)),
+        _directions, _radii, _directions, _speeds,
     ),
 }
 
@@ -176,10 +172,10 @@ class TestInitialStateProperties:
     @given(data=st.data())
     def test_native_fields_parse_to_the_state_array(self, kind, data):
         state = data.draw(NATIVE_STATES[kind])
-        reference = PARAMETERIZATIONS[kind].to_cartesian(state.to_array())
+        reference = PARAMETERIZATIONS[kind].to_cartesian(state)
         assume(off_poles_and_vertical(reference))
-        config = parse_config(minimal_config_dict(initial_state=initial_state_fields(kind, state.to_array())))
-        assert config.initial_state.y.tobytes() == state.to_array().tobytes()
+        config = parse_config(minimal_config_dict(initial_state=initial_state_fields(kind, state)))
+        assert config.initial_state.y.tobytes() == state.tobytes()
 
         for form in PARAMETERIZATIONS:
             back = PARAMETERIZATIONS[form].to_cartesian(initial_array_for(form, config))
@@ -191,7 +187,7 @@ class TestInitialStateProperties:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_quaternion_norm_kept_or_renormalized(self, kind, data):
-        y0 = data.draw(NATIVE_STATES[kind]).to_array()
+        y0 = data.draw(NATIVE_STATES[kind])
         for lo, hi in PARAMETERIZATIONS[kind].quat_spans:
             for off, kept in ((1e-13, True), (1e-10, False)):
                 y = y0.copy()
@@ -381,6 +377,19 @@ class TestCli:
             assert cli_main(argv) == 2
             assert f"initial_state: {message}" in capsys.readouterr().err
 
+    @staticmethod
+    def config_with(path, value):
+        """The minimal scenario with the YAML ``value`` at the dotted ``path``."""
+        data = minimal_config_dict()
+        if path == "initial_state.r":
+            data["initial_state"] = {"kind": "spherical", "r": 7e6, "v": 7546.0}
+        *sections, key = path.split(".")
+        target = data
+        for section in sections:
+            target = target[section]
+        target[key] = yaml.safe_load(value)
+        return data
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -400,18 +409,34 @@ class TestCli:
         ],
     )
     def test_nonfinite_or_out_of_range_number_rejected(self, tmp_path, capsys, path, value):
-        data = minimal_config_dict()
-        if path == "initial_state.r":
-            data["initial_state"] = {"kind": "spherical", "r": 7e6, "v": 7546.0}
-        *sections, key = path.split(".")
-        target = data
-        for section in sections:
-            target = target[section]
-        target[key] = yaml.safe_load(value)
+        data = self.config_with(path, value)
         config = tmp_path / "nonfinite.yaml"
         config.write_text(yaml.safe_dump(data))
         assert cli_main(["validate", str(config)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("initial_state.r", '"7000000.0"'),
+            ("initial_state.position", '["6393137.0", 0.0, 0.0]'),
+            ("initial_state.position", "[6393137.0, true, 0.0]"),
+            ("controls.alpha", '{times: [0.0, "10.0"], values: [0.1, 0.2]}'),
+            ("controls.bank", "{times: [0.0, 10.0], values: [false, 0.2]}"),
+            ("controls.thrust", "{times: [0.0, 10.0], values: 0.0}"),
+        ],
+    )
+    def test_non_number_rejected(self, tmp_path, capsys, path, value):
+        # a vector entry and a profile knot follow the rule of a scalar: an
+        # int or a float, never a bool or a string
+        data = self.config_with(path, value)
+        with pytest.raises(ConfigError, match=f"^{path}: "):
+            parse_config(data)
+        config = tmp_path / "strings.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "path, value",
@@ -562,9 +587,10 @@ class TestYamlLoading:
         data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
         y = parse_config(data).initial_state.y
         sph = cartesian_to_spherical(PARAMETERIZATIONS["rv"].to_cartesian(y))
+        sph = dict(zip(SPHERICAL_KEYS, sph.tolist()))
         data["initial_state"] = {
             "kind": "spherical",
-            **{k: getattr(sph, k) * rng.uniform(0.98, 1.02) for k in ("r", "lon", "v", "psi")},
+            **{k: sph[k] * rng.uniform(0.98, 1.02) for k in ("r", "lon", "v", "psi")},
             "lat": float(rng.uniform(-0.3, 0.3)),
             "gamma": 0.0,
         }
@@ -603,19 +629,24 @@ class TestPackageExports:
         "ControlProfile", "PiecewiseLinear", "AeroModel", "Atmosphere", "CentralBody",
         "Environment", "Vehicle", "EARTH", "IntegratorConfig",
         "propagate", "StopEvent", "Trajectory",
-        "QuatflightError", "ConfigError", "PropagationError", "SingularityError",
+        "QuatflightError", "ConfigError", "SingularityError",
     }
-    # test oracles, which live in tests/reference.py, and wrappers the
-    # program has no use for
+    # test oracles, which live in tests/reference.py, and wrappers and
+    # records the program has no use for
     GONE = {
         "quat": (
             "AxisAngle", "skew", "dcm_from_axis_angle", "quat_from_axis_angle",
             "quat_rates", "omega_from_rate_arrays", "omega_from_quat_rates",
+            "UnitQuaternion", "renormalize",
         ),
         "environment": ("ControlInput", "density", "aero_forces", "net_force_B", "apparent_force_B"),
         "dynamics": ("beta_from_sigma", "sigma_from_beta", "beta_rate"),
         "scenario": ("read_trajectory_csv",),
         "bench": ("benchmark_derivatives",),
+        # a state is its form's row, and a quaternion four floats of one
+        "states": ("RvState", "RvhState", "SphericalState"),
+        # the step budget ends a run as a step failure
+        "errors": ("PropagationError",),
     }
 
     def test_every_export_resolves(self):
@@ -631,9 +662,8 @@ class TestPackageExports:
             for gone in names:
                 assert not hasattr(importlib.import_module(f"quatflight.{module}"), gone), gone
                 assert not hasattr(quatflight, gone), gone
-        for cls in (RvState, RvhState, CartesianState, SphericalState):
-            assert not hasattr(cls, "from_array"), cls
-        assert not hasattr(quatflight.quat.UnitQuaternion, "norm")
+        assert not hasattr(CartesianState, "from_array")
+        assert not hasattr(CartesianState, "to_array")
 
     def test_src_holds_only_what_the_program_runs(self):
         # a top-level function or class in the package is referenced by the
@@ -666,10 +696,7 @@ class TestEntryScenarioInvariants:
         data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
         y = parse_config(data).initial_state.y
         sph = cartesian_to_spherical(PARAMETERIZATIONS["rv"].to_cartesian(y))
-        data["initial_state"] = {
-            "kind": "spherical",
-            **{k: getattr(sph, k) for k in ("r", "lon", "lat", "v", "gamma", "psi")},
-        }
+        data["initial_state"] = {"kind": "spherical", **dict(zip(SPHERICAL_KEYS, sph.tolist()))}
         data["t0"] = 100.0
         data["stop"]["t_final"] = 300.0
         data["controls"]["bank"] = {"times": [0.0, 100.0, 400.0], "values": [0.0, 0.6, 0.9]}
@@ -726,6 +753,25 @@ class TestEntryScenarioInvariants:
         assert np.all(np.isfinite(traj.y))
         assert 0.0 < traj.t[-1] <= 10.0
         assert (tmp_path / "poisoned_cartesian.csv").exists()
+
+    def test_step_budget_keeps_the_accepted_samples(self, tmp_path, capsys):
+        # the budget ends the run as a step failure, exit code 4, with the
+        # steps accepted until then kept and written
+        data = yaml.safe_load(bundled_scenario_path("entry_table3").read_text())
+        data["integrator"]["max_steps"] = 50
+        path = tmp_path / "entry_table3.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path), "--param", "rv", "--out", str(tmp_path)]) == 4
+        out = capsys.readouterr().out
+        assert "entry_table3 [rv] -> step_failure at t=" in out
+        assert "(maximum step count exceeded)" in out
+        res = run_parameterization("rv", load_scenario(path))
+        traj = res.trajectory
+        assert traj.n_steps + traj.n_rejected == 50
+        assert len(traj) == traj.n_steps + 1
+        assert res.event.t_event == traj.t[-1] > 0.0
+        csv = read_trajectory_csv(tmp_path / "entry_table3_rv.csv")
+        assert csv["t"].tolist() == traj.t.tolist()
 
     def test_integration_failure_exit_code(self, tmp_path):
         data = minimal_config_dict(

@@ -6,19 +6,16 @@ import pytest
 from quatflight.controls import ControlProfile
 from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import SingularityError
-from quatflight.quat import UnitQuaternion, dcm_from_quat, renormalize
+from quatflight.quat import dcm_from_quat
 from quatflight.states import (
     CartesianState,
-    RvhState,
-    RvState,
-    SphericalState,
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
     twist_about_b1,
 )
 
-from reference import rv_state_from_array, rvh_state_from_array
+from reference import IDENTITY, rv_row, rvh_row, unit
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 R_EARTH = 6378137.0
@@ -34,15 +31,13 @@ def random_cartesian(rng):
 
 class TestRvCartesian:
     def test_aligned_frames(self):
-        s = RvState(r=7e6, qa=UnitQuaternion.identity(), v=500.0, qb=UnitQuaternion.identity())
-        c = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
+        c = PARAMETERIZATIONS["rv"].to_cartesian(rv_row(7e6, IDENTITY, 500.0, IDENTITY))
         np.testing.assert_allclose(c.position, [7e6, 0, 0], atol=1e-9)
         np.testing.assert_allclose(c.velocity, [500.0, 0, 0], atol=1e-12)
 
     def test_entry_fixture_velocity_perpendicular(self):
-        qb = UnitQuaternion(HALF_SQRT2, HALF_SQRT2, 0.0, 0.0)
-        s = RvState(r=R_EARTH + 37e3, qa=UnitQuaternion.identity(), v=7138.0, qb=qb)
-        c = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
+        qb = (HALF_SQRT2, HALF_SQRT2, 0.0, 0.0)
+        c = PARAMETERIZATIONS["rv"].to_cartesian(rv_row(R_EARTH + 37e3, IDENTITY, 7138.0, qb))
         cos_angle = float(np.dot(c.position, c.velocity)) / (c.r * c.v)
         assert abs(cos_angle) < 1e-12
         np.testing.assert_allclose(c.velocity, [0.0, 7138.0, 0.0], atol=1e-9)
@@ -51,32 +46,30 @@ class TestRvCartesian:
         rng = np.random.default_rng(101)
         for _ in range(1000):
             c = random_cartesian(rng)
-            s = cartesian_to_rv(c)
-            back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
+            y = cartesian_to_rv(c)
+            back = PARAMETERIZATIONS["rv"].to_cartesian(y)
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-8)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-10)
-            assert abs(s.r - c.r) <= 1e-12 * c.r
-            assert abs(s.v - c.v) <= 1e-12 * c.v
+            assert abs(y[0] - c.r) <= 1e-12 * c.r
+            assert abs(y[5] - c.v) <= 1e-12 * c.v
 
     def test_axis_aligned_gauge(self):
         c = CartesianState([R_EARTH, 0, 0], [0, 400.0, 0])
-        s = cartesian_to_rv(c)
-        np.testing.assert_allclose(s.qa.as_array(), [0, 0, 0, 1], atol=1e-15)
-        np.testing.assert_allclose(
-            s.qb.as_array(), [0, 0, HALF_SQRT2, HALF_SQRT2], atol=1e-15
-        )
+        y = cartesian_to_rv(c)
+        np.testing.assert_allclose(y[1:5], [0, 0, 0, 1], atol=1e-15)
+        np.testing.assert_allclose(y[6:10], [0, 0, HALF_SQRT2, HALF_SQRT2], atol=1e-15)
 
     def test_vertical_ascent_identity_gauge(self):
         c = CartesianState([R_EARTH, 0, 0], [400.0, 0, 0])
-        s = cartesian_to_rv(c)
-        np.testing.assert_allclose(s.qb.as_array(), [0, 0, 0, 1], atol=1e-15)
+        y = cartesian_to_rv(c)
+        np.testing.assert_allclose(y[6:10], [0, 0, 0, 1], atol=1e-15)
 
     def test_antipodal_tie_break(self):
         c = CartesianState([R_EARTH, 0, 0], [-400.0, 0, 0])
-        s = cartesian_to_rv(c)
+        y = cartesian_to_rv(c)
         # half turn about the third axis, exactly
-        assert s.qb.as_array().tolist() == [0.0, 0.0, 1.0, 0.0]
-        back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
+        assert y[6:10].tolist() == [0.0, 0.0, 1.0, 0.0]
+        back = PARAMETERIZATIONS["rv"].to_cartesian(y)
         np.testing.assert_allclose(back.position, c.position, rtol=1e-12)
         np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-12)
 
@@ -89,9 +82,9 @@ class TestRvCartesian:
 class TestRvhCartesian:
     def test_perpendicular_geometry(self):
         c = CartesianState([7e6, 0, 0], [0, 7000.0, 0])
-        s = cartesian_to_rvh(c)
-        np.testing.assert_allclose([s.eps_b3, s.eta_b], [HALF_SQRT2, HALF_SQRT2], atol=1e-12)
-        h = 2.0 * s.r * s.v * s.eps_b3 * s.eta_b
+        r, *_, v, eps_b3, eta_b = cartesian_to_rvh(c)
+        np.testing.assert_allclose([eps_b3, eta_b], [HALF_SQRT2, HALF_SQRT2], atol=1e-12)
+        h = 2.0 * r * v * eps_b3 * eta_b
         assert abs(h - 7e6 * 7000.0) < 1e-3
 
     def test_thirty_degree_angle(self):
@@ -100,16 +93,15 @@ class TestRvhCartesian:
         c = CartesianState(
             [7e6, 0, 0], [v * math.cos(math.pi / 6), v * math.sin(math.pi / 6), 0]
         )
-        s = cartesian_to_rvh(c)
-        h = 2.0 * s.r * s.v * s.eps_b3 * s.eta_b
+        r, *_, speed, eps_b3, eta_b = cartesian_to_rvh(c)
+        h = 2.0 * r * speed * eps_b3 * eta_b
         np.testing.assert_allclose(h, 0.5 * 7e6 * v, rtol=1e-12)
 
     def test_round_trip(self):
         rng = np.random.default_rng(103)
         for _ in range(500):
             c = random_cartesian(rng)
-            s = cartesian_to_rvh(c)
-            back = PARAMETERIZATIONS["rvh"].to_cartesian(s.to_array())
+            back = PARAMETERIZATIONS["rvh"].to_cartesian(cartesian_to_rvh(c))
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-8)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
@@ -117,8 +109,8 @@ class TestRvhCartesian:
         rng = np.random.default_rng(107)
         for _ in range(500):
             c = random_cartesian(rng)
-            s = cartesian_to_rvh(c)
-            h_param = 2.0 * s.r * s.v * s.eps_b3 * s.eta_b
+            r, *_, v, eps_b3, eta_b = cartesian_to_rvh(c)
+            h_param = 2.0 * r * v * eps_b3 * eta_b
             h_true = float(np.linalg.norm(np.cross(c.position, c.velocity)))
             np.testing.assert_allclose(h_param, h_true, rtol=1e-10)
 
@@ -131,27 +123,27 @@ class TestRvhCartesian:
 class TestSphericalCartesian:
     def test_equatorial_eastward(self):
         c = CartesianState([R_EARTH, 0, 0], [0, 400.0, 0])
-        s = cartesian_to_spherical(c)
-        assert abs(s.lat) < 1e-12 and abs(s.lon) < 1e-12
-        assert abs(s.gamma) < 1e-12
-        np.testing.assert_allclose(s.psi, math.pi / 2, atol=1e-12)
+        r, lon, lat, v, gamma, psi = cartesian_to_spherical(c)
+        assert abs(lat) < 1e-12 and abs(lon) < 1e-12
+        assert abs(gamma) < 1e-12
+        np.testing.assert_allclose(psi, math.pi / 2, atol=1e-12)
 
     def test_purely_radial_velocity(self):
         c = CartesianState([R_EARTH, 0, 0], [400.0, 0, 0])
-        s = cartesian_to_spherical(c)
-        np.testing.assert_allclose(s.gamma, math.pi / 2, atol=1e-12)
-        assert s.psi == 0.0
+        r, lon, lat, v, gamma, psi = cartesian_to_spherical(c)
+        np.testing.assert_allclose(gamma, math.pi / 2, atol=1e-12)
+        assert psi == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(109)
         n = 0
         while n < 500:
             c = random_cartesian(rng)
-            s = cartesian_to_spherical(c)
-            if abs(s.gamma) > math.pi / 2 - 1e-6:
+            y = cartesian_to_spherical(c)
+            if abs(y[4]) > math.pi / 2 - 1e-6:
                 continue
             n += 1
-            back = PARAMETERIZATIONS["spherical"].to_cartesian(s.to_array())
+            back = PARAMETERIZATIONS["spherical"].to_cartesian(y)
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-7)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
@@ -159,7 +151,7 @@ class TestSphericalCartesian:
 class TestTwist:
     def test_twist_moves_b2_toward_b3(self):
         rng = np.random.default_rng(131)
-        qb = renormalize(rng.normal(size=4))
+        qb = unit(rng.normal(size=4))
         tau = 0.73
         c0 = dcm_from_quat(qb)
         c1 = dcm_from_quat(twist_about_b1(qb, tau))
@@ -174,29 +166,55 @@ class TestTwist:
 
 
 class TestStateValidation:
+    # a state's validity rules live in its form's row conversion
     def test_rv_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RvState(r=-1.0, qa=UnitQuaternion.identity(), v=1.0, qb=UnitQuaternion.identity())
-        with pytest.raises(ValueError):
-            RvState(r=1.0, qa=UnitQuaternion.identity(), v=0.0, qb=UnitQuaternion.identity())
+        to_cartesian = PARAMETERIZATIONS["rv"].to_cartesian
+        with pytest.raises(ValueError, match="radius must be positive, got -1.0"):
+            to_cartesian(rv_row(-1.0, IDENTITY, 1.0, IDENTITY))
+        with pytest.raises(ValueError, match="speed must be positive, got 0.0"):
+            to_cartesian(rv_row(1.0, IDENTITY, 0.0, IDENTITY))
+        with pytest.raises(ValueError, match="zero-norm quaternion"):
+            to_cartesian(rv_row(1.0, IDENTITY, 1.0, (0.0, 0.0, 0.0, 0.0)))
+
+    def test_rvh_rejects_nonpositive(self):
+        to_cartesian = PARAMETERIZATIONS["rvh"].to_cartesian
+        with pytest.raises(ValueError, match="radius must be positive, got 0.0"):
+            to_cartesian(rvh_row(0.0, IDENTITY, 1.0, 0.6, 0.8))
+        with pytest.raises(ValueError, match="speed must be positive, got -2.0"):
+            to_cartesian(rvh_row(1e6, IDENTITY, -2.0, 0.6, 0.8))
+        with pytest.raises(ValueError, match="zero-norm quaternion"):
+            to_cartesian(rvh_row(1e6, (0.0, 0.0, 0.0, 0.0), 1.0, 0.6, 0.8))
 
     def test_rvh_pair_norm(self):
-        with pytest.raises(ValueError):
-            RvhState(r=1e6, qa=UnitQuaternion.identity(), v=1.0, eps_b3=0.5, eta_b=0.5)
+        to_cartesian = PARAMETERIZATIONS["rvh"].to_cartesian
+        with pytest.raises(ValueError, match="zero-norm in-plane rotation pair"):
+            to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 0.0, 0.0))
+        # a subnormal pair loses bits when it is renormalized
+        with pytest.raises(ValueError, match="in-plane rotation pair norm .* violates unit"):
+            to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 5e-324, 5e-324))
+        # any other pair converts as the unit pair along it
+        off = to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 0.5, 0.5))
+        on = to_cartesian(rvh_row(1e6, IDENTITY, 1.0, HALF_SQRT2, HALF_SQRT2))
+        np.testing.assert_allclose(off.position, on.position, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(off.velocity, on.velocity, rtol=0, atol=1e-15)
 
-    def test_spherical_bounds(self):
-        with pytest.raises(ValueError):
-            SphericalState(r=1e6, lon=0.0, lat=2.0, v=1.0, gamma=0.0, psi=0.0)
-
-    def test_array_round_trip(self):
-        rng = np.random.default_rng(137)
-        c = random_cartesian(rng)
-        s = cartesian_to_rv(c)
-        s2 = rv_state_from_array(s.to_array())
-        np.testing.assert_allclose(s2.to_array(), s.to_array(), atol=1e-15)
-        sh = cartesian_to_rvh(c)
-        sh2 = rvh_state_from_array(sh.to_array())
-        np.testing.assert_allclose(sh2.to_array(), sh.to_array(), atol=1e-15)
+    @pytest.mark.parametrize(
+        "col, value, message",
+        [
+            (0, -1.0, "radius must be positive"),
+            (2, 2.0, "latitude 2.0 outside"),
+            (2, -math.pi / 2 - 1e-11, "latitude .* outside"),
+            (4, 1.6, "flight path angle 1.6 outside"),
+        ],
+    )
+    def test_spherical_bounds(self, col, value, message):
+        y = np.array([1e6, 0.0, 0.0, 1.0, 0.0, 0.0])
+        y[col] = value
+        with pytest.raises(ValueError, match=message):
+            PARAMETERIZATIONS["spherical"].to_cartesian(y)
+        # the bounds are closed, with 1e-12 rad of slack
+        edge = math.pi / 2 + 1e-13
+        PARAMETERIZATIONS["spherical"].to_cartesian([1e6, 0.0, edge, 1.0, -edge, 0.0])
 
 
 def rvl_from_cartesian(c, twist=0.0):
@@ -208,13 +226,13 @@ class TestRvlGauge:
     def test_zero_twist_matches_rv(self):
         rng = np.random.default_rng(139)
         c = random_cartesian(rng)
-        assert np.array_equal(rvl_from_cartesian(c), cartesian_to_rv(c).to_array())
+        assert np.array_equal(rvl_from_cartesian(c), cartesian_to_rv(c))
 
     def test_twist_preserves_physical_state(self):
         rng = np.random.default_rng(149)
         for _ in range(100):
             c = random_cartesian(rng)
-            s = rv_state_from_array(rvl_from_cartesian(c, twist=rng.uniform(-math.pi, math.pi)))
-            back = PARAMETERIZATIONS["rv"].to_cartesian(s.to_array())
+            y = rvl_from_cartesian(c, twist=rng.uniform(-math.pi, math.pi))
+            back = PARAMETERIZATIONS["rv"].to_cartesian(y)
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-9, atol=1e-8)
