@@ -187,6 +187,9 @@ _RK4_P = np.array(
 )
 
 
+METHODS = ("rk4-fixed", "rk45-adaptive")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Integration method and step/tolerance settings.
@@ -203,7 +206,7 @@ class IntegratorConfig:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4-fixed", "rk45-adaptive"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown integration method {self.method!r}")
         if not all(isfinite(x) and x > 0.0 for x in (self.step, self.rel_tol, self.abs_tol)):
             raise ValueError("step and tolerances must be positive and finite")

@@ -135,7 +135,7 @@ def renormalize_rows(q) -> np.ndarray:
     u = q / n[:, None]
     e1, e2, e3, eta = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
     un = np.sqrt(e1 * e1 + e2 * e2 + e3 * e3 + eta * eta)
-    bad = np.abs(un - 1.0) > UNIT_NORM_TOL
+    bad = ~(np.abs(un - 1.0) <= UNIT_NORM_TOL)
     if bad.any():
         raise ValueError(f"quaternion norm {float(un[bad][0])!r} violates unit constraint")
     return u

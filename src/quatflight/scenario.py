@@ -10,10 +10,20 @@ and speeds on a shared time grid.  The grid is sampled from each accepted
 step's interpolant and does not change the steps, so a CSV, which holds
 accepted samples only, is the same with or without the report.
 
+The tables from ``_RECORDS`` to ``_INITIAL_ROWS`` below are the file's
+schema: every key, with its default and its bound.  Every value is read
+through one of four accessors: a number, a vector of numbers, a name or a
+list of names.  A number is an int or a float, not a bool or a string; it
+must fit in a float, be finite and meet its bound, and a count (a key whose
+default is an int) must be whole.  A name is a string from a known set.
+Each bad value is one ``ConfigError`` message that begins with its dotted
+path.  Loading then derives every form's initial row once: a state that a
+form cannot start from is a ``ConfigError`` too, while a singularity of a
+form's gauge there stays that form's ``singularity_guard`` at run time.
+
 Each form has one conversion to Cartesian coordinates, its
 ``to_cartesian_rows`` over state rows: each CSV converts the rows it
-writes, and the report the grid and final rows of each form, in one call;
-loading converts the initial state as a one-row stack.
+writes, and the report the grid and final rows of each form, in one call.
 
 All physical quantities are SI; angles are radians.
 """
@@ -24,6 +34,8 @@ import importlib.resources
 import json
 import math
 import os
+import reprlib
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -35,7 +47,7 @@ from .controls import BANK_MODES, ControlProfile, PiecewiseLinear
 from .dynamics import PARAMETERIZATIONS, sample_diagnostics
 from .environment import AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from .errors import ConfigError, SingularityError
-from .propagation import IntegratorConfig, StopEvent, Trajectory, propagate
+from .propagation import METHODS, IntegratorConfig, StopEvent, Trajectory, propagate
 from .quat import row_norms
 
 # libyaml's parser when PyYAML was built with it: the same safe constructors
@@ -79,16 +91,47 @@ class StopConditions:
     expected_guards: tuple = ()
 
 
-# YAML keys of each native initial state, in the order of its state array.
-_INITIAL_KEYS = {
-    "rv": ("r", "eps_a", "eta_a", "v", "eps_b", "eta_b"),
-    "rvh": ("r", "eps_a", "eta_a", "v", "eps_b3", "eta_b"),
-    "spherical": ("r", "lon", "lat", "v", "gamma", "psi"),
-    "cartesian": ("position", "velocity"),
+# --- the schema: every key of a scenario file, with its rule ----------------
+
+# A rule is (default, bound), the bound None or (">" or ">=", limit).
+_REQUIRED = object()  # the default of a key that must be given
+_POSITIVE = (_REQUIRED, (">", 0.0))
+_NUMBER = (_REQUIRED, None)
+_NON_NEGATIVE = (0.0, (">=", 0.0))
+_OPTIONAL = (0.0, None)
+_VECTOR = "3-vector"  # the rule of an initial-state key that holds three numbers
+_FORMS = tuple(PARAMETERIZATIONS)
+
+# section: (record, {YAML key: rule}); the record's fields are the lower-cased keys
+_RECORDS = {
+    "body": (CentralBody, {"mu": _POSITIVE, "radius": _POSITIVE, "spin_rate": _NON_NEGATIVE}),
+    "atmosphere": (Atmosphere, {"rho0": _NON_NEGATIVE, "scale_height": (8500.0, (">", 0.0))}),
+    "aero": (
+        AeroModel,
+        {"S": _POSITIVE, "CL_alpha": _OPTIONAL, "CD0": _NON_NEGATIVE, "K": _NON_NEGATIVE},
+    ),
+    "vehicle": (Vehicle, {"mass": _POSITIVE, "thrust_offset": _OPTIONAL}),
 }
-_VECTOR_KEYS = ("eps_a", "eps_b", "position", "velocity")
-_POSITIVE_KEYS = ("r", "v")
-_ANGLE_KEYS = ("lon", "lat", "gamma", "psi")  # spherical angles default to 0.0
+_INTEGRATOR = {
+    "step": (0.1, (">", 0.0)),
+    "rel_tol": (1e-10, (">", 0.0)),
+    "abs_tol": (1e-12, (">", 0.0)),
+    "max_steps": (2_000_000, (">=", 1.0)),
+}
+_STOP = {"t_final": _POSITIVE, "radius": (None, (">", 0.0))}
+_TOP_LEVEL = {"t0": _OPTIONAL, "compare_points": (101, (">=", 2.0)), "csv_stride": (1, (">=", 1.0))}
+_PROFILES = ("alpha", "bank", "wb1", "thrust")
+
+# each initial-state kind's YAML keys, in the order of its state row
+_INITIAL_ROWS = {
+    "rv": {"r": _POSITIVE, "eps_a": _VECTOR, "eta_a": _NUMBER,
+           "v": _POSITIVE, "eps_b": _VECTOR, "eta_b": _NUMBER},
+    "rvh": {"r": _POSITIVE, "eps_a": _VECTOR, "eta_a": _NUMBER,
+            "v": _POSITIVE, "eps_b3": _NUMBER, "eta_b": _NUMBER},
+    "spherical": {"r": _POSITIVE, "lon": _OPTIONAL, "lat": _OPTIONAL,
+                  "v": _POSITIVE, "gamma": _OPTIONAL, "psi": _OPTIONAL},
+    "cartesian": {"position": _VECTOR, "velocity": _VECTOR},
+}
 
 # A file quaternion whose norm is off by more than this is an error; off by
 # more than the keep tolerance it is renormalized, otherwise kept bit-exactly.
@@ -107,6 +150,25 @@ class InitialState:
 
     kind: str
     y: np.ndarray
+
+    def row_for(self, name: str, controls: ControlProfile, t0: float) -> np.ndarray:
+        """Initial flat state of form ``name`` at ``t0``.
+
+        The native form gets a copy of the parsed array.  A form with a
+        ``from_rv`` hook (the lift-aligned one) keeps a native rv state's
+        gauge and its file bits; every other form is derived from the
+        physical (Cartesian) initial condition with that form's gauge rule.
+        The native form's ``to_cartesian`` renormalizes its quaternions, so a
+        derived form may move in the last bits when a file quaternion's norm
+        is not exactly 1.0.
+        """
+        if name == self.kind:
+            return self.y.copy()
+        spec = PARAMETERIZATIONS[name]
+        if spec.from_rv is not None and self.kind == "rv":
+            return spec.from_rv(self.y, controls, t0)
+        cart = PARAMETERIZATIONS[self.kind].to_cartesian(self.y)
+        return spec.from_cartesian(cart, controls, t0)
 
 
 @dataclass
@@ -149,99 +211,134 @@ class RunResult:
         return self.event.kind == "singularity_guard"
 
 
-def _is_number(raw) -> bool:
-    """Whether a YAML value is a number: an int or a float, not a bool or a string."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+def _as_float(raw):
+    """``(value, None)`` for a YAML number ``raw``, else ``(None, what is wrong)``."""
+    if type(raw) is not int and type(raw) is not float:
+        return None, f"must be a number, got {reprlib.repr(raw)}"
+    try:
+        value = float(raw)
+    except OverflowError:
+        return None, f"must be within the float range, |x| <= {sys.float_info.max:.4g}"
+    if not math.isfinite(value):
+        return None, f"must be finite, got {value}"
+    return value, None
 
 
-class _Validator:
-    """Collects field-level error messages while walking the config tree."""
+def _is_one_of(raw, choices) -> bool:
+    """Whether ``raw`` is one of ``choices`` and of their type, or with no
+    ``choices`` a non-empty string."""
+    if choices is None:
+        return type(raw) is str and raw != ""
+    return type(raw) is type(choices[0]) and raw in choices
+
+
+class _Reader:
+    """The accessors that read every value of a scenario file.
+
+    Each bad value adds one message, ``"<dotted path>: <what is wrong>"``,
+    to ``errors`` and reads as its default.
+    """
 
     def __init__(self):
         self.errors = []
 
-    def fail(self, path, message):
-        self.errors.append(f"{path}: {message}")
+    def fail(self, where, message):
+        self.errors.append(f"{where}: {message}")
 
-    def section(self, data, path, required=True):
-        value = data.get(path.split(".")[-1]) if isinstance(data, dict) else None
+    def section(self, data, key, required=True) -> dict:
+        value = data.get(key)
         if value is None:
             if required:
-                self.fail(path, "missing section")
+                self.fail(key, "missing section")
             return {}
-        if not isinstance(value, dict):
-            self.fail(path, "must be a mapping")
+        if type(value) is not dict:
+            self.fail(key, "must be a mapping")
             return {}
         return value
 
-    def number(self, data, key, path, default=None, minimum=None, exclusive=False):
-        where = f"{path}.{key}".lstrip(".")  # top-level keys have an empty path
+    def fields(self, data, table, path) -> dict:
+        """The value of each key of ``table`` in the section ``data``, by key."""
+        out = {}
+        for key, rule in table.items():
+            where = f"{path}.{key}".lstrip(".")  # top-level keys have an empty path
+            if rule is _VECTOR:
+                out[key] = self.vector(data, key, where, 3)
+            else:
+                out[key] = self.number(data, key, where, *rule)
+        return out
+
+    def number(self, data, key, where, default=_REQUIRED, bound=None):
+        """The number at ``key`` under the rule ``(default, bound)``."""
         if key not in data:
-            if default is None:
+            if default is _REQUIRED:
                 self.fail(where, "missing required value")
-                return 0.0
+            return default
+        value, problem = _as_float(data[key])
+        if problem is None and bound is not None:
+            op, limit = bound
+            if not (value > limit if op == ">" else value >= limit):
+                problem = f"must be {op} {limit}, got {value}"
+        if problem is None and type(default) is int:
+            if value != int(value):
+                problem = f"must be a whole number, got {value}"
+            value = int(value)
+        if problem is not None:
+            self.fail(where, problem)
+            return default
+        return value
+
+    def vector(self, data, key, where, length=None):
+        """The list of numbers at ``key``; ``length`` of them when it is given."""
+        if key not in data:
+            self.fail(where, "missing required value")
+            return []
+        raw = data[key]
+        if type(raw) is not list or length not in (None, len(raw)):
+            wanted = f"a {length}-vector" if length else "a list of numbers"
+            self.fail(where, f"must be {wanted}")
+            return []
+        values = [_as_float(x) for x in raw]
+        problem = next((p for _, p in values if p is not None), None)
+        if problem is not None:
+            self.fail(where, f"every entry {problem}")
+            return []
+        return [x for x, _ in values]
+
+    def name(self, data, key, where, choices, default=None):
+        """The entry at ``key``: one of ``choices`` (strings, or True and False)."""
+        raw = data.get(key, default)
+        if _is_one_of(raw, choices):
+            return raw
+        wanted = f"one of {', '.join(map(str, choices))}" if choices else "a non-empty string"
+        self.fail(where, f"must be {wanted}, got {reprlib.repr(raw)}")
+        return default
+
+    def names(self, data, key, where, choices, default=()):
+        """The list at ``key`` of entries from ``choices``, as a tuple; it may
+        be empty only when ``default`` is."""
+        if key not in data:
             return default
         raw = data[key]
-        if not _is_number(raw):
-            self.fail(where, f"must be a number, got {raw!r}")
-            return 0.0
-        value = float(raw)
-        if not math.isfinite(value):
-            self.fail(where, f"must be finite, got {value}")
-            return 0.0
-        if minimum is not None:
-            if exclusive and value <= minimum:
-                self.fail(where, f"must be > {minimum}, got {value}")
-            elif not exclusive and value < minimum:
-                self.fail(where, f"must be >= {minimum}, got {value}")
-        return value
+        if type(raw) is list and (raw or not default) and all(_is_one_of(x, choices) for x in raw):
+            return tuple(raw)
+        empty = "" if not default else "non-empty "
+        self.fail(where, f"must be a {empty}list of {', '.join(choices)}, got {reprlib.repr(raw)}")
+        return default
 
-    def count(self, data, key, path, default, minimum):
-        """A whole number, as an ``int``; ``2.0`` is 2, ``2.7`` an error."""
-        value = self.number(data, key, path, default=default, minimum=minimum)
-        if value != int(value):
-            self.fail(f"{path}.{key}".lstrip("."), f"must be a whole number, got {value}")
-        return int(value)
-
-    def vector(self, data, key, path, length):
-        raw = data.get(key)
-        if raw is None:
-            self.fail(f"{path}.{key}", "missing required value")
-            return [0.0] * length
-        if not isinstance(raw, (list, tuple)) or len(raw) != length:
-            self.fail(f"{path}.{key}", f"must be a {length}-vector")
-            return [0.0] * length
-        if not all(map(_is_number, raw)):
-            self.fail(f"{path}.{key}", f"entries must be numbers, got {raw!r}")
-            return [0.0] * length
-        values = [float(x) for x in raw]
-        if not all(map(math.isfinite, values)):
-            self.fail(f"{path}.{key}", f"entries must be finite, got {values}")
-            return [0.0] * length
-        return values
-
-
-def _parse_profile(validator, data, key, path, default=0.0):
-    raw = data.get(key)
-    if raw is None:
-        return PiecewiseLinear.constant(default)
-    if _is_number(raw):
-        knots = ([0.0], [raw])
-    elif isinstance(raw, dict) and all(
-        isinstance(raw.get(k), (list, tuple)) and all(map(_is_number, raw[k]))
-        for k in ("times", "values")
-    ):
-        knots = (raw["times"], raw["values"])
-    else:
-        validator.fail(
-            f"{path}.{key}", "must be a number or a {times, values} mapping of number lists"
-        )
-        return PiecewiseLinear.constant(default)
-    try:
-        return PiecewiseLinear(*knots)
-    except ValueError as exc:
-        validator.fail(f"{path}.{key}", str(exc))
-        return PiecewiseLinear.constant(default)
+    def profile(self, data, key, where) -> PiecewiseLinear:
+        """The profile at ``key``: one number, or a ``{times, values}`` mapping
+        of number lists; 0.0 when absent or null."""
+        errors, raw = len(self.errors), data.get(key)
+        if type(raw) is dict:
+            knots = self.vector(raw, "times", where), self.vector(raw, "values", where)
+        else:
+            knots = [0.0], [0.0 if raw is None else self.number(data, key, where)]
+        if len(self.errors) == errors:
+            try:
+                return PiecewiseLinear(*knots)
+            except ValueError as exc:
+                self.fail(where, str(exc))
+        return PiecewiseLinear.constant(0.0)
 
 
 def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
@@ -252,174 +349,79 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     ConfigError
         With one message per offending field.
     """
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise ConfigError(["top level: must be a mapping"])
-    v = _Validator()
-
-    name = data.get("name", name_hint)
-    if not isinstance(name, str) or not name:
-        v.fail("name", "must be a non-empty string")
-        name = name_hint
-
-    sec = v.section(data, "body")
-    body = None
-    mu = v.number(sec, "mu", "body", minimum=0.0, exclusive=True)
-    radius = v.number(sec, "radius", "body", minimum=0.0, exclusive=True)
-    spin = v.number(sec, "spin_rate", "body", default=0.0, minimum=0.0)
-    if not v.errors:
-        body = CentralBody(mu=mu, radius=radius, spin_rate=spin)
-
-    sec = v.section(data, "atmosphere")
-    rho0 = v.number(sec, "rho0", "atmosphere", default=0.0, minimum=0.0)
-    hs = v.number(sec, "scale_height", "atmosphere", default=8500.0, minimum=0.0, exclusive=True)
-    atmosphere = Atmosphere(rho0=rho0, scale_height=hs) if not v.errors else None
-
-    sec = v.section(data, "aero")
-    s_ref = v.number(sec, "S", "aero", minimum=0.0, exclusive=True)
-    cl_alpha = v.number(sec, "CL_alpha", "aero", default=0.0)
-    cd0 = v.number(sec, "CD0", "aero", default=0.0, minimum=0.0)
-    k = v.number(sec, "K", "aero", default=0.0, minimum=0.0)
-    aero = AeroModel(s=s_ref, cl_alpha=cl_alpha, cd0=cd0, k=k) if not v.errors else None
-
-    sec = v.section(data, "vehicle")
-    mass = v.number(sec, "mass", "vehicle", minimum=0.0, exclusive=True)
-    if v.number(sec, "thrust", "vehicle", default=0.0) != 0.0:
+    v = _Reader()
+    name = v.name(data, "name", "name", None, name_hint)
+    sections = {key: v.section(data, key) for key in _RECORDS}
+    records = {key: v.fields(sections[key], table, key) for key, (_, table) in _RECORDS.items()}
+    if v.number(sections["vehicle"], "thrust", "vehicle.thrust", 0.0) != 0.0:
         v.fail("vehicle.thrust", "no force reads it; give the thrust as controls.thrust")
-    delta = v.number(sec, "thrust_offset", "vehicle", default=0.0)
-    vehicle = Vehicle(mass=mass, thrust_offset=delta) if not v.errors else None
 
-    init = _parse_initial_state(v, data)
-    controls = _parse_controls(v, data)
-    integrator = _parse_integrator(v, data)
-    stop = _parse_stop(v, data)
-    params = _parse_parameterizations(v, data)
+    sec = v.section(data, "initial_state")
+    kind = v.name(sec, "kind", "initial_state.kind", tuple(_INITIAL_ROWS))
+    row = v.fields(sec, _INITIAL_ROWS.get(kind, {}), "initial_state")
 
-    t0 = v.number(data, "t0", "", default=0.0)
-    compare_points = v.count(data, "compare_points", "", default=101.0, minimum=2.0)
-    csv_stride = v.count(data, "csv_stride", "", default=1.0, minimum=1.0)
+    sec = v.section(data, "controls", required=False)
+    profiles = {key: v.profile(sec, key, f"controls.{key}") for key in _PROFILES}
+    bank_mode = v.name(sec, "bank_mode", "controls.bank_mode", BANK_MODES, "sigma")
 
+    sec = v.section(data, "integrator", required=False)
+    method = v.name(sec, "method", "integrator.method", METHODS, "rk45-adaptive")
+    renormalize = v.name(sec, "renormalize", "integrator.renormalize", (True, False), True)
+    steps = v.fields(sec, _INTEGRATOR, "integrator")
+
+    sec = v.section(data, "stop")
+    stop = v.fields(sec, _STOP, "stop")
+    guards = v.names(sec, "expected_guards", "stop.expected_guards", _FORMS)
+    params = v.names(data, "parameterizations", "parameterizations", _FORMS, _FORMS)
+    top = v.fields(data, _TOP_LEVEL, "")
+
+    if not v.errors and not top["t0"] < stop["t_final"]:
+        v.fail("t0", f"must be less than stop.t_final ({stop['t_final']:g}), got {top['t0']:g}")
     if v.errors:
         raise ConfigError(v.errors)
-    if t0 >= stop.t_final:
-        raise ConfigError([f"t0: must be less than stop.t_final ({stop.t_final:g}), got {t0:g}"])
     config = ScenarioConfig(
         name=name,
-        body=body,
-        atmosphere=atmosphere,
-        aero=aero,
-        vehicle=vehicle,
-        initial_state=init,
-        controls=controls,
-        integrator=integrator,
-        stop=stop,
+        **{
+            key: record(**{k.lower(): x for k, x in records[key].items()})
+            for key, (record, _) in _RECORDS.items()
+        },
+        initial_state=InitialState(kind=kind, y=np.hstack(list(row.values()))),
+        controls=ControlProfile(**profiles, bank_mode=bank_mode),
+        integrator=IntegratorConfig(method=method, renormalize_every_step=renormalize, **steps),
+        stop=StopConditions(**stop, expected_guards=guards),
         parameterizations=params,
-        t0=t0,
-        compare_points=compare_points,
-        csv_stride=csv_stride,
+        **top,
     )
-    # unit-norm, range and degeneracy errors of the native state (the other
-    # forms are derived from it, and all of them need a nonzero velocity)
+    # every form's initial row, derived once: a quaternion off unit norm or a
+    # row that cannot be derived or is not finite is a config error, while a
+    # gauge singular there stays that form's singularity_guard at run time;
+    # underflow is not trapped, as valid states underflow on the way to rows
+    init = config.initial_state
     try:
-        _check_unit_blocks(init)
-        if PARAMETERIZATIONS[init.kind].to_cartesian(init.y).v == 0.0:
-            raise ValueError("degenerate state: zero velocity")
-    except (ValueError, SingularityError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            _check_unit_blocks(init)
+            for form in PARAMETERIZATIONS:
+                try:
+                    y0 = init.row_for(form, config.controls, config.t0)
+                except SingularityError:
+                    continue
+                if not np.isfinite(y0).all():
+                    raise ValueError(f"the {form} initial state is not finite")
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError([f"initial_state: {exc}"]) from exc
     return config
-
-
-def _parse_initial_state(v, data):
-    sec = v.section(data, "initial_state")
-    kind = sec.get("kind")
-    if kind not in _INITIAL_KEYS:
-        v.fail("initial_state.kind", f"must be rv, rvh, spherical, or cartesian, got {kind!r}")
-        return None
-    values = []
-    for key in _INITIAL_KEYS[kind]:
-        if key in _VECTOR_KEYS:
-            values += v.vector(sec, key, "initial_state", 3)
-        elif key in _POSITIVE_KEYS:
-            values.append(v.number(sec, key, "initial_state", minimum=0.0, exclusive=True))
-        else:
-            default = 0.0 if key in _ANGLE_KEYS else None
-            values.append(v.number(sec, key, "initial_state", default=default))
-    return InitialState(kind=kind, y=np.array(values, dtype=float))
 
 
 def _check_unit_blocks(init: InitialState):
     """Reject, renormalize in place, or keep each quaternion block of ``init.y``."""
     for lo, hi in PARAMETERIZATIONS[init.kind].quat_spans:
         n = float(np.linalg.norm(init.y[lo:hi]))
-        if abs(n - 1.0) > _UNIT_NORM_ERROR:
+        if not abs(n - 1.0) <= _UNIT_NORM_ERROR:
             raise ValueError(f"quaternion norm {n!r} violates unit constraint")
         if abs(n - 1.0) > _UNIT_NORM_KEEP:
             init.y[lo:hi] = init.y[lo:hi] / n
-
-
-def _parse_controls(v, data):
-    sec = v.section(data, "controls", required=False)
-    bank_mode = sec.get("bank_mode", "sigma")
-    if bank_mode not in BANK_MODES:
-        v.fail("controls.bank_mode", f"must be one of {BANK_MODES}, got {bank_mode!r}")
-        bank_mode = "sigma"
-    return ControlProfile(
-        alpha=_parse_profile(v, sec, "alpha", "controls"),
-        bank=_parse_profile(v, sec, "bank", "controls"),
-        wb1=_parse_profile(v, sec, "wb1", "controls"),
-        thrust=_parse_profile(v, sec, "thrust", "controls"),
-        bank_mode=bank_mode,
-    )
-
-
-def _parse_integrator(v, data):
-    sec = v.section(data, "integrator", required=False)
-    method = sec.get("method", "rk45-adaptive")
-    if method not in ("rk4-fixed", "rk45-adaptive"):
-        v.fail("integrator.method", f"unknown method {method!r}")
-        method = "rk45-adaptive"
-    step = v.number(sec, "step", "integrator", default=0.1, minimum=0.0, exclusive=True)
-    rel = v.number(sec, "rel_tol", "integrator", default=1e-10, minimum=0.0, exclusive=True)
-    abs_ = v.number(sec, "abs_tol", "integrator", default=1e-12, minimum=0.0, exclusive=True)
-    renorm = sec.get("renormalize", True)
-    if not isinstance(renorm, bool):
-        v.fail("integrator.renormalize", "must be a boolean")
-        renorm = True
-    max_steps = v.count(sec, "max_steps", "integrator", default=2e6, minimum=1.0)
-    if v.errors:
-        return None
-    return IntegratorConfig(
-        method=method,
-        step=step,
-        rel_tol=rel,
-        abs_tol=abs_,
-        renormalize_every_step=renorm,
-        max_steps=max_steps,
-    )
-
-
-def _parse_stop(v, data):
-    sec = v.section(data, "stop")
-    t_final = v.number(sec, "t_final", "stop", minimum=0.0, exclusive=True)
-    radius = None
-    if "radius" in sec:
-        radius = v.number(sec, "radius", "stop", minimum=0.0, exclusive=True)
-    guards = sec.get("expected_guards", [])
-    if not isinstance(guards, list) or any(g not in PARAMETERIZATIONS for g in guards):
-        v.fail("stop.expected_guards", "must be a list of parameterization names")
-        guards = []
-    return StopConditions(t_final=t_final, radius=radius, expected_guards=tuple(guards))
-
-
-def _parse_parameterizations(v, data):
-    raw = data.get("parameterizations", list(PARAMETERIZATIONS))
-    if not isinstance(raw, list) or not raw:
-        v.fail("parameterizations", "must be a non-empty list")
-        return tuple(PARAMETERIZATIONS)
-    bad = [p for p in raw if p not in PARAMETERIZATIONS]
-    if bad:
-        v.fail("parameterizations", f"unknown entries {bad}")
-        return tuple(PARAMETERIZATIONS)
-    return tuple(raw)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -427,7 +429,7 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         data = yaml.load(path.read_text(), Loader=_YAML_LOADER)
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     return parse_config(data, name_hint=path.stem)
 
@@ -439,24 +441,8 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def initial_array_for(name: str, config: ScenarioConfig):
-    """Initial flat state for one parameterization.
-
-    The native form gets a copy of the parsed array.  A form with a
-    ``from_rv`` hook (the lift-aligned one) keeps a native rv state's gauge
-    and its file bits; every other form is derived from the physical
-    (Cartesian) initial condition with that form's gauge rule.  The native
-    form's ``to_cartesian`` renormalizes its quaternions, so a derived form
-    may move in the last bits when a file quaternion's norm is not exactly
-    1.0.
-    """
-    init = config.initial_state
-    if name == init.kind:
-        return init.y.copy()
-    spec = PARAMETERIZATIONS[name]
-    if spec.from_rv is not None and init.kind == "rv":
-        return spec.from_rv(init.y, config.controls, config.t0)
-    cart = PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
-    return spec.from_cartesian(cart, config.controls, config.t0)
+    """Initial flat state of one parameterization for a run of ``config``."""
+    return config.initial_state.row_for(name, config.controls, config.t0)
 
 
 def resolve_output_dir(outdir=None) -> Path:

@@ -32,8 +32,9 @@ the first row that breaks a rule of its form: a zero-norm quaternion or
 in-plane pair, a radius that is not positive, a speed that is not
 positive (``rv``, ``rvl``, ``rvh``), a latitude or flight path angle
 outside [-pi/2, pi/2] by more than 1e-12 (``spherical``), or a zero
-position.  It returns positions and velocities ``(p, v)``, each (n, 3).  A
-single state converts as a one-row stack.
+position.  Each rule is written so that NaN fails it, as ``not (x > 0.0)``.
+It returns positions and velocities ``(p, v)``, each (n, 3).  A single
+state converts as a one-row stack.
 
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
@@ -71,7 +72,7 @@ class CartesianState:
         vel = np.asarray(self.velocity, dtype=float)
         if pos.shape != (3,) or vel.shape != (3,):
             raise ValueError("position and velocity must be 3-vectors")
-        if float(np.linalg.norm(pos)) <= 0.0:
+        if not float(np.linalg.norm(pos)) > 0.0:
             raise ValueError("position must be nonzero")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
@@ -115,8 +116,10 @@ def cartesian_to_rv(state: CartesianState) -> np.ndarray:
     """
     r = state.r
     v = state.v
-    if r <= 0.0 or v <= 0.0:
-        raise ValueError("degenerate state: zero position or velocity")
+    if not r > 0.0:
+        raise ValueError("degenerate state: zero position")
+    if not v > 0.0:
+        raise ValueError("degenerate state: zero velocity")
     qa = _shortest_arc(state.position / r, _E3)
     vhat_a = dcm_from_quat(qa) @ (state.velocity / v)
     qb = _shortest_arc(vhat_a, _E3)
@@ -146,11 +149,11 @@ def cartesian_to_rvh(state: CartesianState) -> np.ndarray:
     """
     r = state.r
     v = state.v
-    if v <= 0.0:
+    if not v > 0.0:
         raise ValueError("degenerate state: zero velocity")
     h_vec = np.cross(state.position, state.velocity)
     h = float(np.linalg.norm(h_vec))
-    if h <= ANGULAR_MOMENTUM_FLOOR:
+    if not h > ANGULAR_MOMENTUM_FLOOR:
         raise SingularityError("rvh singular: zero angular momentum")
     a1 = state.position / r
     a3 = h_vec / h
@@ -170,10 +173,10 @@ def cartesian_to_spherical(state: CartesianState) -> np.ndarray:
     set to zero by convention.
     """
     r = state.r
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("degenerate state: zero position")
     v = state.v
-    if v <= 0.0:
+    if not v > 0.0:
         raise ValueError("degenerate state: zero velocity")
     x, y, z = state.position
     lat = math.asin(max(-1.0, min(1.0, z / r)))
@@ -221,7 +224,7 @@ def rvh_rows_to_cartesian(y):
     _require_positive(u[:, 0], "radius")
     _require_positive(u[:, 5], "speed")
     n = np.hypot(u[:, 6], u[:, 7])
-    bad = np.abs(n - 1.0) > 1e-9
+    bad = ~(np.abs(n - 1.0) <= 1e-9)
     if bad.any():
         raise ValueError(
             f"in-plane rotation pair norm {float(n[bad][0])!r} violates unit constraint"
@@ -266,7 +269,7 @@ def spherical_rows_to_cartesian(y):
     y = np.asarray(y, dtype=float)
     _require_positive(y[:, 0], "radius")
     for col, what in ((2, "latitude"), (4, "flight path angle")):
-        bad = np.abs(y[:, col]) > math.pi / 2 + 1e-12
+        bad = ~(np.abs(y[:, col]) <= math.pi / 2 + 1e-12)
         if bad.any():
             raise ValueError(f"{what} {float(y[bad, col][0])!r} outside [-pi/2, pi/2]")
     ct, st, cl, sl, cg, sg, cp, sp = (
@@ -289,12 +292,12 @@ def cartesian_rows_to_cartesian(y):
 
 
 def _require_positive(values, what):
-    bad = values <= 0.0
+    bad = ~(values > 0.0)
     if bad.any():
         raise ValueError(f"{what} must be positive, got {float(values[bad][0])!r}")
 
 
 def _nonzero_positions(p, v):
-    if (row_norms(p) <= 0.0).any():
+    if not (row_norms(p) > 0.0).all():
         raise ValueError("position must be nonzero")
     return p, v

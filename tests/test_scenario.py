@@ -1,5 +1,7 @@
 import ast
+import copy
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -7,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ import quatflight
 import quatflight.scenario as scenario_module
 from quatflight.cli import main as cli_main
 from quatflight.dynamics import PARAMETERIZATIONS
-from quatflight.errors import ConfigError
+from quatflight.errors import ConfigError, SingularityError
 from quatflight.scenario import (
     CSV_COLUMNS,
     bundled_scenario_path,
@@ -205,15 +208,12 @@ class TestInitialStateProperties:
                     assert parsed[rest].tobytes() == y[rest].tobytes()
 
 
+BUNDLED = ("entry_table3", "vertical_dive", "circular_orbit", "bench_entry", "norm_drift")
+
+
 class TestBundledScenarios:
     def test_all_bundled_files_load(self):
-        for name in (
-            "entry_table3",
-            "vertical_dive",
-            "circular_orbit",
-            "bench_entry",
-            "norm_drift",
-        ):
+        for name in BUNDLED:
             config = load_scenario(bundled_scenario_path(name))
             assert config.name == name
 
@@ -230,6 +230,63 @@ class TestBundledScenarios:
         y0 = initial_array_for("rv", config)
         assert np.array_equal(y0, config.initial_state.y)
         assert not np.shares_memory(y0, config.initial_state.y)
+
+
+# what a mutation puts in place of a value: each YAML kind that is not a
+# number, and numbers beyond, at and just inside the edges of the float range
+FUZZ_VALUES = (
+    None, True, False, "x", 10**400, math.nan, math.inf, -math.inf,
+    1e308, -1e308, 5e-324, [], {}, [[1.0]],
+)
+_DELETE = object()
+
+
+@functools.cache
+def bundled_dict(name):
+    return yaml.safe_load(bundled_scenario_path(name).read_text())
+
+
+def value_paths(node, prefix=()):
+    """The path of every mapping value and list entry under ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield prefix + (key,)
+            yield from value_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_bundled_scenarios(draw):
+    """A bundled scenario with one or two values replaced by a FUZZ_VALUES entry, or deleted."""
+    data = copy.deepcopy(bundled_dict(draw(st.sampled_from(BUNDLED))))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(list(value_paths(data))))
+        target = data
+        for parent in parents:
+            target = target[parent]
+        value = draw(st.sampled_from(FUZZ_VALUES + (_DELETE,)))
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(value)
+    return data
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(data=mutated_bundled_scenarios())
+    def test_mutated_scenario_is_a_config_error_or_starts_every_form(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                config = parse_config(data)
+            except ConfigError:
+                return
+            for form in PARAMETERIZATIONS:
+                try:
+                    y0 = initial_array_for(form, config)
+                except SingularityError:
+                    continue
+                assert np.isfinite(y0).all()
 
 
 class TestCsvRoundTrip:
@@ -383,11 +440,16 @@ class TestCli:
         data = minimal_config_dict()
         if path == "initial_state.r":
             data["initial_state"] = {"kind": "spherical", "r": 7e6, "v": 7546.0}
+        if path == "initial_state.eps_a":
+            data["initial_state"] = {
+                "kind": "rv", "r": 7e6, "v": 7546.0, "eps_a": [0.0, 0.0, 0.0], "eta_a": 1.0,
+                "eps_b": [HALF_SQRT2, HALF_SQRT2, 0.0], "eta_b": 0.0,
+            }
         *sections, key = path.split(".")
         target = data
         for section in sections:
             target = target[section]
-        target[key] = yaml.safe_load(value)
+        target[key] = yaml.safe_load(value) if isinstance(value, str) else value
         return data
 
     @pytest.mark.parametrize(
@@ -406,6 +468,11 @@ class TestCli:
             ("controls.alpha", ".nan"),
             ("controls.bank", "{times: [0.0, .inf], values: [0.0, 1.0]}"),
             ("controls.thrust", "{times: [0.0, 10.0], values: [0.0, .nan]}"),
+            pytest.param("vehicle.mass", 10**400, id="vehicle.mass-10**400"),
+            pytest.param("initial_state.eps_a", [10**400, 0.0, 0.0], id="eps_a-10**400"),
+            pytest.param(
+                "controls.alpha", {"times": [0.0, 10**400], "values": [0.1, 0.2]}, id="knot-10**400"
+            ),
         ],
     )
     def test_nonfinite_or_out_of_range_number_rejected(self, tmp_path, capsys, path, value):
@@ -413,7 +480,11 @@ class TestCli:
         config = tmp_path / "nonfinite.yaml"
         config.write_text(yaml.safe_dump(data))
         assert cli_main(["validate", str(config)]) == 2
-        assert f"config error: {path}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err
+        # an integer beyond the float range is named as such, not printed digit by digit
+        assert ("float range" in err) == ("1" + "0" * 400 in yaml.safe_dump(data))
+        assert "0" * 100 not in err
 
     @pytest.mark.parametrize(
         "path, value",
@@ -436,6 +507,45 @@ class TestCli:
         config.write_text(yaml.safe_dump(data))
         assert cli_main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("parameterizations", [{"a": 1}]),
+            ("initial_state.kind", ["rv"]),
+            ("stop.expected_guards", [[1]]),
+        ],
+    )
+    def test_name_that_is_not_a_string_rejected(self, tmp_path, capsys, path, value):
+        # a name is a string from its set; a list or a mapping in its place
+        # is a config error, not an unhashable-type traceback
+        config = tmp_path / "names.yaml"
+        config.write_text(yaml.safe_dump(self.config_with(path, value)))
+        for argv in (
+            ["validate", str(config)],
+            ["run", str(config), "--out", str(tmp_path)],
+            ["bench", str(config)],
+        ):
+            assert cli_main(argv) == 2
+            assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", [("position", [1e200, 0.0, 1e200]), ("velocity", [1e300, 1e300, 0.0])]
+    )
+    def test_validate_derives_every_initial_state(self, tmp_path, capsys, key, value):
+        # a state whose derived forms overflow fails validate as it fails run
+        data = yaml.safe_load(bundled_scenario_path("vertical_dive").read_text())
+        data["initial_state"][key] = value
+        config = tmp_path / "huge.yaml"
+        config.write_text(yaml.safe_dump(data))
+        for argv in (
+            ["validate", str(config)],
+            ["run", str(config), "--out", str(tmp_path)],
+            ["bench", str(config)],
+        ):
+            assert cli_main(argv) == 2
+            assert "config error: initial_state: overflow" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
@@ -610,10 +720,19 @@ class TestYamlLoading:
             assert parsed[0] == yaml.safe_load(text)
 
     @pytest.mark.parametrize("loader", LOADERS)
-    def test_malformed_yaml_is_a_config_error(self, loader, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "name: entry\nbody: {mu: 3.986e14, radius: [6378137.0\n",
+            # an integer too long for Python's int parser, which raises ValueError
+            "name: entry\nbody: {mu: 1" + "0" * 5000 + "}\n",
+        ],
+        ids=["unclosed", "5001-digit-int"],
+    )
+    def test_malformed_yaml_is_a_config_error(self, loader, text, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
         bad = tmp_path / "bad.yaml"
-        bad.write_text("name: entry\nbody: {mu: 3.986e14, radius: [6378137.0\n")
+        bad.write_text(text)
         with pytest.raises(ConfigError, match="bad.yaml"):
             load_scenario(bad)
         assert cli_main(["run", str(bad), "--out", str(tmp_path)]) == 2

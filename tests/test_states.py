@@ -175,6 +175,13 @@ class TestStateValidation:
             to_cartesian(rv_row(1.0, IDENTITY, 0.0, IDENTITY))
         with pytest.raises(ValueError, match="zero-norm quaternion"):
             to_cartesian(rv_row(1.0, IDENTITY, 1.0, (0.0, 0.0, 0.0, 0.0)))
+        # NaN fails every rule
+        with pytest.raises(ValueError, match="radius must be positive, got nan"):
+            to_cartesian([math.nan, 0, 0, 0, 1, 1.0, 0, 0, 0, 1])
+        with pytest.raises(ValueError, match="speed must be positive, got nan"):
+            to_cartesian(rv_row(1.0, IDENTITY, math.nan, IDENTITY))
+        with pytest.raises(ValueError, match="quaternion norm nan violates"):
+            to_cartesian(rv_row(1.0, IDENTITY, 1.0, (math.nan, 0.0, 0.0, 1.0)))
 
     def test_rvh_rejects_nonpositive(self):
         to_cartesian = PARAMETERIZATIONS["rvh"].to_cartesian
@@ -205,6 +212,8 @@ class TestStateValidation:
             (2, 2.0, "latitude 2.0 outside"),
             (2, -math.pi / 2 - 1e-11, "latitude .* outside"),
             (4, 1.6, "flight path angle 1.6 outside"),
+            (2, math.nan, "latitude nan outside"),
+            (4, math.nan, "flight path angle nan outside"),
         ],
     )
     def test_spherical_bounds(self, col, value, message):
