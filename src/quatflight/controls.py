@@ -33,8 +33,12 @@ class PiecewiseLinear:
             raise ValueError("times and values must be equal-length and non-empty")
         if not all(map(isfinite, times + values)):
             raise ValueError("times and values must be finite")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing")
+        for dt, dv in ((b - a, w - u) for a, b, u, w in zip(times, times[1:], values, values[1:])):
+            if not dt > 0.0:
+                raise ValueError("times must be strictly increasing")
+            # then no interpolation inside the segment overflows
+            if not all(map(isfinite, (dt, dv, dv / dt, dv * dt))):
+                raise ValueError("segment steps in time and value, slopes and step products must be finite")
         self.times = times
         self.values = values
 

@@ -598,9 +598,9 @@ class Parameterization:
     * ``radius_index`` locates the radius in ``y``; -1 when it must be
       derived from a Cartesian position.
     * ``from_rv(y, controls, t0)``, when set, derives the form from an rv
-      row while keeping its gauge and its bits, so a native rv
-      initial state is reused instead of regauged through Cartesian
-      coordinates.
+      row while keeping its gauge and its bits.  A scenario derives the
+      form's initial row from its rv row this way, once, when it is built,
+      so a native rv state is not regauged through Cartesian coordinates.
     """
 
     make_rhs: Callable

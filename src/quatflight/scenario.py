@@ -17,9 +17,10 @@ list of names.  A number is an int or a float, not a bool or a string; it
 must fit in a float, be finite and meet its bound, and a count (a key whose
 default is an int) must be whole.  A name is a string from a known set.
 Each bad value is one ``ConfigError`` message that begins with its dotted
-path.  Loading then derives every form's initial row once: a state that a
-form cannot start from is a ``ConfigError`` too, while a singularity of a
-form's gauge there stays that form's ``singularity_guard`` at run time.
+path.  A :class:`ScenarioConfig` derives every form's initial row once, when
+it is built, and every run reads the row it holds: a state that a form
+cannot start from is a ``ConfigError`` too, while a singularity of a form's
+gauge there stays that form's ``singularity_guard`` at run time.
 
 Each form has one conversion to Cartesian coordinates, its
 ``to_cartesian_rows`` over state rows: each CSV converts the rows it
@@ -36,7 +37,7 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -151,33 +152,21 @@ class InitialState:
     kind: str
     y: np.ndarray
 
-    def row_for(self, name: str, controls: ControlProfile, t0: float) -> np.ndarray:
-        """Initial flat state of form ``name`` at ``t0``.
 
-        The native form gets a copy of the parsed array.  A form with a
-        ``from_rv`` hook (the lift-aligned one) keeps a native rv state's
-        gauge and its file bits; every other form is derived from the
-        physical (Cartesian) initial condition with that form's gauge rule.
-        The native form's ``to_cartesian`` renormalizes its quaternions, so a
-        derived form may move in the last bits when a file quaternion's norm
-        is not exactly 1.0.
-        """
-        if name == self.kind:
-            return self.y.copy()
-        spec = PARAMETERIZATIONS[name]
-        if spec.from_rv is not None and self.kind == "rv":
-            return spec.from_rv(self.y, controls, t0)
-        cart = PARAMETERIZATIONS[self.kind].to_cartesian(self.y)
-        return spec.from_cartesian(cart, controls, t0)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario and every form's initial row, derived once when it is built.
+
+    ``initial_rows`` maps each form to its flat state at ``t0``, or to the
+    message of the ``SingularityError`` of its gauge there; construction,
+    ``dataclasses.replace`` included, derives them.  The native form keeps
+    the parsed array, rvl is the rv row through ``from_rv``, and every other
+    form comes from one conversion of the native state to Cartesian
+    coordinates, which renormalizes its quaternions.
+    """
+
     name: str
-    body: CentralBody
-    atmosphere: Atmosphere
-    aero: AeroModel
-    vehicle: Vehicle
+    environment: Environment
     initial_state: InitialState
     controls: ControlProfile
     integrator: IntegratorConfig
@@ -186,15 +175,27 @@ class ScenarioConfig:
     t0: float = 0.0
     compare_points: int = 101
     csv_stride: int = 1
+    initial_rows: dict = field(init=False, repr=False, compare=False)
 
-    @property
-    def environment(self) -> Environment:
-        return Environment(
-            body=self.body,
-            atmosphere=self.atmosphere,
-            aero=self.aero,
-            vehicle=self.vehicle,
-        )
+    def __post_init__(self):
+        init = self.initial_state
+        cart = PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
+        rows = {}
+        for form, spec in PARAMETERIZATIONS.items():
+            try:
+                if form == init.kind:
+                    row = init.y
+                elif spec.from_rv is not None:  # rv precedes it in PARAMETERIZATIONS
+                    row = spec.from_rv(rows["rv"], self.controls, self.t0)
+                else:
+                    row = spec.from_cartesian(cart, self.controls, self.t0)
+            except SingularityError as exc:
+                rows[form] = str(exc)
+                continue
+            if not np.isfinite(row).all():
+                raise ValueError(f"the {form} initial state is not finite")
+            rows[form] = row
+        object.__setattr__(self, "initial_rows", rows)
 
 
 @dataclass(eq=False)
@@ -381,37 +382,30 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
         v.fail("t0", f"must be less than stop.t_final ({stop['t_final']:g}), got {top['t0']:g}")
     if v.errors:
         raise ConfigError(v.errors)
-    config = ScenarioConfig(
-        name=name,
-        **{
-            key: record(**{k.lower(): x for k, x in records[key].items()})
-            for key, (record, _) in _RECORDS.items()
-        },
-        initial_state=InitialState(kind=kind, y=np.hstack(list(row.values()))),
-        controls=ControlProfile(**profiles, bank_mode=bank_mode),
-        integrator=IntegratorConfig(method=method, renormalize_every_step=renormalize, **steps),
-        stop=StopConditions(**stop, expected_guards=guards),
-        parameterizations=params,
-        **top,
-    )
-    # every form's initial row, derived once: a quaternion off unit norm or a
-    # row that cannot be derived or is not finite is a config error, while a
-    # gauge singular there stays that form's singularity_guard at run time;
-    # underflow is not trapped, as valid states underflow on the way to rows
-    init = config.initial_state
+    environment = Environment(**{
+        key: record(**{k.lower(): x for k, x in records[key].items()})
+        for key, (record, _) in _RECORDS.items()
+    })
+    init = InitialState(kind=kind, y=np.hstack(list(row.values())))
+    # a quaternion off unit norm, or an initial row that cannot be derived or
+    # is not finite, is a config error, while a gauge singular there stays
+    # that form's singularity_guard at run time; underflow is not trapped,
+    # as valid states underflow on the way to rows
     try:
         with np.errstate(over="raise", invalid="raise"):
             _check_unit_blocks(init)
-            for form in PARAMETERIZATIONS:
-                try:
-                    y0 = init.row_for(form, config.controls, config.t0)
-                except SingularityError:
-                    continue
-                if not np.isfinite(y0).all():
-                    raise ValueError(f"the {form} initial state is not finite")
+            return ScenarioConfig(
+                name=name,
+                environment=environment,
+                initial_state=init,
+                controls=ControlProfile(**profiles, bank_mode=bank_mode),
+                integrator=IntegratorConfig(method=method, renormalize_every_step=renormalize, **steps),
+                stop=StopConditions(**stop, expected_guards=guards),
+                parameterizations=params,
+                **top,
+            )
     except (ValueError, ArithmeticError) as exc:
         raise ConfigError([f"initial_state: {exc}"]) from exc
-    return config
 
 
 def _check_unit_blocks(init: InitialState):
@@ -441,8 +435,11 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 def initial_array_for(name: str, config: ScenarioConfig):
-    """Initial flat state of one parameterization for a run of ``config``."""
-    return config.initial_state.row_for(name, config.controls, config.t0)
+    """A copy of form ``name``'s initial row in ``config``, or the ``SingularityError`` of its gauge."""
+    row = config.initial_rows[name]
+    if isinstance(row, str):
+        raise SingularityError(row)
+    return row.copy()
 
 
 def resolve_output_dir(outdir=None) -> Path:
@@ -502,17 +499,13 @@ def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
     t = trajectory.t[idx]
     columns = sample_diagnostics(name, t, trajectory.y[idx], config.controls, config.environment)
     columns["t"] = t
-    # one %-template per row: "%.17g" for a column without NaN, an empty
-    # field for an all-NaN one, preformatted cells for a mixed one
+    # one %-template per row: an empty field for an all-NaN column, "%.17g"
+    # for any other; finite rows give no column that mixes NaN and numbers
     fields, cells = [], []
     for col in CSV_COLUMNS:
         values = columns[col]
-        nan = np.isnan(values)
-        if nan.all():
+        if np.isnan(values).all():
             fields.append("")
-        elif nan.any():
-            fields.append("%s")
-            cells.append(["" if x != x else format(x, ".17g") for x in values.tolist()])
         else:
             fields.append("%.17g")
             cells.append(values.tolist())
@@ -553,20 +546,21 @@ def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
 
     Each form's output-time samples (``Trajectory.t_eval``) and its final
     sample are converted to Cartesian coordinates in one
-    ``to_cartesian_rows`` call.
+    ``to_cartesian_rows`` call.  Every form samples a prefix of the same
+    sorted grid from ``t0``, so a pair shares the shorter prefix.
     """
-    samples = {}  # name -> ({output time: row in p and speed}, p, speed)
+    samples = {}  # name -> (output times, p, speed)
     norm_drift = {}
     timing = {}
     final_states = {}
     for res in results:
-        if res.trajectory is None or len(res.trajectory) == 0:
+        if res.trajectory is None:
             continue
         spec = PARAMETERIZATIONS[res.name]
         traj = res.trajectory
         p, v = spec.to_cartesian_rows(np.concatenate((traj.y_eval, traj.y[-1:])))
         speed = row_norms(v)
-        samples[res.name] = ({t: k for k, t in enumerate(traj.t_eval.tolist())}, p, speed)
+        samples[res.name] = (traj.t_eval, p, speed)
         timing[res.name] = {
             "wall_time_s": traj.wall_time,
             "derivative_evaluations": traj.n_evals,
@@ -592,17 +586,13 @@ def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
     names = list(samples)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            (rows_a, p_a, speed_a), (rows_b, p_b, speed_b) = samples[a], samples[b]
-            shared = sorted(set(rows_a) & set(rows_b))
-            if not shared:
-                continue
-            ka = [rows_a[t] for t in shared]
-            kb = [rows_b[t] for t in shared]
+            (t_a, p_a, speed_a), (t_b, p_b, speed_b) = samples[a], samples[b]
+            n = min(len(t_a), len(t_b))
             key = f"{a}|{b}"
-            times[key] = shared
+            times[key] = t_a[:n].tolist()
             pair_errors[key] = (
-                row_norms(p_a[ka] - p_b[kb]).tolist(),
-                np.abs(speed_a[ka] - speed_b[kb]).tolist(),
+                row_norms(p_a[:n] - p_b[:n]).tolist(),
+                np.abs(speed_a[:n] - speed_b[:n]).tolist(),
             )
     return ComparisonReport(
         scenario=config.name,
@@ -643,7 +633,7 @@ def run_scenario(
     results = []
     for name in chosen:
         res = run_parameterization(name, config, compare_times=compare_times)
-        if res.trajectory is not None and len(res.trajectory):
+        if res.trajectory is not None:
             csv_path = out_path / f"{config.name}_{name}.csv"
             res.csv_path = write_trajectory_csv(csv_path, name, res.trajectory, config)
         results.append(res)

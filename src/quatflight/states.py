@@ -31,10 +31,11 @@ Each renormalizes the rows' quaternions and raises the ``ValueError`` of
 the first row that breaks a rule of its form: a zero-norm quaternion or
 in-plane pair, a radius that is not positive, a speed that is not
 positive (``rv``, ``rvl``, ``rvh``), a latitude or flight path angle
-outside [-pi/2, pi/2] by more than 1e-12 (``spherical``), or a zero
-position.  Each rule is written so that NaN fails it, as ``not (x > 0.0)``.
-It returns positions and velocities ``(p, v)``, each (n, 3).  A single
-state converts as a one-row stack.
+outside [-pi/2, pi/2] by more than 1e-12 (``spherical``), a zero
+position, or a velocity component that is not finite.  Each rule is
+written so that NaN fails it, as ``not (x > 0.0)``.  It returns positions
+and velocities ``(p, v)``, each (n, 3).  A single state converts as a
+one-row stack.
 
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
@@ -300,4 +301,6 @@ def _require_positive(values, what):
 def _nonzero_positions(p, v):
     if not (row_norms(p) > 0.0).all():
         raise ValueError("position must be nonzero")
+    if not np.isfinite(v).all():
+        raise ValueError("velocity must be finite")
     return p, v

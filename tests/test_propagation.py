@@ -1152,7 +1152,8 @@ class TestListProtocol:
     @pytest.mark.parametrize("name", list(PARAMETERIZATIONS))
     def test_derivative_sees_and_returns_float_lists(self, name, method, monkeypatch):
         config = load_scenario(bundled_scenario_path("entry_table3"))
-        config.integrator = dataclasses.replace(config.integrator, method=method, step=1.0)
+        integrator = dataclasses.replace(config.integrator, method=method, step=1.0)
+        config = dataclasses.replace(config, integrator=integrator)
         spec = PARAMETERIZATIONS[name]
         strays = []
 

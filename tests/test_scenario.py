@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import quatflight
 import quatflight.scenario as scenario_module
+from quatflight.bench import MIN_EVALS, benchmark_form
 from quatflight.cli import main as cli_main
+from quatflight.controls import ControlProfile
 from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import ConfigError, SingularityError
 from quatflight.scenario import (
@@ -33,7 +35,7 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.states import CartesianState, cartesian_to_spherical
+from quatflight.states import CartesianState, cartesian_to_spherical, twist_about_b1
 
 from reference import read_trajectory_csv, rv_row, rvh_row, spherical_row, unit
 
@@ -109,6 +111,17 @@ class TestConfigValidation:
         data["controls"] = {"alpha": {"times": [0.0, 0.0], "values": [0.1, 0.2]}}
         with pytest.raises(ConfigError, match="controls.alpha"):
             parse_config(data)
+
+    def test_overflowing_profile_is_named_as_the_profile(self, tmp_path, capsys):
+        # (v1 - v0) * (t - t0) of this segment overflows inside it
+        data = yaml.safe_load(bundled_scenario_path("norm_drift").read_text())
+        data["controls"]["bank"]["times"][0] = -1e308
+        with pytest.raises(ConfigError, match="^controls.bank: segment steps"):
+            parse_config(data)
+        path = tmp_path / "norm_drift.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["validate", str(path)]) == 2
+        assert "config error: controls.bank: " in capsys.readouterr().err
 
     def test_unknown_bank_mode_rejected(self):
         data = minimal_config_dict()
@@ -230,6 +243,49 @@ class TestBundledScenarios:
         y0 = initial_array_for("rv", config)
         assert np.array_equal(y0, config.initial_state.y)
         assert not np.shares_memory(y0, config.initial_state.y)
+
+
+class TestInitialRows:
+    """A config derives every form's initial row once, when it is built."""
+
+    @pytest.mark.parametrize("name", ["circular_orbit", "vertical_dive"])
+    def test_each_row_is_derived_once(self, name, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(form, derive):
+            def counting(*args):
+                calls.append(form)
+                return derive(*args)
+
+            return counting
+
+        for form, spec in list(PARAMETERIZATIONS.items()):
+            hooks = {
+                hook: counted(form, getattr(spec, hook))
+                for hook in ("from_cartesian", "from_rv")
+                if getattr(spec, hook) is not None
+            }
+            monkeypatch.setitem(PARAMETERIZATIONS, form, dataclasses.replace(spec, **hooks))
+        config = load_scenario(bundled_scenario_path(name))
+        derived = sorted(f for f in PARAMETERIZATIONS if f != config.initial_state.kind)
+        assert sorted(calls) == derived
+        run_scenario(config, params=list(PARAMETERIZATIONS), outdir=tmp_path, compare=True)
+        benchmark_form("rvl", config, MIN_EVALS)
+        assert sorted(calls) == derived
+
+    def test_replace_derives_the_rows_again(self):
+        config = load_scenario(bundled_scenario_path("circular_orbit"))
+        banked = dataclasses.replace(config, controls=ControlProfile.constant(bank=0.5))
+        rv, rvl = initial_array_for("rv", banked), initial_array_for("rvl", banked)
+        assert rv.tobytes() == initial_array_for("rv", config).tobytes()
+        assert rvl[:6].tobytes() == rv[:6].tobytes()
+        assert rvl[6:10].tobytes() == twist_about_b1(rv[6:10], 0.5).tobytes()
+        assert rvl.tobytes() != initial_array_for("rvl", config).tobytes()
+
+    def test_fields_cannot_be_assigned(self):
+        config = load_scenario(bundled_scenario_path("circular_orbit"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.integrator = dataclasses.replace(config.integrator, step=1.0)
 
 
 # what a mutation puts in place of a value: each YAML kind that is not a
