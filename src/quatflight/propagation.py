@@ -3,7 +3,7 @@
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
 an adaptive Dormand-Prince 5(4) pair.  Both optionally keep the state's
 quaternion blocks at unit norm by projection: every block of a step's new
-state is divided by its norm (:func:`renormalize_quaternion_blocks`), as in
+state is divided by its norm, ``math.hypot`` of its components, as in
 Hairer, Lubich & Wanner, *Geometric Numerical Integration*, §IV.4.  The
 derivative functions themselves never do this, so the policy lives
 entirely here, and it is applied inside the step:
@@ -60,10 +60,11 @@ left-limit stages it integrated with.  Two things read the extension:
 A derivative evaluation may fail by a singularity guard (``SingularityError``)
 or an ``ArithmeticError`` (an overflow, say).  :func:`stop_for` names the
 stop either ends a run with: ``singularity_guard`` with the guard's message,
-or ``step_failure`` with the exception's type and message.  A step also
-fails, as ``step_failure`` "non-finite state", when its new state is not
-finite or its error estimate is NaN.  Where a failure happens decides what
-it means:
+or ``step_failure`` with the exception's type and message.  A step fails
+the same way when it projects a quaternion block of zero norm
+(``ZeroDivisionError``), and as ``step_failure`` "non-finite state" when
+its new state is not finite or its error norm is NaN.  Where a failure
+happens decides what it means:
 
 * at the accepted state, the first stage of a step, it ends the run at
   that state, and the trajectory accumulated so far is returned intact.
@@ -85,22 +86,26 @@ ends the same way, as ``step_failure`` "maximum step count exceeded".  Any
 other exception is a defect and is not caught.
 
 The state is a list of Python floats from ``y0`` to the last sample, and
-the derivative takes and returns one.  The RK4 step, the Dormand-Prince
-step and the error norm are straight-line functions generated for the
-state's size on first use in ``propagate`` and kept per size: each unpacks
-its lists into local names once and writes every component out, so no
-stage runs a loop or builds an array.  Their source is registered with
-:mod:`linecache` under names such as ``<quatflight dp54 n=10>``, where
-``inspect.getsource`` and the tracebacks that the ``traceback`` module
-formats find it.  Every component is the float the array expressions
-give, with the same terms in the same order: zero weights are skipped,
-the error norm's maximum is NaN when either side is (as ``np.maximum``)
-and its sum of squares follows numpy's pairwise order.  So trajectories
-are bit for bit those of the array form.  The Dormand-Prince step returns
-its projected stage-7 state as the fifth-order solution: that stage's
-weights are the solution weights, summed in the same order.  Arrays
-appear where a run's results are kept: the accepted rows, an
-interpolant's matrix product, and the trajectory and stop event handed
+the derivative takes and returns one.  The RK4 step and the Dormand-Prince
+step are straight-line functions generated on first use in ``propagate``
+and kept per state size and projected quaternion blocks.  Each unpacks its
+lists into local names once and writes every component out, so no stage
+runs a loop or builds an array.  The new state is written as locals, each
+quaternion block of them divided by its ``hypot`` in place, and the
+Dormand-Prince step takes its error norm on the same locals, so neither
+projection nor norm reads a list again.  Their source is registered with
+:mod:`linecache` under names such as ``<quatflight dp54 n=10 spans=((1, 5),
+(6, 10))>``, where ``inspect.getsource`` and the tracebacks that the
+``traceback`` module formats find it.  Every component is the float the
+array expressions give, with the same terms in the same order: zero
+weights are skipped, the error norm's maximum is NaN when either side is
+(as ``np.maximum``) and its sum of squares follows numpy's pairwise order.
+So trajectories are bit for bit those of the array form.  The
+Dormand-Prince step returns its projected stage-7 state as the fifth-order
+solution: that stage's weights are the solution weights, summed in the
+same order.  The located event state is projected by the same generated
+lines.  Arrays appear where a run's results are kept: the accepted rows,
+an interpolant's matrix product, and the trajectory and stop event handed
 back.
 
 The derivative is never evaluated twice at the same ``(t, y)`` from one
@@ -127,7 +132,7 @@ from __future__ import annotations
 import linecache
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from math import hypot, inf, isfinite, isnan, nextafter, sqrt
 from typing import Callable, Optional
 
@@ -267,32 +272,6 @@ class Trajectory:
         return self.y[-1]
 
 
-def renormalize_quaternion_blocks(y: list, quat_spans) -> list:
-    """Rescale each quaternion block of a state, a list of floats, to unit norm.
-
-    Returns ``y`` itself when every block's norm is exactly 1.0 (dividing
-    by it would change no bit), otherwise a rescaled copy.  A block's norm
-    is ``math.hypot`` of its components, as in ``states.rvh_pair_norms``;
-    its bits depend on no BLAS kernel.
-
-    Raises
-    ------
-    ValueError
-        If a block has zero norm.
-    """
-    out = y
-    for lo, hi in quat_spans:
-        n = hypot(*y[lo:hi])
-        if n == 0.0:
-            raise ValueError("cannot renormalize a zero-norm quaternion block")
-        if n != 1.0:
-            if out is y:
-                out = y[:]
-            for i in range(lo, hi):
-                out[i] /= n
-    return out
-
-
 def _names(prefix, n):
     return [f"{prefix}_{i}" for i in range(n)]
 
@@ -307,18 +286,46 @@ def _state_list(terms):
     return "[\n" + "".join(f"        {term},\n" for term in terms) + "    ]"
 
 
-def _rk4_source(n):
-    """``rk4(rhs, t, y, h, k1, t_end, project=None) -> (y_new, None, None, stages)``, ``n`` floats.
+def _new_state(terms, spans):
+    """Lines that set the locals ``z_i`` to ``terms`` and project them on ``spans``."""
+    return [f"    z_{i} = {term}" for i, term in enumerate(terms)] + _projection(spans)
 
-    The step contract of :func:`_dp54_source`, with no error estimate and no
-    reusable last stage.  Each stage state is ``y_i + c * k_i`` with
-    ``c = 0.5*h`` (``h`` for the last stage, evaluated at ``t_end``) and the
-    new state ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``, the float
+
+def _projection(spans):
+    """Lines that divide each quaternion block ``z_lo .. z_hi-1`` of the locals by its norm.
+
+    The norm is ``math.hypot`` of the block's components, whose bits depend
+    on no BLAS kernel.  A block of norm exactly 1.0 keeps its bits; a
+    zero-norm block raises ``ZeroDivisionError``.
+    """
+    lines = []
+    for lo, hi in spans:
+        block = _names("z", hi)[lo:]
+        lines.append(f"    n = hypot({', '.join(block)})")
+        lines += [f"    {z} = {z} / n" for z in block]
+    return lines
+
+
+def _project_source(n, spans):
+    """``project(y) -> y_new``, ``y`` projected as a step projects its new state."""
+    lines = ["def project(y):", _unpack("z", n, "y")] + _projection(spans)
+    lines.append(f"    return {_state_list(_names('z', n))}")
+    return "\n".join(lines) + "\n"
+
+
+def _rk4_source(n, spans):
+    """``rk4(rhs, t, y, h, k1, t_end, abs_tol, rel_tol) -> (y_new, 0.0, None, stages)``.
+
+    The step contract of :func:`_dp54_source`, with no error estimate: the
+    error norm is 0.0, and there is no reusable last stage.  Each stage
+    state is ``y_i + c * k_i`` with ``c = 0.5*h`` (``h`` for the last stage,
+    evaluated at ``t_end``) and the new state
+    ``y_i + (h/6)*(((k1_i + 2*k2_i) + 2*k3_i) + k4_i)``, the float
     operations of the array expressions, then projected.
     """
     y = _names("y", n)
     lines = [
-        "def rk4(rhs, t, y, h, k1, t_end, project=None):",
+        "def rk4(rhs, t, y, h, k1, t_end, abs_tol, rel_tol):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
         "    c = 0.5 * h",
@@ -333,23 +340,20 @@ def _rk4_source(n):
         f"{v} + c * ((({p} + 2.0 * {q}) + 2.0 * {r}) + {s})"
         for v, p, q, r, s in zip(y, *(_names(f"k{j}", n) for j in range(1, 5)))
     ]
-    lines.append(f"    y_new = {_state_list(terms)}")
-    lines.append("    if project is not None:")
-    lines.append("        y_new = project(y_new)")
-    lines.append("    return y_new, None, None, (k1, k2, k3, k4)")
+    lines += _new_state(terms, spans)
+    lines.append(f"    return {_state_list(_names('z', n))}, 0.0, None, (k1, k2, k3, k4)")
     return "\n".join(lines) + "\n"
 
 
-def _dp54_source(n):
-    """``dp54(rhs, t, y, h, k1, t_end, project=None) -> (y5, err, k7, stages)``, ``n`` floats.
+def _dp54_source(n, spans):
+    """``dp54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol) -> (y5, err_norm, k7, stages)``.
 
     The step contract both generated steps share: from the state ``y`` at
     ``t``, whose derivative ``k1`` the caller has evaluated, a step of
     length ``h`` whose last stage (here the two ``c = 1`` stages) is
-    evaluated at ``t_end``.  ``project``, when given, maps a state list to
-    the new state (the quaternion renormalization); it is applied to the
-    step's solution before anything reads it.  The step returns the new
-    state, the error estimate (``None`` for RK4), the derivative at
+    evaluated at ``t_end``.  The step's solution is projected on the
+    quaternion ``spans`` before anything reads it.  The step returns the
+    new state, its error norm (0.0 for RK4), the derivative at
     ``(t_end, y_new)`` (``None`` for RK4, whose last stage is not at the new
     state) and every stage derivative, for the step's interpolant.
 
@@ -357,12 +361,18 @@ def _dp54_source(n):
     adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
     skipping zero weights.  Stage 7's state is ``y5``, the fifth-order
     solution (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), projected
-    before stage 7 is evaluated there, and the error estimate sums
-    ``(h*e_j) * k_j`` the same way over ``_DP_E``.
+    before stage 7 is evaluated there.  Component ``i`` of the error
+    estimate sums ``(h*e_j) * k_j`` the same way over ``_DP_E``, and the
+    error norm is the RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|,
+    |y5_i|))``, bit for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``:
+    the same products and quotients, a maximum that is NaN when either side
+    is (as ``np.maximum``), and numpy's summation order.  Squares are
+    products, because ``**`` on floats raises ``OverflowError`` where numpy
+    gives inf.
     """
     y = _names("y", n)
     lines = [
-        "def dp54(rhs, t, y, h, k1, t_end, project=None):",
+        "def dp54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
     ]
@@ -378,20 +388,27 @@ def _dp54_source(n):
         c = _DP_C[stage - 1]
         at = "t_end" if c == 1.0 else f"t + {c!r} * h"
         if stage == 7:
-            lines.append(f"    y5 = {_state_list(terms)}")
-            lines.append("    if project is not None:")
-            lines.append("        y5 = project(y5)")
+            lines += _new_state(terms, spans)
+            lines.append(f"    y5 = {_state_list(_names('z', n))}")
             lines.append(f"    k7 = rhs({at}, y5)")
         else:
             lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
         lines.append(_unpack(f"k{stage}", n, f"k{stage}"))
     weights = [(j, e) for j, e in enumerate(_DP_E, 1) if e != 0.0]
-    lines.append("    # error estimate")
+    lines.append("    # error norm")
     for j, e in weights:
         lines.append(f"    e{j} = h * {e!r}")
-    terms = [" + ".join(f"e{j} * k{j}_{i}" for j, _ in weights) for i in range(n)]
-    lines.append(f"    err = {_state_list(terms)}")
-    lines.append("    return y5, err, k7, (k1, k2, k3, k4, k5, k6, k7)")
+    lines.append(_unpack("atol", n, "abs_tol"))
+    for i in range(n):
+        err = " + ".join(f"e{j} * k{j}_{i}" for j, _ in weights)
+        lines += [
+            f"    p = abs(y_{i})",
+            f"    q = abs(z_{i})",
+            f"    r = ({err}) / (atol_{i} + rel_tol * (p if p >= q else (q if q >= p else p + q)))",
+            f"    s_{i} = r * r",
+        ]
+    lines.append(f"    err_norm = sqrt(({_pairwise_source(_names('s', n))}) / {float(n)!r})")
+    lines.append("    return y5, err_norm, k7, (k1, k2, k3, k4, k5, k6, k7)")
     return "\n".join(lines) + "\n"
 
 
@@ -420,49 +437,25 @@ def _group(expr):
     return f"({expr})" if " " in expr else expr
 
 
-def _error_norm_source(n):
-    """``error_norm(err, y, y5, abs_tol, rel_tol)`` for states of ``n`` floats.
-
-    The RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|, |y5_i|))``, bit
-    for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``: the same
-    products and quotients, a maximum that is NaN when either side is (as
-    ``np.maximum``), and numpy's summation order.  Squares are products,
-    because ``**`` on floats raises ``OverflowError`` where numpy gives inf.
-    """
-    lines = [
-        "def error_norm(err, y, y5, abs_tol, rel_tol):",
-        _unpack("e", n, "err"),
-        _unpack("y", n, "y"),
-        _unpack("z", n, "y5"),
-        _unpack("a", n, "abs_tol"),
-    ]
-    for i in range(n):
-        lines += [
-            f"    p = abs(y_{i})",
-            f"    q = abs(z_{i})",
-            f"    r = e_{i} / (a_{i} + rel_tol * (p if p >= q else (q if q >= p else p + q)))",
-            f"    s_{i} = r * r",
-        ]
-    lines.append(f"    return sqrt(({_pairwise_source(_names('s', n))}) / {float(n)!r})")
-    return "\n".join(lines) + "\n"
-
-
-_SOURCES = {"rk4": _rk4_source, "dp54": _dp54_source, "error_norm": _error_norm_source}
+_SOURCES = {"rk4": _rk4_source, "dp54": _dp54_source, "project": _project_source}
 
 
 @cache
-def _generated(kind, n):
+def _generated(kind, n, spans):
     """The straight-line function ``kind`` for states of ``n`` floats, built on first use.
 
-    ``kind`` is ``"rk4"``, ``"dp54"`` or ``"error_norm"``; one function is
-    kept per kind and state size.  The source is registered with
-    :mod:`linecache` under ``<quatflight {kind} n={n}>``, so
-    ``inspect.getsource`` and the ``traceback`` module show its lines.
+    ``kind`` is ``"rk4"``, ``"dp54"`` or ``"project"``; ``spans`` is a
+    tuple of the ``(lo, hi)`` quaternion blocks it projects, ``()`` for
+    none.  One function is kept per kind, state size and spans.  The
+    source is registered with :mod:`linecache` under
+    ``<quatflight {kind} n={n}>``, or ``<quatflight {kind} n={n}
+    spans={spans}>`` when there are spans, so ``inspect.getsource`` and the
+    ``traceback`` module show its lines.
     """
-    source = _SOURCES[kind](n)
-    filename = f"<quatflight {kind} n={n}>"
+    source = _SOURCES[kind](n, spans)
+    filename = f"<quatflight {kind} n={n}{f' spans={spans}' if spans else ''}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": sqrt}
+    namespace = {"hypot": hypot, "sqrt": sqrt}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[kind]
 
@@ -587,13 +580,10 @@ def propagate(
     n_steps = 0
     n_rejected = 0
     schedule = _BreakSchedule(t0, t_final, t_knots)
-    project = None
-    if config.renormalize_every_step and quat_spans:
-        project = partial(renormalize_quaternion_blocks, quat_spans=tuple(quat_spans))
+    spans = tuple(map(tuple, quat_spans)) if config.renormalize_every_step else ()
     adaptive = config.method == "rk45-adaptive"
-    step = _generated("dp54" if adaptive else "rk4", len(y))
+    step = _generated("dp54" if adaptive else "rk4", len(y), spans)
     if adaptive:
-        error_norm = _generated("error_norm", len(y))
         dense_coefficients = _DP_P
         h = min(1.0, (t_final - t0) / 100.0)
     else:
@@ -662,8 +652,9 @@ def propagate(
         else:
             t_end = t + h_try
         try:
-            y_new, err, k_last, stages = step(counted_rhs, t, y, h_try, k1, t_end, project)
-            err_norm = error_norm(err, y, y_new, abs_tol, rel_tol) if adaptive else 0.0
+            y_new, err_norm, k_last, stages = step(
+                counted_rhs, t, y, h_try, k1, t_end, abs_tol, rel_tol
+            )
             # one float sum: NaN or inf in any component carries through
             finite = isfinite(sum(y_new)) and not isnan(err_norm)
             failure = None if finite else ("step_failure", "non-finite state")
@@ -701,8 +692,7 @@ def propagate(
                     t_new, y_new = _locate_crossing(
                         dense, t, t_new, g_prev, g_new, radius_fn, radius_target
                     )
-                    if project is not None:
-                        y_new = project(y_new)
+                    y_new = _generated("project", len(y), spans)(y_new)
                 event = StopEvent(kind="radius_crossing", t_event=t_new, y_event=np.array(y_new))
             g_prev = g_new
 

@@ -32,7 +32,6 @@ from quatflight.propagation import (
     _BreakSchedule,
     _generated,
     propagate,
-    renormalize_quaternion_blocks,
 )
 from quatflight.scenario import (
     bundled_scenario_path,
@@ -47,22 +46,37 @@ from reference import array_rhs
 MU = EARTH.mu
 
 
-def generated_step(kind, rhs, t, y, h, k1=None, t_end=None):
-    """A generated step, with the first stage ``k1`` evaluated and ``t_end = t + h`` unless given."""
+ABS_TOL, REL_TOL = 1e-12, 1e-9  # the tolerances the step tests take their error norms with
+RV_SPANS = PARAMETERIZATIONS["rv"].quat_spans  # ((1, 5), (6, 10))
+RVH_SPANS = PARAMETERIZATIONS["rvh"].quat_spans  # ((1, 5), (6, 8))
+
+
+def generated_step(kind, rhs, t, y, h, k1=None, t_end=None, spans=()):
+    """A generated step projecting ``spans``, with ``ABS_TOL`` for every component.
+
+    The first stage ``k1`` is evaluated and ``t_end`` is ``t + h`` unless given.
+    """
     k1 = rhs(t, y) if k1 is None else k1
-    return _generated(kind, len(y))(rhs, t, y, h, k1, t + h if t_end is None else t_end)
+    t_end = t + h if t_end is None else t_end
+    step = _generated(kind, len(y), spans)
+    return step(rhs, t, y, h, k1, t_end, [ABS_TOL] * len(y), REL_TOL)
 
 
-def rk4_step(rhs, t, y, h, k1=None, t_end=None):
-    return generated_step("rk4", rhs, t, y, h, k1, t_end)
+def rk4_step(rhs, t, y, h, k1=None, t_end=None, spans=()):
+    return generated_step("rk4", rhs, t, y, h, k1, t_end, spans)
 
 
-def dp54_step(rhs, t, y, h, k1=None, t_end=None):
-    return generated_step("dp54", rhs, t, y, h, k1, t_end)
+def dp54_step(rhs, t, y, h, k1=None, t_end=None, spans=()):
+    return generated_step("dp54", rhs, t, y, h, k1, t_end, spans)
 
 
-def error_norm(err, y, y5, abs_tol, rel_tol):
-    return _generated("error_norm", len(err))(err, y, y5, abs_tol, rel_tol)
+def projected(y, spans):
+    return _generated("project", len(y), spans)(y)
+
+
+def same_float(a, b):
+    """``a`` and ``b`` are the same float, or both NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 # Textbook stepper: the array-copying forms the stepper must match bit for bit.
@@ -78,6 +92,13 @@ def reference_renormalize(y, quat_spans):
             raise ValueError("cannot renormalize a zero-norm quaternion block")
         out[lo:hi] /= n
     return out
+
+
+def reference_error_norm(err, y, y5, abs_tol=ABS_TOL, rel_tol=REL_TOL):
+    """The RMS of the scaled error estimate, by ``np.mean``."""
+    with np.errstate(all="ignore"):
+        tol = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        return float(np.sqrt(np.mean((err / tol) ** 2)))
 
 
 def reference_rk4_step(rhs, t, y, h):
@@ -147,8 +168,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
         landing = h_try >= target - t - 1e-15 or t + h_try >= target
         t_end = math.nextafter(target, -math.inf) if landing and target in schedule.knots else None
         y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end, project)
-        tol = abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / tol) ** 2)))
+        err_norm = reference_error_norm(err, y, y_new, abs_tol, config.rel_tol)
         if math.isnan(err_norm):
             err_norm = math.inf
         if err_norm > 1.0:
@@ -416,21 +436,47 @@ class TestEventOnInterpolant:
 class TestRenormalizationPolicy:
     def test_unit_state_unchanged(self):
         y = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-        out = renormalize_quaternion_blocks(y.tolist(), ((1, 5),))
+        out = projected(y.tolist(), ((1, 5),))
         np.testing.assert_allclose(out, y, atol=0)
 
     def test_small_drift_rescaled(self):
         q = np.array([0.0, 0.0, 0.0, 1.0 + 1e-9])
         y = np.concatenate([[7e6], q])
-        out = np.asarray(renormalize_quaternion_blocks(y.tolist(), ((1, 5),)))
+        out = np.asarray(projected(y.tolist(), ((1, 5),)))
         assert abs(np.linalg.norm(out[1:5]) - 1.0) < 1e-15
         assert out[0] == 7e6
         # direction preserved
         np.testing.assert_allclose(out[1:5] * (1.0 + 1e-9), q, rtol=1e-12)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            renormalize_quaternion_blocks([0.0] * 5, ((1, 5),))
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_zero_norm_block_is_a_step_failure(self, method):
+        # the state is (x, q0, q1), its block (q0, q1) starts at (1, 0) and
+        # q0' = -1 takes it to exactly (0, 0) in one step of 1 s: from t = 2
+        # in the fixed run, whose q0' is 0 before; on the first adaptive
+        # trial (1 s), whose sixth stage reads q0' one ulp short of -1
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if method == "rk4-fixed":
+                return [1.0, 0.0 if t < 2.0 else -1.0, 0.0]
+            return [1.0, math.nextafter(-1.0, 0.0) if len(calls) == 6 else -1.0, 0.0]
+
+        cfg = IntegratorConfig(method=method, step=1.0)
+        traj, event = propagate(rhs, 0.0, [0.0, 1.0, 0.0], 100.0, cfg, quat_spans=((1, 3),))
+        assert np.all(np.abs(traj.y[:, 1]) == 1.0)
+        if method == "rk4-fixed":
+            # a fixed step ends the run at its last accepted sample
+            assert event.kind == "step_failure"
+            assert event.message == "ZeroDivisionError: float division by zero"
+            assert event.t_event == traj.t[-1] == 2.0
+            assert np.array_equal(event.y_event, traj.y[-1])
+        else:
+            # the adaptive trial stops before its stage 7 and is rejected;
+            # the retry, 0.2 times as long, keeps its first stage
+            assert event.kind == "terminal_time"
+            assert calls[5:7] == [1.0, 0.2 * 0.2]
+            assert traj.n_rejected == 1 and traj.t[1] == 0.2
 
     def test_policy_on_off_position_agreement(self):
         # renormalization changes the trajectory by far less than the
@@ -634,9 +680,9 @@ class TestStepperMatchesReference:
                     with pytest.raises(SingularityError):
                         dp54_step(rhs, t, y_list, h)
                 else:
-                    y5, err, _, _ = dp54_step(rhs, t, y_list, h)
+                    y5, err_norm, _, _ = dp54_step(rhs, t, y_list, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
-                    assert np.array_equal(err, err_ref), (name, h)
+                    assert err_norm == reference_error_norm(err_ref, y, y5_ref), (name, h)
 
     @pytest.mark.parametrize("n", [1, 3, 7, 9, 16, 17])
     def test_steps_bitwise_equal_at_any_size(self, n):
@@ -661,9 +707,9 @@ class TestStepperMatchesReference:
                 for t_end in (None, math.nextafter(t + h, -math.inf)):
                     y5_ref, err_ref = reference_dp54_step(rhs, t, y, h, t_end)
                     step = dp54_step(rhs, t, y_list, h, None, t_end)
-                    y5, err, k7, _ = step
+                    y5, err_norm, k7, _ = step
                     assert np.array_equal(y5, y5_ref), (n, h)
-                    assert np.array_equal(err, err_ref), (n, h)
+                    assert err_norm == reference_error_norm(err_ref, y, y5_ref), (n, h)
                     assert k7 == rhs(t + h if t_end is None else t_end, y5), (n, h)
                     assert dp54_step(rhs, t, y_list, h, rhs(t, y_list), t_end) == step, (n, h)
 
@@ -673,8 +719,7 @@ class TestStepperMatchesReference:
             spans = PARAMETERIZATIONS[name].quat_spans
             drifted = y * (1.0 + rng.uniform(-1e-6, 1e-6, y.size))
             assert np.array_equal(
-                renormalize_quaternion_blocks(drifted.tolist(), spans),
-                reference_renormalize(drifted, spans),
+                projected(drifted.tolist(), spans), reference_renormalize(drifted, spans)
             ), name
 
     def test_stage7_weights_are_solution_weights(self):
@@ -693,31 +738,79 @@ class TestStepperMatchesReference:
                 for a, b in zip(supplied, expected):
                     assert np.array_equal(a, b), (name, h)
 
-    @pytest.mark.parametrize("n", [1, 3, 6, 7, 8, 9, 10, 16, 17, 300])
-    def test_error_norm_bitwise_equal_to_numpy(self, n):
-        rng = np.random.default_rng(n)
+    @pytest.mark.parametrize(
+        "n, spans",
+        [(n, ()) for n in (1, 3, 6, 7, 8, 9, 10, 16, 17, 300)]
+        + [(10, RV_SPANS), (17, RV_SPANS), (8, RVH_SPANS), (16, RVH_SPANS)],
+    )
+    def test_error_norm_bitwise_equal_to_numpy(self, n, spans):
+        # the step's error norm is np.mean's RMS of the textbook step's
+        # error estimate, scaled by the start and the projected solution.
+        # Where the last component lies in a block (rv at 10 floats, rvh
+        # at 8), an infinite one projects to NaN, which the maximum must
+        # carry although the error estimate is finite there
+        rng = np.random.default_rng(n + len(spans))
         rel_tol = 1e-9
+        reference_project = (lambda v: reference_renormalize(v, spans)) if spans else None
         for i in range(4000):
-            err = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 5.0, n)
             y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 7.0, n)
-            y5 = y * (1.0 + rng.uniform(-1e-3, 1e-3, n))
+            rate = (rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 1.0, n)).tolist()
             abs_tol = 1e-12 * 10.0 ** rng.integers(0, 7, n)
-            if i % 4:  # one huge, infinite or NaN entry in err, y or y5
-                special = (1e300, math.inf, math.nan)[i % 4 - 1] * rng.choice([-1.0, 1.0])
-                (err, y, y5)[rng.integers(3)][rng.integers(n)] = special
-            tol = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+            h = float(rng.uniform(1e-3, 2.0))
+            # one huge, infinite or NaN entry in y (call 0) or in the
+            # derivative of one of the seven stages (calls 1 to 7)
+            value = (None, 1e300, math.inf, math.nan)[i % 4]
+            call, where = int(rng.integers(8)), int(rng.integers(n))
+            if value is None:
+                call = -1
+            else:
+                value *= float(rng.choice([-1.0, 1.0]))
+                if call == 0:
+                    y[where] = value
             with np.errstate(all="ignore"):
-                expected = float(np.sqrt(np.mean((err / tol) ** 2)))
-            got = error_norm(err.tolist(), y.tolist(), y5.tolist(), abs_tol.tolist(), rel_tol)
-            assert got == expected or (math.isnan(got) and math.isnan(expected)), (i, got, expected)
+                rhs = planted_rhs(rate, call, where, value)
+                y5_ref, err_ref = reference_dp54_step(rhs, 0.5, y, h, None, reference_project)
+                expected = reference_error_norm(err_ref, y, y5_ref, abs_tol, rel_tol)
+            rhs = planted_rhs(rate, call, where, value)
+            y_list = y.tolist()
+            y5, got, _, _ = _generated("dp54", n, spans)(
+                rhs, 0.5, y_list, h, rhs(0.5, y_list), 0.5 + h, abs_tol.tolist(), rel_tol
+            )
+            assert np.array_equal(y5, y5_ref, equal_nan=True), i
+            assert same_float(got, expected), (i, got, expected)
+
+
+def planted_rhs(rate, call, where, value):
+    """``ydot_0 = rate_0 * t`` and ``ydot_i = rate_i * (y_i-1 + t)``, ``value`` planted.
+
+    Call number ``call`` returns ``value`` in component ``where``.  No
+    component reads the last one, so a non-finite last component of ``y``
+    reaches ``y5`` but not the error estimate.
+    """
+    calls = 0
+
+    def rhs(t, y):
+        nonlocal calls
+        calls += 1
+        ydot = [rate[0] * t] + [r * (v + t) for r, v in zip(rate[1:], y)]
+        if calls == call:
+            ydot[where] = value
+        return ydot
+
+    return rhs
 
 
 class TestStepContract:
-    """Both generated steps take ``(rhs, t, y, h, k1, t_end)`` and return a 4-tuple."""
+    """Both generated steps take ``(rhs, t, y, h, k1, t_end, abs_tol, rel_tol)``.
+
+    Each returns a 4-tuple.
+    """
 
     @pytest.mark.parametrize("kind, n_stages", [("rk4", 4), ("dp54", 7)])
-    @pytest.mark.parametrize("n", [1, 6, 10])
-    def test_one_signature_and_result(self, kind, n_stages, n):
+    @pytest.mark.parametrize(
+        "n, spans", [(1, ()), (6, ()), (10, ()), (10, RV_SPANS), (8, RVH_SPANS)]
+    )
+    def test_one_signature_and_result(self, kind, n_stages, n, spans):
         calls = []
 
         def rhs(t, y):
@@ -729,18 +822,22 @@ class TestStepContract:
         k1 = rhs(t, y)
         t_end = math.nextafter(t + h, -math.inf)
         del calls[:]
-        out = _generated(kind, n)(rhs, t, y, h, k1, t_end)
+        out = _generated(kind, n, spans)(rhs, t, y, h, k1, t_end, [ABS_TOL] * n, REL_TOL)
         assert isinstance(out, tuple) and len(out) == 4
-        y_new, err, k_last, stages = out
-        assert len(y_new) == n and all(isinstance(v, float) for v in y_new)
+        y_new, err_norm, k_last, stages = out
+        assert type(y_new) is list and len(y_new) == n
+        assert all(type(v) is float for v in y_new)
+        for lo, hi in spans:
+            assert abs(math.hypot(*y_new[lo:hi]) - 1.0) <= 1e-15
         # the caller's first stage is used as given, never evaluated again
         assert len(calls) == n_stages - 1 and t not in calls
         assert len(stages) == n_stages and stages[0] is k1
+        assert type(err_norm) is float
         if kind == "rk4":
-            assert err is None and k_last is None
+            assert err_norm == 0.0 and k_last is None
             assert calls[-1] == t_end
         else:
-            assert len(err) == n
+            assert 0.0 < err_norm < math.inf
             assert calls[-2:] == [t_end, t_end]
             assert k_last == rhs(t_end, y_new) and stages[-1] is k_last
 
@@ -805,11 +902,26 @@ class TestFailurePolicy:
 class TestGeneratedSource:
     """The generated steps show their own lines in ``inspect`` and in tracebacks."""
 
-    def test_source_is_registered(self):
-        for kind in ("rk4", "dp54", "error_norm"):
-            fn = _generated(kind, 4)
-            assert inspect.getsourcefile(fn) == f"<quatflight {kind} n=4>"
-            assert inspect.getsource(fn).startswith(f"def {kind}(")
+    @pytest.mark.parametrize("kind", ["rk4", "dp54", "project"])
+    @pytest.mark.parametrize(
+        "spans, name",
+        [
+            ((), "n=10"),
+            (RV_SPANS, "n=10 spans=((1, 5), (6, 10))"),
+            (RVH_SPANS, "n=10 spans=((1, 5), (6, 8))"),
+        ],
+    )
+    def test_source_is_registered(self, kind, spans, name):
+        fn = _generated(kind, 10, spans)
+        assert inspect.getsourcefile(fn) == f"<quatflight {kind} {name}>"
+        source = inspect.getsource(fn)
+        assert source.startswith(f"def {kind}(")
+        # each block is divided by its norm, and nothing else is
+        norms = [line.strip() for line in source.splitlines() if "hypot" in line]
+        blocks = [", ".join(f"z_{i}" for i in range(lo, hi)) for lo, hi in spans]
+        assert norms == [f"n = hypot({block})" for block in blocks]
+        divided = [line.strip() for line in source.splitlines() if line.endswith(" / n")]
+        assert divided == [f"z_{i} = z_{i} / n" for lo, hi in spans for i in range(lo, hi)]
 
     @pytest.mark.parametrize(
         "method, line",
@@ -965,9 +1077,10 @@ class TestProjectionKeepsFirstSameAsLast:
 
     def test_projected_steps_bitwise_equal_to_textbook_forms(self):
         for name, rhs, t, y in random_cases(seed=12, n=8):
-            spans = PARAMETERIZATIONS[name].quat_spans
-            project = lambda v: renormalize_quaternion_blocks(v, spans)
+            spec = PARAMETERIZATIONS[name]
+            spans = spec.quat_spans
             reference_project = lambda v: reference_renormalize(v, spans)
+            abs_tol = ABS_TOL * np.asarray(spec.scales)
             y_list = y.tolist()
             for h in STEPS:
                 try:
@@ -976,10 +1089,12 @@ class TestProjectionKeepsFirstSameAsLast:
                 except SingularityError:
                     continue
                 k1 = rhs(t, y_list)
-                y5, err, k7, _ = _generated("dp54", len(y))(rhs, t, y_list, h, k1, t + h, project)
-                assert np.array_equal(y5, y5_ref) and np.array_equal(err, err_ref), (name, h)
+                step = _generated("dp54", len(y), spans)
+                y5, err_norm, k7, _ = step(rhs, t, y_list, h, k1, t + h, abs_tol.tolist(), REL_TOL)
+                assert np.array_equal(y5, y5_ref), (name, h)
+                assert err_norm == reference_error_norm(err_ref, y, y5_ref, abs_tol), (name, h)
                 assert k7 == rhs(t + h, y5), (name, h)
-                y4 = _generated("rk4", len(y))(rhs, t, y_list, h, k1, t + h, project)[0]
+                y4 = rk4_step(rhs, t, y_list, h, k1, spans=spans)[0]
                 assert np.array_equal(y4, rk4_ref), (name, h)
 
 
@@ -1019,8 +1134,9 @@ class TestNoAliasingNoMutation:
                     label = (name, step_name, layout)
                     assert np.array_equal(owner, before), label
                     for a, b, ref in zip(first, second, expected):
-                        if ref is None:  # RK4's error estimate and last-stage derivative
-                            assert a is None and b is None, label
+                        if not isinstance(ref, (list, tuple)):
+                            # the error norm, and RK4's missing last-stage derivative
+                            assert a == ref and b == ref, label
                             continue
                         assert np.array_equal(a, ref), label
                         assert np.array_equal(b, ref), label
