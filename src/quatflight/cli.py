@@ -90,8 +90,25 @@ def cmd_run(args) -> int:
     return exit_code
 
 
+def _bench_json_path(json_path):
+    """Where the bench JSON goes, created before any form is timed; None without a path.
+
+    A bare file name goes into the output directory.  A file that cannot be
+    created or opened for writing is a ``ConfigError``, so it costs no timing.
+    """
+    if not json_path:
+        return None
+    out = resolve_output_dir(None) / json_path if "/" not in json_path else json_path
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ConfigError([f"output file: {exc}"]) from exc
+    return out
+
+
 def cmd_bench(args) -> int:
     config = load_scenario(args.config)
+    out = _bench_json_path(args.json_path)
     rows, stops = [], {}
     for name in config.parameterizations:
         try:
@@ -104,11 +121,9 @@ def cmd_bench(args) -> int:
     print(format_bench_table(rows))
     for name, (kind, message) in stops.items():
         print(f"{name}: {kind} ({message})")
-    if args.json_path:
-        payload = [row.__dict__ for row in rows]
-        out = resolve_output_dir(None) / args.json_path if "/" not in args.json_path else args.json_path
+    if out is not None:
         with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump([row.__dict__ for row in rows], fh, indent=2)
         print(f"wrote {out}")
     kinds = {name: kind for name, (kind, _) in stops.items()}
     return exit_code_for(kinds, config.stop.expected_guards)

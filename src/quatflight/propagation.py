@@ -19,24 +19,27 @@ entirely here, and it is applied inside the step:
   ``h * e7 * L * |P(y5) - y5|`` for a Lipschitz constant ``L`` of the
   derivative.
 
-Steps land exactly only on the control knots (``t_knots``) and on the
-terminal time.  The derivative may jump at a knot:
-``PiecewiseLinear.rate`` is right-continuous, so at a knot it already gives
-the next segment's slope.  An adaptive step that lands on a knot evaluates
-its two ``c = 1`` stages, 6 and 7, at the left limit
-``nextafter(knot, -inf)``, so the whole step integrates the segment that
-ends there; the next step starts at the knot on the next segment.  This is
-one-sided integration up to a discontinuity (Gear & Osterby, ACM TOMS
-10(1), 1984).  Evaluated at the knot itself, those stages would put an O(1)
-jump into the error estimate of every attempt to land, and the step would
-creep up to the knot through a cascade of rejections.  The fixed RK4 step
-evaluates its last stage at the knot itself.
+Steps land exactly only on the control knots (``t_knots``) inside ``(t0,
+t_final)`` and on the terminal time.  A step that would stop short of the
+next one by less than ``1e-6`` of its length, or whose end rounds onto it,
+lands there and takes the whole gap, so no sliver step follows.  The
+derivative may jump at a knot: ``PiecewiseLinear.rate`` is
+right-continuous, so at a knot it already gives the next segment's slope,
+and past the terminal time it may not be defined.  Every landing is reached
+from the left: an adaptive step that lands evaluates its two ``c = 1``
+stages, 6 and 7, at ``nextafter(landing, -inf)``, so the whole step
+integrates the segment that ends there.  This is one-sided integration up
+to a discontinuity (Gear & Osterby, ACM TOMS 10(1), 1984).  Evaluated at
+the landing itself, those stages would put an O(1) jump into the error
+estimate of every attempt to land, and the step would creep up to it
+through a cascade of rejections.  The fixed RK4 step evaluates its last
+stage at the end of the step.
 
 Every accepted step has a continuous extension built from the stage
 derivatives it already computed, so it costs no derivative evaluation: the
 free 4th-order interpolant of Dormand-Prince 5(4) (Shampine, Math. Comp.
 46, 1986; the coefficients of scipy's ``RK45.P``), and the standard
-3rd-order one of RK4.  A step that lands on a knot interpolates with the
+3rd-order one of RK4.  An adaptive step that lands interpolates with the
 left-limit stages it integrated with.  Two things read the extension:
 
 * output times (``t_eval``, a comparison grid).  They never shorten a step,
@@ -474,26 +477,6 @@ def _dense(t, h, y, stages, p):
     return lambda s: (y + ((s - t) / h) ** exponents @ q).tolist()
 
 
-class _BreakSchedule:
-    """Iterator over the forced landing times within (t0, t_final]: the
-    control knots and the terminal time.
-
-    ``knots`` holds the landing times that are control knots, the terminal
-    time included when it is one.
-    """
-
-    def __init__(self, t0, t_final, t_knots=()):
-        self.knots = {float(b) for b in t_knots if t0 < b <= t_final}
-        self.points = sorted(b for b in self.knots if b < t_final)
-        self.points.append(t_final)
-        self.i = 0
-
-    def next_after(self, t):
-        while self.i < len(self.points) and self.points[self.i] <= t + 1e-15:
-            self.i += 1
-        return self.points[self.i] if self.i < len(self.points) else None
-
-
 def propagate(
     rhs: Callable,
     t0: float,
@@ -538,11 +521,13 @@ def propagate(
         are many orders of magnitude above quaternion components).
     t_knots : sequence of float
         Times where ``rhs`` may jump (control-profile knots).  They and the
-        terminal time are the only times the stepper lands on.  An adaptive
-        step that lands on a knot evaluates its two ``c = 1`` stages at the
-        left limit ``nextafter(knot, -inf)`` and hands the next step no
-        stage-7 derivative, so each step sees one smooth segment of the
-        controls.
+        terminal time are the only times the stepper lands on; a step that
+        would stop short of one by less than ``1e-6`` of its length lands
+        there.  An adaptive step that lands evaluates its two ``c = 1``
+        stages at the left limit ``nextafter(landing, -inf)`` and hands the
+        next step no stage-7 derivative, so each step sees one smooth
+        segment of the controls; an adaptive run never evaluates ``rhs`` at
+        or after ``t_final``.
 
     A derivative failure ends the run or rejects the step as the module
     docstring states; no ``SingularityError`` or ``ArithmeticError`` that
@@ -579,7 +564,9 @@ def propagate(
     n_rows = 1
     n_steps = 0
     n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_knots)
+    # the times still to land on, the next one last: the knots inside
+    # (t0, t_final), then t_final
+    landings = sorted({t_final, *(float(b) for b in t_knots if t0 < b < t_final)}, reverse=True)
     spans = tuple(map(tuple, quat_spans)) if config.renormalize_every_step else ()
     adaptive = config.method == "rk45-adaptive"
     step = _generated("dp54" if adaptive else "rk4", len(y), spans)
@@ -630,27 +617,24 @@ def propagate(
         g_prev = radius_fn(y) - radius_target
 
     k1 = None  # the derivative at (t, y), once known
-    target = schedule.next_after(t)
     while True:
-        if target is None:
-            return stop("terminal_time")
         if n_steps + n_rejected >= config.max_steps:
             return stop("step_failure", "maximum step count exceeded")
 
-        h_try = min(h, target - t)
-        # a step whose end rounds onto the target lands there too; otherwise
-        # the next step would have length zero
-        landing = h_try >= target - t - 1e-15 or t + h_try >= target
+        target = landings[-1]
+        # a step that would stop short of the target by less than a millionth
+        # of itself, or whose end rounds onto it, lands there and integrates
+        # the whole gap; otherwise a sliver step would follow
+        landing = target - t - h < 1e-6 * h or t + h >= target
+        h_try = target - t if landing else h
         if k1 is None:
             try:
                 k1 = counted_rhs(t, y)
             except DERIVATIVE_FAILURES as exc:
                 return stop(*stop_for(exc))
-        # the time of the last stage; an adaptive step reaches a knot from the left
-        if adaptive and landing and target in schedule.knots:
-            t_end = nextafter(target, -inf)
-        else:
-            t_end = t + h_try
+        # the time of the last stage; an adaptive step reaches every landing
+        # from the left
+        t_end = nextafter(target, -inf) if adaptive and landing else t + h_try
         try:
             y_new, err_norm, k_last, stages = step(
                 counted_rhs, t, y, h_try, k1, t_end, abs_tol, rel_tol
@@ -669,11 +653,14 @@ def propagate(
                 return stop("step_failure", "non-finite state")
             err_norm = inf
 
+        if adaptive:
+            # the next step's length, after a rejection (at most 0.9 times
+            # this one) or an acceptance (at most 5 times)
+            factor = 0.9 * err_norm ** -0.2 if err_norm > 0.0 else 5.0
+            h = h_try * min(0.9 if err_norm > 1.0 else 5.0, max(0.2, factor))
         if err_norm > 1.0:
             # the retry starts from the same (t, y) and keeps k1
             n_rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** (-0.2))
-            h = h_try * min(factor, 0.9)
             if h < 1e-14 * max(abs(t), 1.0):
                 return stop(*(failure or ("step_failure", "step size underflow")))
             continue
@@ -718,16 +705,9 @@ def propagate(
         y = y_new
 
         if landing:
-            if target >= t_final:
+            landings.pop()
+            if not landings:
                 return stop("terminal_time")
-            target = schedule.next_after(t)
-
-        if adaptive:
-            if err_norm > 0.0:
-                factor = 0.9 * err_norm ** (-0.2)
-            else:
-                factor = 5.0
-            h = h_try * min(5.0, max(0.2, factor))
 
 
 def _locate_crossing(dense, t_a, t_b, g_a, g_b, radius_fn, target):

@@ -17,10 +17,12 @@ list of names.  A number is an int or a float, not a bool or a string; it
 must fit in a float, be finite and meet its bound, and a count (a key whose
 default is an int) must be whole.  A name is a string from a known set.
 Each bad value is one ``ConfigError`` message that begins with its dotted
-path.  A :class:`ScenarioConfig` derives every form's initial row once, when
-it is built, and every run reads the row it holds: a state that a form
-cannot start from is a ``ConfigError`` too, while a singularity of a form's
-gauge there stays that form's ``singularity_guard`` at run time.
+path, and so is each key that no table or accessor reads (``"<dotted
+path>: unknown key"``): a misspelled key is an error, not a default.  A
+:class:`ScenarioConfig` derives every form's initial row once, when it is
+built, and every run reads the row it holds: a state that a form cannot
+start from is a ``ConfigError`` too, while a singularity of a form's gauge
+there stays that form's ``singularity_guard`` at run time.
 
 Each form has one conversion to Cartesian coordinates, its
 ``to_cartesian_rows`` over state rows: each CSV converts the rows it
@@ -257,6 +259,12 @@ class _Reader:
             return {}
         return value
 
+    def known(self, data, keys, path=""):
+        """Fail once for each key of the section ``data`` that is not in ``keys``."""
+        for key in data:
+            if key not in keys:
+                self.fail(f"{path}.{key}" if path else f"{key}", "unknown key")
+
     def fields(self, data, table, path) -> dict:
         """The value of each key of ``table`` in the section ``data``, by key."""
         out = {}
@@ -353,28 +361,38 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     if type(data) is not dict:
         raise ConfigError(["top level: must be a mapping"])
     v = _Reader()
+    v.known(data, ["name", *_RECORDS, "initial_state", "controls", "integrator", "stop",
+                   "parameterizations", *_TOP_LEVEL])
     name = v.name(data, "name", "name", None, name_hint)
     sections = {key: v.section(data, key) for key in _RECORDS}
     records = {key: v.fields(sections[key], table, key) for key, (_, table) in _RECORDS.items()}
+    for key, (_, table) in _RECORDS.items():
+        # vehicle.thrust is read below, to reject a nonzero value
+        v.known(sections[key], [*table, "thrust"] if key == "vehicle" else table, key)
     if v.number(sections["vehicle"], "thrust", "vehicle.thrust", 0.0) != 0.0:
         v.fail("vehicle.thrust", "no force reads it; give the thrust as controls.thrust")
 
     sec = v.section(data, "initial_state")
     kind = v.name(sec, "kind", "initial_state.kind", tuple(_INITIAL_ROWS))
     row = v.fields(sec, _INITIAL_ROWS.get(kind, {}), "initial_state")
+    if kind in _INITIAL_ROWS:
+        v.known(sec, ["kind", *_INITIAL_ROWS[kind]], "initial_state")
 
     sec = v.section(data, "controls", required=False)
     profiles = {key: v.profile(sec, key, f"controls.{key}") for key in _PROFILES}
     bank_mode = v.name(sec, "bank_mode", "controls.bank_mode", BANK_MODES, "sigma")
+    v.known(sec, [*_PROFILES, "bank_mode"], "controls")
 
     sec = v.section(data, "integrator", required=False)
     method = v.name(sec, "method", "integrator.method", METHODS, "rk45-adaptive")
     renormalize = v.name(sec, "renormalize", "integrator.renormalize", (True, False), True)
     steps = v.fields(sec, _INTEGRATOR, "integrator")
+    v.known(sec, ["method", "renormalize", *_INTEGRATOR], "integrator")
 
     sec = v.section(data, "stop")
     stop = v.fields(sec, _STOP, "stop")
     guards = v.names(sec, "expected_guards", "stop.expected_guards", _FORMS)
+    v.known(sec, [*_STOP, "expected_guards"], "stop")
     params = v.names(data, "parameterizations", "parameterizations", _FORMS, _FORMS)
     top = v.fields(data, _TOP_LEVEL, "")
 
@@ -443,12 +461,19 @@ def initial_array_for(name: str, config: ScenarioConfig):
 
 
 def resolve_output_dir(outdir=None) -> Path:
-    """CLI flag, then the environment variable, then the working directory."""
+    """CLI flag, then the environment variable, then the working directory, created if missing.
+
+    A directory that cannot be created, such as a path to an existing file,
+    is a ``ConfigError``.
+    """
     if outdir:
         path = Path(outdir)
     else:
         path = Path(os.environ.get(OUTPUT_DIR_ENV_VAR, "."))
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"output directory: {exc}"]) from exc
     return path
 
 

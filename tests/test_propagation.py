@@ -29,7 +29,6 @@ from quatflight.propagation import (
     EVENT_TIME_TOL,
     IntegratorConfig,
     StopEvent,
-    _BreakSchedule,
     _generated,
     propagate,
 )
@@ -143,17 +142,17 @@ def reference_dp54_step(rhs, t, y, h, t_end=None, project=None):
 def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None, t_knots=()):
     """The array-copying adaptive loop, without events.
 
-    Same controller, knot landings and projection as ``propagate``, with
-    the error norm taken by ``np.mean``.  A step that lands on a knot
-    evaluates its ``c = 1`` stages at the knot's left limit.  Every step
+    Same landings and projection as ``propagate``, and its step-size rule
+    written as two updates, one per outcome, with the error norm taken by
+    ``np.mean``.  A step that lands on a knot or on the terminal time
+    evaluates its ``c = 1`` stages at the landing's left limit.  Every step
     evaluates all seven stages afresh, so there is no first-same-as-last
-    reuse to skip after a knot.  Returns
-    ``(t, y, n_steps, n_rejected)``.
+    reuse to skip after a knot.  Returns ``(t, y, n_steps, n_rejected)``.
     """
     y = np.asarray(y0, dtype=float).copy()
     ts, ys = [t0], [y]
     n_steps = n_rejected = 0
-    schedule = _BreakSchedule(t0, t_final, t_knots)
+    landings = sorted({t_final, *(float(b) for b in t_knots if t0 < b < t_final)}, reverse=True)
     project = None
     if config.renormalize_every_step and quat_spans:
         project = lambda v: reference_renormalize(v, quat_spans)
@@ -162,11 +161,11 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
         abs_tol = abs_tol * np.asarray(scales, dtype=float)
     t = t0
     h = min(1.0, (t_final - t0) / 100.0)
-    target = schedule.next_after(t)
-    while target is not None:
-        h_try = min(h, target - t)
-        landing = h_try >= target - t - 1e-15 or t + h_try >= target
-        t_end = math.nextafter(target, -math.inf) if landing and target in schedule.knots else None
+    while landings:
+        target = landings[-1]
+        landing = target - t - h < 1e-6 * h or t + h >= target
+        h_try = target - t if landing else h
+        t_end = math.nextafter(target, -math.inf) if landing else None
         y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end, project)
         err_norm = reference_error_norm(err, y, y_new, abs_tol, config.rel_tol)
         if math.isnan(err_norm):
@@ -181,9 +180,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
         ts.append(t)
         ys.append(y)
         if landing:
-            if target >= t_final:
-                break
-            target = schedule.next_after(t)
+            landings.pop()
         factor = 0.9 * err_norm ** (-0.2) if err_norm > 0.0 else 5.0
         h = h_try * min(5.0, max(0.2, factor))
     return np.array(ts), np.array(ys), n_steps, n_rejected
@@ -970,6 +967,36 @@ class TestKnotLandings:
         assert 18.9 in traj.t.tolist()
         assert (np.diff(traj.t) > 0).all()
         assert traj.n_evals == 4 * traj.n_steps
+
+    def test_step_just_short_of_a_landing_takes_the_whole_gap(self):
+        # the sum of 0.1 s steps drifts off the knots and the terminal time
+        # by far more than an absolute slack of 1e-15 s: a step that stops
+        # short by less than a millionth of itself lands, or a sliver step
+        # of 1e-12 to 1e-9 s would follow
+        rhs = lambda t, y: [1.0]
+        cfg = IntegratorConfig(method="rk4-fixed", step=0.1)
+        traj, event = propagate(
+            rhs, 0.0, np.array([0.0]), 2000.0, cfg, t_knots=[123.4, 1234.5]
+        )
+        assert (event.kind, event.t_event) == ("terminal_time", 2000.0)
+        assert traj.n_steps == 20_000
+        assert np.diff(traj.t).min() > 0.09
+        assert {123.4, 1234.5} <= set(traj.t.tolist())
+
+    def test_terminal_time_is_reached_from_the_left(self):
+        # the terminal twin of the guard at a knot: the derivative is
+        # undefined from t_final on, which is no knot, and the last step
+        # evaluates its c = 1 stages at t_final's left limit
+        def rhs(t, y):
+            if t >= 2.0:
+                raise SingularityError("past the terminal time")
+            return [1.0]
+
+        traj, event = propagate(rhs, 0.0, np.array([0.0]), 2.0, IntegratorConfig())
+        assert (event.kind, event.t_event) == ("terminal_time", 2.0)
+        assert traj.t[-1] == 2.0
+        assert traj.y[-1][0] == pytest.approx(2.0, abs=1e-12)
+        assert traj.n_rejected == 0
 
     def test_rvl_entry_lands_on_bank_knot_without_cascade(self):
         # rvl in beta mode feeds the bank profile's rate to its derivative

@@ -123,6 +123,20 @@ class TestConfigValidation:
         assert cli_main(["validate", str(path)]) == 2
         assert "config error: controls.bank: " in capsys.readouterr().err
 
+    def test_misspelled_keys_rejected_one_message_each(self):
+        # read as defaults, these keys would run rk45-adaptive at its default
+        # tolerance with no radius stop
+        data = minimal_config_dict()
+        data["integrator"] = {"metod": "rk4-fixed", "rel_tolerance": 1.0e-3}
+        data["stop"] = {"t_final": 50.0, "radus": 6000000.0}
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert sorted(err.value.messages) == [
+            "integrator.metod: unknown key",
+            "integrator.rel_tolerance: unknown key",
+            "stop.radus: unknown key",
+        ]
+
     def test_unknown_bank_mode_rejected(self):
         data = minimal_config_dict()
         data["controls"] = {"bank_mode": "roll"}
@@ -462,6 +476,38 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "envout" / "vertical_dive_rv.csv").exists()
 
+    def test_unwritable_output_path_is_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # an --out that is a file, and a --json in a missing directory, end
+        # the command before anything is propagated or timed
+        import quatflight.cli as cli_module
+
+        work = []
+        monkeypatch.setattr(scenario_module, "propagate", lambda *a, **k: work.append(a))
+        monkeypatch.setattr(cli_module, "benchmark_form", lambda *a: work.append(a))
+        dive = str(bundled_scenario_path("vertical_dive"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for argv, message in (
+            (["run", dive, "--out", str(taken)], "config error: output directory: "),
+            (
+                ["bench", dive, "--evals", "10000", "--json", str(tmp_path / "nodir" / "b.json")],
+                "config error: output file: ",
+            ),
+        ):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(message) and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err and captured.out == ""
+        assert work == []
+        assert not (tmp_path / "nodir").exists()
+
+    def test_bench_json_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QUATFLIGHT_OUTPUT_DIR", str(tmp_path / "envout"))
+        dive = str(bundled_scenario_path("vertical_dive"))
+        assert cli_main(["bench", dive, "--evals", "10000", "--json", "b.json"]) == 0
+        rows = json.loads((tmp_path / "envout" / "b.json").read_text())
+        assert [row["name"] for row in rows] == ["rv", "rvl", "cartesian"]
+
     def test_t0_not_before_t_final_rejected(self, tmp_path, capsys):
         late = tmp_path / "late.yaml"
         late.write_text(yaml.safe_dump(minimal_config_dict(t0=50.0)))  # t_final is 50
@@ -585,6 +631,32 @@ class TestCli:
         ):
             assert cli_main(argv) == 2
             assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "nmae",
+            "body.spin",
+            "atmosphere.rho_0",
+            "aero.cd0",
+            "vehicle.masss",
+            "initial_state.lat",  # a spherical key in a cartesian state
+            "controls.bank_rate",
+            "integrator.metod",
+            "stop.radus",
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, path):
+        config = tmp_path / "typo.yaml"
+        config.write_text(yaml.safe_dump(self.config_with(path, 1.0)))
+        for argv in (
+            ["validate", str(config)],
+            ["run", str(config), "--out", str(tmp_path)],
+            ["bench", str(config)],
+        ):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         "key, value", [("position", [1e200, 0.0, 1e200]), ("velocity", [1e300, 1e300, 0.0])]
