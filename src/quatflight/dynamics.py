@@ -78,9 +78,7 @@ from .states import (
     cartesian_to_rvh,
     cartesian_to_spherical,
     rv_rows_to_cartesian,
-    rvh_pair_norms,
-    rvh_rows_to_cartesian,
-    rvh_unit_pair,
+    rvh_rows_to_rv,
     spherical_rows_to_cartesian,
     twist_about_b1,
 )
@@ -538,26 +536,12 @@ def _rv_bank(t, controls, c21, c31):
     ]
 
 
+_rv_columns = _two_quaternion_columns(_rv_bank)
+
+
 def _rvl_bank(t, controls, c21, c31):
     # the lift gauge's second axis is the lift direction: native bank zero
     return [0.0] * len(t)
-
-
-def _rvh_columns(t, y, controls):
-    sigma = [controls.bank(tk) for tk in t.tolist()]
-    if controls.bank_mode == "beta":
-        # the in-plane gauge's native bank is the physical one offset by pi
-        sigma = [b + pi for b in sigma]
-    eps_b3, eta_b = rvh_unit_pair(y)
-    zero = np.zeros(len(y))
-    return {
-        "norm_qa": row_norms(y[:, 1:5]),
-        "norm_qb": rvh_pair_norms(y),
-        "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
-        "eps_b1": zero, "eps_b2": zero, "eps_b3": y[:, 6], "eta_b": y[:, 7],
-        # C_BA(2,1) and C_BA(3,1) of the in-plane rotation (states.rvh_c_ba_rows)
-        **_bank_columns(sigma, -2.0 * eps_b3 * eta_b, zero),
-    }
 
 
 _NO_QUATERNIONS = (
@@ -582,7 +566,9 @@ class Parameterization:
     * ``to_cartesian_rows(y)`` is the form's one conversion in
       :mod:`quatflight.states`: it renormalizes state rows ``y``
       (n, size), raises the ``ValueError`` of the first row out of range,
-      and gives positions and velocities ``(p, v)``, each (n, 3).
+      and gives positions and velocities ``(p, v)``, each (n, 3).  rvh
+      converts, and gives its ``gauge_columns``, as rv does on its rows
+      widened by ``states.rvh_rows_to_rv``.
     * ``from_cartesian(c, controls, t0)`` gives the row of a physical
       state, in the form's gauge at the initial time ``t0``.
     * ``gauge_columns(t, y, controls)`` gives, for sample times ``t`` (n,)
@@ -592,7 +578,7 @@ class Parameterization:
       Forms without quaternions give NaN for all of these except ``beta``,
       which is their bank command.
     * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
-      quaternions (the rvh in-plane pair counts as one), which the
+      quaternions (rvh's ``(eps_b3, eta_b)`` counts as one), which the
       propagator renormalizes and scenario loading checks.
     * ``scales`` are the per-component error scales of the step controller.
     * ``radius_index`` locates the radius in ``y``; -1 when it must be
@@ -634,7 +620,7 @@ PARAMETERIZATIONS = {
         make_rhs=make_rv_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: cartesian_to_rv(c),
-        gauge_columns=_two_quaternion_columns(_rv_bank),
+        gauge_columns=_rv_columns,
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
@@ -651,9 +637,9 @@ PARAMETERIZATIONS = {
     ),
     "rvh": Parameterization(
         make_rhs=make_rvh_rhs,
-        to_cartesian_rows=rvh_rows_to_cartesian,
+        to_cartesian_rows=lambda y: rv_rows_to_cartesian(rvh_rows_to_rv(y)),
         from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c),
-        gauge_columns=_rvh_columns,
+        gauge_columns=lambda t, y, controls: _rv_columns(t, rvh_rows_to_rv(y), controls),
         quat_spans=((1, 5), (6, 8)),
         scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
         radius_index=0,

@@ -12,11 +12,22 @@ coefficients are a linear lift slope with a parabolic drag polar; both are
 deliberately minimal stand-ins, overridable through the scenario
 configuration.  The derivative functions evaluate the forces from these
 parameters through one kernel, ``dynamics.make_forces``.
+
+Every field of these records must be finite, as in a scenario file, and
+each bound is written so that NaN fails it, as ``not (x > 0.0)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+
+def _require_finite(record):
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,9 +43,10 @@ class CentralBody:
     spin_rate: float
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.radius <= 0.0:
+        _require_finite(self)
+        if not (self.mu > 0.0 and self.radius > 0.0):
             raise ValueError("mu and radius must be positive")
-        if self.spin_rate < 0.0:
+        if not self.spin_rate >= 0.0:
             raise ValueError("spin_rate must be non-negative")
 
 
@@ -46,9 +58,10 @@ class Atmosphere:
     scale_height: float
 
     def __post_init__(self):
-        if self.rho0 < 0.0:
+        _require_finite(self)
+        if not self.rho0 >= 0.0:
             raise ValueError("rho0 must be non-negative")
-        if self.scale_height <= 0.0:
+        if not self.scale_height > 0.0:
             raise ValueError("scale_height must be positive")
 
 
@@ -62,9 +75,10 @@ class AeroModel:
     k: float
 
     def __post_init__(self):
-        if self.s <= 0.0:
+        _require_finite(self)
+        if not self.s > 0.0:
             raise ValueError("reference area must be positive")
-        if self.cd0 < 0.0 or self.k < 0.0:
+        if not (self.cd0 >= 0.0 and self.k >= 0.0):
             raise ValueError("cd0 and k must be non-negative")
 
 
@@ -79,7 +93,8 @@ class Vehicle:
     thrust_offset: float = 0.0
 
     def __post_init__(self):
-        if self.mass <= 0.0:
+        _require_finite(self)
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
 
 

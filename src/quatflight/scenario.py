@@ -429,7 +429,7 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
 def _check_unit_blocks(init: InitialState):
     """Reject, renormalize in place, or keep each quaternion block of ``init.y``."""
     for lo, hi in PARAMETERIZATIONS[init.kind].quat_spans:
-        n = float(np.linalg.norm(init.y[lo:hi]))
+        n = float(row_norms(init.y[None, lo:hi])[0])
         if not abs(n - 1.0) <= _UNIT_NORM_ERROR:
             raise ValueError(f"quaternion norm {n!r} violates unit constraint")
         if abs(n - 1.0) > _UNIT_NORM_KEEP:
@@ -592,11 +592,9 @@ def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
             "accepted_steps": traj.n_steps,
             "rejected_steps": traj.n_rejected,
         }
-        drift = []
-        for lo, hi in spec.quat_spans:
-            norms = np.linalg.norm(traj.y[:, lo:hi], axis=1)
-            drift.append(float(np.max(np.abs(norms - 1.0))))
-        norm_drift[res.name] = drift
+        norm_drift[res.name] = [
+            float(np.max(np.abs(row_norms(traj.y[:, lo:hi]) - 1.0))) for lo, hi in spec.quat_spans
+        ]
         final_states[res.name] = {
             "t": float(traj.t[-1]),
             "position": p[-1].tolist(),

@@ -11,9 +11,11 @@ state as one flat row of floats, in this layout:
   A.  The lift-aligned ``rvl`` form pins B's second axis to the positive
   lift direction by its gauge rule.
 * ``rvh`` -- ``(r, eps_a1, eps_a2, eps_a3, eta_a, v, eps_b3, eta_b)``: the
-  third axes of A and B both point along the relative angular momentum,
-  leaving one in-plane rotation between them, stored as the sine/cosine
-  pair of its half angle.
+  third axes of A and B both point along the relative angular momentum, so
+  B over A is a rotation about that axis with Euler parameters ``(0, 0,
+  eps_b3, eta_b)``.  :func:`rvh_rows_to_rv` widens such rows to the
+  ten-parameter rows they are, which is how every conversion and diagnostic
+  reads them; only the derivative works on the eight parameters.
 * ``spherical`` -- ``(r, lon, lat, v, gamma, psi)``: radius, longitude in
   the rotating observation frame, geocentric latitude, speed, flight path
   angle (positive above the local horizontal) and azimuth (from north,
@@ -25,17 +27,17 @@ state as one flat row of floats, in this layout:
 
 Each form converts state rows (n, size) to Cartesian coordinates through
 exactly one function: ``rv_rows_to_cartesian`` (shared by ``rv`` and
-``rvl``), ``rvh_rows_to_cartesian``, ``spherical_rows_to_cartesian`` and
-``cartesian_rows_to_cartesian``.  These hold a state's validity rules.
+``rvl``, and by ``rvh`` on its widened rows), ``spherical_rows_to_cartesian``
+and ``cartesian_rows_to_cartesian``.  These hold a state's validity rules.
 Each renormalizes the rows' quaternions and raises the ``ValueError`` of
-the first row that breaks a rule of its form: a zero-norm quaternion or
-in-plane pair, a radius that is not positive, a speed that is not
-positive (``rv``, ``rvl``, ``rvh``), a latitude or flight path angle
-outside [-pi/2, pi/2] by more than 1e-12 (``spherical``), a zero
-position, or a velocity component that is not finite.  Each rule is
-written so that NaN fails it, as ``not (x > 0.0)``.  It returns positions
-and velocities ``(p, v)``, each (n, 3).  A single state converts as a
-one-row stack.
+the first row that breaks a rule of its form: a zero-norm quaternion, or
+one off unit norm after renormalizing (``rv``, ``rvl``, ``rvh``), a radius
+that is not positive, a speed that is not positive (``rv``, ``rvl``,
+``rvh``), a latitude or flight path angle outside [-pi/2, pi/2] by more
+than 1e-12 (``spherical``), a zero position, or a velocity component that
+is not finite.  Each rule is written so that NaN fails it, as
+``not (x > 0.0)``.  It returns positions and velocities ``(p, v)``, each
+(n, 3).  A single state converts as a one-row stack.
 
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
@@ -210,55 +212,18 @@ def rv_rows_to_cartesian(y):
     u[:, 6:10] = renormalize_rows(u[:, 6:10])
     _require_positive(u[:, 0], "radius")
     _require_positive(u[:, 5], "speed")
-    return _through_frames(u, dcm_rows(u[:, 6:10]))
-
-
-def rvh_rows_to_cartesian(y):
-    """Positions and velocities (n, 3) of eight-parameter rows ``y`` (n, 8).
-
-    The in-plane pair and then the position quaternion are renormalized
-    before the radius, the speed and the pair's norm are checked.
-    """
-    u = np.array(y, dtype=float)
-    u[:, 6], u[:, 7] = rvh_unit_pair(u)
-    u[:, 1:5] = renormalize_rows(u[:, 1:5])
-    _require_positive(u[:, 0], "radius")
-    _require_positive(u[:, 5], "speed")
-    n = np.hypot(u[:, 6], u[:, 7])
-    bad = ~(np.abs(n - 1.0) <= 1e-9)
-    if bad.any():
-        raise ValueError(
-            f"in-plane rotation pair norm {float(n[bad][0])!r} violates unit constraint"
-        )
-    return _through_frames(u, rvh_c_ba_rows(u[:, 6], u[:, 7]))
-
-
-def rvh_pair_norms(y):
-    """The ``math.hypot`` norm of the in-plane pair of each eight-parameter row of ``y``."""
-    return np.array([math.hypot(a, b) for a, b in y[:, 6:8].tolist()], dtype=float)
-
-
-def rvh_unit_pair(y):
-    """The in-plane pair of each eight-parameter row of ``y`` over its :func:`rvh_pair_norms`."""
-    n = rvh_pair_norms(y)
-    if (n == 0.0).any():
-        raise ValueError("cannot renormalize a zero-norm in-plane rotation pair")
-    return y[:, 6] / n, y[:, 7] / n
-
-
-def rvh_c_ba_rows(eps_b3, eta_b) -> np.ndarray:
-    """DCMs (n, 3, 3) of B over A, a rotation about the third axis, from unit in-plane pairs (n,)."""
-    c = 1.0 - 2.0 * eps_b3 * eps_b3
-    s = 2.0 * eps_b3 * eta_b
-    zero, one = np.zeros(len(c)), np.ones(len(c))
-    return np.stack((c, s, zero, -s, c, zero, zero, zero, one), axis=1).reshape(-1, 3, 3)
-
-
-def _through_frames(u, c_ba):
-    """Positions and velocities of rows ``u`` (radius, unit A quaternion, speed, ...)
-    whose B frames have the DCMs ``c_ba`` (n, 3, 3) over A."""
     c_ae = dcm_rows(u[:, 1:5])
-    return _nonzero_positions(u[:, 0:1] * c_ae[:, 0, :], u[:, 5:6] * (c_ba @ c_ae)[:, 0, :])
+    c_be = dcm_rows(u[:, 6:10]) @ c_ae
+    return _nonzero_positions(u[:, 0:1] * c_ae[:, 0, :], u[:, 5:6] * c_be[:, 0, :])
+
+
+def rvh_rows_to_rv(y):
+    """The ten-parameter rows (n, 10) of eight-parameter rows ``y`` (n, 8).
+
+    B over A is a rotation about the common third axis, so its Euler
+    parameters are ``(0, 0, eps_b3, eta_b)``.
+    """
+    return np.insert(np.asarray(y, dtype=float), [6, 6], 0.0, axis=1)
 
 
 def spherical_rows_to_cartesian(y):

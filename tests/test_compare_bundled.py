@@ -67,7 +67,36 @@ def test_a_signed_zero_differs(tmp_path):
     parent = write_tree(tmp_path / "parent")
     flipped = report(0.25).replace("-0.0", "0.0")
     change = write_tree(tmp_path / "change", **{"dive_comparison.json": flipped})
-    assert compare_bundled.differences(parent, change) == ["differs: dive/dive_comparison.json"]
+    assert compare_bundled.differences(parent, change) == [
+        "differs: dive/dive_comparison.json\n"
+        "  1 of 5 values differ\n"
+        "    final_states.rv: 1 values, largest 0.000e+00"
+    ]
+
+
+def test_a_differing_json_is_measured(tmp_path):
+    old = {
+        "pairs": {"rv|rvh": {"t": [0.0, 1.0], "e_v": [1.0, 2.0, 3.0]}},
+        "norm_drift": {"rvh": [2.0e-16, float("nan")]},
+        "timing": {"rvh": {"wall_time_s": 0.5, "stop": "terminal_time"}},
+    }
+    new = {
+        "pairs": {"rv|rvh": {"t": [0.0, 1.0], "e_v": [1.5, 2.0, 2.75, 4.0]}},
+        "norm_drift": {"rvh": [1.0e-16, 1.0]},
+        "timing": {"rvh": {"wall_time_s": 9.0, "stop": "radius_crossing", "steps": 3}},
+    }
+    parent = write_tree(tmp_path / "parent", **{"dive_comparison.json": json.dumps(old)})
+    change = write_tree(tmp_path / "change", **{"dive_comparison.json": json.dumps(new)})
+    (found,) = compare_bundled.differences(parent, change)
+    # list indices are dropped and wall_time_s is ignored
+    assert found.split("\n") == [
+        "differs: dive/dive_comparison.json",
+        "  7 of 10 values differ",
+        "    pairs.rv|rvh.e_v: 3 values, largest 5.000e-01, 1 not numbers",
+        "    norm_drift.rvh: 2 values, largest 1.000e-16, 1 not numbers",
+        "    timing.rvh.stop: 1 values, 1 not numbers",
+        "    timing.rvh.steps: 1 values, 1 not numbers",
+    ]
 
 
 @pytest.mark.parametrize("changes, code", [({}, 0), ({"exit_code.txt": "4\n"}, 1)])

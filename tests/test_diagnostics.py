@@ -64,28 +64,14 @@ def ref_dcm(q):
     )
 
 
-def ref_unit_pair(y):
-    """The in-plane pair of an eight-parameter row over its norm."""
-    n = math.hypot(float(y[6]), float(y[7]))
-    return float(y[6]) / n, float(y[7]) / n
-
-
-def ref_rvh_c_ba(y):
-    e3, eta = ref_unit_pair(y)
-    c = 1.0 - 2.0 * e3 * e3
-    sn = 2.0 * e3 * eta
-    return np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
+def ref_widened(y):
+    """The ten-parameter row of an eight-parameter row: B over A is about the third axis."""
+    return np.array([*y[0:6], 0.0, 0.0, *y[6:8]], dtype=float)
 
 
 def ref_rv_to_cartesian(y):
     c_ae = ref_dcm(unit(y[1:5]))
     c_be = ref_dcm(unit(y[6:10])) @ c_ae
-    return CartesianState(float(y[0]) * c_ae[0, :], float(y[5]) * c_be[0, :])
-
-
-def ref_rvh_to_cartesian(y):
-    c_ae = ref_dcm(unit(y[1:5]))
-    c_be = ref_rvh_c_ba(y) @ c_ae
     return CartesianState(float(y[0]) * c_ae[0, :], float(y[5]) * c_be[0, :])
 
 
@@ -106,7 +92,7 @@ def ref_spherical_to_cartesian(y):
 REF_TO_CARTESIAN = {
     "rv": ref_rv_to_cartesian,
     "rvl": ref_rv_to_cartesian,
-    "rvh": ref_rvh_to_cartesian,
+    "rvh": lambda y: ref_rv_to_cartesian(ref_widened(y)),
     "spherical": ref_spherical_to_cartesian,
     "cartesian": lambda y: CartesianState(y[0:3].copy(), y[3:6].copy()),
 }
@@ -164,17 +150,6 @@ def ref_rv_bank(t, controls, c_ba):
         return 0.0
 
 
-def ref_rvh_columns(t, y, controls):
-    sigma = controls.bank(t) if controls.bank_mode == "sigma" else controls.bank(t) + math.pi
-    return {
-        "norm_qa": float(np.linalg.norm(y[1:5])),
-        "norm_qb": math.hypot(y[6], y[7]),
-        "eps_a1": y[1], "eps_a2": y[2], "eps_a3": y[3], "eta_a": y[4],
-        "eps_b1": 0.0, "eps_b2": 0.0, "eps_b3": y[6], "eta_b": y[7],
-        **ref_bank_columns(sigma, ref_rvh_c_ba(y)),
-    }
-
-
 REF_NO_QUATERNIONS = dict.fromkeys(
     ("norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
      "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma"),
@@ -189,7 +164,7 @@ def ref_baseline_columns(t, y, controls):
 REF_GAUGE_COLUMNS = {
     "rv": ref_ten_parameter_columns(ref_rv_bank),
     "rvl": ref_ten_parameter_columns(lambda t, controls, c_ba: 0.0),
-    "rvh": ref_rvh_columns,
+    "rvh": lambda t, y, controls: REF_GAUGE_COLUMNS["rv"](t, ref_widened(y), controls),
     "spherical": ref_baseline_columns,
     "cartesian": ref_baseline_columns,
 }
@@ -257,7 +232,7 @@ def ref_build_comparison(config, results):
         }
         drift = []
         for lo, hi in spec.quat_spans:
-            norms = np.linalg.norm(traj.y[:, lo:hi], axis=1)
+            norms = np.array([np.linalg.norm(row[lo:hi]) for row in traj.y])
             drift.append(float(np.max(np.abs(norms - 1.0))))
         norm_drift[res.name] = drift
         cart_final = to_cartesian(traj.final_state)
@@ -473,13 +448,12 @@ class TestColumnsMatchReference:
 
     @pytest.mark.parametrize("form", ["rv", "rvh"])
     def test_vertical_rows_take_the_guard_branches(self, form):
-        # the near-vertical rows give beta (and the rv native sigma) exactly 0.0
+        # the near-vertical rows give beta and the native sigma exactly 0.0
         y = random_rows(form, np.random.default_rng(5), n=0)
         columns = sample_diagnostics(form, np.full(len(y), 50.0), y, _controls("beta"), ENV)
         guarded = columns["beta"] == 0.0
         assert 2 <= guarded.sum() < len(y)
-        if form == "rv":
-            assert np.all(columns["sigma"][guarded] == 0.0)
+        assert np.all(columns["sigma"][guarded] == 0.0)
 
     @pytest.mark.parametrize("form", list(PARAMETERIZATIONS))
     def test_one_row(self, form):
@@ -508,7 +482,7 @@ class TestColumnsMatchReference:
             ("rv", 6, (0.0, 0.0, 0.0, 0.0), "zero-norm quaternion"),
             ("rvh", 0, (0.0,), "radius must be positive"),
             ("rvh", 1, (0.0, 0.0, 0.0, 0.0), "zero-norm quaternion"),
-            ("rvh", 6, (0.0, 0.0), "zero-norm in-plane rotation pair"),
+            ("rvh", 6, (0.0, 0.0), "zero-norm quaternion"),
             ("spherical", 0, (-1.0,), "radius must be positive"),
             ("cartesian", 3, (math.nan,), "velocity must be finite"),
             ("spherical", 5, (math.nan,), "velocity must be finite"),

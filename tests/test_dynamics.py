@@ -18,7 +18,6 @@ from quatflight.states import (
     cartesian_to_rv,
     cartesian_to_rvh,
     cartesian_to_spherical,
-    rvh_c_ba_rows,
 )
 
 from reference import (
@@ -507,7 +506,7 @@ class TestBankAngleMaps:
             eps_b3=math.sin(phi / 2),
             eta_b=math.cos(phi / 2),
         )
-        c_ba = rvh_c_ba_rows(s[6:7], s[7:8])[0]
+        c_ba = dcm_from_quat((0.0, 0.0, s[6], s[7]))
         sigma = 0.7
         beta = beta_from_sigma(sigma, c_ba)
         assert abs(((beta - sigma) - math.pi) % (2 * math.pi)) < 1e-12 or abs(

@@ -306,3 +306,22 @@ class TestValidation:
             Vehicle(mass=0.0)
         with pytest.raises(ValueError):
             ControlProfile.constant(bank_mode="bogus")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "record, valid, field",
+        [
+            (CentralBody, {"mu": 1.0, "radius": 1.0, "spin_rate": 0.0}, field)
+            for field in ("mu", "radius", "spin_rate")
+        ]
+        + [(Atmosphere, {"rho0": 1.0, "scale_height": 1.0}, field) for field in ("rho0", "scale_height")]
+        + [
+            (AeroModel, {"s": 1.0, "cl_alpha": 1.0, "cd0": 0.0, "k": 0.0}, field)
+            for field in ("s", "cl_alpha", "cd0", "k")
+        ]
+        + [(Vehicle, {"mass": 1.0, "thrust_offset": 0.0}, field) for field in ("mass", "thrust_offset")],
+    )
+    def test_every_field_must_be_finite(self, record, valid, field, bad):
+        record(**valid)
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {bad!r}"):
+            record(**{**valid, field: bad})

@@ -194,11 +194,15 @@ class TestStateValidation:
 
     def test_rvh_pair_norm(self):
         to_cartesian = PARAMETERIZATIONS["rvh"].to_cartesian
-        with pytest.raises(ValueError, match="zero-norm in-plane rotation pair"):
+        # the pair converts as the quaternion (0, 0, eps_b3, eta_b)
+        with pytest.raises(ValueError, match="zero-norm quaternion"):
             to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 0.0, 0.0))
-        # a subnormal pair loses bits when it is renormalized
-        with pytest.raises(ValueError, match="in-plane rotation pair norm .* violates unit"):
+        # a subnormal pair's squares vanish
+        with pytest.raises(ValueError, match="zero-norm quaternion"):
             to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 5e-324, 5e-324))
+        # squares near the underflow threshold lose bits of the norm
+        with pytest.raises(ValueError, match="quaternion norm 1.0000055664551364 violates unit"):
+            to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 1e-160, 1e-160))
         # any other pair converts as the unit pair along it
         off = to_cartesian(rvh_row(1e6, IDENTITY, 1.0, 0.5, 0.5))
         on = to_cartesian(rvh_row(1e6, IDENTITY, 1.0, HALF_SQRT2, HALF_SQRT2))

@@ -14,7 +14,9 @@ checkout.  Then every difference between the two sides is reported:
 * a CSV, or any other output file, that differs in a byte.  For a CSV the
   report says by how much: how many rows differ, and in each column that
   differs, in how many rows and by how much at most;
-* a comparison JSON that differs outside its ``wall_time_s`` entries;
+* a comparison JSON that differs outside its ``wall_time_s`` entries.  The
+  report says by how much: for each key path, with list indices dropped,
+  how many values differ and by how much at most;
 * a file that only one side wrote;
 * stdout that differs once each side's output directory reads ``<out>``,
   with every line that differs;
@@ -85,6 +87,17 @@ def _difference(a: str, b: str):
         return None
 
 
+def _measured(name: str, found: list, what: str) -> str:
+    """The line of ``name`` whose differing ``what`` differ by ``found`` (``None`` or NaN: not numbers)."""
+    numbers = [d for d in found if d is not None and d == d]
+    parts = [f"{len(found)} {what}"]
+    if numbers:
+        parts.append(f"largest {max(numbers):.3e}")
+    if len(numbers) < len(found):
+        parts.append(f"{len(found) - len(numbers)} not numbers")
+    return f"{name}: {', '.join(parts)}"
+
+
 def csv_summary(old: bytes, new: bytes) -> list:
     """Lines saying by how much two CSVs differ, row by row and column by column."""
     old_rows = list(csv.reader(io.StringIO(old.decode())))
@@ -106,22 +119,49 @@ def csv_summary(old: bytes, new: bytes) -> list:
             if x != y:
                 columns.setdefault(name, []).append(_difference(x, y))
     for name in filter(columns.__contains__, header):
-        found = columns[name]
-        numbers = [d for d in found if d is not None]
-        parts = [f"{len(found)} rows"]
-        if numbers:
-            parts.append(f"largest {max(numbers):.3e}")
-        if len(numbers) < len(found):
-            parts.append(f"{len(found) - len(numbers)} not numbers")
-        lines.append(f"    {name}: {', '.join(parts)}")
+        lines.append("    " + _measured(name, columns[name], "rows"))
     return lines
+
+
+def json_summary(old: bytes, new: bytes) -> list:
+    """Lines saying by how much two JSON documents differ, key path by key path.
+
+    A path joins its keys with dots and drops list indices, so it gathers
+    the values of every list under it.  ``IGNORED_KEY`` entries are left
+    out.  Values compare as :func:`_canonical` compares them.  A value on
+    one side only, such as an entry of a longer list, is not a number.
+    """
+    paths = {}  # key path -> the differences of its values that differ
+    counted = 0
+
+    def walk(a, b, path):
+        nonlocal counted
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in [*a, *(k for k in b if k not in a)]:
+                if key != IGNORED_KEY:
+                    walk(a.get(key), b.get(key), f"{path}.{key}" if path else key)
+        elif isinstance(a, list) and isinstance(b, list):
+            for x, y in itertools.zip_longest(a, b):
+                walk(x, y, path)
+        else:
+            counted += 1
+            if json.dumps(a) != json.dumps(b):
+                numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+                paths.setdefault(path, []).append(abs(a - b) if numbers else None)
+
+    walk(json.loads(old), json.loads(new), "")
+    found = sum(map(len, paths.values()))
+    return [f"  {found} of {counted} values differ"] + [
+        "    " + _measured(path, diffs, "values") for path, diffs in paths.items()
+    ]
 
 
 def differences(parent: Path, change: Path) -> list:
     """One entry per difference between the output trees ``parent`` and ``change``.
 
     An entry's first line names the difference; further lines, indented,
-    show the stdout lines that differ or measure a CSV's difference.
+    show the stdout lines that differ or measure a CSV's or a JSON's
+    difference.
     """
 
     def files(root):
@@ -146,6 +186,8 @@ def differences(parent: Path, change: Path) -> list:
                     lines += [f"  parent: {a}", f"  change: {b}"]
         elif rel.suffix == ".csv":
             lines += csv_summary(old, new)
+        elif rel.suffix == ".json":
+            lines += json_summary(old, new)
         found.append("\n".join(lines))
     return found
 
