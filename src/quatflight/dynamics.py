@@ -2,17 +2,30 @@
 
 The ten-parameter quaternion forms share one structure.  Writing the state
 as radius r, speed v, and the two frame quaternions (position frame A over
-the observation frame E, velocity frame B over A), the kinematics give
+the observation frame E, velocity frame B over A), with bij the entries of
+the direction cosine matrix C_BA of the B Euler parameters (eb, eta_b), the
+kinematics give
 
-    rdot  = v * (1 - 2*(eb2^2 + eb3^2))
-    wa2   = (2v/r) * (eta_b*eb2 - eb1*eb3)
-    wa3   = (2v/r) * (eta_b*eb3 + eb1*eb2)
+    rdot  = v * b11
+    wa2   = -(v/r) * b13
+    wa3   =  (v/r) * b12
 
 and the kinetics, with the apparent force (f1~, f2~, f3~) in the B basis,
 
     vdot  = f1~/m
-    wb2   = -f3~/(m v) - wa1*C_BA(2,1) - (v/r)*C_BA(3,1)
-    wb3   =  f2~/(m v) - wa1*C_BA(3,1) + (v/r)*C_BA(2,1)
+    wb2   = -f3~/(m v) - wa1*b21 - (v/r)*b31
+    wb3   =  f2~/(m v) - wa1*b31 + (v/r)*b21
+
+The apparent force is the aerodynamic and thrust force, banked into B, plus
+gravity -(m mu/r^2) (b11, b21, b31) and, on a body spinning at we, the
+Coriolis and centrifugal terms.  These take the spin axis in B,
+
+    w = C_BA C_AE e3 = u - 2 eta_b (eb x u) + 2 eb x (eb x u),
+
+where u = (a13, a23, a33) is the third column of C_AE, as
+
+    Coriolis     2 m we v (0, -w3, w2)
+    centrifugal  -m we^2 r (a13 w - (b11, b21, b31))
 
 The quaternion rates follow from the angular velocities.  The first
 angular-velocity components wa1 and wb1 are free gauge choices:
@@ -110,10 +123,10 @@ def make_forces(env: Environment) -> Callable:
 
     def forces(r, v, alpha, thrust):
         rho = rho0 * exp((re - r) / hscale) if rho0 != 0.0 else 0.0
-        qdyn = 0.5 * rho * v * v
+        qs = 0.5 * rho * v * v * sref
         cl = cla * alpha
-        lift = qdyn * sref * cl
-        drag = qdyn * sref * (cd0 + kdrag * cl * cl)
+        lift = qs * cl
+        drag = qs * (cd0 + kdrag * cl * cl)
         if thrust != 0.0:
             ad = alpha + delta
             return thrust * cos(ad) - drag, thrust * sin(ad) + lift
@@ -138,7 +151,23 @@ def make_rvl_rhs(controls: ControlProfile, env: Environment) -> Callable:
 
 
 def _make_two_quaternion_rhs(controls, env, lift_along_b2):
+    """The rv or rvl derivative: the module's kinematics and kinetics, term by term.
+
+    Only the entries ``b11, b12, b13, b21, b31`` of C_BA are formed.  The
+    spin axis in B, ``w = C_BA·u`` with ``u`` the third column of C_AE, is
+    one rotation of ``u`` by the B Euler parameters; the gauge rate
+    ``wa1 = 0`` (and rv's ``wb1 = 0``) enters no term.
+
+    In ``beta`` bank mode rv flies ``command + atan2(b31, b21)`` as its
+    native bank.  In exactly vertical flight b21 and b31 are zeros and the
+    {position, velocity} plane is undefined.  rv then takes
+    ``atan2(+0.0, +0.0) = 0`` and flies the command as its native bank, as
+    at the B Euler parameters (0, 0, 0, 1) and (0, 0, 1, 0); a b21 of -0.0
+    would give ±pi instead.  rvl in ``beta`` mode cannot track the bank
+    there and raises "bank tracking undefined in vertical flight".
+    """
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    m_mu, two_m_we, m_we2 = m * mu, 2.0 * m * we, m * we * we
     forces = make_forces(env)
     beta_mode = controls.bank_mode == "beta"
     # the third command: the bank angle (rv), the bank rate (rvl, beta
@@ -161,63 +190,46 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
         b12 = 2.0 * (eb1 * eb2 + eb3 * eta_b)
         b13 = 2.0 * (eb1 * eb3 - eb2 * eta_b)
         b21 = 2.0 * (eb1 * eb2 - eb3 * eta_b)
-        b22 = 1.0 - 2.0 * (eb3 * eb3 + eb1 * eb1)
-        b23 = 2.0 * (eb2 * eb3 + eb1 * eta_b)
         b31 = 2.0 * (eb1 * eb3 + eb2 * eta_b)
-        b32 = 2.0 * (eb2 * eb3 - eb1 * eta_b)
-        b33 = 1.0 - 2.0 * (eb1 * eb1 + eb2 * eb2)
-
-        a13 = 2.0 * (ea1 * ea3 - ea2 * eta_a)
-        a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
-        a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
 
         alpha, thrust, command = lookup(t)
         axial, transverse = forces(r, v, alpha, thrust)
 
-        if lift_along_b2:
-            f2_aero = transverse
-            f3_aero = 0.0
-        elif transverse != 0.0:
-            if beta_mode:
-                sigma = command + atan2(b31, b21)
-            else:
-                sigma = command
-            f2_aero = transverse * cos(sigma)
-            f3_aero = transverse * sin(sigma)
-        else:
-            f2_aero = 0.0
-            f3_aero = 0.0
-
-        grav = m * mu / (r * r)
+        grav = m_mu / (r * r)
         f1 = axial - grav * b11
-        f2 = f2_aero - grav * b21
-        f3 = f3_aero - grav * b31
+        f2 = -grav * b21
+        f3 = -grav * b31
+        if lift_along_b2:
+            f2 += transverse
+        elif transverse != 0.0:
+            sigma = command + atan2(b31, b21) if beta_mode else command
+            f2 += transverse * cos(sigma)
+            f3 += transverse * sin(sigma)
 
         if we != 0.0:
-            be23 = b21 * a13 + b22 * a23 + b23 * a33
-            be33 = b31 * a13 + b32 * a23 + b33 * a33
-            cor = 2.0 * m * we * v
-            g1 = a13 * a13 - 1.0
-            g2 = a13 * a23
-            g3 = a13 * a33
-            cen = m * r * we * we
-            ft1 = f1 - cen * (b11 * g1 + b12 * g2 + b13 * g3)
-            ft2 = f2 - cor * be33 - cen * (b21 * g1 + b22 * g2 + b23 * g3)
-            ft3 = f3 + cor * be23 - cen * (b31 * g1 + b32 * g2 + b33 * g3)
-        else:
-            ft1 = f1
-            ft2 = f2
-            ft3 = f3
+            u1 = 2.0 * (ea1 * ea3 - ea2 * eta_a)
+            u2 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
+            u3 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
+            c1 = eb2 * u3 - eb3 * u2
+            c2 = eb3 * u1 - eb1 * u3
+            c3 = eb1 * u2 - eb2 * u1
+            w1 = u1 + 2.0 * (eb2 * c3 - eb3 * c2 - eta_b * c1)
+            w2 = u2 + 2.0 * (eb3 * c1 - eb1 * c3 - eta_b * c2)
+            w3 = u3 + 2.0 * (eb1 * c2 - eb2 * c1 - eta_b * c3)
+            cor = two_m_we * v
+            cen = m_we2 * r
+            f1 -= cen * (u1 * w1 - b11)
+            f2 -= cor * w3 + cen * (u1 * w2 - b21)
+            f3 += cor * w2 - cen * (u1 * w3 - b31)
 
-        two_v_r = 2.0 * v / r
-        wa2 = two_v_r * (eta_b * eb2 - eb1 * eb3)
-        wa3 = two_v_r * (eta_b * eb3 + eb1 * eb2)
+        # half of each angular rate: the quaternion rates are half products
+        half_v_r = 0.5 * v / r
+        ha2 = -half_v_r * b13
+        ha3 = half_v_r * b12
+        half_minv = 0.5 / (m * v)
+        hb2 = -f3 * half_minv - half_v_r * b31
+        hb3 = f2 * half_minv + half_v_r * b21
 
-        minv = 1.0 / (m * v)
-        wb2 = -ft3 * minv - two_v_r * (eb1 * eb3 + eb2 * eta_b)
-        wb3 = ft2 * minv + two_v_r * (eb1 * eb2 - eb3 * eta_b)
-
-        wa1 = 0.0
         if lift_along_b2:
             if beta_mode:
                 denom = 1.0 - b11 * b11
@@ -225,23 +237,30 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
                     raise SingularityError(
                         "bank tracking undefined in vertical flight"
                     )
-                wb1 = command + (b11 / denom) * (wb2 * b21 + wb3 * b31)
+                hb1 = 0.5 * command + (b11 / denom) * (hb2 * b21 + hb3 * b31)
             else:
-                wb1 = command
+                hb1 = 0.5 * command
+            qb1 = eta_b * hb1 - eb3 * hb2 + eb2 * hb3
+            qb2 = eb3 * hb1 + eta_b * hb2 - eb1 * hb3
+            qb3 = -eb2 * hb1 + eb1 * hb2 + eta_b * hb3
+            qb4 = -(eb1 * hb1 + eb2 * hb2 + eb3 * hb3)
         else:
-            wb1 = 0.0
+            qb1 = eb2 * hb3 - eb3 * hb2
+            qb2 = eta_b * hb2 - eb1 * hb3
+            qb3 = eb1 * hb2 + eta_b * hb3
+            qb4 = -(eb2 * hb2 + eb3 * hb3)
 
         return [
             v * b11,
-            0.5 * (eta_a * wa1 - ea3 * wa2 + ea2 * wa3),
-            0.5 * (ea3 * wa1 + eta_a * wa2 - ea1 * wa3),
-            0.5 * (-ea2 * wa1 + ea1 * wa2 + eta_a * wa3),
-            -0.5 * (ea1 * wa1 + ea2 * wa2 + ea3 * wa3),
-            ft1 / m,
-            0.5 * (eta_b * wb1 - eb3 * wb2 + eb2 * wb3),
-            0.5 * (eb3 * wb1 + eta_b * wb2 - eb1 * wb3),
-            0.5 * (-eb2 * wb1 + eb1 * wb2 + eta_b * wb3),
-            -0.5 * (eb1 * wb1 + eb2 * wb2 + eb3 * wb3),
+            ea2 * ha3 - ea3 * ha2,
+            eta_a * ha2 - ea1 * ha3,
+            ea1 * ha2 + eta_a * ha3,
+            -(ea2 * ha2 + ea3 * ha3),
+            f1 / m,
+            qb1,
+            qb2,
+            qb3,
+            qb4,
         ]
 
     return rhs
@@ -250,6 +269,7 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
 def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
     """Right-hand side of the eight-parameter angular-momentum-gauge form."""
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    m_mu, two_m_we = m * mu, 2.0 * m * we
     forces = make_forces(env)
     lookup = controls.lookup("bank")
     beta_mode = controls.bank_mode == "beta"
@@ -287,7 +307,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
             f2_aero = 0.0
             f3_aero = 0.0
 
-        grav = m * mu / (r * r)
+        grav = m_mu / (r * r)
         f1 = axial - grav * b11
         f2 = f2_aero - grav * b21
         f3 = f3_aero
@@ -295,7 +315,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
         if we != 0.0:
             be23 = b21 * a13 + b22 * a23
             be33 = a33
-            cor = 2.0 * m * we * v
+            cor = two_m_we * v
             g1 = a13 * a13 - 1.0
             g2 = a13 * a23
             g3 = a13 * a33
@@ -310,7 +330,7 @@ def make_rvh_rhs(controls: ControlProfile, env: Environment) -> Callable:
 
         wa1 = ft3 / (2.0 * m * v * pair)
         wa3 = (2.0 * v / r) * eta_b * eb3
-        wb3 = ft2 / (m * v) - (2.0 * v / r) * eta_b * eb3
+        wb3 = ft2 / (m * v) - wa3
 
         return [
             v * b11,
@@ -334,6 +354,7 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
     velocity} plane and is undefined in vertical flight.
     """
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    two_we, we2 = 2.0 * we, we * we
     forces = make_forces(env)
     lookup = controls.lookup("bank")
 
@@ -350,9 +371,10 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
         alpha, thrust, beta = lookup(t)
         axial, transverse = forces(r, v, alpha, thrust)
 
-        ax = (axial / (m * v)) * vx
-        ay = (axial / (m * v)) * vy
-        az = (axial / (m * v)) * vz
+        along = axial / (m * v)
+        ax = along * vx
+        ay = along * vy
+        az = along * vz
 
         if transverse != 0.0:
             hx = py * vz - pz * vy
@@ -381,8 +403,8 @@ def make_cartesian_rhs(controls: ControlProfile, env: Environment) -> Callable:
         az -= gscale * pz
 
         if we != 0.0:
-            ax += 2.0 * we * vy + we * we * px
-            ay += -2.0 * we * vx + we * we * py
+            ax += two_we * vy + we2 * px
+            ay += -two_we * vx + we2 * py
 
         return [vx, vy, vz, ax, ay, az]
 
@@ -426,20 +448,22 @@ def make_spherical_rhs(controls: ControlProfile, env: Environment) -> Callable:
 
         g = mu / (r * r)
         we2r = we * we * r
+        mv = m * v
+        v_r = v / r
 
         rdot = v * sg
         londot = v * cg * sp / (r * ct)
         latdot = v * cg * cp / r
         vdot = axial / m - g * sg + we2r * ct * (sg * ct - cg * cp * st)
         gammadot = (
-            (transverse * cb) / (m * v)
-            + (v / r - g / v) * cg
+            (transverse * cb) / mv
+            + (v_r - g / v) * cg
             + 2.0 * we * sp * ct
             + (we2r / v) * ct * (cg * ct + sg * cp * st)
         )
         psidot = (
-            (transverse * sb) / (m * v * cg)
-            + (v / r) * cg * sp * st / ct
+            (transverse * sb) / (mv * cg)
+            + v_r * cg * sp * st / ct
             - 2.0 * we * ((sg / cg) * cp * ct - st)
             + (we2r / (v * cg)) * sp * st * ct
         )

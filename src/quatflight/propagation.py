@@ -23,9 +23,10 @@ Steps land exactly only on the control knots (``t_knots``) inside ``(t0,
 t_final)`` and on the terminal time.  A step that would stop short of the
 next one by less than ``1e-6`` of its length, or whose end rounds onto it,
 lands there and takes the whole gap, so no sliver step follows.  The
-derivative may jump at a knot: ``PiecewiseLinear.rate`` is
-right-continuous, so at a knot it already gives the next segment's slope,
-and past the terminal time it may not be defined.  Every landing is reached
+derivative may jump at a knot: the rate in the table of
+``ControlProfile.lookup`` is right-continuous, so at a knot it already
+gives the next segment's slope, and past the terminal time the derivative
+may not be defined.  Every landing is reached
 from the left: an adaptive step that lands evaluates its two ``c = 1``
 stages, 6 and 7, at ``nextafter(landing, -inf)``, so the whole step
 integrates the segment that ends there.  This is one-sided integration up

@@ -15,7 +15,11 @@ statement of something ``src/quatflight`` computes another way:
   rows of the quaternion, spherical and Cartesian forms, and a trajectory
   CSV reader;
 * :func:`array_rhs`, through which the array oracles call a derivative
-  that takes and returns lists of floats.
+  that takes and returns lists of floats;
+* :func:`ten_parameter_rhs`, the ten-parameter derivative term by term:
+  every entry of C_BA and C_AE from the Euler parameters, the spin axis in
+  B by dot products, and the zero gauge rates carried through the
+  quaternion rates.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quatflight.dynamics import VERTICAL_SIN_EPS
+from quatflight.dynamics import VERTICAL_SIN_EPS, make_forces
 from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import SingularityError
 from quatflight.quat import UNIT_NORM_TOL
@@ -234,6 +238,123 @@ def apparent_force_B(
         c_ba @ np.array([a13 * a13 - 1.0, a13 * a23, a13 * a33])
     )
     return np.asarray(f, dtype=float) - coriolis - centripetal
+
+
+def ten_parameter_rhs(controls, env, lift_along_b2):
+    """The rv (``lift_along_b2`` false) or rvl derivative, term by term.
+
+    The kinematics take ``wa2``, ``wa3`` and the curvature terms of ``wb2``,
+    ``wb3`` from the Euler parameters again, the rotating-frame terms
+    contract all nine entries of C_BA with the third column of C_AE, and
+    the quaternion rates carry ``wa1 = 0`` and rv's ``wb1 = 0``.  It
+    shares the force kernel ``make_forces`` and the control lookup with
+    the program.
+    """
+    mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
+    forces = make_forces(env)
+    beta_mode = controls.bank_mode == "beta"
+    if not lift_along_b2:
+        lookup = controls.lookup("bank")
+    elif beta_mode:
+        lookup = controls.lookup("bank", rate=True)
+    else:
+        lookup = controls.lookup("wb1")
+
+    def rhs(t, y):
+        r, ea1, ea2, ea3, eta_a, v, eb1, eb2, eb3, eta_b = y
+        if r <= 0.0:
+            raise SingularityError("nonpositive radius")
+        if v <= 0.0:
+            raise SingularityError("kinetic singularity: nonpositive speed")
+
+        b11 = 1.0 - 2.0 * (eb2 * eb2 + eb3 * eb3)
+        b12 = 2.0 * (eb1 * eb2 + eb3 * eta_b)
+        b13 = 2.0 * (eb1 * eb3 - eb2 * eta_b)
+        b21 = 2.0 * (eb1 * eb2 - eb3 * eta_b)
+        b22 = 1.0 - 2.0 * (eb3 * eb3 + eb1 * eb1)
+        b23 = 2.0 * (eb2 * eb3 + eb1 * eta_b)
+        b31 = 2.0 * (eb1 * eb3 + eb2 * eta_b)
+        b32 = 2.0 * (eb2 * eb3 - eb1 * eta_b)
+        b33 = 1.0 - 2.0 * (eb1 * eb1 + eb2 * eb2)
+
+        a13 = 2.0 * (ea1 * ea3 - ea2 * eta_a)
+        a23 = 2.0 * (ea2 * ea3 + ea1 * eta_a)
+        a33 = 1.0 - 2.0 * (ea1 * ea1 + ea2 * ea2)
+
+        alpha, thrust, command = lookup(t)
+        axial, transverse = forces(r, v, alpha, thrust)
+
+        if lift_along_b2:
+            f2_aero = transverse
+            f3_aero = 0.0
+        elif transverse != 0.0:
+            if beta_mode:
+                sigma = command + math.atan2(b31, b21)
+            else:
+                sigma = command
+            f2_aero = transverse * math.cos(sigma)
+            f3_aero = transverse * math.sin(sigma)
+        else:
+            f2_aero = 0.0
+            f3_aero = 0.0
+
+        grav = m * mu / (r * r)
+        f1 = axial - grav * b11
+        f2 = f2_aero - grav * b21
+        f3 = f3_aero - grav * b31
+
+        if we != 0.0:
+            be23 = b21 * a13 + b22 * a23 + b23 * a33
+            be33 = b31 * a13 + b32 * a23 + b33 * a33
+            cor = 2.0 * m * we * v
+            g1 = a13 * a13 - 1.0
+            g2 = a13 * a23
+            g3 = a13 * a33
+            cen = m * r * we * we
+            ft1 = f1 - cen * (b11 * g1 + b12 * g2 + b13 * g3)
+            ft2 = f2 - cor * be33 - cen * (b21 * g1 + b22 * g2 + b23 * g3)
+            ft3 = f3 + cor * be23 - cen * (b31 * g1 + b32 * g2 + b33 * g3)
+        else:
+            ft1 = f1
+            ft2 = f2
+            ft3 = f3
+
+        two_v_r = 2.0 * v / r
+        wa2 = two_v_r * (eta_b * eb2 - eb1 * eb3)
+        wa3 = two_v_r * (eta_b * eb3 + eb1 * eb2)
+
+        minv = 1.0 / (m * v)
+        wb2 = -ft3 * minv - two_v_r * (eb1 * eb3 + eb2 * eta_b)
+        wb3 = ft2 * minv + two_v_r * (eb1 * eb2 - eb3 * eta_b)
+
+        wa1 = 0.0
+        if lift_along_b2:
+            if beta_mode:
+                denom = 1.0 - b11 * b11
+                if denom < VERTICAL_SIN_EPS:
+                    raise SingularityError(
+                        "bank tracking undefined in vertical flight"
+                    )
+                wb1 = command + (b11 / denom) * (wb2 * b21 + wb3 * b31)
+            else:
+                wb1 = command
+        else:
+            wb1 = 0.0
+
+        return [
+            v * b11,
+            0.5 * (eta_a * wa1 - ea3 * wa2 + ea2 * wa3),
+            0.5 * (ea3 * wa1 + eta_a * wa2 - ea1 * wa3),
+            0.5 * (-ea2 * wa1 + ea1 * wa2 + eta_a * wa3),
+            -0.5 * (ea1 * wa1 + ea2 * wa2 + ea3 * wa3),
+            ft1 / m,
+            0.5 * (eta_b * wb1 - eb3 * wb2 + eb2 * wb3),
+            0.5 * (eb3 * wb1 + eta_b * wb2 - eb1 * wb3),
+            0.5 * (-eb2 * wb1 + eb1 * wb2 + eta_b * wb3),
+            -0.5 * (eb1 * wb1 + eb2 * wb2 + eb3 * wb3),
+        ]
+
+    return rhs
 
 
 # --- bank angles -----------------------------------------------------------

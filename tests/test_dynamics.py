@@ -7,11 +7,13 @@ from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
     make_cartesian_rhs,
+    make_forces,
     make_rv_rhs,
     make_spherical_rhs,
 )
 from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.errors import SingularityError
+from quatflight.propagation import IntegratorConfig, propagate
 from quatflight.quat import dcm_from_quat
 from quatflight.states import (
     CartesianState,
@@ -36,6 +38,7 @@ from reference import (
     rvh_row,
     sigma_from_beta,
     spherical_row,
+    ten_parameter_rhs,
     unit,
 )
 
@@ -207,6 +210,152 @@ class TestGeneralForm:
             wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
             assert abs(wa[0]) < 1e-12
             assert abs(wb[0]) < 1e-12
+
+
+THRUST_OFFSET = 0.05
+TEN_PARAMETER_BLOCKS = ((0, 1), (1, 5), (5, 6), (6, 10))
+
+
+def ten_parameter_case(bank_mode, spin, thrust, transverse):
+    """Controls and environment of one case of the ten-parameter oracle tests.
+
+    Without a transverse force the lift slope is zero and the angle of
+    attack cancels the thrust offset, so the force kernel gives exactly 0.0.
+    """
+    env = make_env(
+        spin=EARTH.spin_rate if spin else 0.0,
+        cl_alpha=1.5 if transverse else 0.0,
+        thrust_offset=THRUST_OFFSET,
+    )
+    controls = ControlProfile(
+        alpha=(
+            PiecewiseLinear([0.0, 400.0], [0.2, 0.05])
+            if transverse
+            else PiecewiseLinear.constant(-THRUST_OFFSET)
+        ),
+        bank=PiecewiseLinear([0.0, 400.0], [0.3, 1.7]),
+        wb1=PiecewiseLinear([0.0, 400.0], [0.02, -0.01]),
+        thrust=PiecewiseLinear.constant(2.0e5 if thrust else 0.0),
+        bank_mode=bank_mode,
+    )
+    return controls, env
+
+
+def ten_parameter_scales(controls, env, lift_along_b2, t, y):
+    """The largest term of each output block of a ten-parameter derivative.
+
+    The blocks are the radius rate, the A quaternion rate, the speed rate
+    and the B quaternion rate.  The quaternion rates are bounded by the
+    angular rates they are made of: v/r, each force over m v and, in rvl,
+    the wb1 command and the bank-tracking term.
+    """
+    r, v = y[0], y[5]
+    m, mu, we = env.vehicle.mass, env.body.mu, env.body.spin_rate
+    alpha, thrust, _ = controls.lookup("bank")(t)
+    axial, transverse = make_forces(env)(r, v, alpha, thrust)
+    force = max(abs(axial), abs(transverse), m * mu / r**2, 2.0 * m * we * v, m * we * we * r)
+    rate = max(force / (m * v), v / r)
+    qb = rate
+    if lift_along_b2:
+        beta_mode = controls.bank_mode == "beta"
+        command = controls.lookup("bank", rate=True)(t)[2] if beta_mode else controls.lookup("wb1")(t)[2]
+        qb = max(rate, abs(command))
+        if beta_mode:
+            c = dcm_from_quat(y[6:10])
+            tracking = abs(c[0, 0]) * (abs(c[1, 0]) + abs(c[2, 0])) / (1.0 - c[0, 0] ** 2)
+            qb = max(qb, rate * tracking)
+    return (v, v / r, force / m, qb)
+
+
+TEN_PARAMETER_CASES = [
+    pytest.param(mode, spin, thrust, transverse, id=f"{mode}-spin{spin:d}-thrust{thrust:d}-transverse{transverse:d}")
+    for mode in ("sigma", "beta")
+    for spin in (True, False)
+    for thrust in (True, False)
+    for transverse in (True, False)
+]
+
+
+class TestTenParameterOracle:
+    """rv and rvl against the term-by-term ten-parameter derivative of ``reference``.
+
+    The program reuses the entries of C_BA, rotates the spin axis into B
+    once and drops the zero gauge terms; the oracle forms every entry and
+    carries the zeros.  The two agree to 1e-12 of each output block's
+    largest term, and each quaternion block's rate is orthogonal to the
+    block to rounding.
+    """
+
+    @staticmethod
+    def check(controls, env, states):
+        for form, lift_along_b2 in (("rv", False), ("rvl", True)):
+            rhs = PARAMETERIZATIONS[form].make_rhs(controls, env)
+            oracle = ten_parameter_rhs(controls, env, lift_along_b2)
+            for t, y in states:
+                y = [float(x) for x in y]
+                got = np.array(rhs(t, y))
+                want = np.array(oracle(t, y))
+                scales = ten_parameter_scales(controls, env, lift_along_b2, t, y)
+                for (lo, hi), scale in zip(TEN_PARAMETER_BLOCKS, scales):
+                    assert np.max(np.abs(got[lo:hi] - want[lo:hi])) <= 1e-12 * scale, (form, t, lo)
+                for (lo, hi), scale in ((TEN_PARAMETER_BLOCKS[1], scales[1]), (TEN_PARAMETER_BLOCKS[3], scales[3])):
+                    assert abs(float(np.dot(y[lo:hi], got[lo:hi]))) <= 1e-14 * scale, (form, t, lo)
+
+    @pytest.mark.parametrize("mode, spin, thrust, transverse", TEN_PARAMETER_CASES)
+    def test_random_states(self, mode, spin, thrust, transverse):
+        controls, env = ten_parameter_case(mode, spin, thrust, transverse)
+        rng = np.random.default_rng(21)
+        states = [
+            (
+                rng.uniform(0.0, 500.0),
+                rv_row(
+                    EARTH.radius + rng.uniform(2e4, 8e5),
+                    unit(rng.normal(size=4)),
+                    rng.uniform(100.0, 8000.0),
+                    unit(rng.normal(size=4)),
+                ),
+            )
+            for _ in range(100)
+        ]
+        self.check(controls, env, states)
+
+    @pytest.mark.parametrize("mode, spin, thrust, transverse", TEN_PARAMETER_CASES)
+    def test_trajectory_states(self, mode, spin, thrust, transverse):
+        controls, env = ten_parameter_case(mode, spin, thrust, transverse)
+        s0 = spherical_row(r=EARTH.radius + 8e4, lon=0.3, lat=0.4, v=7000.0, gamma=-0.02, psi=1.0)
+        spec = PARAMETERIZATIONS["rv"]
+        y0 = spec.from_cartesian(PARAMETERIZATIONS["spherical"].to_cartesian(s0), controls, 0.0)
+        traj, _ = propagate(
+            spec.make_rhs(controls, env),
+            0.0,
+            y0,
+            300.0,
+            IntegratorConfig(rel_tol=1e-9),
+            quat_spans=spec.quat_spans,
+            t_knots=controls.knot_times(),
+            scales=spec.scales,
+        )
+        assert len(traj) > 10
+        self.check(controls, env, zip(traj.t.tolist(), traj.y))
+
+
+class TestVerticalBankRule:
+    """In beta mode at exactly vertical flight rv flies the command as its
+    native bank, from atan2(+0.0, +0.0) = 0; rvl cannot track the bank."""
+
+    @pytest.mark.parametrize("qb", [IDENTITY, (0.0, 0.0, 1.0, 0.0)])
+    def test_rv_beta_equals_sigma(self, qb):
+        y = rv_row(EARTH.radius + 15e3, IDENTITY, 300.0, qb)
+        env = make_env()
+        beta = rates("rv", y, env, alpha=0.05, bank=1.0, bank_mode="beta")
+        sigma = rates("rv", y, env, alpha=0.05, bank=1.0, bank_mode="sigma")
+        assert beta == sigma
+        assert beta != rates("rv", y, env, alpha=0.05, bank=0.0, bank_mode="sigma")
+
+    def test_rvl_beta_raises(self):
+        y = rv_row(EARTH.radius + 15e3, IDENTITY, 300.0, (0.0, 0.0, 1.0, 0.0))
+        with pytest.raises(SingularityError, match="bank tracking undefined in vertical flight"):
+            rates("rvl", y, make_env(), alpha=0.05, bank=1.0, bank_mode="beta")
 
 
 class TestRvlDerivatives:
