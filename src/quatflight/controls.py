@@ -11,10 +11,10 @@ last knots.  The bank command is interpreted in one of two modes:
   velocity} plane.  Every parameterization converts it to its own gauge, so
   one profile drives the same physical trajectory in all of them.  The
   spherical and Cartesian forms always interpret the bank command this way.
-  In exactly vertical flight the plane is undefined.  There rv takes
-  ``atan2(+0.0, +0.0) = 0`` for the plane's offset from its gauge and flies
-  the command as its native bank, and rvl raises "bank tracking undefined
-  in vertical flight".
+  In exactly vertical flight the plane is undefined.  There rv takes a
+  zero offset of the plane from its gauge, whatever the signs of the zero
+  C_BA entries it is the angle of, and flies the command as its native
+  bank; rvl raises "bank tracking undefined in vertical flight".
 """
 
 from __future__ import annotations

@@ -161,10 +161,11 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
     In ``beta`` bank mode rv flies ``command + atan2(b31, b21)`` as its
     native bank.  In exactly vertical flight b21 and b31 are zeros and the
     {position, velocity} plane is undefined.  rv then takes
-    ``atan2(+0.0, +0.0) = 0`` and flies the command as its native bank, as
-    at the B Euler parameters (0, 0, 0, 1) and (0, 0, 1, 0); a b21 of -0.0
-    would give ±pi instead.  rvl in ``beta`` mode cannot track the bank
-    there and raises "bank tracking undefined in vertical flight".
+    ``atan2(b31, +0.0) = ±0`` and flies the command as its native bank, as
+    at the B Euler parameters (0, 0, 0, 1) and (0, 0, 1, 0).  b21 enters
+    ``atan2`` as ``b21 + 0.0``: a b21 of -0.0, as at (sin h, 0, 0, cos h)
+    with h < 0, would otherwise add pi.  rvl in ``beta`` mode cannot track
+    the bank there and raises "bank tracking undefined in vertical flight".
     """
     mu, we, m = env.body.mu, env.body.spin_rate, env.vehicle.mass
     m_mu, two_m_we, m_we2 = m * mu, 2.0 * m * we, m * we * we
@@ -202,7 +203,8 @@ def _make_two_quaternion_rhs(controls, env, lift_along_b2):
         if lift_along_b2:
             f2 += transverse
         elif transverse != 0.0:
-            sigma = command + atan2(b31, b21) if beta_mode else command
+            # b21 + 0.0 turns a -0.0 into +0.0 and changes no other value
+            sigma = command + atan2(b31, b21 + 0.0) if beta_mode else command
             f2 += transverse * cos(sigma)
             f3 += transverse * sin(sigma)
 

@@ -172,8 +172,11 @@ def cartesian_to_rvh(state: CartesianState) -> np.ndarray:
 def cartesian_to_spherical(state: CartesianState) -> np.ndarray:
     """The spherical row of ``state``; inverse of :func:`spherical_rows_to_cartesian`.
 
-    In vertical flight the horizontal velocity vanishes and the azimuth is
-    set to zero by convention.
+    The latitude is ``atan2(z, hypot(x, y))`` and the flight-path angle
+    ``atan2(v_up, hypot(v_east, v_north))``, exact to rounding near a pole
+    and near vertical flight, where an ``asin`` loses half the digits.  In
+    vertical flight the horizontal velocity vanishes and the azimuth is set
+    to zero by convention.
     """
     r = state.r
     if not r > 0.0:
@@ -182,18 +185,17 @@ def cartesian_to_spherical(state: CartesianState) -> np.ndarray:
     if not v > 0.0:
         raise ValueError("degenerate state: zero velocity")
     x, y, z = state.position
-    lat = math.asin(max(-1.0, min(1.0, z / r)))
+    lat = math.atan2(z, math.hypot(x, y))
     lon = math.atan2(y, x)
     up = state.position / r
-    sin_gamma = float(np.dot(state.velocity, up)) / v
-    sin_gamma = max(-1.0, min(1.0, sin_gamma))
-    gamma = math.asin(sin_gamma)
     ct, st = math.cos(lat), math.sin(lat)
     cl, sl = math.cos(lon), math.sin(lon)
     east = np.array([-sl, cl, 0.0])
     north = np.array([-st * cl, -st * sl, ct])
+    vu = float(np.dot(state.velocity, up))
     ve = float(np.dot(state.velocity, east))
     vn = float(np.dot(state.velocity, north))
+    gamma = math.atan2(vu, math.hypot(ve, vn))
     psi = 0.0 if (ve == 0.0 and vn == 0.0) else math.atan2(ve, vn)
     return np.array([r, lon, lat, v, gamma, psi])
 

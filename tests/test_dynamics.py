@@ -341,9 +341,13 @@ class TestTenParameterOracle:
 
 class TestVerticalBankRule:
     """In beta mode at exactly vertical flight rv flies the command as its
-    native bank, from atan2(+0.0, +0.0) = 0; rvl cannot track the bank."""
+    native bank, whatever the signs of the zero b21 and b31; rvl cannot
+    track the bank."""
 
-    @pytest.mark.parametrize("qb", [IDENTITY, (0.0, 0.0, 1.0, 0.0)])
+    # the last one's b21 = 2 (eb1 eb2 - eb3 eta_b) is -0.0
+    @pytest.mark.parametrize(
+        "qb", [IDENTITY, (0.0, 0.0, 1.0, 0.0), (math.sin(-0.3), 0.0, 0.0, math.cos(-0.3))]
+    )
     def test_rv_beta_equals_sigma(self, qb):
         y = rv_row(EARTH.radius + 15e3, IDENTITY, 300.0, qb)
         env = make_env()

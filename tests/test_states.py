@@ -147,6 +147,20 @@ class TestSphericalCartesian:
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-7)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
+    @pytest.mark.parametrize("off", [1e-2, 1e-8, 0.0])
+    def test_round_trip_near_a_pole_and_near_vertical(self, off):
+        # latitude and flight-path angle come from atan2, which keeps every
+        # digit where an asin loses about sqrt(eps): 1e-8 rad off the pole
+        # that is 0.065 m here, where the asin latitude put the position
+        # 3.2 cm off
+        r = R_EARTH + 1e5
+        position = [r * math.sin(off), 0.0, r * math.cos(off)]
+        for velocity in ([300.0, 7000.0, 10.0], [1e-6 * off, 0.0, -300.0]):
+            c = CartesianState(position, velocity)
+            back = PARAMETERIZATIONS["spherical"].to_cartesian(cartesian_to_spherical(c))
+            np.testing.assert_allclose(back.position, c.position, rtol=0, atol=1e-15 * r)
+            np.testing.assert_allclose(back.velocity, c.velocity, rtol=0, atol=1e-15 * c.v)
+
 
 class TestTwist:
     def test_twist_moves_b2_toward_b3(self):
