@@ -632,9 +632,9 @@ class Parameterization:
     def radius(self, y) -> float:
         if self.radius_index >= 0:
             return float(y[self.radius_index])
-        # np.linalg.norm's arithmetic on a state list, without its overhead
-        p = np.array(y[0:3], dtype=float)
-        return sqrt(p.dot(p))
+        # in floats, so its bits depend on no BLAS kernel
+        px, py, pz = y[0], y[1], y[2]
+        return sqrt(px * px + py * py + pz * pz)
 
 
 _TEN_PARAMETER_SCALES = np.array(

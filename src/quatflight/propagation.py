@@ -1,16 +1,18 @@
 """Numerical propagation of flight states with events, norm control and dense output.
 
 Two integrators are provided: a fixed-step classical Runge-Kutta scheme and
-an adaptive Dormand-Prince 5(4) pair.  Both optionally keep the state's
-quaternion blocks at unit norm by projection: every block of a step's new
-state is divided by its norm, ``math.hypot`` of its components, as in
-Hairer, Lubich & Wanner, *Geometric Numerical Integration*, §IV.4.  The
-derivative functions themselves never do this, so the policy lives
-entirely here, and it is applied inside the step:
+the adaptive 5(4) pair of Tsitouras ("Runge-Kutta pairs of order 5(4)
+satisfying only the first column simplifying assumption", Comput. Math.
+Appl. 62, 2011), seven stages whose last is first same as last.  Both
+optionally keep the state's quaternion blocks at unit norm by projection:
+every block of a step's new state is divided by its norm, ``math.hypot``
+of its components, as in Hairer, Lubich & Wanner, *Geometric Numerical
+Integration*, §IV.4.  The derivative functions themselves never do this,
+so the policy lives entirely here, and it is applied inside the step:
 
 * the RK4 step projects the state it returns;
-* the Dormand-Prince step projects its fifth-order solution ``y5`` before
-  it evaluates stage 7 there, and returns the projected state.  So stage 7
+* the 5(4) step projects its fifth-order solution ``y5`` before it
+  evaluates stage 7 there, and returns the projected state.  So stage 7
   is the derivative at the new sample, and the next step can start from it
   (below).  The error estimate stays valid: stage 7 has no weight in the
   solution (``b7 = 0``) and enters only the estimate, and the projection
@@ -38,10 +40,10 @@ stage at the end of the step.
 
 Every accepted step has a continuous extension built from the stage
 derivatives it already computed, so it costs no derivative evaluation: the
-free 4th-order interpolant of Dormand-Prince 5(4) (Shampine, Math. Comp.
-46, 1986; the coefficients of scipy's ``RK45.P``), and the standard
-3rd-order one of RK4.  An adaptive step that lands interpolates with the
-left-limit stages it integrated with.  Two things read the extension:
+free 4th-order interpolant that Tsitouras gives with the pair, and the
+standard 3rd-order one of RK4.  An adaptive step that lands interpolates
+with the left-limit stages it integrated with.  Two things read the
+extension:
 
 * output times (``t_eval``, a comparison grid).  They never shorten a step,
   so the accepted samples are the same with or without them.  An output
@@ -107,26 +109,26 @@ ends the same way, as ``step_failure`` "maximum step count exceeded".  Any
 other exception is a defect and is not caught.
 
 The state is a list of Python floats from ``y0`` to the last sample, and
-the derivative takes and returns one.  The RK4 step and the Dormand-Prince
-step are straight-line functions generated on first use in ``propagate``
-and kept per state size and projected quaternion blocks.  Each unpacks its
+the derivative takes and returns one.  The RK4 step and the 5(4) step
+are straight-line functions generated on first use in ``propagate`` and
+kept per state size and projected quaternion blocks.  Each unpacks its
 lists into local names once and writes every component out, so no stage
 runs a loop or builds an array.  The new state is written as locals, each
-quaternion block of them divided by its ``hypot`` in place, and the
-Dormand-Prince step takes its error norm on the same locals, so neither
-projection nor norm reads a list again.  Their source is registered with
-:mod:`linecache` under names such as ``<quatflight dp54 n=10 spans=((1, 5),
+quaternion block of them divided by its ``hypot`` in place, and the 5(4)
+step takes its error norm on the same locals, so neither projection nor
+norm reads a list again.  Their source is registered with
+:mod:`linecache` under names such as ``<quatflight rk54 n=10 spans=((1, 5),
 (6, 10))>``, where ``inspect.getsource`` and the tracebacks that the
 ``traceback`` module formats find it.  Every component is the float the
 array expressions give, with the same terms in the same order: zero
 weights are skipped, the error norm's maximum is NaN when either side is
 (as ``np.maximum``) and its sum of squares follows numpy's pairwise order.
-So trajectories are bit for bit those of the array form.  The
-Dormand-Prince step returns its projected stage-7 state as the fifth-order
-solution: that stage's weights are the solution weights, summed in the
-same order.  The located event state is projected by the same generated
-lines.  Arrays appear where a run's results are kept: the accepted rows,
-an interpolant's matrix product, and the trajectory and stop event handed
+So trajectories are bit for bit those of the array form.  The 5(4) step
+returns its projected stage-7 state as the fifth-order solution: that
+stage's weights are the solution weights, summed in the same order.  The
+located event state is projected by the same generated lines.  Arrays
+appear where a run's results are kept: the accepted rows, an
+interpolant's matrix product, and the trajectory and stop event handed
 back.
 
 The derivative is never evaluated twice at the same ``(t, y)`` from one
@@ -167,39 +169,54 @@ EVENT_RADIUS_TOL = 1e-3  # m
 _EVENT_MAX_ITERATIONS = 100
 _CHUNK_ROWS = 512  # accepted samples per storage array
 
-# Dormand-Prince 5(4) coefficients.
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
+# Tsitouras 5(4) coefficients (Comput. Math. Appl. 62, 2011): stage 7's row
+# is the solution weights (b7 = 0), and _RK54_E = b - b_hat of the embedded
+# 4th-order solution.
+_RK54_C = (0.0, 0.161, 0.327, 0.9, 0.9800255409045097, 1.0, 1.0)
+_RK54_A = (
     (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    (0.161,),
+    (-0.008480655492356989, 0.335480655492357),
+    (2.897153057105493, -6.359448489975075, 4.3622954328695815),
+    (5.325864828439257, -11.748883564062828, 7.4955393428898365, -0.09249506636175525),
+    (
+        5.86145544294642,
+        -12.92096931784711,
+        8.159367898576159,
+        -0.071584973281401,
+        -0.028269050394068383,
+    ),
+    (
+        0.09646076681806523,
+        0.01,
+        0.4798896504144996,
+        1.379008574103742,
+        -3.290069515436081,
+        2.324710524099774,
+    ),
 )
-_DP_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_E = (
-    71.0 / 57600.0,
-    0.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+_RK54_B = _RK54_A[6] + (0.0,)
+_RK54_E = (
+    -0.001780011052225777,
+    -0.0008164344596567469,
+    0.007880878010261995,
+    -0.1447110071732629,
+    0.5823571654525552,
+    -0.45808210592918697,
+    0.015151515151515152,
 )
 
 # Continuous extensions: stage i's weight at theta is sum_j P[i][j] * theta**(j + 1).
-# Dormand-Prince: the free 4th-order interpolant (scipy's RK45.P).
-_DP_P = np.array(
+# Tsitouras 5(4): its free 4th-order interpolant.
+_RK54_P = np.array(
     [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+        [1.0, -2.763706197274826, 2.9132554618219126, -1.0530884977290216],
+        [0.0, 0.1317, -0.2234, 0.1017],
+        [0.0, 3.930296236894751, -5.941033872131505, 2.490627285651253],
+        [0.0, -12.411077166933676, 30.338188630282318, -16.548102889244902],
+        [0.0, 37.50931341651104, -88.1789048947664, 47.37952196281928],
+        [0.0, -27.896526289197286, 65.09189467479368, -34.87065786149661],
+        [0.0, 1.5, -4.0, 2.5],
     ]
 )
 # RK4: the standard 3rd-order extension, b1 = theta - 3 theta^2/2 + 2 theta^3/3,
@@ -338,7 +355,7 @@ def _project_source(n, spans):
 def _rk4_source(n, spans):
     """``rk4(rhs, t, y, h, k1, t_end, abs_tol, rel_tol) -> (y_new, 0.0, None, stages)``.
 
-    The step contract of :func:`_dp54_source`, with no error estimate: the
+    The step contract of :func:`_rk54_source`, with no error estimate: the
     error norm is 0.0, and there is no reusable last stage.  Each stage
     state is ``y_i + c * k_i`` with ``c = 0.5*h`` (``h`` for the last stage,
     evaluated at ``t_end``) and the new state
@@ -367,8 +384,8 @@ def _rk4_source(n, spans):
     return "\n".join(lines) + "\n"
 
 
-def _dp54_source(n, spans):
-    """``dp54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol) -> (y5, err_norm, k7, stages)``.
+def _rk54_source(n, spans):
+    """``rk54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol) -> (y5, err_norm, k7, stages)``.
 
     The step contract both generated steps share: from the state ``y`` at
     ``t``, whose derivative ``k1`` the caller has evaluated, a step of
@@ -379,12 +396,12 @@ def _dp54_source(n, spans):
     ``(t_end, y_new)`` (``None`` for RK4, whose last stage is not at the new
     state) and every stage derivative, for the step's interpolant.
 
-    The stages follow the tableau ``_DP_C``/``_DP_A``: stage ``i``'s state
+    The stages follow the tableau ``_RK54_C``/``_RK54_A``: stage ``i``'s state
     adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
     skipping zero weights.  Stage 7's state is ``y5``, the fifth-order
-    solution (``_DP_A[6] == _DP_B[:6]``, ``_DP_B[6] == 0``), projected
+    solution (``_RK54_A[6] == _RK54_B[:6]``, ``_RK54_B[6] == 0``), projected
     before stage 7 is evaluated there.  Component ``i`` of the error
-    estimate sums ``(h*e_j) * k_j`` the same way over ``_DP_E``, and the
+    estimate sums ``(h*e_j) * k_j`` the same way over ``_RK54_E``, and the
     error norm is the RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|,
     |y5_i|))``, bit for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``:
     the same products and quotients, a maximum that is NaN when either side
@@ -394,20 +411,20 @@ def _dp54_source(n, spans):
     """
     y = _names("y", n)
     lines = [
-        "def dp54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol):",
+        "def rk54(rhs, t, y, h, k1, t_end, abs_tol, rel_tol):",
         _unpack("y", n, "y"),
         _unpack("k1", n, "k1"),
     ]
     for stage in range(2, 8):
-        weights = [(j, a) for j, a in enumerate(_DP_A[stage - 1], 1) if a != 0.0]
-        lines.append(f"    # stage {stage}, c = {_DP_C[stage - 1]!r}")
+        weights = [(j, a) for j, a in enumerate(_RK54_A[stage - 1], 1) if a != 0.0]
+        lines.append(f"    # stage {stage}, c = {_RK54_C[stage - 1]!r}")
         for j, a in weights:
             lines.append(f"    a{stage}{j} = h * {a!r}")
         terms = [
             " + ".join([v] + [f"a{stage}{j} * k{j}_{i}" for j, _ in weights])
             for i, v in enumerate(y)
         ]
-        c = _DP_C[stage - 1]
+        c = _RK54_C[stage - 1]
         at = "t_end" if c == 1.0 else f"t + {c!r} * h"
         if stage == 7:
             lines += _new_state(terms, spans)
@@ -416,7 +433,7 @@ def _dp54_source(n, spans):
         else:
             lines.append(f"    k{stage} = rhs({at}, {_state_list(terms)})")
         lines.append(_unpack(f"k{stage}", n, f"k{stage}"))
-    weights = [(j, e) for j, e in enumerate(_DP_E, 1) if e != 0.0]
+    weights = [(j, e) for j, e in enumerate(_RK54_E, 1) if e != 0.0]
     lines.append("    # error norm")
     for j, e in weights:
         lines.append(f"    e{j} = h * {e!r}")
@@ -459,14 +476,14 @@ def _group(expr):
     return f"({expr})" if " " in expr else expr
 
 
-_SOURCES = {"rk4": _rk4_source, "dp54": _dp54_source, "project": _project_source}
+_SOURCES = {"rk4": _rk4_source, "rk54": _rk54_source, "project": _project_source}
 
 
 @cache
 def _generated(kind, n, spans):
     """The straight-line function ``kind`` for states of ``n`` floats, built on first use.
 
-    ``kind`` is ``"rk4"``, ``"dp54"`` or ``"project"``; ``spans`` is a
+    ``kind`` is ``"rk4"``, ``"rk54"`` or ``"project"``; ``spans`` is a
     tuple of the ``(lo, hi)`` quaternion blocks it projects, ``()`` for
     none.  One function is kept per kind, state size and spans.  The
     source is registered with :mod:`linecache` under
@@ -494,6 +511,12 @@ def _dense(t, h, y, stages, p):
     y = np.array(y)
     exponents = np.arange(1, len(q) + 1)
     return lambda s: (y + ((s - t) / h) ** exponents @ q).tolist()
+
+
+@cache
+def _row_offsets(n):
+    """The byte offset of each row of a storage array of ``n`` floats per row."""
+    return tuple(range(0, _CHUNK_ROWS * 8 * n, 8 * n))
 
 
 def propagate(
@@ -577,10 +600,11 @@ def propagate(
     # until a chunk fills: that holds thousands of float objects alive, and
     # a run under tracemalloc took four times as long.  A row is packed
     # into its chunk's bytes, the same doubles at less than half the cost
-    # of assigning the list to an array row, at offsets made once: an int
-    # made per row costs more than the packing under tracemalloc.
+    # of assigning the list to an array row, at offsets made once per state
+    # size: an int made per row costs more than the packing under
+    # tracemalloc.
     pack_row = struct.Struct(f"{len(y)}d").pack_into
-    offsets = tuple(range(0, _CHUNK_ROWS * 8 * len(y), 8 * len(y)))
+    offsets = _row_offsets(len(y))
     t_chunk, y_chunk = np.empty(_CHUNK_ROWS), np.empty((_CHUNK_ROWS, len(y)))
     t_chunks, y_chunks = [t_chunk], [y_chunk]
     y_buffer = memoryview(y_chunk).cast("B")
@@ -594,9 +618,9 @@ def propagate(
     landings = sorted({t_final, *(float(b) for b in t_knots if t0 < b < t_final)}, reverse=True)
     spans = tuple(map(tuple, quat_spans)) if config.renormalize_every_step else ()
     adaptive = config.method == "rk45-adaptive"
-    step = _generated("dp54" if adaptive else "rk4", len(y), spans)
+    step = _generated("rk54" if adaptive else "rk4", len(y), spans)
     if adaptive:
-        dense_coefficients = _DP_P
+        dense_coefficients = _RK54_P
         h = min(1.0, (t_final - t0) / 100.0)
     else:
         dense_coefficients = _RK4_P
@@ -728,7 +752,7 @@ def propagate(
         if event is not None:
             return finish(event)
 
-        # a DP5(4) step's k_last is the derivative at (t_end, y_new), the
+        # a 5(4) step's k_last is the derivative at (t_end, y_new), the
         # new sample unless the step landed on a knot (an RK4 step returns
         # None)
         k1 = k_last if t_new == t_end else None

@@ -152,3 +152,19 @@ def test_every_differing_stdout_line_is_shown(tmp_path):
         "  parent: d 2.0", "  change: d 2.5",
         "  parent: ", "  change: e",
     ]
+
+
+def test_a_resampled_csv_compares_its_last_rows(tmp_path):
+    # the change samples other times: rows of one index are other states, so
+    # only the row counts and the last rows are reported
+    old = "t,x,s\n0.0,1.0,\n1.0,2.0,\n2.0,3.0,\n"
+    new = "t,x,s\n0.0,1.0,\n0.5,1.5,\n1.5,2.5,\n2.0,2.75,7.0\n"
+    parent = write_tree(tmp_path / "parent", **{"dive_rv.csv": old})
+    change = write_tree(tmp_path / "change", **{"dive_rv.csv": new})
+    (found,) = compare_bundled.differences(parent, change)
+    assert found.split("\n") == [
+        "differs: dive/dive_rv.csv",
+        "  re-sampled: 3 rows in parent, 4 in change; last rows compared",
+        "    x: 2.500e-01",
+        "    s: not numbers",
+    ]

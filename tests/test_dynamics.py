@@ -526,6 +526,20 @@ class TestCartesianDerivatives:
         assert np.all(np.isfinite(ydot))
 
 
+    def test_radius_is_the_float_norm(self):
+        # the event's radius of a Cartesian row is sqrt(x*x + y*y + z*z) in
+        # floats, whatever the row's type, so its bits depend on no BLAS dot
+        spec = PARAMETERIZATIONS["cartesian"]
+        rng = np.random.default_rng(20)
+        rows = rng.normal(0.0, 7e6, (1000, 6))
+        for row in rows:
+            x, y, z = row[:3].tolist()
+            expected = math.sqrt(x * x + y * y + z * z)
+            assert spec.radius(row.tolist()) == expected
+            assert spec.radius(row) == expected
+            assert abs(expected - np.linalg.norm(row[:3])) <= 4e-16 * expected
+
+
 class TestSphericalDerivatives:
     def test_term_zeroing_case(self):
         # equatorial eastward flight, no lift, non-rotating body: the

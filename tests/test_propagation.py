@@ -21,10 +21,11 @@ from quatflight.environment import (
 )
 from quatflight.errors import SingularityError
 from quatflight.propagation import (
-    _DP_A,
-    _DP_B,
-    _DP_C,
-    _DP_E,
+    _RK54_A,
+    _RK54_B,
+    _RK54_C,
+    _RK54_E,
+    _RK54_P,
     EVENT_RADIUS_TOL,
     EVENT_TIME_TOL,
     IntegratorConfig,
@@ -65,8 +66,8 @@ def rk4_step(rhs, t, y, h, k1=None, t_end=None, spans=()):
     return generated_step("rk4", rhs, t, y, h, k1, t_end, spans)
 
 
-def dp54_step(rhs, t, y, h, k1=None, t_end=None, spans=()):
-    return generated_step("dp54", rhs, t, y, h, k1, t_end, spans)
+def rk54_step(rhs, t, y, h, k1=None, t_end=None, spans=()):
+    return generated_step("rk54", rhs, t, y, h, k1, t_end, spans)
 
 
 def projected(y, spans):
@@ -109,7 +110,7 @@ def reference_rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_dp54_step(rhs, t, y, h, t_end=None, project=None):
+def reference_rk54_step(rhs, t, y, h, t_end=None, project=None):
     """``t_end`` replaces ``t + h`` as the time of the two ``c = 1`` stages.
 
     ``project``, when given, maps stage 7's state, the fifth-order
@@ -119,21 +120,21 @@ def reference_dp54_step(rhs, t, y, h, t_end=None, project=None):
     k = [rhs(t, y)]
     for i in range(1, 7):
         yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
+        for j, a in enumerate(_RK54_A[i]):
             if a != 0.0:
                 yi = yi + (h * a) * k[j]
         if i == 6 and project is not None:
             yi = project(yi)
-        t_i = t_end if _DP_C[i] == 1.0 and t_end is not None else t + _DP_C[i] * h
+        t_i = t_end if _RK54_C[i] == 1.0 and t_end is not None else t + _RK54_C[i] * h
         k.append(rhs(t_i, yi))
     y5 = y.copy()
-    for b, ki in zip(_DP_B, k):
+    for b, ki in zip(_RK54_B, k):
         if b != 0.0:
             y5 = y5 + (h * b) * ki
     if project is not None:
         y5 = project(y5)
     err = np.zeros_like(y)
-    for e, ki in zip(_DP_E, k):
+    for e, ki in zip(_RK54_E, k):
         if e != 0.0:
             err = err + (h * e) * ki
     return y5, err
@@ -167,7 +168,7 @@ def reference_adaptive(rhs, t0, y0, t_final, config, quat_spans=(), scales=None,
         landing = target - t - h < 1e-6 * h or t + h >= target
         h_try = target - t if landing else h
         t_end = math.nextafter(target, -math.inf) if landing else None
-        y_new, err = reference_dp54_step(rhs, t, y, h_try, t_end, project)
+        y_new, err = reference_rk54_step(rhs, t, y, h_try, t_end, project)
         err_norm = reference_error_norm(err, y, y_new, abs_tol, config.rel_tol)
         if math.isnan(err_norm):
             err_norm = math.inf
@@ -453,14 +454,16 @@ class TestRenormalizationPolicy:
         # the state is (x, q0, q1), its block (q0, q1) starts at (1, 0) and
         # q0' = -1 takes it to exactly (0, 0) in one step of 1 s: from t = 2
         # in the fixed run, whose q0' is 0 before; on the first adaptive
-        # trial (1 s), whose sixth stage reads q0' one ulp short of -1
+        # trial (1 s), whose stages read q0' one ulp short of -1 but for the
+        # sixth, which reads -1.  No later step of 1 s reaches (0, 0): with
+        # q0' one ulp short of -1 at every stage it ends 4.4e-16 off
         calls = []
 
         def rhs(t, y):
             calls.append(t)
             if method == "rk4-fixed":
                 return [1.0, 0.0 if t < 2.0 else -1.0, 0.0]
-            return [1.0, math.nextafter(-1.0, 0.0) if len(calls) == 6 else -1.0, 0.0]
+            return [1.0, -1.0 if len(calls) == 6 else math.nextafter(-1.0, 0.0), 0.0]
 
         cfg = IntegratorConfig(method=method, step=1.0)
         traj, event = propagate(rhs, 0.0, [0.0, 1.0, 0.0], 100.0, cfg, quat_spans=((1, 3),))
@@ -475,7 +478,7 @@ class TestRenormalizationPolicy:
             # the adaptive trial stops before its stage 7 and is rejected;
             # the retry, 0.2 times as long, keeps its first stage
             assert event.kind == "terminal_time"
-            assert calls[5:7] == [1.0, 0.2 * 0.2]
+            assert calls[5:7] == [1.0, _RK54_C[1] * 0.2]
             assert traj.n_rejected == 1 and traj.t[1] == 0.2
 
     def test_policy_on_off_position_agreement(self):
@@ -582,14 +585,16 @@ class TestGuardsAndBudget:
         assert np.all(np.sum(traj.y**2, axis=1) <= 1.05)
         # recovering from the guard costs no accuracy: the run lands no
         # farther from the exact solution than the method's own error at
-        # this tolerance, the unguarded run's (0.0218 against 0.0248 m)
+        # this tolerance, the unguarded run's (0.0134 against 0.0319 m)
         assert miss <= self.circle()[2]
 
     def test_trial_stage_failure_recovers_cheaply(self):
-        # the retries after a guard cost few calls: 327 against the
-        # unguarded run's 289
+        # the retries after a guard cost few calls: 412 against the
+        # unguarded run's 259, for 9 guard trips on long steps whose middle
+        # stages stray off the circle
         guarded = self.circle(SingularityError("off the circle"))[0]
-        assert guarded.n_evals <= 1.25 * self.circle()[0].n_evals
+        assert guarded.n_evals <= 1.75 * self.circle()[0].n_evals
+        assert guarded.n_evals <= 450
 
     def test_guard_at_accepted_state_ends_the_run(self):
         # the controls forbid flight from the knot on: the step that lands
@@ -608,7 +613,8 @@ class TestGuardsAndBudget:
             1.0,
         )
         assert traj.t[-1] == 1.0
-        assert traj.y[-1][0] == 1.0
+        # y' = 1 integrated exactly, up to the rounding of the weights' sum
+        assert abs(traj.y[-1][0] - 1.0) <= 1e-15
         assert traj.n_rejected == 0
 
     @pytest.mark.parametrize(
@@ -629,7 +635,7 @@ class TestGuardsAndBudget:
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         assert (event.kind, event.message) == (kind, message)
         # the steps shrank until even the shortest one allowed crossed t*
-        assert 0.0 < t_star - event.t_event < 1e-13
+        assert 0.0 <= t_star - event.t_event < 1e-13
         assert event.t_event == traj.t[-1]
         assert traj.n_rejected > 0
         assert np.all(np.isfinite(traj.y))
@@ -652,7 +658,7 @@ class TestGuardsAndBudget:
 
 
 class TestStepSizeControl:
-    """The DP5(4) controller: PI control after an acceptance, no growth right after a rejection."""
+    """The 5(4) controller: PI control after an acceptance, no growth right after a rejection."""
 
     T_FINAL = 50.0
 
@@ -679,7 +685,7 @@ class TestStepSizeControl:
                 record.append((t, h, out[1]))
                 return out
 
-            return recorded if kind == "dp54" else step
+            return recorded if kind == "rk54" else step
 
         monkeypatch.setattr(propagation, "_generated", recording)
         TestGuardsAndBudget.circle(failure)
@@ -761,12 +767,12 @@ class TestStepperMatchesReference:
                 else:
                     assert np.array_equal(rk4_step(rhs, t, y_list, h)[0], expected), (name, h)
                 try:
-                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h)
+                    y5_ref, err_ref = reference_rk54_step(rhs, t, y, h)
                 except SingularityError:
                     with pytest.raises(SingularityError):
-                        dp54_step(rhs, t, y_list, h)
+                        rk54_step(rhs, t, y_list, h)
                 else:
-                    y5, err_norm, _, _ = dp54_step(rhs, t, y_list, h)
+                    y5, err_norm, _, _ = rk54_step(rhs, t, y_list, h)
                     assert np.array_equal(y5, y5_ref), (name, h)
                     assert err_norm == reference_error_norm(err_ref, y, y5_ref), (name, h)
 
@@ -791,13 +797,13 @@ class TestStepperMatchesReference:
                     rk4_step(rhs, t, y_list, h)[0], reference_rk4_step(rhs, t, y, h)
                 ), (n, h)
                 for t_end in (None, math.nextafter(t + h, -math.inf)):
-                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h, t_end)
-                    step = dp54_step(rhs, t, y_list, h, None, t_end)
+                    y5_ref, err_ref = reference_rk54_step(rhs, t, y, h, t_end)
+                    step = rk54_step(rhs, t, y_list, h, None, t_end)
                     y5, err_norm, k7, _ = step
                     assert np.array_equal(y5, y5_ref), (n, h)
                     assert err_norm == reference_error_norm(err_ref, y, y5_ref), (n, h)
                     assert k7 == rhs(t + h if t_end is None else t_end, y5), (n, h)
-                    assert dp54_step(rhs, t, y_list, h, rhs(t, y_list), t_end) == step, (n, h)
+                    assert rk54_step(rhs, t, y_list, h, rhs(t, y_list), t_end) == step, (n, h)
 
     def test_renormalization_bitwise_equal_to_norm_division(self):
         rng = np.random.default_rng(8)
@@ -808,19 +814,15 @@ class TestStepperMatchesReference:
                 projected(drifted.tolist(), spans), reference_renormalize(drifted, spans)
             ), name
 
-    def test_stage7_weights_are_solution_weights(self):
-        assert _DP_A[6] == _DP_B[:6]
-        assert _DP_B[6] == 0.0
-
     def test_supplied_first_stage_changes_nothing(self):
         for name, rhs, t, y in random_cases(seed=10, n=8):
             y = y.tolist()
             for h in STEPS:
                 try:
-                    expected = dp54_step(rhs, t, y, h)
+                    expected = rk54_step(rhs, t, y, h)
                 except SingularityError:
                     continue
-                supplied = dp54_step(rhs, t, y, h, rhs(t, y))
+                supplied = rk54_step(rhs, t, y, h, rhs(t, y))
                 for a, b in zip(supplied, expected):
                     assert np.array_equal(a, b), (name, h)
 
@@ -855,11 +857,11 @@ class TestStepperMatchesReference:
                     y[where] = value
             with np.errstate(all="ignore"):
                 rhs = planted_rhs(rate, call, where, value)
-                y5_ref, err_ref = reference_dp54_step(rhs, 0.5, y, h, None, reference_project)
+                y5_ref, err_ref = reference_rk54_step(rhs, 0.5, y, h, None, reference_project)
                 expected = reference_error_norm(err_ref, y, y5_ref, abs_tol, rel_tol)
             rhs = planted_rhs(rate, call, where, value)
             y_list = y.tolist()
-            y5, got, _, _ = _generated("dp54", n, spans)(
+            y5, got, _, _ = _generated("rk54", n, spans)(
                 rhs, 0.5, y_list, h, rhs(0.5, y_list), 0.5 + h, abs_tol.tolist(), rel_tol
             )
             assert np.array_equal(y5, y5_ref, equal_nan=True), i
@@ -886,13 +888,99 @@ def planted_rhs(rate, call, where, value):
     return rhs
 
 
+def rooted_trees(max_order):
+    """Every rooted tree of up to ``max_order`` nodes, with its order.
+
+    A tree is the tuple of its subtrees' indices into the returned list, in
+    non-decreasing order, so each tree appears once: 1, 1, 2, 4 and 9 trees
+    of orders 1 to 5.
+    """
+    trees = [((), 1)]
+
+    def forests(total, first):
+        # the multisets of trees, from index ``first`` on, of ``total`` nodes
+        if total == 0:
+            yield ()
+            return
+        for i in range(first, len(trees)):
+            if trees[i][1] <= total:
+                for rest in forests(total - trees[i][1], i):
+                    yield (i,) + rest
+
+    for order in range(2, max_order + 1):
+        trees += [(forest, order) for forest in forests(order - 1, 0)]
+    return trees
+
+
+def order_residuals(weights, max_order, theta=1.0):
+    """``weights . Phi(t) - theta**|t| / gamma(t)`` for every tree ``t`` up to ``max_order``.
+
+    ``Phi(t)`` is the tree's stage vector for the pair's matrix and nodes,
+    a one-node subtree contributing the nodes ``c`` (the row sums of the
+    matrix), and ``gamma(t)`` its density (Butcher, *Numerical Methods for
+    Ordinary Differential Equations*, §31).  A method, or its continuous
+    extension at ``theta``, has order ``p`` when every tree of order ``p``
+    or less has a zero residual.
+    """
+    a = np.array([row + (0.0,) * (7 - len(row)) for row in _RK54_A])
+    phi, gamma, residuals = [], [], []
+    for children, order in rooted_trees(max_order):
+        stage = np.ones(len(weights))
+        density = order
+        for i in children:
+            stage = stage * (np.array(_RK54_C) if i == 0 else a @ phi[i])
+            density *= gamma[i]
+        phi.append(stage)
+        gamma.append(density)
+        residuals.append(weights @ stage - theta**order / density)
+    return np.array(residuals)
+
+
+class TestTableau:
+    """The 5(4) pair's tables are a fifth-order method, its embedded fourth-order one and
+    its 4th-order interpolant, to the rounding of their decimals."""
+
+    B = np.array(_RK54_B)
+
+    def test_rooted_trees(self):
+        orders = [order for _, order in rooted_trees(5)]
+        assert [orders.count(k) for k in range(1, 6)] == [1, 1, 2, 4, 9]
+
+    def test_nodes_are_row_sums(self):
+        assert [math.fsum(row) for row in _RK54_A] == pytest.approx(_RK54_C, rel=0, abs=1e-15)
+
+    def test_last_stage_is_first_same_as_last(self):
+        assert _RK54_A[6] == _RK54_B[:6]
+        assert _RK54_B[6] == 0.0
+        assert _RK54_C[5] == _RK54_C[6] == 1.0
+
+    def test_solution_is_fifth_order(self):
+        assert np.max(np.abs(order_residuals(self.B, 5))) <= 1e-14
+
+    def test_embedded_solution_is_fourth_order(self):
+        embedded = self.B - np.array(_RK54_E)
+        residuals = order_residuals(embedded, 5)
+        assert np.max(np.abs(residuals[:8])) <= 1e-14
+        # and no more, or the estimate would not measure the local error
+        assert np.max(np.abs(residuals[8:])) > 1e-4
+
+    @pytest.mark.parametrize("theta", [0.1, 0.37, 0.5, 0.8, 1.0])
+    def test_interpolant_is_fourth_order(self, theta):
+        weights = _RK54_P @ theta ** np.arange(1, 5)
+        assert np.max(np.abs(order_residuals(weights, 4, theta))) <= 1e-14
+
+    def test_interpolant_ends_on_the_solution_weights(self):
+        sums = [math.fsum(row) for row in _RK54_P.tolist()]
+        assert sums == pytest.approx(_RK54_B, rel=0, abs=1e-14)
+
+
 class TestStepContract:
     """Both generated steps take ``(rhs, t, y, h, k1, t_end, abs_tol, rel_tol)``.
 
     Each returns a 4-tuple.
     """
 
-    @pytest.mark.parametrize("kind, n_stages", [("rk4", 4), ("dp54", 7)])
+    @pytest.mark.parametrize("kind, n_stages", [("rk4", 4), ("rk54", 7)])
     @pytest.mark.parametrize(
         "n, spans", [(1, ()), (6, ()), (10, ()), (10, RV_SPANS), (8, RVH_SPANS)]
     )
@@ -988,7 +1076,7 @@ class TestFailurePolicy:
 class TestGeneratedSource:
     """The generated steps show their own lines in ``inspect`` and in tracebacks."""
 
-    @pytest.mark.parametrize("kind", ["rk4", "dp54", "project"])
+    @pytest.mark.parametrize("kind", ["rk4", "rk54", "project"])
     @pytest.mark.parametrize(
         "spans, name",
         [
@@ -1011,7 +1099,7 @@ class TestGeneratedSource:
 
     @pytest.mark.parametrize(
         "method, line",
-        [("rk45-adaptive", "k4 = rhs(t + 0.8 * h, ["), ("rk4-fixed", "k4 = rhs(t_end, [")],
+        [("rk45-adaptive", "k4 = rhs(t + 0.9 * h, ["), ("rk4-fixed", "k4 = rhs(t_end, [")],
     )
     def test_traceback_shows_the_stage_line(self, method, line):
         calls = []
@@ -1024,7 +1112,7 @@ class TestGeneratedSource:
 
         with pytest.raises(RuntimeError) as info:
             propagate(rhs, 0.0, [0.0, 0.0, 0.0], 1.0, IntegratorConfig(method=method))
-        kind = "dp54" if method == "rk45-adaptive" else "rk4"
+        kind = "rk54" if method == "rk45-adaptive" else "rk4"
         frames = traceback.extract_tb(info.value.__traceback__)
         stage = [f for f in frames if f.filename == f"<quatflight {kind} n=3>"]
         assert [f.line for f in stage] == [line]
@@ -1042,7 +1130,8 @@ class TestKnotLandings:
         )
         assert event.kind == "terminal_time"
         assert traj.n_rejected == 0
-        assert traj.y[traj.t.tolist().index(1.0)][0] == 1.0
+        # up to the rounding of the weights' sum
+        assert abs(traj.y[traj.t.tolist().index(1.0)][0] - 1.0) <= 1e-15
         assert traj.y[-1][0] == pytest.approx(3.0, abs=1e-12)
 
     def test_step_rounding_onto_a_knot_lands_there(self):
@@ -1148,10 +1237,10 @@ class TestProjectionKeepsFirstSameAsLast:
     # (n_evals, n_steps, n_rejected) of the baselines, which have no
     # quaternion block to project, at the two tolerances
     BASELINE_COUNTS = {
-        (1e-10, "spherical"): (1055, 166, 9),
-        (1e-10, "cartesian"): (1145, 179, 11),
-        (1e-7, "spherical"): (383, 54, 9),
-        (1e-7, "cartesian"): (407, 58, 9),
+        (1e-10, "spherical"): (1061, 164, 12),
+        (1e-10, "cartesian"): (1175, 183, 12),
+        (1e-7, "spherical"): (395, 55, 10),
+        (1e-7, "cartesian"): (419, 60, 9),
     }
 
     @pytest.fixture(scope="class")
@@ -1200,12 +1289,12 @@ class TestProjectionKeepsFirstSameAsLast:
             y_list = y.tolist()
             for h in STEPS:
                 try:
-                    y5_ref, err_ref = reference_dp54_step(rhs, t, y, h, None, reference_project)
+                    y5_ref, err_ref = reference_rk54_step(rhs, t, y, h, None, reference_project)
                     rk4_ref = reference_renormalize(reference_rk4_step(rhs, t, y, h), spans)
                 except SingularityError:
                     continue
                 k1 = rhs(t, y_list)
-                step = _generated("dp54", len(y), spans)
+                step = _generated("rk54", len(y), spans)
                 y5, err_norm, k7, _ = step(rhs, t, y_list, h, k1, t + h, abs_tol.tolist(), REL_TOL)
                 assert np.array_equal(y5, y5_ref), (name, h)
                 assert err_norm == reference_error_norm(err_ref, y, y5_ref, abs_tol), (name, h)
@@ -1235,7 +1324,7 @@ class TestNoAliasingNoMutation:
         steppers = {
             "rhs": lambda rhs, t, y: (rhs(t, y),),
             "rk4": lambda rhs, t, y: rk4_step(rhs, t, y, 0.1),
-            "dp54": lambda rhs, t, y: dp54_step(rhs, t, y, 0.1),
+            "rk54": lambda rhs, t, y: rk54_step(rhs, t, y, 0.1),
         }
         for name, rhs, t, y in random_cases(seed=9, n=8):
             for step_name, step in steppers.items():
@@ -1333,7 +1422,7 @@ class TestNonFiniteDerivative:
             traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         # the retry keeps the first stage and costs six calls
         h_retry = times[12]
-        assert times[7:13] == [c * h_retry for c in _DP_C[1:]]
+        assert times[7:13] == [c * h_retry for c in _RK54_C[1:]]
         assert 0.0 < h_retry < times[6]
         clean, _ = propagate(lambda t, y: [-v for v in y], 0.0, np.array([1.0]), 1.0, IntegratorConfig())
         assert event.kind == "terminal_time"

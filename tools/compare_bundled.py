@@ -13,7 +13,11 @@ checkout.  Then every difference between the two sides is reported:
 
 * a CSV, or any other output file, that differs in a byte.  For a CSV the
   report says by how much: how many rows differ, and in each column that
-  differs, in how many rows and by how much at most;
+  differs, in how many rows and by how much at most.  When the two sides
+  sample other times (their ``t`` columns differ in a row both have), rows
+  of the same index are not the same state, so the CSV is reported as
+  re-sampled, with both row counts and the differences of its last rows
+  only;
 * a comparison JSON that differs outside its ``wall_time_s`` entries.  The
   report says by how much: for each key path, with list indices dropped,
   how many values differ and by how much at most;
@@ -99,13 +103,30 @@ def _measured(name: str, found: list, what: str) -> str:
 
 
 def csv_summary(old: bytes, new: bytes) -> list:
-    """Lines saying by how much two CSVs differ, row by row and column by column."""
+    """Lines saying by how much two CSVs differ, row by row and column by column.
+
+    Two CSVs whose ``t`` cells differ in a row both have are re-sampled:
+    then only their last rows are compared.
+    """
     old_rows = list(csv.reader(io.StringIO(old.decode())))
     new_rows = list(csv.reader(io.StringIO(new.decode())))
     if old_rows[:1] != new_rows[:1]:
         return ["  header differs"]
     header = old_rows[0] if old_rows else []
     pairs = list(zip(old_rows[1:], new_rows[1:]))
+    if "t" in header:
+        t = header.index("t")
+        if any(a[t:t + 1] != b[t:t + 1] for a, b in pairs):
+            lines = [
+                f"  re-sampled: {len(old_rows) - 1} rows in parent, {len(new_rows) - 1} in change; "
+                "last rows compared"
+            ]
+            for name, x, y in zip(header, old_rows[-1], new_rows[-1]):
+                if x != y:
+                    d = _difference(x, y)
+                    shown = f"{d:.3e}" if d is not None and d == d else "not numbers"
+                    lines.append(f"    {name}: {shown}")
+            return lines
     lines = []
     if len(old_rows) != len(new_rows):
         lines.append(
