@@ -1,7 +1,19 @@
 """Time-parameterized command profiles driving a scenario.
 
-Profiles are piecewise linear in time, held constant beyond their first and
-last knots.  The bank command is interpreted in one of two modes:
+A profile is a list of knots ``(times, values)``.  :meth:`ControlProfile.lookup`
+is its one evaluator, and it defines the profile's value and rate:
+
+* the value is linear between knots, and constant before the first knot
+  and after the last;
+* at the first knot it is the first value, bit for bit (-0.0 included);
+  elsewhere on a segment ``[t0, t1)`` it is
+  ``v0 + (v1 - v0) * (t - t0) / (t1 - t0)``;
+* the rate is the active segment's slope, right-continuous at the knots,
+  and zero before the first knot and from the last one on;
+* both are defined at every ``t`` whose distance to every knot is a finite
+  float.  Scenario loading enforces that over ``[t0, stop.t_final]``.
+
+The bank command is interpreted in one of two modes:
 
 * ``"sigma"`` -- the native gauge command.  The ten-parameter forms read it
   as the bank angle about the velocity axis measured from their own second
@@ -28,7 +40,7 @@ BANK_MODES = ("sigma", "beta")
 
 
 class PiecewiseLinear:
-    """Piecewise-linear profile with constant extrapolation beyond the knots."""
+    """The validated knots of a piecewise-linear profile, which ``ControlProfile.lookup`` evaluates."""
 
     def __init__(self, times, values):
         times = [float(t) for t in times]
@@ -49,30 +61,6 @@ class PiecewiseLinear:
     @classmethod
     def constant(cls, value: float) -> "PiecewiseLinear":
         return cls([0.0], [value])
-
-    def __call__(self, t: float) -> float:
-        times = self.times
-        if t <= times[0]:
-            return self.values[0]
-        if t >= times[-1]:
-            return self.values[-1]
-        i = bisect_right(times, t) - 1
-        t0, t1 = times[i], times[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def rate(self, t: float) -> float:
-        """Slope of the active segment; right-continuous at knots, zero outside."""
-        times = self.times
-        if t < times[0] or t >= times[-1]:
-            return 0.0
-        i = bisect_right(times, t) - 1
-        if i == len(times) - 1:
-            return 0.0
-        return (self.values[i + 1] - self.values[i]) / (times[i + 1] - times[i])
-
-    def __repr__(self):
-        return f"PiecewiseLinear(times={self.times}, values={self.values})"
 
 
 def _zero() -> PiecewiseLinear:
@@ -114,11 +102,11 @@ class ControlProfile:
         """``lookup(t) -> (alpha, thrust, x)``: every command a derivative reads, in one call.
 
         ``x`` is the profile named ``third`` (``"bank"`` or ``"wb1"``) at
-        ``t``, or its ``rate`` when ``rate`` is set.  Each value has the bits
-        of ``PiecewiseLinear.__call__`` or ``.rate`` at any ``t`` whose
-        distance to every knot is a finite float.  The table behind it is
-        built once, from the profiles' ``times`` and ``values``, and never
-        changes, so a lookup is pure.
+        ``t``, or its rate when ``rate`` is set; every value follows the
+        module's rule, at any ``t`` whose distance to every knot is a
+        finite float.  The table behind it is built once, from the
+        profiles' ``times`` and ``values``, and never changes, so a lookup
+        is pure.
         """
         breaks, rows = _segment_table(
             (
@@ -147,13 +135,15 @@ def _pieces(profile, rate):
 
     From its start to the next one the profile's value (its slope with
     ``rate``) is ``v0 + dv * (t - t0) / dt``: on a segment ``[t0, t1)``
-    that is ``PiecewiseLinear.__call__``'s formula with ``dv = v1 - v0`` and
+    that is the module's formula with ``dv = v1 - v0`` and
     ``dt = t1 - t0``.  A constant ``c`` is ``(c, -0.0, start, 1.0)``, whose
     second term is -0.0 for every ``t >= start`` and leaves every float
     ``c`` as it is, -0.0 included; before the first knot it is
     ``(c, 0.0, t0, 1.0)`` with ``t0`` the first knot, -0.0 for ``t < t0``.
     The first knot itself is a piece of its own, ``[t0, nextafter(t0))``,
-    since ``__call__`` returns the first value there without the formula.
+    where the value is the first value without the formula.  Each term
+    ``t - t0`` is finite, and the rule holds, while ``t`` is a finite
+    distance from every knot.
     """
     times, values = profile.times, profile.values
     first, last = times[0], times[-1]

@@ -47,10 +47,13 @@ Each derivative evaluation reads every command its form needs from one
 call of a lookup that :meth:`ControlProfile.lookup` builds once per
 ``make_rhs`` call: the angle of attack, the thrust, and a third command,
 the bank angle (rv, rvh and the baselines), the ``wb1`` command (rvl in
-``sigma`` mode) or the bank rate (rvl in ``beta`` mode).  The lookup reads
-a per-segment table fixed when it is built, so the derivatives keep no
-state between calls, and its values have the bits of the profiles' own
-``__call__`` and ``rate``.  All five derivative functions then take the
+``sigma`` mode) or the bank rate (rvl in ``beta`` mode).  The lookup is
+the one evaluator of the profiles, and the diagnostics read the commands
+through it too: values linear between knots and constant beyond them, the
+first value itself at the first knot, a right-continuous rate that is zero
+outside the knots, at any time a finite distance from every knot.  It
+reads a per-segment table fixed when it is built, so the derivatives keep
+no state between calls.  All five derivative functions then take the
 aerodynamic and thrust forces from one kernel, :func:`make_forces`, also
 built once per ``make_rhs`` call; each form only banks the transverse
 force into its own basis and adds gravity and the rotating-frame terms.
@@ -503,7 +506,7 @@ def rvl_twist(qb, controls: ControlProfile, t0: float):
     offset from the {position, velocity} plane so the physical bank starts
     on profile.
     """
-    twist = controls.bank(t0)
+    twist = controls.lookup("bank")(t0)[2]
     if controls.bank_mode == "beta":
         c_ba = dcm_from_quat(qb)
         twist = atan2(c_ba[2, 0], c_ba[1, 0]) + twist
@@ -516,58 +519,29 @@ def _rvl_from_rv(y, controls, t0):
     return out
 
 
-def _bank_columns(sigma, c21, c31):
-    """The ``sigma`` and ``beta`` columns from the native bank and C_BA(2,1), C_BA(3,1).
+def _rv_columns(y, bank, bank_mode):
+    """Gauge columns of ten-parameter rows ``y`` flying ``bank`` in ``bank_mode``.
 
-    ``sigma`` is a list of floats and the matrix entries are arrays; beta is
-    0.0 in vertical flight, where it is undefined.
+    ``bank`` is the bank command of each row, a list of floats.  In
+    ``beta`` mode the native bank ``sigma`` is the command plus the gauge's
+    offset from the {position, velocity} plane; ``beta`` is the native bank
+    measured from that plane.  Where the plane is undefined, in vertical
+    flight, ``beta`` is 0.0, and so is ``sigma`` in ``beta`` mode.
     """
-    vertical = _vertical(c21, c31).tolist()
-    beta = [
-        0.0 if vert else _beta(sig, a, b)
-        for sig, a, b, vert in zip(sigma, c21.tolist(), c31.tolist(), vertical)
-    ]
-    return {"sigma": np.array(sigma, dtype=float), "beta": np.array(beta, dtype=float)}
-
-
-def _two_quaternion_columns(native_bank):
-    """Gauge columns of a ten-parameter form.
-
-    ``native_bank(t, controls, c21, c31)`` gives the native bank ``sigma``
-    as a list of floats, one per sample time in the list ``t``.
-    """
-
-    def columns(t, y, controls):
-        c_ba = dcm_rows(renormalize_rows(y[:, 6:10]))
-        c21, c31 = c_ba[:, 1, 0], c_ba[:, 2, 0]
-        return {
-            "norm_qa": row_norms(y[:, 1:5]),
-            "norm_qb": row_norms(y[:, 6:10]),
-            "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
-            "eps_b1": y[:, 6], "eps_b2": y[:, 7], "eps_b3": y[:, 8], "eta_b": y[:, 9],
-            **_bank_columns(native_bank(t.tolist(), controls, c21, c31), c21, c31),
-        }
-
-    return columns
-
-
-def _rv_bank(t, controls, c21, c31):
-    bank = [controls.bank(tk) for tk in t]
-    if controls.bank_mode == "sigma":
-        return bank
-    vertical = _vertical(c21, c31).tolist()
-    return [
-        0.0 if vert else _sigma(b, a, c)
-        for b, a, c, vert in zip(bank, c21.tolist(), c31.tolist(), vertical)
-    ]
-
-
-_rv_columns = _two_quaternion_columns(_rv_bank)
-
-
-def _rvl_bank(t, controls, c21, c31):
-    # the lift gauge's second axis is the lift direction: native bank zero
-    return [0.0] * len(t)
+    c_ba = dcm_rows(renormalize_rows(y[:, 6:10]))
+    c21, c31 = c_ba[:, 1, 0], c_ba[:, 2, 0]
+    rows = list(zip(c21.tolist(), c31.tolist(), _vertical(c21, c31).tolist()))
+    if bank_mode == "beta":
+        bank = [0.0 if vert else _sigma(b, a, c) for b, (a, c, vert) in zip(bank, rows)]
+    beta = [0.0 if vert else _beta(sig, a, c) for sig, (a, c, vert) in zip(bank, rows)]
+    return {
+        "norm_qa": row_norms(y[:, 1:5]),
+        "norm_qb": row_norms(y[:, 6:10]),
+        "eps_a1": y[:, 1], "eps_a2": y[:, 2], "eps_a3": y[:, 3], "eta_a": y[:, 4],
+        "eps_b1": y[:, 6], "eps_b2": y[:, 7], "eps_b3": y[:, 8], "eta_b": y[:, 9],
+        "sigma": np.array(bank, dtype=float),
+        "beta": np.array(beta, dtype=float),
+    }
 
 
 _NO_QUATERNIONS = (
@@ -576,12 +550,9 @@ _NO_QUATERNIONS = (
 )
 
 
-def _baseline_columns(t, y, controls):
+def _baseline_columns(y, bank, bank_mode):
     nan = np.full(len(y), np.nan)
-    return {
-        **dict.fromkeys(_NO_QUATERNIONS, nan),
-        "beta": np.array([controls.bank(tk) for tk in t.tolist()], dtype=float),
-    }
+    return {**dict.fromkeys(_NO_QUATERNIONS, nan), "beta": np.array(bank, dtype=float)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,12 +568,13 @@ class Parameterization:
       widened by ``states.rvh_rows_to_rv``.
     * ``from_cartesian(c, controls, t0)`` gives the row of a physical
       state, in the form's gauge at the initial time ``t0``.
-    * ``gauge_columns(t, y, controls)`` gives, for sample times ``t`` (n,)
-      and rows ``y``, one array per diagnostic column that depends on the
-      form: quaternion components and norms, the native bank ``sigma`` and
-      the plane-referenced bank ``beta`` (0.0 where it is undefined).
-      Forms without quaternions give NaN for all of these except ``beta``,
-      which is their bank command.
+    * ``gauge_columns(y, bank, bank_mode)`` gives, for state rows ``y``
+      (n, size) and the bank command ``bank`` of each row (a list of n
+      floats) read in ``bank_mode``, one array per diagnostic column that
+      depends on the form: quaternion components and norms, the native
+      bank ``sigma`` and the plane-referenced bank ``beta`` (0.0 where it
+      is undefined).  Forms without quaternions give NaN for all of these
+      except ``beta``, which is their bank command.
     * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
       quaternions (rvh's ``(eps_b3, eta_b)`` counts as one), which the
       propagator renormalizes and scenario loading checks.
@@ -655,7 +627,8 @@ PARAMETERIZATIONS = {
         make_rhs=make_rvl_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
         from_cartesian=lambda c, controls, t0: _rvl_from_rv(cartesian_to_rv(c), controls, t0),
-        gauge_columns=_two_quaternion_columns(_rvl_bank),
+        # the lift gauge's second axis is the lift direction: native bank zero
+        gauge_columns=lambda y, bank, bank_mode: _rv_columns(y, [0.0] * len(bank), "sigma"),
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
         radius_index=0,
@@ -665,7 +638,7 @@ PARAMETERIZATIONS = {
         make_rhs=make_rvh_rhs,
         to_cartesian_rows=lambda y: rv_rows_to_cartesian(rvh_rows_to_rv(y)),
         from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c),
-        gauge_columns=lambda t, y, controls: _rv_columns(t, rvh_rows_to_rv(y), controls),
+        gauge_columns=lambda y, bank, bank_mode: _rv_columns(rvh_rows_to_rv(y), bank, bank_mode),
         quat_spans=((1, 5), (6, 8)),
         scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
         radius_index=0,
@@ -701,10 +674,11 @@ def sample_diagnostics(name: str, t, y, controls: ControlProfile, env: Environme
     rows.  Position, velocity, their magnitudes, the angular-momentum
     magnitude and the specific orbital energy come from one
     ``to_cartesian_rows`` call; the form's ``gauge_columns`` add its
-    quaternion and bank-angle columns.  Every value has the bits the
-    per-sample arithmetic gives: the energy is Python-float arithmetic per
-    row (float ``**`` is the C library's ``pow``) and the profiles are
-    evaluated per sample time.
+    quaternion and bank-angle columns.  The commanded angle of attack and
+    bank come from one :meth:`ControlProfile.lookup`, called per sample
+    time, so they are the commands the derivative flew.  Every value has
+    the bits the per-sample arithmetic gives: the energy is Python-float
+    arithmetic per row (float ``**`` is the C library's ``pow``).
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -714,6 +688,9 @@ def sample_diagnostics(name: str, t, y, controls: ControlProfile, env: Environme
     speed = row_norms(v)
     mu = env.body.mu
     energy = [0.5 * s**2 - mu / q for s, q in zip(speed.tolist(), r.tolist())]
+    lookup = controls.lookup("bank")
+    commands = [lookup(tk) for tk in t.tolist()]  # (alpha, thrust, bank) per row
+    bank = [c[2] for c in commands]
     out = {
         "x": p[:, 0],
         "y": p[:, 1],
@@ -725,7 +702,7 @@ def sample_diagnostics(name: str, t, y, controls: ControlProfile, env: Environme
         "v": speed,
         "h_mag": row_norms(np.cross(p, v)),
         "energy": np.array(energy, dtype=float),
-        "alpha": np.array([controls.alpha(tk) for tk in t.tolist()], dtype=float),
+        "alpha": np.array([c[0] for c in commands], dtype=float),
     }
-    out.update(spec.gauge_columns(t, y, controls))
+    out.update(spec.gauge_columns(y, bank, controls.bank_mode))
     return out

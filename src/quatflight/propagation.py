@@ -306,10 +306,6 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.y[-1]
-
 
 def _names(prefix, n):
     return [f"{prefix}_{i}" for i in range(n)]

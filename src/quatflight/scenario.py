@@ -396,8 +396,16 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     params = v.names(data, "parameterizations", "parameterizations", _FORMS, _FORMS)
     top = v.fields(data, _TOP_LEVEL, "")
 
-    if not v.errors and not top["t0"] < stop["t_final"]:
-        v.fail("t0", f"must be less than stop.t_final ({stop['t_final']:g}), got {top['t0']:g}")
+    if not v.errors:
+        t0, t_final = top["t0"], stop["t_final"]
+        if not t0 < t_final:
+            v.fail("t0", f"must be less than stop.t_final ({t_final:g}), got {t0:g}")
+        for key, profile in profiles.items():
+            # the lookup takes t - knot, which must be finite at every time of the run
+            first, last = profile.times[0], profile.times[-1]
+            if not (math.isfinite(t_final - first) and math.isfinite(last - t0)):
+                v.fail(f"controls.{key}.times", "every knot must be a finite distance from every"
+                       f" time from t0 to stop.t_final, got knots {first:g} to {last:g}")
     if v.errors:
         raise ConfigError(v.errors)
     environment = Environment(**{

@@ -6,6 +6,9 @@ statement of something ``src/quatflight`` computes another way:
 * rotation algebra: axis-angle rotations, their direction cosine matrices
   and Euler parameters, the skew matrix, and the Euler parameter rates of
   an angular velocity and back;
+* :func:`profile_value` and :func:`profile_rate`, a control profile
+  evaluated by bisection per call, the oracle for the segment table of
+  ``ControlProfile.lookup``;
 * the force model in matrix form (:func:`density`, :func:`aero_forces`,
   :func:`net_force_B`, :func:`apparent_force_B`), the oracle for the scalar
   kernel ``dynamics.make_forces`` and the derivative functions;
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +142,33 @@ def omega_from_rate_arrays(qdot, q) -> np.ndarray:
             2.0 * (eta * d3 - deta * e3 + e2 * d1 - d2 * e1),
         ]
     )
+
+
+# --- control profiles --------------------------------------------------------
+
+
+def profile_value(profile, t: float) -> float:
+    """The value of a piecewise-linear ``profile`` at ``t``, by bisection per call."""
+    times = profile.times
+    if t <= times[0]:
+        return profile.values[0]
+    if t >= times[-1]:
+        return profile.values[-1]
+    i = bisect_right(times, t) - 1
+    t0, t1 = times[i], times[i + 1]
+    v0, v1 = profile.values[i], profile.values[i + 1]
+    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def profile_rate(profile, t: float) -> float:
+    """Slope of the active segment; right-continuous at knots, zero outside."""
+    times = profile.times
+    if t < times[0] or t >= times[-1]:
+        return 0.0
+    i = bisect_right(times, t) - 1
+    if i == len(times) - 1:
+        return 0.0
+    return (profile.values[i + 1] - profile.values[i]) / (times[i + 1] - times[i])
 
 
 # --- force model in matrix form ----------------------------------------------

@@ -44,6 +44,8 @@ from reference import (
     beta_rate,
     dcm_from_axis_angle,
     omega_from_rate_arrays,
+    profile_rate,
+    profile_value,
     quat_from_axis_angle,
     quat_rates,
     rv_row,
@@ -422,7 +424,7 @@ def test_criterion_7_bank_angle_maps():
     ydot = array_rhs(rhs)(t0, y0)
     wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
     c_ba = dcm_from_quat(unit(y0[6:10]))
-    analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)
+    analytic = beta_rate(profile_rate(profile.bank, t0), wb[0], wb[1], wb[2], c_ba)
 
     errs = []
     for h in (0.4, 0.2):
@@ -438,8 +440,8 @@ def test_criterion_7_bank_angle_maps():
         for _ in range(n):
             ym = _rk4(rhs, tt, ym, -step)
             tt -= step
-        bp = beta_from_sigma(profile.bank(t0 + h), dcm_from_quat(unit(yp[6:10])))
-        bm = beta_from_sigma(profile.bank(t0 - h), dcm_from_quat(unit(ym[6:10])))
+        bp = beta_from_sigma(profile_value(profile.bank, t0 + h), dcm_from_quat(unit(yp[6:10])))
+        bm = beta_from_sigma(profile_value(profile.bank, t0 - h), dcm_from_quat(unit(ym[6:10])))
         fd = ((bp - bm + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * h)
         errs.append(abs(fd - analytic))
     ratio = errs[0] / max(errs[1], 1e-18)

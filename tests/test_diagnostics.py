@@ -43,6 +43,7 @@ from reference import (
     AxisAngle,
     beta_from_sigma,
     dcm_from_axis_angle,
+    profile_value,
     sigma_from_beta,
     unit,
 )
@@ -143,9 +144,9 @@ def ref_ten_parameter_columns(native_bank):
 
 def ref_rv_bank(t, controls, c_ba):
     if controls.bank_mode == "sigma":
-        return controls.bank(t)
+        return profile_value(controls.bank, t)
     try:
-        return ref_sigma_from_beta(controls.bank(t), c_ba)
+        return ref_sigma_from_beta(profile_value(controls.bank, t), c_ba)
     except _Vertical:
         return 0.0
 
@@ -158,7 +159,7 @@ REF_NO_QUATERNIONS = dict.fromkeys(
 
 
 def ref_baseline_columns(t, y, controls):
-    return {**REF_NO_QUATERNIONS, "beta": controls.bank(t)}
+    return {**REF_NO_QUATERNIONS, "beta": profile_value(controls.bank, t)}
 
 
 REF_GAUGE_COLUMNS = {
@@ -186,7 +187,7 @@ def ref_sample_diagnostics(name, t, y, controls, env):
         "v": cart.v,
         "h_mag": h_mag,
         "energy": energy,
-        "alpha": controls.alpha(t),
+        "alpha": profile_value(controls.alpha, t),
     }
     out.update(REF_GAUGE_COLUMNS[name](t, y, controls))
     return out
@@ -235,7 +236,7 @@ def ref_build_comparison(config, results):
             norms = np.array([np.linalg.norm(row[lo:hi]) for row in traj.y])
             drift.append(float(np.max(np.abs(norms - 1.0))))
         norm_drift[res.name] = drift
-        cart_final = to_cartesian(traj.final_state)
+        cart_final = to_cartesian(traj.y[-1])
         final_states[res.name] = {
             "t": float(traj.t[-1]),
             "position": [float(x) for x in cart_final.position],
@@ -351,7 +352,7 @@ class TestComparisonObservesOnly:
         traj = with_grid.trajectory
         assert len(traj) == 100_001
         assert traj.n_steps == 100_000
-        assert np.array_equal(traj.final_state, plain.trajectory.final_state)
+        assert np.array_equal(traj.y[-1], plain.trajectory.y[-1])
         assert len(traj.t_eval) == bundled_runs["norm_drift"][0].compare_points
 
     def test_grid_samples_match_a_landed_propagation(self, bundled_runs):
@@ -367,7 +368,7 @@ class TestComparisonObservesOnly:
                 stop = dataclasses.replace(config.stop, t_final=t)
                 landed = scenario.run_parameterization(res.name, dataclasses.replace(config, stop=stop))
                 assert (landed.event.kind, landed.event.t_event) == ("terminal_time", t)
-                p_landed = spec.to_cartesian(landed.trajectory.final_state).position
+                p_landed = spec.to_cartesian(landed.trajectory.y[-1]).position
                 assert float(np.linalg.norm(p - p_landed)) < 1e-3, (res.name, t)
                 checked += 1
         assert checked == 5 * (len(results[0].trajectory.t_eval) - 1)

@@ -34,6 +34,8 @@ from reference import (
     density,
     net_force_B,
     omega_from_rate_arrays,
+    profile_rate,
+    profile_value,
     rv_row,
     rvh_row,
     sigma_from_beta,
@@ -754,13 +756,13 @@ class TestBankAngleMaps:
             n = max(1, int(round(abs(t - t_start) * n_per_s)))
             y = rk4_run(rhs, t_start, y_start, t, n)
             c_ba = dcm_from_quat(unit(y[6:10]))
-            return beta_from_sigma(profile.bank(t), c_ba), y
+            return beta_from_sigma(profile_value(profile.bank, t), c_ba), y
 
         beta0, _ = beta_at(t0, y0, t0)
         ydot = array_rhs(rhs)(t0, y0)
         wb = omega_from_rate_arrays(ydot[6:10], y0[6:10])
         c_ba = dcm_from_quat(unit(y0[6:10]))
-        analytic = beta_rate(profile.bank.rate(t0), wb[0], wb[1], wb[2], c_ba)
+        analytic = beta_rate(profile_rate(profile.bank, t0), wb[0], wb[1], wb[2], c_ba)
 
         errs = []
         for h in (0.4, 0.2):

@@ -8,7 +8,16 @@ from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, En
 from quatflight.quat import dcm_from_quat
 from quatflight.states import CartesianState, cartesian_to_rv
 
-from reference import ControlInput, aero_forces, apparent_force_B, density, net_force_B, unit
+from reference import (
+    ControlInput,
+    aero_forces,
+    apparent_force_B,
+    density,
+    net_force_B,
+    profile_rate,
+    profile_value,
+    unit,
+)
 
 
 class TestDensity:
@@ -186,9 +195,15 @@ class TestApparentForce:
             np.testing.assert_allclose(accel_from_b, accel_direct, rtol=1e-9, atol=1e-9)
 
 
+def bank_lookup(profile, rate=False):
+    """``profile`` as the bank command, evaluated by ``ControlProfile.lookup``."""
+    lookup = ControlProfile(bank=profile).lookup("bank", rate)
+    return lambda t: lookup(t)[2]
+
+
 class TestPiecewiseLinear:
     def test_interpolation_and_clamping(self):
-        p = PiecewiseLinear([0.0, 10.0], [1.0, 3.0])
+        p = bank_lookup(PiecewiseLinear([0.0, 10.0], [1.0, 3.0]))
         assert p(-5.0) == 1.0
         assert p(0.0) == 1.0
         assert p(5.0) == 2.0
@@ -196,16 +211,16 @@ class TestPiecewiseLinear:
         assert p(20.0) == 3.0
 
     def test_rate(self):
-        p = PiecewiseLinear([0.0, 10.0, 20.0], [1.0, 3.0, 3.0])
-        assert p.rate(5.0) == 0.2
-        assert p.rate(15.0) == 0.0
-        assert p.rate(-1.0) == 0.0
-        assert p.rate(25.0) == 0.0
+        rate = bank_lookup(PiecewiseLinear([0.0, 10.0, 20.0], [1.0, 3.0, 3.0]), rate=True)
+        assert rate(5.0) == 0.2
+        assert rate(15.0) == 0.0
+        assert rate(-1.0) == 0.0
+        assert rate(25.0) == 0.0
 
     def test_constant(self):
         p = PiecewiseLinear.constant(4.2)
-        assert p(123.0) == 4.2
-        assert p.rate(123.0) == 0.0
+        assert bank_lookup(p)(123.0) == 4.2
+        assert bank_lookup(p, rate=True)(123.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -222,7 +237,7 @@ class TestPiecewiseLinear:
 
 
 class TestControlLookup:
-    """``ControlProfile.lookup`` has the bits of ``PiecewiseLinear.__call__`` and ``.rate``."""
+    """``ControlProfile.lookup`` has the bits of ``reference.profile_value`` and ``profile_rate``."""
 
     @staticmethod
     def probe_times(controls):
@@ -238,15 +253,19 @@ class TestControlLookup:
     def assert_same_bits(controls, third, rate):
         lookup = controls.lookup(third, rate)
         profile = getattr(controls, third)
-        third_of = profile.rate if rate else profile
+        third_of = profile_rate if rate else profile_value
         for t in TestControlLookup.probe_times(controls):
-            expected = (controls.alpha(t), controls.thrust(t), third_of(t))
+            expected = (
+                profile_value(controls.alpha, t),
+                profile_value(controls.thrust, t),
+                third_of(profile, t),
+            )
             got = lookup(t)
             assert [v.hex() for v in got] == [v.hex() for v in expected], (third, rate, t)
 
     CASES = {
         "signed zeros": ControlProfile(
-            # -0.0 at the first knot, where __call__ returns it as it is,
+            # -0.0 at the first knot, where the value is the first one as it is,
             # and flat -0.0 segments, where the formula makes it +0.0
             alpha=PiecewiseLinear([0.0, 10.0, 20.0, 30.0], [-0.0, 0.5, -0.0, -0.0]),
             bank=PiecewiseLinear([-5.0, 3.0, 12.5, 40.0], [-0.0, -0.0, 2.0, -1.0]),
@@ -270,7 +289,7 @@ class TestControlLookup:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("third, rate", [("bank", False), ("bank", True), ("wb1", False)])
-    def test_bits_of_call_and_rate(self, case, third, rate):
+    def test_bits_of_value_and_rate(self, case, third, rate):
         self.assert_same_bits(self.CASES[case], third, rate)
 
     def test_reads_only_times_and_values(self):
@@ -281,9 +300,6 @@ class TestControlLookup:
 
             def __getattr__(self, name):
                 return getattr(self._profile, name)
-
-            def __call__(self, t):
-                return self._profile(t)
 
         base = self.CASES["signed zeros"]
         proxied = ControlProfile(

@@ -246,13 +246,13 @@ class TestScalarProbe:
         cfg = IntegratorConfig(method="rk4-fixed", step=0.01)
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
         assert event.kind == "terminal_time"
-        np.testing.assert_allclose(traj.final_state[0], math.exp(-1.0), atol=1e-9)
+        np.testing.assert_allclose(traj.y[-1][0], math.exp(-1.0), atol=1e-9)
 
     def test_exponential_decay_adaptive(self):
         rhs = lambda t, y: [-v for v in y]
         cfg = IntegratorConfig(method="rk45-adaptive", rel_tol=1e-12, abs_tol=1e-14)
         traj, event = propagate(rhs, 0.0, np.array([1.0]), 1.0, cfg)
-        np.testing.assert_allclose(traj.final_state[0], math.exp(-1.0), rtol=1e-11)
+        np.testing.assert_allclose(traj.y[-1][0], math.exp(-1.0), rtol=1e-11)
 
     def test_time_grid_strictly_increasing(self):
         rhs = lambda t, y: [-v for v in y]
@@ -275,7 +275,7 @@ class TestCircularOrbit:
             rhs, 0.0, y0, period, cfg, scales=PARAMETERIZATIONS["cartesian"].scales
         )
         assert event.kind == "terminal_time"
-        np.testing.assert_allclose(traj.final_state[0:3], y0[0:3], atol=1e-6 * r)
+        np.testing.assert_allclose(traj.y[-1][0:3], y0[0:3], atol=1e-6 * r)
         radii = np.linalg.norm(traj.y[:, 0:3], axis=1)
         assert np.max(np.abs(radii - r)) < 1e-8 * r
 
@@ -496,8 +496,8 @@ class TestRenormalizationPolicy:
         cfg_off = IntegratorConfig(method="rk4-fixed", step=0.1, renormalize_every_step=False)
         traj_on, _ = propagate(rhs, 0.0, y0, t1, cfg_on, quat_spans=spec.quat_spans)
         traj_off, _ = propagate(rhs, 0.0, y0, t1, cfg_off, quat_spans=spec.quat_spans)
-        p_on = spec.to_cartesian(traj_on.final_state).position
-        p_off = spec.to_cartesian(traj_off.final_state).position
+        p_on = spec.to_cartesian(traj_on.y[-1]).position
+        p_off = spec.to_cartesian(traj_off.y[-1]).position
         assert float(np.linalg.norm(p_on - p_off)) < 1e-8 * r
 
 
@@ -747,8 +747,8 @@ class TestAdaptiveVsFixed:
             rhs, 0.0, y0, t1, adaptive, quat_spans=spec.quat_spans, scales=spec.scales
         )
         traj_f, _ = propagate(rhs, 0.0, y0, t1, fixed, quat_spans=spec.quat_spans)
-        p_a = spec.to_cartesian(traj_a.final_state).position
-        p_f = spec.to_cartesian(traj_f.final_state).position
+        p_a = spec.to_cartesian(traj_a.y[-1]).position
+        p_f = spec.to_cartesian(traj_f.y[-1]).position
         assert float(np.linalg.norm(p_a - p_f)) < 1e-8 * float(np.linalg.norm(p_a))
 
 

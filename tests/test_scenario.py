@@ -123,6 +123,34 @@ class TestConfigValidation:
         assert cli_main(["validate", str(path)]) == 2
         assert "config error: controls.bank: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "t0, t_final, knot", [(1.5e308, 1.6e308, -1.7e308), (-1.6e308, 1.0, 1.7e308)]
+    )
+    def test_knot_an_infinite_distance_from_the_run_rejected(
+        self, tmp_path, capsys, t0, t_final, knot
+    ):
+        # the lookup takes t - knot, NaN where that overflows: every form
+        # would fail at t0 on a non-finite state
+        data = yaml.safe_load(bundled_scenario_path("circular_orbit").read_text())
+        data["t0"], data["stop"]["t_final"] = t0, t_final
+        data["controls"]["alpha"] = {"times": [knot], "values": [0.1]}
+        path = tmp_path / "far_knot.yaml"
+        path.write_text(yaml.safe_dump(data))
+        for argv in (
+            ["validate", str(path)],
+            ["run", str(path), "--out", str(tmp_path)],
+            ["bench", str(path)],
+        ):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == (
+                "config error: controls.alpha.times: every knot must be a finite distance from"
+                f" every time from t0 to stop.t_final, got knots {knot:g} to {knot:g}\n"
+            )
+        assert not list(tmp_path.glob("*.csv"))
+        data["controls"]["alpha"]["times"] = [0.0]
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["validate", str(path)]) == 0
+
     def test_misspelled_keys_rejected_one_message_each(self):
         # read as defaults, these keys would run rk45-adaptive at its default
         # tolerance with no radius stop
@@ -915,26 +943,37 @@ class TestPackageExports:
 
     def test_src_holds_only_what_the_program_runs(self):
         # a top-level function or class in the package is referenced by the
-        # package or the benchmark, or exported; test-only code lives in tests/
+        # package, the benchmark or the tools, or exported; a method,
+        # classmethod or property of one of its classes (dunders aside) is
+        # referenced there as an attribute; test-only code lives in tests/
         root = Path(__file__).resolve().parents[1]
         package = root / "src" / "quatflight"
-        referenced = set()
-        defined = []
-        for path in [*package.glob("*.py"), *(root / "perfbench").rglob("*.py")]:
+        names, attributes = set(), set()
+        defined, methods = [], []
+        for path in [*package.glob("*.py"), *(root / "perfbench").rglob("*.py"),
+                     *(root / "tools").rglob("*.py")]:
             tree = ast.parse(path.read_text())
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    referenced.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    referenced.add(node.attr)
+                    attributes.add(node.attr)
             if path.parent == package:
                 defined += [
                     (path.name, node.name)
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 ]
-        kept = referenced | set(quatflight.__all__)
+                methods += [
+                    (path.name, cls.name, node.name)
+                    for cls in tree.body
+                    if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+                ]
+        kept = names | attributes | set(quatflight.__all__)
         assert [d for d in defined if d[1] not in kept] == []
+        assert [m for m in methods if m[2] not in attributes] == []
 
 
 class TestEntryScenarioInvariants:
@@ -953,7 +992,7 @@ class TestEntryScenarioInvariants:
         for name in config.parameterizations:
             res = run_parameterization(name, config)
             assert res.event.kind == "terminal_time"
-            finals[name] = PARAMETERIZATIONS[name].to_cartesian(res.trajectory.final_state)
+            finals[name] = PARAMETERIZATIONS[name].to_cartesian(res.trajectory.y[-1])
         ref = finals["cartesian"]
         for name, cs in finals.items():
             assert float(np.linalg.norm(cs.position - ref.position)) < 1e-6 * ref.r, name
