@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bench import benchmark_form, format_bench_table
+from .bench import MIN_EVALS, benchmark_form, format_bench_table
 from .dynamics import PARAMETERIZATIONS
 from .errors import ConfigError
 from .propagation import DERIVATIVE_FAILURES, stop_for
@@ -108,6 +108,8 @@ def _bench_json_path(json_path):
 
 def cmd_bench(args) -> int:
     config = load_scenario(args.config)
+    if args.evals < MIN_EVALS:
+        raise ConfigError([f"--evals must be at least {MIN_EVALS}, got {args.evals}"])
     out = _bench_json_path(args.json_path)
     rows, stops = [], {}
     for name in config.parameterizations:
@@ -115,9 +117,6 @@ def cmd_bench(args) -> int:
             rows.append(benchmark_form(name, config, args.evals))
         except DERIVATIVE_FAILURES as exc:
             stops[name] = stop_for(exc)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     print(format_bench_table(rows))
     for name, (kind, message) in stops.items():
         print(f"{name}: {kind} ({message})")

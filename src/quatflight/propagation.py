@@ -104,9 +104,12 @@ An adaptive step may not shrink below the step floor
 ``1e-14 * max(|t|, 1)``.  A rejection that would go below it ends the run
 at the last accepted sample with the rejected trial's failure, or as
 ``step_failure`` "step size underflow" when the trial did not fail.  A
-run whose accepted and rejected steps reach ``IntegratorConfig.max_steps``
-ends the same way, as ``step_failure`` "maximum step count exceeded".  Any
-other exception is a defect and is not caught.
+step that does not land and whose ``t + h`` rounds to ``t`` would not
+advance time: in either integrator it ends the run as "step size
+underflow" before it is tried.  A run whose accepted and rejected steps
+reach ``IntegratorConfig.max_steps`` ends the same way, as
+``step_failure`` "maximum step count exceeded".  Any other exception is a
+defect and is not caught.
 
 The state is a list of Python floats from ``y0`` to the last sample, and
 the derivative takes and returns one.  The RK4 step and the 5(4) step
@@ -127,9 +130,8 @@ So trajectories are bit for bit those of the array form.  The 5(4) step
 returns its projected stage-7 state as the fifth-order solution: that
 stage's weights are the solution weights, summed in the same order.  The
 located event state is projected by the same generated lines.  Arrays
-appear where a run's results are kept: the accepted rows, an
-interpolant's matrix product, and the trajectory and stop event handed
-back.
+appear where a run's results are kept: an interpolant's matrix product,
+and the trajectory and stop event handed back.
 
 The derivative is never evaluated twice at the same ``(t, y)`` from one
 step to the next, and is reused only where its inputs are bit-identical:
@@ -142,9 +144,11 @@ step to the next, and is reused only where its inputs are bit-identical:
   knot landing evaluates a fresh first stage: its stage 7 sits at the
   knot's left limit, and the next step starts on the knot's other side.
 
-Accepted samples are written into arrays of ``_CHUNK_ROWS`` rows, a new one
-when the last is full; the trajectory receives one concatenation of those
-arrays, so its rows share memory with nothing else.
+Samples are kept in four flat buffers of doubles (``array.array("d")``):
+the accepted times and states, and the output times and their states.  A
+row is appended to its buffer as it is made, and each buffer becomes its
+trajectory array once, when the run ends, without a copy, so the arrays
+share memory with nothing else.
 
 Propagation is deterministic: the same configuration and initial state
 produce bitwise-identical trajectories, with or without output times.
@@ -153,8 +157,8 @@ produce bitwise-identical trajectories, with or without output times.
 from __future__ import annotations
 
 import linecache
-import struct
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cache
 from math import hypot, inf, isfinite, isnan, nextafter, sqrt
@@ -167,7 +171,6 @@ from .errors import SingularityError
 EVENT_TIME_TOL = 1e-6  # s
 EVENT_RADIUS_TOL = 1e-3  # m
 _EVENT_MAX_ITERATIONS = 100
-_CHUNK_ROWS = 512  # accepted samples per storage array
 
 # Tsitouras 5(4) coefficients (Comput. Math. Appl. 62, 2011): stage 7's row
 # is the solution weights (b7 = 0), and _RK54_E = b - b_hat of the embedded
@@ -509,12 +512,6 @@ def _dense(t, h, y, stages, p):
     return lambda s: (y + ((s - t) / h) ** exponents @ q).tolist()
 
 
-@cache
-def _row_offsets(n):
-    """The byte offset of each row of a storage array of ``n`` floats per row."""
-    return tuple(range(0, _CHUNK_ROWS * 8 * n, 8 * n))
-
-
 def propagate(
     rhs: Callable,
     t0: float,
@@ -591,22 +588,8 @@ def propagate(
         n_evals += 1
         return rhs(t, yy)
 
-    # the accepted samples, in arrays of _CHUNK_ROWS rows; rows [0, n_rows)
-    # of the last ones are filled.  Rows are not kept as lists of floats
-    # until a chunk fills: that holds thousands of float objects alive, and
-    # a run under tracemalloc took four times as long.  A row is packed
-    # into its chunk's bytes, the same doubles at less than half the cost
-    # of assigning the list to an array row, at offsets made once per state
-    # size: an int made per row costs more than the packing under
-    # tracemalloc.
-    pack_row = struct.Struct(f"{len(y)}d").pack_into
-    offsets = _row_offsets(len(y))
-    t_chunk, y_chunk = np.empty(_CHUNK_ROWS), np.empty((_CHUNK_ROWS, len(y)))
-    t_chunks, y_chunks = [t_chunk], [y_chunk]
-    y_buffer = memoryview(y_chunk).cast("B")
-    t_chunk[0] = t0
-    pack_row(y_buffer, 0, *y)
-    n_rows = 1
+    # the accepted samples, as flat buffers of doubles
+    ts, ys = array("d", (t0,)), array("d", y)
     n_steps = 0
     n_rejected = 0
     # the times still to land on, the next one last: the knots inside
@@ -629,25 +612,26 @@ def propagate(
 
     # output times still to sample, the next one last
     pending = sorted({float(s) for s in t_eval if t0 <= s <= t_final}, reverse=True)
-    eval_t, eval_y = [], []
+    eval_t, eval_y = array("d"), array("d")
 
     def sample(t_end, y_end, dense):
         """Sample the pending output times up to ``t_end``, where the state is ``y_end``."""
         while pending and pending[-1] <= t_end:
             s = pending.pop()
             eval_t.append(s)
-            eval_y.append(y_end if s == t_end else dense(s))
+            eval_y.fromlist(y_end if s == t_end else dense(s))
 
     def finish(event):
+        n = len(y)
         traj = Trajectory(
-            t=np.concatenate(t_chunks[:-1] + [t_chunk[:n_rows]]),
-            y=np.concatenate(y_chunks[:-1] + [y_chunk[:n_rows]]),
+            t=np.frombuffer(ts),
+            y=np.frombuffer(ys).reshape(len(ts), n),
             n_evals=n_evals,
             n_steps=n_steps,
             n_rejected=n_rejected,
             wall_time=time.perf_counter() - start,
-            t_eval=np.array(eval_t),
-            y_eval=np.array(eval_y).reshape(len(eval_t), len(y)),
+            t_eval=np.frombuffer(eval_t),
+            y_eval=np.frombuffer(eval_y).reshape(len(eval_t), n),
         )
         return traj, event
 
@@ -673,6 +657,8 @@ def propagate(
         # of itself, or whose end rounds onto it, lands there and integrates
         # the whole gap; otherwise a sliver step would follow
         landing = target - t - h < 1e-6 * h or t + h >= target
+        if not landing and t + h == t:
+            return stop("step_failure", "step size underflow")
         h_try = target - t if landing else h
         if k1 is None:
             try:
@@ -736,15 +722,8 @@ def propagate(
         if pending and pending[-1] <= t_new:
             sample(t_new, y_new, dense or _dense(t, h_try, y, stages, dense_coefficients))
 
-        if n_rows == _CHUNK_ROWS:
-            t_chunk, y_chunk = np.empty(_CHUNK_ROWS), np.empty((_CHUNK_ROWS, len(y)))
-            t_chunks.append(t_chunk)
-            y_chunks.append(y_chunk)
-            y_buffer = memoryview(y_chunk).cast("B")
-            n_rows = 0
-        t_chunk[n_rows] = t_new
-        pack_row(y_buffer, offsets[n_rows], *y_new)
-        n_rows += 1
+        ts.append(t_new)
+        ys.fromlist(y_new)
         if event is not None:
             return finish(event)
 

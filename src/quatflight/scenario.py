@@ -400,6 +400,8 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
         t0, t_final = top["t0"], stop["t_final"]
         if not t0 < t_final:
             v.fail("t0", f"must be less than stop.t_final ({t_final:g}), got {t0:g}")
+        elif not math.isfinite(t_final - t0):
+            v.fail("t0", f"must be a finite distance from stop.t_final ({t_final:g}), got {t0:g}")
         for key, profile in profiles.items():
             # the lookup takes t - knot, which must be finite at every time of the run
             first, last = profile.times[0], profile.times[-1]

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 import traceback
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -532,6 +535,17 @@ class TestGuardsAndBudget:
             assert len(traj) == traj.n_steps + 1
             assert 0.0 < event.t_event == traj.t[-1] < 1.0
             assert event.y_event.tolist() == traj.y[-1].tolist()
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_step_that_cannot_move_time_ends_the_run(self, method):
+        # at t0 = 1e300 a spacing of floats is about 1e284, so t + h rounds
+        # to t for any step the span allows: no step could ever land
+        t0, t_final = 1e300, 1.0000000001e300
+        cfg = IntegratorConfig(method=method, step=1.0, max_steps=50)
+        traj, event = propagate(lambda t, y: [1.0], t0, [0.0], t_final, cfg)
+        assert (event.kind, event.message) == ("step_failure", "step size underflow")
+        assert (traj.n_evals, traj.n_steps, traj.n_rejected) == (0, 0, 0)
+        assert event.t_event == t0 and traj.t.tolist() == [t0]
 
     def test_singularity_guard_returns_partial_trajectory(self):
         from quatflight.dynamics import make_spherical_rhs
@@ -1432,34 +1446,72 @@ class TestNonFiniteDerivative:
         assert np.all(np.isfinite(traj.y))
 
 
+_PEAK_MEMORY_RUN = """
+import dataclasses, json, tracemalloc
+from quatflight.dynamics import PARAMETERIZATIONS
+from quatflight.scenario import bundled_scenario_path, load_scenario, run_parameterization
+
+zero = [0.0] * 10
+spec = PARAMETERIZATIONS["rv"]
+PARAMETERIZATIONS["rv"] = dataclasses.replace(spec, make_rhs=lambda controls, env: lambda t, y: zero)
+config = load_scenario(bundled_scenario_path("norm_drift"))
+tracemalloc.start()
+res = run_parameterization("rv", config)
+_, peak = tracemalloc.get_traced_memory()
+print(json.dumps([res.trajectory.y.shape, peak]))
+"""
+
+
 class TestTrajectoryMemory:
-    def test_long_run_peak_memory(self, monkeypatch):
+    def test_long_run_peak_memory(self):
         # 1e5 fixed steps of ten components: an 8.0 MB result.  The stored
         # trajectory, not the derivative, sets the peak, so a constant
         # derivative stands in for the rv one to keep the traced run short.
-        spec = PARAMETERIZATIONS["rv"]
-        zero = [0.0] * 10
-        constant = dataclasses.replace(spec, make_rhs=lambda controls, env: lambda t, y: zero)
-        monkeypatch.setitem(PARAMETERIZATIONS, "rv", constant)
-        config = load_scenario(bundled_scenario_path("norm_drift"))
-        tracemalloc.start()
-        try:
-            res = run_parameterization("rv", config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert res.trajectory.y.shape == (100_001, 10)
+        # The run goes in a fresh interpreter: tracemalloc's cost grows with
+        # the objects a process already holds, so here it would depend on
+        # the tests that ran before.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_MEMORY_RUN],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        shape, peak = json.loads(proc.stdout)
+        assert shape == [100_001, 10]
         assert peak <= 24e6
 
     @pytest.mark.parametrize("n_rows", [2, 511, 512, 513, 1024, 1537])
     def test_rows_across_chunk_boundaries(self, n_rows):
-        # accepted rows are stored in arrays of a few hundred rows each;
-        # every row comes back once, in order, whatever the run's length
+        # every row comes back once, in order, whatever the run's length,
+        # here around multiples of 512 rows
         cfg = IntegratorConfig(method="rk4-fixed", step=1.0)
         traj, _ = propagate(lambda t, y: [1.0, -2.0], 0.0, [0.0, 0.0], n_rows - 1.0, cfg)
         expected = np.arange(n_rows, dtype=float)
         assert np.array_equal(traj.t, expected)
         assert np.array_equal(traj.y, np.column_stack((expected, -2.0 * expected)))
+
+    @pytest.mark.parametrize("n_eval", [0, 1, 600])
+    def test_arrays_are_owned_float64_rows(self, n_eval):
+        # 600 output times sample between and on the accepted times of a
+        # 1,000-step run; each array is its own writable float64 block
+        cfg = IntegratorConfig(method="rk4-fixed", step=1.0)
+        grid = np.linspace(0.0, 999.0, n_eval)
+
+        def run():
+            return propagate(lambda t, y: [1.0, -2.0], 0.0, [0.0, 0.0], 999.0, cfg, t_eval=grid)
+
+        (traj, event), (other, _) = run(), run()
+        arrays = {"t": traj.t, "y": traj.y, "t_eval": traj.t_eval, "y_eval": traj.y_eval}
+        assert traj.y.shape == (1000, 2) and traj.y_eval.shape == (n_eval, 2)
+        assert np.array_equal(traj.t_eval, grid)
+        assert np.allclose(traj.y_eval, np.column_stack((grid, -2.0 * grid)), rtol=1e-14, atol=0.0)
+        for name, a in arrays.items():
+            assert a.dtype == np.float64, name
+            assert a.flags.c_contiguous and a.flags.writeable, name
+            assert not np.shares_memory(a, event.y_event), name
+            assert not np.shares_memory(a, getattr(other, name)), name
+            for other_name, b in arrays.items():
+                assert other_name == name or not np.shares_memory(a, b), (name, other_name)
 
 
 class TestListProtocol:

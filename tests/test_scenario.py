@@ -151,6 +151,18 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump(data))
         assert cli_main(["validate", str(path)]) == 0
 
+    def test_span_that_overflows_rejected(self, tmp_path, capsys):
+        # t_final - t0 is inf: the compare grid would hold non-finite times
+        data = yaml.safe_load(bundled_scenario_path("circular_orbit").read_text())
+        data["t0"], data["stop"]["t_final"] = -1e308, 1e308
+        path = tmp_path / "endless.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert cli_main(["run", str(path), "--compare", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: t0: must be a finite distance from stop.t_final (1e+308), got -1e+308\n"
+        )
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_misspelled_keys_rejected_one_message_each(self):
         # read as defaults, these keys would run rk45-adaptive at its default
         # tolerance with no radius stop
@@ -460,6 +472,22 @@ class TestRunScenario:
         config = parse_config(data)
         _, _, code = run_scenario(config, outdir=tmp_path)
         assert code == 0
+
+
+    def test_span_time_cannot_step_through_fails_fast(self, tmp_path, capsys):
+        # at t0 = 1e300, t + h rounds to t: every form ends at t0 without a
+        # derivative call instead of spending its step budget
+        data = yaml.safe_load(bundled_scenario_path("circular_orbit").read_text())
+        data["t0"], data["stop"]["t_final"] = 1e300, 1.0000000001e300
+        data["integrator"]["max_steps"] = 50
+        path = tmp_path / "far_future.yaml"
+        path.write_text(yaml.safe_dump(data))
+        results, _, code = run_scenario(load_scenario(path), outdir=tmp_path, compare=True)
+        assert code == 4
+        for res in results:
+            assert (res.event.kind, res.event.message) == ("step_failure", "step size underflow")
+            assert res.event.t_event == 1e300
+            assert res.trajectory.n_evals == 0
 
 
 class TestCli:
@@ -803,11 +831,14 @@ class TestCli:
             assert "rv: step_failure (OverflowError: math range error)" in out
             assert "rvh: singularity_guard (rvh singular: zero angular momentum)" in out
 
-    def test_bench_rejects_tiny_eval_count(self, capsys):
+    def test_bench_rejects_tiny_eval_count(self, tmp_path, capsys):
+        out = tmp_path / "new.json"
         code = cli_main(
-            ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10"]
+            ["bench", str(bundled_scenario_path("bench_entry")), "--evals", "10", "--json", str(out)]
         )
         assert code == 2
+        assert capsys.readouterr().err == f"config error: --evals must be at least {MIN_EVALS}, got 10\n"
+        assert not out.exists()
 
     def test_bench_small_run(self, capsys):
         code = cli_main(
