@@ -86,17 +86,16 @@ import numpy as np
 from .controls import ControlProfile
 from .environment import Environment
 from .errors import SingularityError
-from .quat import dcm_from_quat, dcm_rows, renormalize_rows, row_norms
+from .quat import dcm_entries, dcm_rows, renormalize_rows, row_norms, twist
 from .states import (
     CartesianState,
     cartesian_rows_to_cartesian,
     cartesian_to_rv,
-    cartesian_to_rvh,
     cartesian_to_spherical,
     rv_rows_to_cartesian,
+    rv_to_rvh,
     rvh_rows_to_rv,
     spherical_rows_to_cartesian,
-    twist_about_b1,
 )
 
 # Guard thresholds: fail loudly instead of returning garbage near a
@@ -503,14 +502,14 @@ def rvl_twist(qb, controls: ControlProfile, t0: float):
     command at ``t0``.  In ``sigma`` mode the twist equals that command,
     which makes a zero bank-rate command equivalent to the rv form flying a
     constant bank.  In ``beta`` mode the twist also absorbs the rv gauge's
-    offset from the {position, velocity} plane so the physical bank starts
-    on profile.
+    offset from the {position, velocity} plane, ``atan2(b31, b21 + 0.0)``
+    as the rv derivative takes it, so the physical bank starts on profile.
     """
-    twist = controls.lookup("bank")(t0)[2]
+    angle = controls.lookup("bank")(t0)[2]
     if controls.bank_mode == "beta":
-        c_ba = dcm_from_quat(qb)
-        twist = atan2(c_ba[2, 0], c_ba[1, 0]) + twist
-    return twist_about_b1(qb, twist) if twist != 0.0 else qb
+        c_ba = dcm_entries(*map(float, qb))
+        angle = atan2(c_ba[6], c_ba[3] + 0.0) + angle
+    return twist(qb, angle) if angle != 0.0 else qb
 
 
 def _rvl_from_rv(y, controls, t0):
@@ -566,8 +565,8 @@ class Parameterization:
       and gives positions and velocities ``(p, v)``, each (n, 3).  rvh
       converts, and gives its ``gauge_columns``, as rv does on its rows
       widened by ``states.rvh_rows_to_rv``.
-    * ``from_cartesian(c, controls, t0)`` gives the row of a physical
-      state, in the form's gauge at the initial time ``t0``.
+    * ``from_cartesian(c)`` gives the row of a physical state ``c`` in the
+      form's own gauge; rv, spherical and cartesian have it.
     * ``gauge_columns(y, bank, bank_mode)`` gives, for state rows ``y``
       (n, size) and the bank command ``bank`` of each row (a list of n
       floats) read in ``bank_mode``, one array per diagnostic column that
@@ -581,19 +580,21 @@ class Parameterization:
     * ``scales`` are the per-component error scales of the step controller.
     * ``radius_index`` locates the radius in ``y``; -1 when it must be
       derived from a Cartesian position.
-    * ``from_rv(y, controls, t0)``, when set, derives the form from an rv
-      row while keeping its gauge and its bits.  A scenario derives the
-      form's initial row from its rv row this way, once, when it is built,
-      so a native rv state is not regauged through Cartesian coordinates.
+    * ``from_rv(y, controls, t0)`` is set instead for rvl and rvh, the rv
+      state in other gauges: it turns the rv row ``y`` about the first
+      axes of A and B with :func:`quatflight.quat.twist`, to the lift
+      direction at the initial time ``t0`` (rvl) or to the angular
+      momentum (rvh), and keeps r and v.  A scenario derives such a form's
+      initial row from its rv row this way, once, when it is built.
     """
 
     make_rhs: Callable
     to_cartesian_rows: Callable
-    from_cartesian: Callable
     gauge_columns: Callable
     quat_spans: tuple
     scales: np.ndarray
     radius_index: int
+    from_cartesian: Optional[Callable] = None
     from_rv: Optional[Callable] = None
 
     def to_cartesian(self, y) -> CartesianState:
@@ -617,7 +618,7 @@ PARAMETERIZATIONS = {
     "rv": Parameterization(
         make_rhs=make_rv_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: cartesian_to_rv(c),
+        from_cartesian=cartesian_to_rv,
         gauge_columns=_rv_columns,
         quat_spans=((1, 5), (6, 10)),
         scales=_TEN_PARAMETER_SCALES,
@@ -626,7 +627,6 @@ PARAMETERIZATIONS = {
     "rvl": Parameterization(
         make_rhs=make_rvl_rhs,
         to_cartesian_rows=rv_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: _rvl_from_rv(cartesian_to_rv(c), controls, t0),
         # the lift gauge's second axis is the lift direction: native bank zero
         gauge_columns=lambda y, bank, bank_mode: _rv_columns(y, [0.0] * len(bank), "sigma"),
         quat_spans=((1, 5), (6, 10)),
@@ -637,16 +637,16 @@ PARAMETERIZATIONS = {
     "rvh": Parameterization(
         make_rhs=make_rvh_rhs,
         to_cartesian_rows=lambda y: rv_rows_to_cartesian(rvh_rows_to_rv(y)),
-        from_cartesian=lambda c, controls, t0: cartesian_to_rvh(c),
         gauge_columns=lambda y, bank, bank_mode: _rv_columns(rvh_rows_to_rv(y), bank, bank_mode),
         quat_spans=((1, 5), (6, 8)),
         scales=np.array([_LENGTH_SCALE, 1, 1, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
         radius_index=0,
+        from_rv=lambda y, controls, t0: rv_to_rvh(y),
     ),
     "spherical": Parameterization(
         make_rhs=make_spherical_rhs,
         to_cartesian_rows=spherical_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: cartesian_to_spherical(c),
+        from_cartesian=cartesian_to_spherical,
         gauge_columns=_baseline_columns,
         quat_spans=(),
         scales=np.array([_LENGTH_SCALE, 1, 1, _SPEED_SCALE, 1, 1], dtype=float),
@@ -655,7 +655,7 @@ PARAMETERIZATIONS = {
     "cartesian": Parameterization(
         make_rhs=make_cartesian_rhs,
         to_cartesian_rows=cartesian_rows_to_cartesian,
-        from_cartesian=lambda c, controls, t0: np.concatenate((c.position, c.velocity)),
+        from_cartesian=lambda c: np.concatenate((c.position, c.velocity)),
         gauge_columns=_baseline_columns,
         quat_spans=(),
         scales=np.array([_LENGTH_SCALE] * 3 + [_SPEED_SCALE] * 3, dtype=float),

@@ -198,7 +198,6 @@ _RK54_A = (
         2.324710524099774,
     ),
 )
-_RK54_B = _RK54_A[6] + (0.0,)
 _RK54_E = (
     -0.001780011052225777,
     -0.0008164344596567469,
@@ -398,8 +397,8 @@ def _rk54_source(n, spans):
     The stages follow the tableau ``_RK54_C``/``_RK54_A``: stage ``i``'s state
     adds ``(h*a_ij) * k_j`` to ``y`` weight by weight in table order,
     skipping zero weights.  Stage 7's state is ``y5``, the fifth-order
-    solution (``_RK54_A[6] == _RK54_B[:6]``, ``_RK54_B[6] == 0``), projected
-    before stage 7 is evaluated there.  Component ``i`` of the error
+    solution, whose weights are ``_RK54_A[6]`` and a zero for stage 7,
+    projected before stage 7 is evaluated there.  Component ``i`` of the error
     estimate sums ``(h*e_j) * k_j`` the same way over ``_RK54_E``, and the
     error norm is the RMS of ``err_i / (abs_tol_i + rel_tol * max(|y_i|,
     |y5_i|))``, bit for bit ``float(np.sqrt(np.mean((err / tol) ** 2)))``:

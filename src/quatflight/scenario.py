@@ -162,9 +162,9 @@ class ScenarioConfig:
     ``initial_rows`` maps each form to its flat state at ``t0``, or to the
     message of the ``SingularityError`` of its gauge there; construction,
     ``dataclasses.replace`` included, derives them.  The native form keeps
-    the parsed array, rvl is the rv row through ``from_rv``, and every other
-    form comes from one conversion of the native state to Cartesian
-    coordinates, which renormalizes its quaternions.
+    the parsed array, rvl and rvh are the rv row through ``from_rv``, and
+    rv, spherical and cartesian come from one conversion of the native
+    state to Cartesian coordinates, which renormalizes its quaternions.
     """
 
     name: str
@@ -190,7 +190,7 @@ class ScenarioConfig:
                 elif spec.from_rv is not None:  # rv precedes it in PARAMETERIZATIONS
                     row = spec.from_rv(rows["rv"], self.controls, self.t0)
                 else:
-                    row = spec.from_cartesian(cart, self.controls, self.t0)
+                    row = spec.from_cartesian(cart)
             except SingularityError as exc:
                 rows[form] = str(exc)
                 continue

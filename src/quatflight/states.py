@@ -41,10 +41,14 @@ is not finite.  Each rule is written so that NaN fails it, as
 
 The quaternion gauges are not unique: any initial orientation of the
 position frame about the position vector (and of the velocity frame about
-the velocity vector) is admissible.  Conversions from Cartesian states fix
+the velocity vector) is admissible.  The rv row of a Cartesian state fixes
 the gauge deterministically with shortest-arc rotations; antipodal inputs
 tie-break about the local third axis.  Round trips therefore preserve the
-physical position and velocity, not any particular quaternion values.
+physical position and velocity, not any particular quaternion values.  The
+other two gauges are that row turned about first axes with
+:func:`quatflight.quat.twist`: :func:`rv_to_rvh` turns A about the position
+direction, and ``dynamics.rvl_twist`` B about the velocity direction; no
+Cartesian route builds them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .quat import dcm_from_quat, dcm_rows, quat_from_dcm, renormalize_rows, row_norms
+from .quat import dcm_entries, dcm_from_quat, dcm_rows, renormalize_rows, row_norms, twist
 
 # Angular-momentum floor (m^2/s) below which the rvh form is rejected.
 ANGULAR_MOMENTUM_FLOOR = 1e-6
@@ -129,44 +133,29 @@ def cartesian_to_rv(state: CartesianState) -> np.ndarray:
     return np.array([r, *qa, v, *qb])
 
 
-def twist_about_b1(qb, angle: float) -> np.ndarray:
-    """Euler parameters of the B frame ``qb`` rotated about its own first axis by ``angle``.
+def rv_to_rvh(y) -> np.ndarray:
+    """The eight-parameter row of the ten-parameter row ``y``: third axes of A and B along ``r x v``.
 
-    Used to move between gauges that differ only by the orientation of the
-    {b2, b3} pair about the velocity direction.
-    """
-    c = math.cos(angle)
-    s = math.sin(angle)
-    r1 = np.array([[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]])
-    return quat_from_dcm(r1 @ dcm_from_quat(qb))
-
-
-def cartesian_to_rvh(state: CartesianState) -> np.ndarray:
-    """The eight-parameter row of ``state``: third axes of A and B along ``r x v``.
+    B's first axis in A is the first row ``(b11, b12, b13)`` of C_BA.  A
+    turns about its first axis, the position direction, by ``atan2(b13,
+    b12)``, which brings its second axis into the {position, velocity}
+    plane; B over A is then the turn by ``atan2(hypot(b12, b13), b11)``,
+    in [0, pi], about the common third axis.
 
     Raises
     ------
     SingularityError
-        For (near-)vertical flight, where the relative angular momentum
-        vanishes and the gauge is undefined.
+        For (near-)vertical flight, where ``r v hypot(b12, b13)``, the
+        relative angular momentum, is not above ``ANGULAR_MOMENTUM_FLOOR``
+        and the gauge is undefined.
     """
-    r = state.r
-    v = state.v
-    if not v > 0.0:
-        raise ValueError("degenerate state: zero velocity")
-    h_vec = np.cross(state.position, state.velocity)
-    h = float(np.linalg.norm(h_vec))
-    if not h > ANGULAR_MOMENTUM_FLOOR:
+    r, v = float(y[0]), float(y[5])
+    b11, b12, b13 = dcm_entries(*map(float, y[6:10]))[:3]
+    s = math.hypot(b12, b13)
+    if not r * v * s > ANGULAR_MOMENTUM_FLOOR:
         raise SingularityError("rvh singular: zero angular momentum")
-    a1 = state.position / r
-    a3 = h_vec / h
-    a2 = np.cross(a3, a1)
-    qa = quat_from_dcm(np.vstack([a1, a2, a3]))
-    # In-plane angle between position and velocity directions.
-    cos_phi = float(np.dot(a1, state.velocity)) / v
-    sin_phi = h / (r * v)
-    half = 0.5 * math.atan2(sin_phi, cos_phi)
-    return np.array([r, *qa, v, math.sin(half), math.cos(half)])
+    half = 0.5 * math.atan2(s, b11)
+    return np.array([r, *twist(y[1:5], math.atan2(b13, b12)), v, math.sin(half), math.cos(half)])
 
 
 def cartesian_to_spherical(state: CartesianState) -> np.ndarray:

@@ -15,14 +15,17 @@ statement of something ``src/quatflight`` computes another way:
 * the plane-referenced bank angle and its rate, written with ``math``
   alone so they do not call the code they check;
 * :func:`unit`, a 4-vector over its norm, builders of the flat state
-  rows of the quaternion, spherical and Cartesian forms, and a trajectory
-  CSV reader;
+  rows of the quaternion, spherical and Cartesian forms,
+  :func:`initial_row`, any form's row of a Cartesian state derived as a
+  scenario derives it, and a trajectory CSV reader;
 * :func:`array_rhs`, through which the array oracles call a derivative
   that takes and returns lists of floats;
 * :func:`ten_parameter_rhs`, the ten-parameter derivative term by term:
   every entry of C_BA and C_AE from the Euler parameters, the spin axis in
   B by dot products, and the zero gauge rates carried through the
-  quaternion rates.
+  quaternion rates;
+* :func:`illinois_root`, the Illinois iteration on a scalar function, the
+  oracle for the radius-crossing refinement of ``propagate``.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quatflight.dynamics import VERTICAL_SIN_EPS, make_forces
+from quatflight.dynamics import PARAMETERIZATIONS, VERTICAL_SIN_EPS, make_forces
 from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import SingularityError
 from quatflight.quat import UNIT_NORM_TOL
-from quatflight.states import CartesianState
+from quatflight.states import CartesianState, cartesian_to_rv
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)  # Euler parameters of no rotation
 
@@ -104,7 +107,7 @@ def quat_from_axis_angle(aa: AxisAngle) -> np.ndarray:
 
 
 def unit(q) -> np.ndarray:
-    """A 4-sequence over its ``np.linalg.norm``, as ``quat_from_dcm`` ends."""
+    """A 4-sequence over its ``np.linalg.norm``."""
     q = np.asarray(q, dtype=float)
     return q / np.linalg.norm(q)
 
@@ -462,6 +465,14 @@ def cartesian_row(c: CartesianState) -> np.ndarray:
     return np.concatenate((c.position, c.velocity))
 
 
+def initial_row(form, c: CartesianState, controls, t0=0.0) -> np.ndarray:
+    """The row of ``form`` at ``c`` as a scenario derives it: rvl and rvh from the rv row."""
+    spec = PARAMETERIZATIONS[form]
+    if spec.from_rv is None:
+        return spec.from_cartesian(c)
+    return spec.from_rv(cartesian_to_rv(c), controls, t0)
+
+
 def read_trajectory_csv(path) -> dict:
     """Columns of a trajectory CSV as float arrays (NaN for blanks)."""
     with open(path, newline="") as fh:
@@ -472,3 +483,42 @@ def read_trajectory_csv(path) -> dict:
             for h, cell in zip(header, row):
                 cols[h].append(float(cell) if cell != "" else float("nan"))
     return {h: np.array(vals) for h, vals in cols.items()}
+
+
+# --- event location --------------------------------------------------------
+
+
+def illinois_root(g, t_a, t_b, g_a, g_b, value_tol, time_tol, max_iterations):
+    """A root of ``g`` in the bracket ``t_a < t_b``, by the Illinois method, and the calls of ``g``.
+
+    ``g_a`` and ``g_b`` are ``g`` at the bracket's ends, of opposite signs.
+    Each iterate is the secant root of the bracket, or its midpoint where
+    rounding puts the secant root outside, and it replaces the end whose
+    value has its sign.  An end that outlives two iterates in a row has its
+    value halved.  Stops at a zero, once ``|g| < value_tol`` with the
+    bracket shorter than ``time_tol``, or after ``max_iterations``.
+    """
+    kept = None  # the end the last iterate did not replace
+    calls = 0
+    for _ in range(max_iterations):
+        s = t_b - g_b * (t_b - t_a) / (g_b - g_a)
+        if not t_a < s < t_b:
+            s = 0.5 * (t_a + t_b)
+        g_s = g(s)
+        calls += 1
+        if g_s == 0.0:
+            break
+        if (g_s > 0.0) == (g_b > 0.0):
+            t_b, g_b = s, g_s
+            if kept == "a":
+                g_a *= 0.5
+            kept = "a"
+        else:
+            t_a, g_a = s, g_s
+            if kept == "b":
+                g_b *= 0.5
+            kept = "b"
+        if abs(g_s) < value_tol and t_b - t_a < time_tol:
+            break
+    return s, calls
+

@@ -27,7 +27,7 @@ from quatflight.dynamics import (
 )
 from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
 from quatflight.propagation import Trajectory
-from quatflight.quat import dcm_from_quat, quat_from_dcm
+from quatflight.quat import dcm_from_quat, twist
 from quatflight.scenario import (
     CSV_COLUMNS,
     ComparisonReport,
@@ -43,7 +43,9 @@ from reference import (
     AxisAngle,
     beta_from_sigma,
     dcm_from_axis_angle,
+    initial_row,
     profile_value,
+    quat_from_axis_angle,
     sigma_from_beta,
     unit,
 )
@@ -563,7 +565,7 @@ class TestConversionProperties:
         # latitude loses about sqrt(eps) (see test_scenario)
         assume(math.hypot(up[0], up[1]) > 1e-3 and np.linalg.norm(np.cross(up, ahead)) > 1e-2)
         spec = PARAMETERIZATIONS[form]
-        y = spec.from_cartesian(c, ControlProfile.constant(bank=bank, bank_mode="beta"), 0.0)
+        y = initial_row(form, c, ControlProfile.constant(bank=bank, bank_mode="beta"))
         p, vel = spec.to_cartesian_rows(y[None, :])
         # the round-trip tolerances of test_scenario, relative to the vector's length
         np.testing.assert_allclose(p[0], c.position, rtol=0, atol=1e-10 * r)
@@ -571,11 +573,12 @@ class TestConversionProperties:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(axis=_directions, delta=st.floats(0.0, 1e-6))
-    def test_quat_from_dcm_near_half_turn(self, axis, delta):
+    def test_twist_of_a_near_half_turn(self, axis, delta):
         c = dcm_from_axis_angle(AxisAngle(axis, math.pi - delta))
-        q = quat_from_dcm(c)
+        q = twist(quat_from_axis_angle(AxisAngle(axis, math.pi - delta)), delta)
         assert q[3] >= 0.0
-        np.testing.assert_allclose(dcm_from_quat(q), c, atol=1e-12)
+        turn = dcm_from_axis_angle(AxisAngle(np.array([1.0, 0.0, 0.0]), delta))
+        np.testing.assert_allclose(dcm_from_quat(q), turn @ c, atol=1e-12)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(qb=_quaternions, sigma=_angles)

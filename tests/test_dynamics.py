@@ -6,6 +6,7 @@ import pytest
 from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
+    VERTICAL_SIN_EPS,
     make_cartesian_rhs,
     make_forces,
     make_rv_rhs,
@@ -18,8 +19,8 @@ from quatflight.quat import dcm_from_quat
 from quatflight.states import (
     CartesianState,
     cartesian_to_rv,
-    cartesian_to_rvh,
     cartesian_to_spherical,
+    rv_to_rvh,
 )
 
 from reference import (
@@ -32,6 +33,7 @@ from reference import (
     beta_rate,
     cartesian_row,
     density,
+    initial_row,
     net_force_B,
     omega_from_rate_arrays,
     profile_rate,
@@ -326,7 +328,7 @@ class TestTenParameterOracle:
         controls, env = ten_parameter_case(mode, spin, thrust, transverse)
         s0 = spherical_row(r=EARTH.radius + 8e4, lon=0.3, lat=0.4, v=7000.0, gamma=-0.02, psi=1.0)
         spec = PARAMETERIZATIONS["rv"]
-        y0 = spec.from_cartesian(PARAMETERIZATIONS["spherical"].to_cartesian(s0), controls, 0.0)
+        y0 = spec.from_cartesian(PARAMETERIZATIONS["spherical"].to_cartesian(s0))
         traj, _ = propagate(
             spec.make_rhs(controls, env),
             0.0,
@@ -481,7 +483,7 @@ class TestRvhDerivatives:
         # about its third axis
         r, v = 7.2e6, 6500.0
         cart = CartesianState([r, 0, 0], [v * 0.4, v * math.sqrt(1 - 0.16), 0.0])
-        y = cartesian_to_rvh(cart)
+        y = rv_to_rvh(cartesian_to_rv(cart))
         wa = omega_from_rate_arrays(rates("rvh", y, VACUUM_ENV)[1:5], y[1:5])
         assert abs(wa[0]) < 1e-12
 
@@ -527,6 +529,21 @@ class TestCartesianDerivatives:
         ydot = rates("cartesian", cartesian_row(c), env, alpha=0.0)
         assert np.all(np.isfinite(ydot))
 
+    @pytest.mark.parametrize("speed", [3.0, 7000.0])
+    def test_lift_guard_threshold(self, speed):
+        # the lift direction is defined while |r x v| > VERTICAL_SIN_EPS r v,
+        # that is while the sine of the angle between position and velocity
+        # is above VERTICAL_SIN_EPS, at any speed
+        env = make_env(rho0=1.225)
+        r = EARTH.radius + 1e4
+        for factor in (0.5, 2.0):
+            sin_angle = factor * VERTICAL_SIN_EPS
+            c = CartesianState([r, 0, 0], [-speed, speed * sin_angle, 0])
+            if factor < 1.0:
+                with pytest.raises(SingularityError, match="lift direction"):
+                    rates("cartesian", cartesian_row(c), env, alpha=0.1)
+            else:
+                assert np.all(np.isfinite(rates("cartesian", cartesian_row(c), env, alpha=0.1)))
 
     def test_radius_is_the_float_norm(self):
         # the event's radius of a Cartesian row is sqrt(x*x + y*y + z*z) in
@@ -791,7 +808,7 @@ class TestCrossParameterizationEquivalence:
         finals = {}
         for name in ("rv", "rvl", "rvh", "spherical", "cartesian"):
             spec = PARAMETERIZATIONS[name]
-            y0 = spec.from_cartesian(cart0, profile, 0.0)
+            y0 = initial_row(name, cart0, profile)
             rhs = spec.make_rhs(profile, env)
             y1 = rk4_run(rhs, 0.0, y0, t1, n)
             finals[name] = spec.to_cartesian(y1)

@@ -25,15 +25,16 @@ from quatflight.environment import (
 from quatflight.errors import SingularityError
 from quatflight.propagation import (
     _RK54_A,
-    _RK54_B,
     _RK54_C,
     _RK54_E,
     _RK54_P,
+    _EVENT_MAX_ITERATIONS,
     EVENT_RADIUS_TOL,
     EVENT_TIME_TOL,
     IntegratorConfig,
     StopEvent,
     _generated,
+    _locate_crossing,
     propagate,
 )
 from quatflight.scenario import (
@@ -44,12 +45,14 @@ from quatflight.scenario import (
 )
 from quatflight.states import CartesianState, cartesian_to_rv
 
-from reference import array_rhs
+from reference import array_rhs, illinois_root, initial_row
 
 MU = EARTH.mu
 
 
 ABS_TOL, REL_TOL = 1e-12, 1e-9  # the tolerances the step tests take their error norms with
+# the fifth-order solution weights: first same as last, stage 7's state is the solution
+_RK54_B = _RK54_A[6] + (0.0,)
 RV_SPANS = PARAMETERIZATIONS["rv"].quat_spans  # ((1, 5), (6, 10))
 RVH_SPANS = PARAMETERIZATIONS["rvh"].quat_spans  # ((1, 5), (6, 8))
 
@@ -221,7 +224,7 @@ def random_cases(seed, n):
         c = CartesianState(pos, rng.normal(size=3) * 3000.0)
         t = float(rng.uniform(0.0, 100.0))
         for name, spec in PARAMETERIZATIONS.items():
-            y = spec.from_cartesian(c, controls, 0.0)
+            y = initial_row(name, c, controls)
             rhs = spec.make_rhs(controls, env)
             try:
                 rhs(t, y)
@@ -394,7 +397,7 @@ class TestEventOnInterpolant:
         controls = ControlProfile.constant()
         rhs = spec.make_rhs(controls, vacuum_env(spin=EARTH.spin_rate))
         c0 = CartesianState([EARTH.radius + altitude, 0.0, 0.0], [v_r, 2000.0, 500.0])
-        y0 = spec.from_cartesian(c0, controls, 0.0)
+        y0 = spec.from_cartesian(c0)
         n_calls = 0
 
         def spy(t, y):
@@ -435,6 +438,35 @@ class TestEventOnInterpolant:
             assert abs(np.linalg.norm(event.y_event[lo:hi]) - 1.0) < 1e-15
         _, reference = run(IntegratorConfig(rel_tol=1e-13, abs_tol=1e-12), rhs, spec.radius)
         assert abs(event.t_event - reference.t_event) < EVENT_TIME_TOL
+
+    @pytest.mark.parametrize("bracket", [(0.0, 60.0), (5.0, 30.0), (20.0, 23.5)])
+    @pytest.mark.parametrize("direction", ["falling", "rising"])
+    def test_refinement_is_the_illinois_iteration(self, direction, bracket):
+        # a curved radius, crossing at 10 ln 10 s: the secant iterates fall
+        # on one side until the halving of the other end's value moves it
+        base = EARTH.radius
+        sign = 1.0 if direction == "falling" else -1.0
+        target = base + sign * 1e4
+
+        def radius_at(t):
+            return base + sign * 1e5 * math.exp(-t / 10.0)
+
+        calls = []
+
+        def radius_fn(y):
+            calls.append(y[0])
+            return radius_at(y[0])
+
+        t_a, t_b = bracket
+        g_a, g_b = radius_at(t_a) - target, radius_at(t_b) - target
+        t_event, y_event = _locate_crossing(lambda s: [s], t_a, t_b, g_a, g_b, radius_fn, target)
+        t_ref, n_ref = illinois_root(
+            lambda t: radius_at(t) - target, t_a, t_b, g_a, g_b,
+            EVENT_RADIUS_TOL, EVENT_TIME_TOL, _EVENT_MAX_ITERATIONS,
+        )
+        assert (t_event, len(calls)) == (t_ref, n_ref)
+        assert y_event == [t_event] and calls[-1] == t_event
+        assert abs(t_event - 10.0 * math.log(10.0)) < EVENT_TIME_TOL
 
 
 class TestRenormalizationPolicy:
@@ -964,8 +996,9 @@ class TestTableau:
         assert [math.fsum(row) for row in _RK54_A] == pytest.approx(_RK54_C, rel=0, abs=1e-15)
 
     def test_last_stage_is_first_same_as_last(self):
-        assert _RK54_A[6] == _RK54_B[:6]
-        assert _RK54_B[6] == 0.0
+        # stage 7 sits at the step's end, and its row is the solution's
+        # weights (test_solution_is_fifth_order)
+        assert len(_RK54_A[6]) == 6
         assert _RK54_C[5] == _RK54_C[6] == 1.0
 
     def test_solution_is_fifth_order(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quatflight.quat import dcm_from_quat, quat_from_dcm, renormalize_rows
+from quatflight.quat import dcm_from_quat, renormalize_rows
 
 from reference import (
     IDENTITY,
@@ -119,60 +119,6 @@ class TestDcmFromQuat:
             c = dcm_from_quat(random_unit_quaternion(rng))
             np.testing.assert_allclose(c @ c.T, np.eye(3), atol=1e-10)
             assert abs(np.linalg.det(c) - 1.0) < 1e-10
-
-
-class TestQuatFromDcm:
-    def test_identity(self):
-        q = quat_from_dcm(np.eye(3))
-        assert q.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-    def test_quarter_turn_inverse(self):
-        c = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=float)
-        q = quat_from_dcm(c)
-        np.testing.assert_allclose(q, [0, 0, HALF_SQRT2, HALF_SQRT2], atol=1e-15)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(19)
-        for _ in range(500):
-            c = dcm_from_quat(random_unit_quaternion(rng))
-            np.testing.assert_allclose(dcm_from_quat(quat_from_dcm(c)), c, atol=1e-12)
-
-    def test_round_trip_near_half_turns(self):
-        # 180-degree rotations exercise every extraction branch
-        for axis in np.eye(3):
-            c = dcm_from_axis_angle(AxisAngle(axis, math.pi))
-            np.testing.assert_allclose(dcm_from_quat(quat_from_dcm(c)), c, atol=1e-12)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            c = dcm_from_axis_angle(AxisAngle(axis, math.pi - 1e-7))
-            np.testing.assert_allclose(dcm_from_quat(quat_from_dcm(c)), c, atol=1e-12)
-
-    def test_scalar_part_nonnegative(self):
-        rng = np.random.default_rng(29)
-        for _ in range(200):
-            q = quat_from_dcm(dcm_from_quat(random_unit_quaternion(rng)))
-            assert q[3] >= 0.0
-
-    def test_exact_round_trip_for_positive_scalar_part(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            q = random_unit_quaternion(rng)
-            if q[3] < 0:
-                q = -q
-            back = quat_from_dcm(dcm_from_quat(q))
-            np.testing.assert_allclose(back, q, atol=1e-12)
-
-    def test_rejects_non_orthonormal(self):
-        bad = np.eye(3)
-        bad[0, 1] = 1e-4
-        with pytest.raises(ValueError, match="orthonormal"):
-            quat_from_dcm(bad)
-
-    def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
-            quat_from_dcm(np.diag([1.0, 1.0, -1.0]))
 
 
 class TestQuatRates:

@@ -35,7 +35,8 @@ from quatflight.scenario import (
     run_scenario,
     write_trajectory_csv,
 )
-from quatflight.states import CartesianState, cartesian_to_spherical, twist_about_b1
+from quatflight.quat import twist
+from quatflight.states import CartesianState, cartesian_to_spherical
 
 from reference import read_trajectory_csv, rv_row, rvh_row, spherical_row, unit
 
@@ -334,7 +335,7 @@ class TestInitialRows:
         rv, rvl = initial_array_for("rv", banked), initial_array_for("rvl", banked)
         assert rv.tobytes() == initial_array_for("rv", config).tobytes()
         assert rvl[:6].tobytes() == rv[:6].tobytes()
-        assert rvl[6:10].tobytes() == twist_about_b1(rv[6:10], 0.5).tobytes()
+        assert rvl[6:10].tobytes() == twist(rv[6:10], 0.5).tobytes()
         assert rvl.tobytes() != initial_array_for("rvl", config).tobytes()
 
     def test_fields_cannot_be_assigned(self):
@@ -945,13 +946,15 @@ class TestPackageExports:
             "AxisAngle", "skew", "dcm_from_axis_angle", "quat_from_axis_angle",
             "quat_rates", "omega_from_rate_arrays", "omega_from_quat_rates",
             "UnitQuaternion", "renormalize",
+            # a gauge change is a twist about a first axis, not a matrix
+            "quat_from_dcm", "ORTHONORMALITY_TOL",
         ),
         "environment": ("ControlInput", "density", "aero_forces", "net_force_B", "apparent_force_B"),
         "dynamics": ("beta_from_sigma", "sigma_from_beta", "beta_rate"),
         "scenario": ("read_trajectory_csv",),
         "bench": ("benchmark_derivatives",),
         # a state is its form's row, and a quaternion four floats of one
-        "states": ("RvState", "RvhState", "SphericalState"),
+        "states": ("RvState", "RvhState", "SphericalState", "cartesian_to_rvh", "twist_about_b1"),
         # the step budget ends a run as a step failure
         "errors": ("PropagationError",),
     }
@@ -973,10 +976,11 @@ class TestPackageExports:
         assert not hasattr(CartesianState, "to_array")
 
     def test_src_holds_only_what_the_program_runs(self):
-        # a top-level function or class in the package is referenced by the
-        # package, the benchmark or the tools, or exported; a method,
-        # classmethod or property of one of its classes (dunders aside) is
-        # referenced there as an attribute; test-only code lives in tests/
+        # a top-level function, class or constant in the package is
+        # referenced by the package, the benchmark or the tools, or
+        # exported; a method, classmethod or property of one of its classes
+        # (dunders aside) is referenced there as an attribute; test-only
+        # code lives in tests/
         root = Path(__file__).resolve().parents[1]
         package = root / "src" / "quatflight"
         names, attributes = set(), set()
@@ -985,7 +989,7 @@ class TestPackageExports:
                      *(root / "tools").rglob("*.py")]:
             tree = ast.parse(path.read_text())
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
@@ -994,6 +998,13 @@ class TestPackageExports:
                     (path.name, node.name)
                     for node in tree.body
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                ]
+                defined += [
+                    (path.name, target.id)
+                    for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    if isinstance(target, ast.Name) and not target.id.startswith("__")
                 ]
                 methods += [
                     (path.name, cls.name, node.name)

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 from quatflight.controls import ControlProfile
-from quatflight.dynamics import PARAMETERIZATIONS
+from quatflight.dynamics import PARAMETERIZATIONS, rvl_twist
 from quatflight.errors import SingularityError
-from quatflight.quat import dcm_from_quat
+from quatflight.quat import dcm_from_quat, twist
 from quatflight.states import (
+    ANGULAR_MOMENTUM_FLOOR,
     CartesianState,
     cartesian_to_rv,
-    cartesian_to_rvh,
     cartesian_to_spherical,
-    twist_about_b1,
+    rv_to_rvh,
 )
 
-from reference import IDENTITY, rv_row, rvh_row, unit
+from reference import (
+    IDENTITY,
+    AxisAngle,
+    dcm_from_axis_angle,
+    initial_row,
+    rv_row,
+    rvh_row,
+    unit,
+)
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 R_EARTH = 6378137.0
@@ -79,10 +87,15 @@ class TestRvCartesian:
             cartesian_to_rv(c)
 
 
+def rvh_from_cartesian(c):
+    # the rvh row of a physical state: its rv row, regauged
+    return rv_to_rvh(cartesian_to_rv(c))
+
+
 class TestRvhCartesian:
     def test_perpendicular_geometry(self):
         c = CartesianState([7e6, 0, 0], [0, 7000.0, 0])
-        r, *_, v, eps_b3, eta_b = cartesian_to_rvh(c)
+        r, *_, v, eps_b3, eta_b = rvh_from_cartesian(c)
         np.testing.assert_allclose([eps_b3, eta_b], [HALF_SQRT2, HALF_SQRT2], atol=1e-12)
         h = 2.0 * r * v * eps_b3 * eta_b
         assert abs(h - 7e6 * 7000.0) < 1e-3
@@ -93,7 +106,7 @@ class TestRvhCartesian:
         c = CartesianState(
             [7e6, 0, 0], [v * math.cos(math.pi / 6), v * math.sin(math.pi / 6), 0]
         )
-        r, *_, speed, eps_b3, eta_b = cartesian_to_rvh(c)
+        r, *_, speed, eps_b3, eta_b = rvh_from_cartesian(c)
         h = 2.0 * r * speed * eps_b3 * eta_b
         np.testing.assert_allclose(h, 0.5 * 7e6 * v, rtol=1e-12)
 
@@ -101,7 +114,7 @@ class TestRvhCartesian:
         rng = np.random.default_rng(103)
         for _ in range(500):
             c = random_cartesian(rng)
-            back = PARAMETERIZATIONS["rvh"].to_cartesian(cartesian_to_rvh(c))
+            back = PARAMETERIZATIONS["rvh"].to_cartesian(rvh_from_cartesian(c))
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10, atol=1e-8)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-10, atol=1e-9)
 
@@ -109,15 +122,41 @@ class TestRvhCartesian:
         rng = np.random.default_rng(107)
         for _ in range(500):
             c = random_cartesian(rng)
-            r, *_, v, eps_b3, eta_b = cartesian_to_rvh(c)
+            r, *_, v, eps_b3, eta_b = rvh_from_cartesian(c)
             h_param = 2.0 * r * v * eps_b3 * eta_b
             h_true = float(np.linalg.norm(np.cross(c.position, c.velocity)))
             np.testing.assert_allclose(h_param, h_true, rtol=1e-10)
 
+    def test_gauge(self):
+        # A's third axis lies along r x v, and both scalar parts are
+        # non-negative
+        rng = np.random.default_rng(127)
+        for _ in range(500):
+            c = random_cartesian(rng)
+            y = rvh_from_cartesian(c)
+            h = np.cross(c.position, c.velocity)
+            np.testing.assert_allclose(dcm_from_quat(y[1:5])[2], h / np.linalg.norm(h), atol=1e-12)
+            assert y[4] >= 0.0 and y[7] >= 0.0
+
     def test_vertical_flight_rejected(self):
         c = CartesianState([7e6, 0, 0], [-300.0, 0, 0])
         with pytest.raises(SingularityError, match="zero angular momentum"):
-            cartesian_to_rvh(c)
+            rvh_from_cartesian(c)
+
+    @pytest.mark.parametrize("speed", [1e-3, 7000.0])
+    def test_angular_momentum_floor(self, speed):
+        # r v sin(angle) is the relative angular momentum; the row exists
+        # only above ANGULAR_MOMENTUM_FLOOR
+        r = 7e6
+        for factor, singular in ((0.5, True), (2.0, False)):
+            h = factor * ANGULAR_MOMENTUM_FLOOR
+            qb = (0.0, 0.0, math.sin(0.5 * h / (r * speed)), math.cos(0.5 * h / (r * speed)))
+            y = rv_row(r, IDENTITY, speed, qb)
+            if singular:
+                with pytest.raises(SingularityError, match="zero angular momentum"):
+                    rv_to_rvh(y)
+            else:
+                assert 2.0 * r * speed * rv_to_rvh(y)[6] == pytest.approx(h, rel=1e-12)
 
 
 class TestSphericalCartesian:
@@ -168,7 +207,7 @@ class TestTwist:
         qb = unit(rng.normal(size=4))
         tau = 0.73
         c0 = dcm_from_quat(qb)
-        c1 = dcm_from_quat(twist_about_b1(qb, tau))
+        c1 = dcm_from_quat(twist(qb, tau))
         # b1 unchanged, first column of C_BA unchanged in direction
         np.testing.assert_allclose(c1[:, 0][0], c0[:, 0][0], atol=1e-12)
         b2_new_in_old = np.array(
@@ -177,6 +216,30 @@ class TestTwist:
         np.testing.assert_allclose(
             c1[1, :], b2_new_in_old @ np.vstack([c0[0, :], c0[1, :], c0[2, :]]), atol=1e-12
         )
+
+    def test_matrix_is_the_turn_times_the_frame(self):
+        rng = np.random.default_rng(137)
+        for _ in range(500):
+            q = unit(rng.normal(size=4))
+            angle = rng.uniform(-2.0 * math.pi, 2.0 * math.pi)
+            turn = dcm_from_axis_angle(AxisAngle(np.array([1.0, 0.0, 0.0]), angle))
+            out = twist(q, angle)
+            np.testing.assert_allclose(dcm_from_quat(out), turn @ dcm_from_quat(q), atol=1e-12)
+            assert out[3] >= 0.0
+            assert abs(float(np.linalg.norm(out)) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            ((0.0, 0.0, 0.0, -1.0), [0.0, 0.0, 0.0, 1.0]),
+            # a zero scalar part: the largest vector component turns positive
+            ((0.0, -1.0, 0.0, 0.0), [0.0, 1.0, 0.0, 0.0]),
+            ((0.6, -0.8, 0.0, 0.0), [-0.6, 0.8, 0.0, 0.0]),
+            ((-0.8, 0.6, 0.0, 0.0), [0.8, -0.6, 0.0, 0.0]),
+        ],
+    )
+    def test_sign_rule(self, q, expected):
+        assert twist(q, 0.0).tolist() == expected
 
 
 class TestStateValidation:
@@ -244,9 +307,9 @@ class TestStateValidation:
         PARAMETERIZATIONS["spherical"].to_cartesian([1e6, 0.0, edge, 1.0, -edge, 0.0])
 
 
-def rvl_from_cartesian(c, twist=0.0):
+def rvl_from_cartesian(c, bank=0.0):
     # sigma bank mode: the lift gauge twists B about b1 by the bank at t0
-    return PARAMETERIZATIONS["rvl"].from_cartesian(c, ControlProfile.constant(bank=twist), 0.0)
+    return initial_row("rvl", c, ControlProfile.constant(bank=bank))
 
 
 class TestRvlGauge:
@@ -259,7 +322,17 @@ class TestRvlGauge:
         rng = np.random.default_rng(149)
         for _ in range(100):
             c = random_cartesian(rng)
-            y = rvl_from_cartesian(c, twist=rng.uniform(-math.pi, math.pi))
+            y = rvl_from_cartesian(c, bank=rng.uniform(-math.pi, math.pi))
             back = PARAMETERIZATIONS["rv"].to_cartesian(y)
             np.testing.assert_allclose(back.position, c.position, rtol=1e-10)
             np.testing.assert_allclose(back.velocity, c.velocity, rtol=1e-9, atol=1e-8)
+
+    def test_beta_mode_in_vertical_flight_adds_no_half_turn(self):
+        # B turned about the shared first axis by 2h < 0: b21 is -0.0 and
+        # b31 is 0.0, and the plane offset is atan2(b31, b21 + 0.0) = 0, as
+        # the rv derivative takes it, not pi
+        h = -0.4
+        qb = (math.sin(h), 0.0, 0.0, math.cos(h))
+        out = rvl_twist(qb, ControlProfile.constant(bank=0.3, bank_mode="beta"), 0.0)
+        assert out.tobytes() == twist(qb, 0.3).tobytes()
+        np.testing.assert_allclose(out, [math.sin(h + 0.15), 0.0, 0.0, math.cos(h + 0.15)], atol=1e-15)
