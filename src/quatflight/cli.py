@@ -74,7 +74,8 @@ def cmd_run(args) -> int:
         if res.guard_tripped and res.name in config.stop.expected_guards:
             status += " (expected)"
         t_end = res.event.t_event
-        line = f"{config.name} [{res.name}] -> {status} at t={t_end:.3f} s"
+        when = f"{t_end:.3f}" if abs(t_end) < 1e9 else f"{t_end:.6e}"
+        line = f"{config.name} [{res.name}] -> {status} at t={when} s"
         if res.event.message:
             line += f" ({res.event.message})"
         if res.csv_path:

@@ -81,23 +81,6 @@ class ControlProfile:
         if self.bank_mode not in BANK_MODES:
             raise ValueError(f"bank_mode must be one of {BANK_MODES}")
 
-    @classmethod
-    def constant(
-        cls,
-        alpha: float = 0.0,
-        bank: float = 0.0,
-        wb1: float = 0.0,
-        thrust: float = 0.0,
-        bank_mode: str = "sigma",
-    ) -> "ControlProfile":
-        return cls(
-            alpha=PiecewiseLinear.constant(alpha),
-            bank=PiecewiseLinear.constant(bank),
-            wb1=PiecewiseLinear.constant(wb1),
-            thrust=PiecewiseLinear.constant(thrust),
-            bank_mode=bank_mode,
-        )
-
     def lookup(self, third: str, rate: bool = False) -> Callable:
         """``lookup(t) -> (alpha, thrust, x)``: every command a derivative reads, in one call.
 

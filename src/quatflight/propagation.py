@@ -76,7 +76,10 @@ happens decides what it means:
   that state, and the trajectory accumulated so far is returned intact.
   A failed fixed RK4 step ends the run the same way, and so does a failed
   adaptive step whose first stage is not finite, since every retry would
-  keep that stage.
+  keep that stage.  An RK4 step whose new state is finite evaluates the
+  next step's first stage there before it keeps any sample, and fails when
+  that evaluation fails, so every kept RK4 sample is a state the
+  derivative accepts.
 * any other failed adaptive step is recoverable, as a right-hand side
   failure is in SUNDIALS CVODE (Hindmarsh et al., ACM TOMS 31(3), 2005):
   the step is rejected as if its error estimate were infinite and retried
@@ -138,6 +141,9 @@ step to the next, and is reused only where its inputs are bit-identical:
 
 * a rejected step's retry starts from the same point and keeps its first
   stage, so a retry costs six evaluations, not seven;
+* every RK4 step ends with the derivative at its new state, which is the
+  next step's first stage, so a run that ends at its terminal time or on
+  an event makes ``4 * n_steps + 1`` evaluations;
 * after an accepted adaptive step, the stage-7 derivative becomes the
   next step's first stage (first same as last) when the step ends at stage
   7's time.  Stage 7 is evaluated at the projected new state, so only a
@@ -667,6 +673,7 @@ def propagate(
         # the time of the last stage; an adaptive step reaches every landing
         # from the left
         t_end = nextafter(target, -inf) if adaptive and landing else t + h_try
+        t_new = target if landing else t + h_try
         try:
             y_new, err_norm, k_last, stages = step(
                 counted_rhs, t, y, h_try, k1, t_end, abs_tol, rel_tol
@@ -674,6 +681,10 @@ def propagate(
             # one float sum: NaN or inf in any component carries through
             finite = isfinite(sum(y_new)) and not isnan(err_norm)
             failure = None if finite else ("step_failure", "non-finite state")
+            if finite and not adaptive:
+                # the next first stage, before any sample of the step is
+                # kept: a state the derivative rejects fails the step
+                k_last, t_end = counted_rhs(t_new, y_new), t_new
         except DERIVATIVE_FAILURES as exc:
             failure = stop_for(exc)
         if failure:
@@ -701,7 +712,6 @@ def propagate(
             err_prev, rejected = max(err_norm, 1e-4), False
 
         n_steps += 1
-        t_new = target if landing else t + h_try
 
         event = None
         dense = None
@@ -726,9 +736,8 @@ def propagate(
         if event is not None:
             return finish(event)
 
-        # a 5(4) step's k_last is the derivative at (t_end, y_new), the
-        # new sample unless the step landed on a knot (an RK4 step returns
-        # None)
+        # k_last is the derivative at (t_end, y_new), the new sample unless
+        # a 5(4) step landed on a knot
         k1 = k_last if t_new == t_end else None
         t = t_new
         y = y_new

@@ -10,15 +10,15 @@ and speeds on a shared time grid.  The grid is sampled from each accepted
 step's interpolant and does not change the steps, so a CSV, which holds
 accepted samples only, is the same with or without the report.
 
-The tables from ``_RECORDS`` to ``_INITIAL_ROWS`` below are the file's
-schema: every key, with its default and its bound.  Every value is read
-through one of four accessors: a number, a vector of numbers, a name or a
-list of names.  A number is an int or a float, not a bool or a string; it
-must fit in a float, be finite and meet its bound, and a count (a key whose
+The tables from ``_RECORDS`` to ``_INITIAL_ROWS`` below give the number
+keys their defaults and bounds.  Every value is read through one of five
+accessors: a number, a vector of numbers, a name, a list of names or a
+profile.  A number is an int or a float, not a bool or a string; it must
+fit in a float, be finite and meet its bound, and a count (a key whose
 default is an int) must be whole.  A name is a string from a known set.
 Each bad value is one ``ConfigError`` message that begins with its dotted
-path, and so is each key that no table or accessor reads (``"<dotted
-path>: unknown key"``): a misspelled key is an error, not a default.  A
+path, and so is each key that no accessor reads (``"<dotted path>:
+unknown key"``): a misspelled key is an error, not a default.  A
 :class:`ScenarioConfig` derives every form's initial row once, when it is
 built, and every run reads the row it holds: a state that a form cannot
 start from is a ``ConfigError`` too, while a singularity of a form's gauge
@@ -94,10 +94,11 @@ class StopConditions:
     expected_guards: tuple = ()
 
 
-# --- the schema: every key of a scenario file, with its rule ----------------
+# --- the number keys of a scenario file, with their rules -------------------
 
 # A rule is (default, bound), the bound None or (">" or ">=", limit).
 _REQUIRED = object()  # the default of a key that must be given
+_ABSENT = object()  # what _Reader._read returns for a key that is not given
 _POSITIVE = (_REQUIRED, (">", 0.0))
 _NUMBER = (_REQUIRED, None)
 _NON_NEGATIVE = (0.0, (">=", 0.0))
@@ -239,50 +240,59 @@ class _Reader:
     """The accessors that read every value of a scenario file.
 
     Each bad value adds one message, ``"<dotted path>: <what is wrong>"``,
-    to ``errors`` and reads as its default.
+    to ``errors`` and reads as its default; ``unread`` adds one per key of
+    a file mapping that a use of it did not read.
     """
 
-    def __init__(self):
+    def __init__(self, top):
         self.errors = []
+        # by id, a copy per use of each mapping handed out (YAML aliases may
+        # share one): (the copy, its path prefix, the keys read, the id it copies)
+        self.mappings = {id(top): (top, "", set(), id(top))}
 
-    def fail(self, where, message):
-        self.errors.append(f"{where}: {message}")
+    def _read(self, data, key, default=None):
+        self.mappings[id(data)][2].add(key)
+        return data.get(key, default)
+
+    def _hand_out(self, data, key, value) -> dict:
+        """A copy of ``value``, the mapping at ``key`` of ``data``, with its own path."""
+        copy = dict(value)
+        self.mappings[id(copy)] = (copy, f"{self.mappings[id(data)][1]}{key}.", set(), id(value))
+        return copy
+
+    def fail(self, data, key, message):
+        self.errors.append(f"{self.mappings[id(data)][1]}{key}: {message}")
+
+    def unread(self):
+        """Fail once for each key of a YAML mapping that a use of it did not read."""
+        reported = set()
+        for data, _, read, origin in self.mappings.values():
+            for key in data:
+                if key not in read and (origin, key) not in reported:
+                    reported.add((origin, key))
+                    self.fail(data, key, "unknown key")
 
     def section(self, data, key, required=True) -> dict:
-        value = data.get(key)
-        if value is None:
-            if required:
-                self.fail(key, "missing section")
-            return {}
+        value = self._read(data, key)
         if type(value) is not dict:
-            self.fail(key, "must be a mapping")
-            return {}
-        return value
+            if value is not None or required:
+                self.fail(data, key, "missing section" if value is None else "must be a mapping")
+            value = {}
+        return self._hand_out(data, key, value)
 
-    def known(self, data, keys, path=""):
-        """Fail once for each key of the section ``data`` that is not in ``keys``."""
-        for key in data:
-            if key not in keys:
-                self.fail(f"{path}.{key}" if path else f"{key}", "unknown key")
-
-    def fields(self, data, table, path) -> dict:
+    def fields(self, data, table) -> dict:
         """The value of each key of ``table`` in the section ``data``, by key."""
-        out = {}
-        for key, rule in table.items():
-            where = f"{path}.{key}".lstrip(".")  # top-level keys have an empty path
-            if rule is _VECTOR:
-                out[key] = self.vector(data, key, where, 3)
-            else:
-                out[key] = self.number(data, key, where, *rule)
-        return out
+        return {key: self.vector(data, key, 3) if rule is _VECTOR else self.number(data, key, *rule)
+                for key, rule in table.items()}
 
-    def number(self, data, key, where, default=_REQUIRED, bound=None):
+    def number(self, data, key, default=_REQUIRED, bound=None):
         """The number at ``key`` under the rule ``(default, bound)``."""
-        if key not in data:
+        raw = self._read(data, key, _ABSENT)
+        if raw is _ABSENT:
             if default is _REQUIRED:
-                self.fail(where, "missing required value")
+                self.fail(data, key, "missing required value")
             return default
-        value, problem = _as_float(data[key])
+        value, problem = _as_float(raw)
         if problem is None and bound is not None:
             op, limit = bound
             if not (value > limit if op == ">" else value >= limit):
@@ -292,61 +302,62 @@ class _Reader:
                 problem = f"must be a whole number, got {value}"
             value = int(value)
         if problem is not None:
-            self.fail(where, problem)
+            self.fail(data, key, problem)
             return default
         return value
 
-    def vector(self, data, key, where, length=None):
+    def vector(self, data, key, length=None):
         """The list of numbers at ``key``; ``length`` of them when it is given."""
-        if key not in data:
-            self.fail(where, "missing required value")
+        raw = self._read(data, key, _ABSENT)
+        if raw is _ABSENT:
+            self.fail(data, key, "missing required value")
             return []
-        raw = data[key]
         if type(raw) is not list or length not in (None, len(raw)):
             wanted = f"a {length}-vector" if length else "a list of numbers"
-            self.fail(where, f"must be {wanted}")
+            self.fail(data, key, f"must be {wanted}")
             return []
         values = [_as_float(x) for x in raw]
         problem = next((p for _, p in values if p is not None), None)
         if problem is not None:
-            self.fail(where, f"every entry {problem}")
+            self.fail(data, key, f"every entry {problem}")
             return []
         return [x for x, _ in values]
 
-    def name(self, data, key, where, choices, default=None):
+    def name(self, data, key, choices, default=None):
         """The entry at ``key``: one of ``choices`` (strings, or True and False)."""
-        raw = data.get(key, default)
+        raw = self._read(data, key, default)
         if _is_one_of(raw, choices):
             return raw
         wanted = f"one of {', '.join(map(str, choices))}" if choices else "a non-empty string"
-        self.fail(where, f"must be {wanted}, got {reprlib.repr(raw)}")
+        self.fail(data, key, f"must be {wanted}, got {reprlib.repr(raw)}")
         return default
 
-    def names(self, data, key, where, choices, default=()):
+    def names(self, data, key, choices, default=()):
         """The list at ``key`` of entries from ``choices``, as a tuple; it may
         be empty only when ``default`` is."""
-        if key not in data:
+        raw = self._read(data, key, _ABSENT)
+        if raw is _ABSENT:
             return default
-        raw = data[key]
         if type(raw) is list and (raw or not default) and all(_is_one_of(x, choices) for x in raw):
             return tuple(raw)
         empty = "" if not default else "non-empty "
-        self.fail(where, f"must be a {empty}list of {', '.join(choices)}, got {reprlib.repr(raw)}")
+        self.fail(data, key, f"must be a {empty}list of {', '.join(choices)}, got {reprlib.repr(raw)}")
         return default
 
-    def profile(self, data, key, where) -> PiecewiseLinear:
+    def profile(self, data, key) -> PiecewiseLinear:
         """The profile at ``key``: one number, or a ``{times, values}`` mapping
         of number lists; 0.0 when absent or null."""
-        errors, raw = len(self.errors), data.get(key)
+        errors, raw = len(self.errors), self._read(data, key)
         if type(raw) is dict:
-            knots = self.vector(raw, "times", where), self.vector(raw, "values", where)
+            raw = self._hand_out(data, key, raw)
+            knots = self.vector(raw, "times"), self.vector(raw, "values")
         else:
-            knots = [0.0], [0.0 if raw is None else self.number(data, key, where)]
+            knots = [0.0], [0.0 if raw is None else self.number(data, key)]
         if len(self.errors) == errors:
             try:
                 return PiecewiseLinear(*knots)
             except ValueError as exc:
-                self.fail(where, str(exc))
+                self.fail(data, key, str(exc))
         return PiecewiseLinear.constant(0.0)
 
 
@@ -360,53 +371,46 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     """
     if type(data) is not dict:
         raise ConfigError(["top level: must be a mapping"])
-    v = _Reader()
-    v.known(data, ["name", *_RECORDS, "initial_state", "controls", "integrator", "stop",
-                   "parameterizations", *_TOP_LEVEL])
-    name = v.name(data, "name", "name", None, name_hint)
+    v = _Reader(data)
+    name = v.name(data, "name", None, name_hint)
     sections = {key: v.section(data, key) for key in _RECORDS}
-    records = {key: v.fields(sections[key], table, key) for key, (_, table) in _RECORDS.items()}
-    for key, (_, table) in _RECORDS.items():
-        # vehicle.thrust is read below, to reject a nonzero value
-        v.known(sections[key], [*table, "thrust"] if key == "vehicle" else table, key)
-    if v.number(sections["vehicle"], "thrust", "vehicle.thrust", 0.0) != 0.0:
-        v.fail("vehicle.thrust", "no force reads it; give the thrust as controls.thrust")
+    records = {key: v.fields(sections[key], table) for key, (_, table) in _RECORDS.items()}
+    if v.number(sections["vehicle"], "thrust", 0.0) != 0.0:
+        v.fail(sections["vehicle"], "thrust", "no force reads it; give the thrust as controls.thrust")
 
     sec = v.section(data, "initial_state")
-    kind = v.name(sec, "kind", "initial_state.kind", tuple(_INITIAL_ROWS))
-    row = v.fields(sec, _INITIAL_ROWS.get(kind, {}), "initial_state")
-    if kind in _INITIAL_ROWS:
-        v.known(sec, ["kind", *_INITIAL_ROWS[kind]], "initial_state")
+    kind = v.name(sec, "kind", tuple(_INITIAL_ROWS))
+    if kind is None:  # a bad kind is the section's one message: its other keys go unchecked
+        sec.clear()
+    row = v.fields(sec, _INITIAL_ROWS.get(kind, {}))
 
-    sec = v.section(data, "controls", required=False)
-    profiles = {key: v.profile(sec, key, f"controls.{key}") for key in _PROFILES}
-    bank_mode = v.name(sec, "bank_mode", "controls.bank_mode", BANK_MODES, "sigma")
-    v.known(sec, [*_PROFILES, "bank_mode"], "controls")
+    ctl = v.section(data, "controls", required=False)
+    profiles = {key: v.profile(ctl, key) for key in _PROFILES}
+    bank_mode = v.name(ctl, "bank_mode", BANK_MODES, "sigma")
 
     sec = v.section(data, "integrator", required=False)
-    method = v.name(sec, "method", "integrator.method", METHODS, "rk45-adaptive")
-    renormalize = v.name(sec, "renormalize", "integrator.renormalize", (True, False), True)
-    steps = v.fields(sec, _INTEGRATOR, "integrator")
-    v.known(sec, ["method", "renormalize", *_INTEGRATOR], "integrator")
+    method = v.name(sec, "method", METHODS, "rk45-adaptive")
+    renormalize = v.name(sec, "renormalize", (True, False), True)
+    steps = v.fields(sec, _INTEGRATOR)
 
     sec = v.section(data, "stop")
-    stop = v.fields(sec, _STOP, "stop")
-    guards = v.names(sec, "expected_guards", "stop.expected_guards", _FORMS)
-    v.known(sec, [*_STOP, "expected_guards"], "stop")
-    params = v.names(data, "parameterizations", "parameterizations", _FORMS, _FORMS)
-    top = v.fields(data, _TOP_LEVEL, "")
+    stop = v.fields(sec, _STOP)
+    guards = v.names(sec, "expected_guards", _FORMS)
+    params = v.names(data, "parameterizations", _FORMS, _FORMS)
+    top = v.fields(data, _TOP_LEVEL)
+    v.unread()
 
     if not v.errors:
         t0, t_final = top["t0"], stop["t_final"]
         if not t0 < t_final:
-            v.fail("t0", f"must be less than stop.t_final ({t_final:g}), got {t0:g}")
+            v.fail(data, "t0", f"must be less than stop.t_final ({t_final:g}), got {t0:g}")
         elif not math.isfinite(t_final - t0):
-            v.fail("t0", f"must be a finite distance from stop.t_final ({t_final:g}), got {t0:g}")
+            v.fail(data, "t0", f"must be a finite distance from stop.t_final ({t_final:g}), got {t0:g}")
         for key, profile in profiles.items():
             # the lookup takes t - knot, which must be finite at every time of the run
             first, last = profile.times[0], profile.times[-1]
             if not (math.isfinite(t_final - first) and math.isfinite(last - t0)):
-                v.fail(f"controls.{key}.times", "every knot must be a finite distance from every"
+                v.fail(ctl, f"{key}.times", "every knot must be a finite distance from every"
                        f" time from t0 to stop.t_final, got knots {first:g} to {last:g}")
     if v.errors:
         raise ConfigError(v.errors)

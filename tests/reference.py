@@ -8,7 +8,8 @@ statement of something ``src/quatflight`` computes another way:
   an angular velocity and back;
 * :func:`profile_value` and :func:`profile_rate`, a control profile
   evaluated by bisection per call, the oracle for the segment table of
-  ``ControlProfile.lookup``;
+  ``ControlProfile.lookup``, and :func:`constant_controls`, profiles that
+  hold each command at one value;
 * the force model in matrix form (:func:`density`, :func:`aero_forces`,
   :func:`net_force_B`, :func:`apparent_force_B`), the oracle for the scalar
   kernel ``dynamics.make_forces`` and the derivative functions;
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import PARAMETERIZATIONS, VERTICAL_SIN_EPS, make_forces
 from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import SingularityError
@@ -148,6 +150,17 @@ def omega_from_rate_arrays(qdot, q) -> np.ndarray:
 
 
 # --- control profiles --------------------------------------------------------
+
+
+def constant_controls(alpha=0.0, bank=0.0, wb1=0.0, thrust=0.0, bank_mode="sigma") -> ControlProfile:
+    """Control profiles that hold each command at one value."""
+    return ControlProfile(
+        alpha=PiecewiseLinear.constant(alpha),
+        bank=PiecewiseLinear.constant(bank),
+        wb1=PiecewiseLinear.constant(wb1),
+        thrust=PiecewiseLinear.constant(thrust),
+        bank_mode=bank_mode,
+    )
 
 
 def profile_value(profile, t: float) -> float:

@@ -42,6 +42,7 @@ from reference import (
     array_rhs,
     beta_from_sigma,
     beta_rate,
+    constant_controls,
     dcm_from_axis_angle,
     initial_row,
     omega_from_rate_arrays,
@@ -165,7 +166,7 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_two_body_conservation():
     env = vacuum_env()
-    profile = ControlProfile.constant()
+    profile = constant_controls()
     cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
     orbits = []
     # circular at 500 km and an eccentric orbit from perigee
@@ -215,7 +216,7 @@ def test_criterion_4_vertical_flight_dichotomy():
         aero=AeroModel(s=0.5, cl_alpha=2.0, cd0=0.05, k=1.0),
         vehicle=Vehicle(mass=5000.0),
     )
-    profile = ControlProfile.constant()
+    profile = constant_controls()
     cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
 
     # (a) the ten-parameter forms: finite derivatives exactly at the

@@ -42,6 +42,7 @@ from quatflight.states import CartesianState
 from reference import (
     AxisAngle,
     beta_from_sigma,
+    constant_controls,
     dcm_from_axis_angle,
     initial_row,
     profile_value,
@@ -565,7 +566,7 @@ class TestConversionProperties:
         # latitude loses about sqrt(eps) (see test_scenario)
         assume(math.hypot(up[0], up[1]) > 1e-3 and np.linalg.norm(np.cross(up, ahead)) > 1e-2)
         spec = PARAMETERIZATIONS[form]
-        y = initial_row(form, c, ControlProfile.constant(bank=bank, bank_mode="beta"))
+        y = initial_row(form, c, constant_controls(bank=bank, bank_mode="beta"))
         p, vel = spec.to_cartesian_rows(y[None, :])
         # the round-trip tolerances of test_scenario, relative to the vector's length
         np.testing.assert_allclose(p[0], c.position, rtol=0, atol=1e-10 * r)

@@ -32,6 +32,7 @@ from reference import (
     beta_from_sigma,
     beta_rate,
     cartesian_row,
+    constant_controls,
     density,
     initial_row,
     net_force_B,
@@ -72,7 +73,7 @@ VACUUM_ENV = make_env(spin=0.0, rho0=0.0)
 
 def rates(name, y, env, **controls):
     """One derivative of a registered form at state row ``y``, t = 0, under constant controls."""
-    rhs = PARAMETERIZATIONS[name].make_rhs(ControlProfile.constant(**controls), env)
+    rhs = PARAMETERIZATIONS[name].make_rhs(constant_controls(**controls), env)
     return rhs(0.0, y)
 
 
@@ -153,7 +154,7 @@ class TestRvDerivatives:
             assert abs(float(np.dot(s[6:10], ydot[6:10]))) < 1e-14
 
     def test_zero_speed_raises(self):
-        rhs = make_rv_rhs(ControlProfile.constant(), make_env())
+        rhs = make_rv_rhs(constant_controls(), make_env())
         y = np.array([7e6, 0, 0, 0, 1, 0.0, 0, 0, 0, 1])
         with pytest.raises(SingularityError, match="kinetic"):
             rhs(0.0, y)
@@ -168,7 +169,7 @@ class TestGeneralForm:
         # rv form's zero bank bit for bit
         rng = np.random.default_rng(5)
         env = make_env()
-        profile = ControlProfile.constant(alpha=0.12, bank=0.0, wb1=0.0)
+        profile = constant_controls(alpha=0.12, bank=0.0, wb1=0.0)
         rv_rhs = make_rv_rhs(profile, env)
         rvl_rhs = PARAMETERIZATIONS["rvl"].make_rhs(profile, env)
         for _ in range(100):
@@ -190,7 +191,7 @@ class TestGeneralForm:
             qb=unit(rng.normal(size=4)),
         )
         wa1, wb1 = 0.0, -0.021
-        rhs = PARAMETERIZATIONS["rvl"].make_rhs(ControlProfile.constant(alpha=0.1, wb1=wb1), env)
+        rhs = PARAMETERIZATIONS["rvl"].make_rhs(constant_controls(alpha=0.1, wb1=wb1), env)
         ydot = rhs(0.0, y)
         wa = omega_from_rate_arrays(ydot[1:5], y[1:5])
         wb = omega_from_rate_arrays(ydot[6:10], y[6:10])
@@ -200,7 +201,7 @@ class TestGeneralForm:
     def test_recovered_gauge_zero_for_rv(self):
         rng = np.random.default_rng(11)
         env = make_env()
-        profile = ControlProfile.constant(alpha=0.05, bank=1.0)
+        profile = constant_controls(alpha=0.05, bank=1.0)
         rhs = PARAMETERIZATIONS["rv"].make_rhs(profile, env)
         for _ in range(100):
             y = rv_row(
@@ -616,7 +617,7 @@ class TestSphericalDerivatives:
             beta = rng.uniform(-math.pi, math.pi)
             thrust = rng.choice([0.0, 5e4])
             env = make_env()
-            profile = ControlProfile.constant(
+            profile = constant_controls(
                 alpha=alpha, bank=beta, thrust=thrust, bank_mode="beta"
             )
             sph_rhs = make_spherical_rhs(profile, env)
@@ -649,7 +650,7 @@ class TestSphericalDerivatives:
             r=EARTH.radius + 6e4, lon=0.2, lat=0.4, v=6000.0, gamma=-0.05, psi=1.1
         )
         env = make_env()
-        profile = ControlProfile.constant(alpha=0.12, bank=0.5, bank_mode="beta")
+        profile = constant_controls(alpha=0.12, bank=0.5, bank_mode="beta")
         sph_rhs = make_spherical_rhs(profile, env)
         cart_rhs = make_cartesian_rhs(profile, env)
         y_sph = rk4_run(sph_rhs, 0.0, s, 10.0, 2000)
@@ -667,7 +668,7 @@ def _spherical_rates_with_forced_lift(s, env, lift, beta):
         rho = density(r - env.body.radius, env.atmosphere)
     q = 0.5 * rho * v * v
     alpha = lift / (q * env.aero.s * env.aero.cl_alpha)
-    profile = ControlProfile.constant(alpha=alpha, bank=beta, bank_mode="beta")
+    profile = constant_controls(alpha=alpha, bank=beta, bank_mode="beta")
     return make_spherical_rhs(profile, env)(0.0, s)
 
 

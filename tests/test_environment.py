@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quatflight.controls import ControlProfile, PiecewiseLinear
-from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Environment, Vehicle
+from quatflight.environment import EARTH, AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.quat import dcm_from_quat
 from quatflight.states import CartesianState, cartesian_to_rv
 
@@ -321,7 +321,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             Vehicle(mass=0.0)
         with pytest.raises(ValueError):
-            ControlProfile.constant(bank_mode="bogus")
+            ControlProfile(bank_mode="bogus")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

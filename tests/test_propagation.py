@@ -32,7 +32,6 @@ from quatflight.propagation import (
     EVENT_RADIUS_TOL,
     EVENT_TIME_TOL,
     IntegratorConfig,
-    StopEvent,
     _generated,
     _locate_crossing,
     propagate,
@@ -45,7 +44,7 @@ from quatflight.scenario import (
 )
 from quatflight.states import CartesianState, cartesian_to_rv
 
-from reference import array_rhs, illinois_root, initial_row
+from reference import array_rhs, constant_controls, illinois_root, initial_row
 
 MU = EARTH.mu
 
@@ -274,7 +273,7 @@ class TestCircularOrbit:
         v = math.sqrt(MU / r)
         period = 2.0 * math.pi * math.sqrt(r**3 / MU)
         env = vacuum_env()
-        rhs = make_cartesian_rhs(ControlProfile.constant(), env)
+        rhs = make_cartesian_rhs(constant_controls(), env)
         y0 = np.array([r, 0.0, 0.0, 0.0, v, 0.0])
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
         traj, event = propagate(
@@ -292,7 +291,7 @@ class TestCircularOrbit:
         period = 2.0 * math.pi * math.sqrt(r**3 / MU)
         c0 = CartesianState([r, 0, 0], [0, v, 0])
         y0 = cartesian_to_rv(c0)
-        rhs = make_rv_rhs(ControlProfile.constant(), env)
+        rhs = make_rv_rhs(constant_controls(), env)
         spec = PARAMETERIZATIONS["rv"]
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
         traj, _ = propagate(
@@ -305,6 +304,29 @@ class TestCircularOrbit:
             assert abs((e - e0) / e0) < 1e-9
 
 
+    @pytest.mark.parametrize("spin", [EARTH.spin_rate, 10.0 * EARTH.spin_rate])
+    def test_every_form_keeps_the_jacobi_integral(self, spin):
+        # gravity alone in the body's rotating frame keeps
+        # 1/2 |v|^2 - mu/r - 1/2 w^2 (x^2 + y^2); an inclined orbit turns
+        # every quaternion and angle of the five forms
+        r0, inclination = 7e6, 0.6
+        v0 = 1.05 * math.sqrt(MU / r0)
+        c0 = CartesianState([r0, 0.0, 0.0], [0.0, v0 * math.cos(inclination), v0 * math.sin(inclination)])
+        controls, env = constant_controls(), vacuum_env(spin)
+        cfg = IntegratorConfig(rel_tol=1e-12)
+        for name, spec in PARAMETERIZATIONS.items():
+            y0 = initial_row(name, c0, controls)
+            traj, event = propagate(
+                spec.make_rhs(controls, env), 0.0, y0, 3000.0, cfg,
+                quat_spans=spec.quat_spans, scales=spec.scales,
+            )
+            assert event.kind == "terminal_time", name
+            p, v = spec.to_cartesian_rows(traj.y)
+            jacobi = (0.5 * (v**2).sum(axis=1) - MU / np.linalg.norm(p, axis=1)
+                      - 0.5 * spin**2 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+            assert np.max(np.abs(jacobi / jacobi[0] - 1.0)) < 1e-11, name
+
+
 class TestRadiusEvent:
     def test_vertical_drop_matches_quadrature(self):
         # gravity-only fall: the time from r0 to r_target follows from the
@@ -313,7 +335,7 @@ class TestRadiusEvent:
         v0 = 10.0  # downward
         r_target = EARTH.radius + 10e3
         env = vacuum_env()
-        rhs = make_cartesian_rhs(ControlProfile.constant(), env)
+        rhs = make_cartesian_rhs(constant_controls(), env)
         y0 = np.array([r0, 0.0, 0.0, -v0, 0.0, 0.0])
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12)
         traj, event = propagate(
@@ -342,7 +364,7 @@ class TestRadiusEvent:
 
     def test_crossing_radius_refined(self):
         env = vacuum_env()
-        rhs = make_cartesian_rhs(ControlProfile.constant(), env)
+        rhs = make_cartesian_rhs(constant_controls(), env)
         r0 = EARTH.radius + 15e3
         y0 = np.array([r0, 0.0, 0.0, -300.0, 0.0, 0.0])
         cfg = IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
@@ -394,7 +416,7 @@ class TestEventOnInterpolant:
         altitude, v_r, target = self.DIRECTIONS[direction]
         target += EARTH.radius
         spec = PARAMETERIZATIONS["rv"]
-        controls = ControlProfile.constant()
+        controls = constant_controls()
         rhs = spec.make_rhs(controls, vacuum_env(spin=EARTH.spin_rate))
         c0 = CartesianState([EARTH.radius + altitude, 0.0, 0.0], [v_r, 2000.0, 500.0])
         y0 = spec.from_cartesian(c0)
@@ -524,7 +546,7 @@ class TestRenormalizationPolicy:
         v = math.sqrt(MU / r)
         c0 = CartesianState([r, 0, 0], [0, v * 0.98, v * 0.1])
         y0 = cartesian_to_rv(c0)
-        rhs = make_rv_rhs(ControlProfile.constant(), env)
+        rhs = make_rv_rhs(constant_controls(), env)
         spec = PARAMETERIZATIONS["rv"]
         t1 = 1000.0
         cfg_on = IntegratorConfig(method="rk4-fixed", step=0.1, renormalize_every_step=True)
@@ -539,7 +561,7 @@ class TestRenormalizationPolicy:
 class TestDeterminism:
     def test_bitwise_identical_runs(self):
         env = vacuum_env(spin=EARTH.spin_rate)
-        rhs = make_rv_rhs(ControlProfile.constant(alpha=0.1, bank=0.4), env)
+        rhs = make_rv_rhs(constant_controls(alpha=0.1, bank=0.4), env)
         c0 = CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0])
         y0 = cartesian_to_rv(c0)
         spec = PARAMETERIZATIONS["rv"]
@@ -583,7 +605,7 @@ class TestGuardsAndBudget:
         from quatflight.dynamics import make_spherical_rhs
 
         env = vacuum_env()
-        rhs = make_spherical_rhs(ControlProfile.constant(), env)
+        rhs = make_spherical_rhs(constant_controls(), env)
         # circular-speed flight due north: the great circle crosses the pole
         r = EARTH.radius + 500e3
         v = math.sqrt(MU / r)
@@ -782,7 +804,7 @@ class TestIntegratorConfig:
 class TestAdaptiveVsFixed:
     def test_methods_agree_on_smooth_problem(self):
         env = vacuum_env(spin=EARTH.spin_rate)
-        rhs = make_rv_rhs(ControlProfile.constant(alpha=0.05, bank=0.2), env)
+        rhs = make_rv_rhs(constant_controls(alpha=0.05, bank=0.2), env)
         c0 = CartesianState([EARTH.radius + 80e3, 0, 0], [0.0, 7400.0, 1000.0])
         y0 = cartesian_to_rv(c0)
         spec = PARAMETERIZATIONS["rv"]
@@ -1191,7 +1213,7 @@ class TestKnotLandings:
         assert event.kind == "terminal_time"
         assert 18.9 in traj.t.tolist()
         assert (np.diff(traj.t) > 0).all()
-        assert traj.n_evals == 4 * traj.n_steps
+        assert traj.n_evals == 4 * traj.n_steps + 1
 
     def test_step_just_short_of_a_landing_takes_the_whole_gap(self):
         # the sum of 0.1 s steps drifts off the knots and the terminal time
@@ -1399,7 +1421,7 @@ class TestNoAliasingNoMutation:
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_trajectory_rows_are_independent(self, method):
         env = vacuum_env(spin=EARTH.spin_rate)
-        rhs = make_rv_rhs(ControlProfile.constant(alpha=0.1, bank=0.4), env)
+        rhs = make_rv_rhs(constant_controls(alpha=0.1, bank=0.4), env)
         y0 = cartesian_to_rv(CartesianState([6.9e6, 1e5, -2e5], [500.0, 7100.0, 300.0]))
         y0.setflags(write=False)
         spec = PARAMETERIZATIONS["rv"]

@@ -22,7 +22,6 @@ import quatflight
 import quatflight.scenario as scenario_module
 from quatflight.bench import MIN_EVALS, benchmark_form
 from quatflight.cli import main as cli_main
-from quatflight.controls import ControlProfile
 from quatflight.dynamics import PARAMETERIZATIONS
 from quatflight.errors import ConfigError, SingularityError
 from quatflight.scenario import (
@@ -33,12 +32,11 @@ from quatflight.scenario import (
     parse_config,
     run_parameterization,
     run_scenario,
-    write_trajectory_csv,
 )
 from quatflight.quat import twist
-from quatflight.states import CartesianState, cartesian_to_spherical
+from quatflight.states import cartesian_to_spherical
 
-from reference import read_trajectory_csv, rv_row, rvh_row, spherical_row, unit
+from reference import constant_controls, read_trajectory_csv, rv_row, rvh_row, spherical_row, unit
 
 HALF_SQRT2 = math.sqrt(2.0) / 2.0
 
@@ -177,6 +175,28 @@ class TestConfigValidation:
             "integrator.rel_tolerance: unknown key",
             "stop.radus: unknown key",
         ]
+
+    def test_mapping_shared_by_an_alias_is_checked_once(self):
+        text = yaml.safe_dump(minimal_config_dict()).replace(
+            "  alpha: 0.0\n", "  alpha: &knots {times: [0.0, 10.0], values: [0.1, 0.2], valuse: []}\n"
+        ).replace("  bank: 0.0\n", "  bank: *knots\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_load(text))
+        assert err.value.messages == ["controls.alpha.valuse: unknown key"]
+        config = parse_config(yaml.safe_load(text.replace(", valuse: []", "")))
+        assert config.controls.alpha.values == config.controls.bank.values == [0.1, 0.2]
+        # each use keeps its own path, and a key one use does not read is unknown there
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_load(text.replace("[0.1, 0.2], valuse: []", "[0.1, x]")))
+        assert err.value.messages == [
+            "controls.alpha.values: every entry must be a number, got 'x'",
+            "controls.bank.values: every entry must be a number, got 'x'",
+        ]
+        data = minimal_config_dict()
+        data["atmosphere"] = data["body"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(yaml.safe_load(yaml.safe_dump(data)))
+        assert err.value.messages == [f"atmosphere.{key}: unknown key" for key in data["body"]]
 
     def test_unknown_bank_mode_rejected(self):
         data = minimal_config_dict()
@@ -331,7 +351,7 @@ class TestInitialRows:
 
     def test_replace_derives_the_rows_again(self):
         config = load_scenario(bundled_scenario_path("circular_orbit"))
-        banked = dataclasses.replace(config, controls=ControlProfile.constant(bank=0.5))
+        banked = dataclasses.replace(config, controls=constant_controls(bank=0.5))
         rv, rvl = initial_array_for("rv", banked), initial_array_for("rvl", banked)
         assert rv.tobytes() == initial_array_for("rv", config).tobytes()
         assert rvl[:6].tobytes() == rv[:6].tobytes()
@@ -605,6 +625,8 @@ class TestCli:
                 "kind": "rv", "r": 7e6, "v": 7546.0, "eps_a": [0.0, 0.0, 0.0], "eta_a": 1.0,
                 "eps_b": [HALF_SQRT2, HALF_SQRT2, 0.0], "eta_b": 0.0,
             }
+        if path.startswith("controls.") and path.count(".") == 2:  # a knot list of a profile
+            data["controls"][path.split(".")[1]] = {"times": [0.0, 10.0], "values": [0.0, 1.0]}
         *sections, key = path.split(".")
         target = data
         for section in sections:
@@ -626,13 +648,11 @@ class TestCli:
             ("t0", "-.inf"),
             ("initial_state.velocity", "[0.0, .nan, 0.0]"),
             ("controls.alpha", ".nan"),
-            ("controls.bank", "{times: [0.0, .inf], values: [0.0, 1.0]}"),
-            ("controls.thrust", "{times: [0.0, 10.0], values: [0.0, .nan]}"),
+            ("controls.bank.times", "[0.0, .inf]"),
+            ("controls.thrust.values", "[0.0, .nan]"),
             pytest.param("vehicle.mass", 10**400, id="vehicle.mass-10**400"),
             pytest.param("initial_state.eps_a", [10**400, 0.0, 0.0], id="eps_a-10**400"),
-            pytest.param(
-                "controls.alpha", {"times": [0.0, 10**400], "values": [0.1, 0.2]}, id="knot-10**400"
-            ),
+            pytest.param("controls.alpha.times", [0.0, 10**400], id="knot-10**400"),
         ],
     )
     def test_nonfinite_or_out_of_range_number_rejected(self, tmp_path, capsys, path, value):
@@ -652,9 +672,9 @@ class TestCli:
             ("initial_state.r", '"7000000.0"'),
             ("initial_state.position", '["6393137.0", 0.0, 0.0]'),
             ("initial_state.position", "[6393137.0, true, 0.0]"),
-            ("controls.alpha", '{times: [0.0, "10.0"], values: [0.1, 0.2]}'),
-            ("controls.bank", "{times: [0.0, 10.0], values: [false, 0.2]}"),
-            ("controls.thrust", "{times: [0.0, 10.0], values: 0.0}"),
+            ("controls.alpha.times", '[0.0, "10.0"]'),
+            ("controls.bank.values", "[false, 0.2]"),
+            ("controls.thrust.values", "0.0"),
         ],
     )
     def test_non_number_rejected(self, tmp_path, capsys, path, value):
@@ -715,6 +735,29 @@ class TestCli:
             assert cli_main(argv) == 2
             assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("scenario", BUNDLED)
+    def test_unknown_key_in_every_mapping_of_a_bundled_scenario_rejected(
+        self, tmp_path, capsys, scenario
+    ):
+        # the top level, each section and each {times, values} profile mapping
+        def mappings(node, path):
+            yield node, path
+            for key, value in node.items():
+                if type(value) is dict:
+                    yield from mappings(value, f"{path}{key}.")
+
+        data = copy.deepcopy(bundled_dict(scenario))
+        config = tmp_path / "typo.yaml"
+        for mapping, path in list(mappings(data, "")):
+            mapping["typo"] = 1.0
+            config.write_text(yaml.safe_dump(data))
+            del mapping["typo"]
+            with pytest.raises(ConfigError) as err:
+                load_scenario(config)
+            assert err.value.messages == [f"{path}typo: unknown key"]
+            assert cli_main(["validate", str(config)]) == 2
+            assert capsys.readouterr().err == f"config error: {path}typo: unknown key\n"
 
     @pytest.mark.parametrize(
         "key, value", [("position", [1e200, 0.0, 1e200]), ("velocity", [1e300, 1e300, 0.0])]
@@ -816,6 +859,42 @@ class TestCli:
             assert line.startswith(
                 f"bench_entry [{name}] -> step_failure at t=0.000 s (OverflowError: math range error)"
             )
+
+    def test_rk4_step_past_zero_speed_ends_at_its_start(self, tmp_path, capsys):
+        # drag takes the speed below zero within the first 40 s step; the step
+        # fails where the next first stage would, at its new state, so no
+        # kept sample holds a state that the row conversions reject
+        path = tmp_path / "rk4_overshoot.yaml"
+        path.write_text(
+            "{name: rk4_overshoot, body: {mu: 398600441800000.0, radius: 6378137.0, spin_rate: 0.0},"
+            " atmosphere: {rho0: 1.225, scale_height: 7000.0},"
+            " aero: {S: 1.0, CL_alpha: 1.0, CD0: 0.5, K: 0.1}, vehicle: {mass: 4000.0},"
+            " controls: {alpha: 0.1}, initial_state: {kind: cartesian,"
+            " position: [6400000.0, 0.0, 0.0], velocity: [-600.0, 4200.0, 0.0]},"
+            " integrator: {method: rk4-fixed, step: 40.0},"
+            " stop: {t_final: 200.0, expected_guards: [rv, rvl, rvh]}, parameterizations: [rv, rvl, rvh]}"
+        )
+        assert cli_main(["run", str(path), "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for name, line in zip(("rv", "rvl", "rvh"), lines):
+            assert line.startswith(
+                f"rk4_overshoot [{name}] -> singularity_guard (expected) at t=0.000 s"
+                " (kinetic singularity: nonpositive speed)"
+            )
+            assert read_trajectory_csv(tmp_path / f"rk4_overshoot_{name}.csv")["t"].tolist() == [0.0]
+
+    def test_run_lines_stay_short_at_huge_times(self, tmp_path, capsys, monkeypatch):
+        # a stop time prints as .3f below 1e9 s and as .6e beyond, never digit by digit
+        data = copy.deepcopy(bundled_dict("circular_orbit"))
+        data["t0"], data["stop"]["t_final"] = 1e300, 1.0000000001e300
+        (tmp_path / "huge.yaml").write_text(yaml.safe_dump(data))
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["run", "huge.yaml", "--out", "."]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(data["parameterizations"])
+        for line in lines:
+            assert "at t=1.000000e+300 s" in line and len(line) < 200
 
     def test_bench_overflowing_derivative_is_a_step_failure(self, tmp_path, capsys):
         config = self.overflowing(tmp_path, "bench_entry")
@@ -954,9 +1033,14 @@ class TestPackageExports:
         "scenario": ("read_trajectory_csv",),
         "bench": ("benchmark_derivatives",),
         # a state is its form's row, and a quaternion four floats of one
-        "states": ("RvState", "RvhState", "SphericalState", "cartesian_to_rvh", "twist_about_b1"),
+        "states": (
+            "RvState", "RvhState", "SphericalState", "cartesian_to_rvh", "twist_about_b1",
+            "CartesianState.from_array", "CartesianState.to_array",
+        ),
         # the step budget ends a run as a step failure
         "errors": ("PropagationError",),
+        # tests build constant profiles with reference.constant_controls
+        "controls": ("ControlProfile.constant",),
     }
 
     def test_every_export_resolves(self):
@@ -970,20 +1054,20 @@ class TestPackageExports:
             assert gone not in quatflight.__all__ and not hasattr(quatflight, gone)
         for module, names in self.GONE.items():
             for gone in names:
-                assert not hasattr(importlib.import_module(f"quatflight.{module}"), gone), gone
+                *owner, attr = gone.split(".")  # a module attribute, or "Class.attribute"
+                holder = importlib.import_module(f"quatflight.{module}")
+                assert not hasattr(getattr(holder, owner[0]) if owner else holder, attr), gone
                 assert not hasattr(quatflight, gone), gone
-        assert not hasattr(CartesianState, "from_array")
-        assert not hasattr(CartesianState, "to_array")
 
     def test_src_holds_only_what_the_program_runs(self):
         # a top-level function, class or constant in the package is
         # referenced by the package, the benchmark or the tools, or
-        # exported; a method, classmethod or property of one of its classes
-        # (dunders aside) is referenced there as an attribute; test-only
-        # code lives in tests/
+        # exported; a method or property of one of its classes (dunders
+        # aside) is referenced there as an attribute, and a classmethod as
+        # "Class.method"; test-only code lives in tests/
         root = Path(__file__).resolve().parents[1]
         package = root / "src" / "quatflight"
-        names, attributes = set(), set()
+        names, attributes, qualified = set(), set(), set()
         defined, methods = [], []
         for path in [*package.glob("*.py"), *(root / "perfbench").rglob("*.py"),
                      *(root / "tools").rglob("*.py")]:
@@ -993,6 +1077,8 @@ class TestPackageExports:
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     attributes.add(node.attr)
+                    if isinstance(node.value, ast.Name) and isinstance(node.ctx, ast.Load):
+                        qualified.add(f"{node.value.id}.{node.attr}")
             if path.parent == package:
                 defined += [
                     (path.name, node.name)
@@ -1007,7 +1093,8 @@ class TestPackageExports:
                     if isinstance(target, ast.Name) and not target.id.startswith("__")
                 ]
                 methods += [
-                    (path.name, cls.name, node.name)
+                    (path.name, cls.name, node.name,
+                     "classmethod" in [getattr(d, "id", None) for d in node.decorator_list])
                     for cls in tree.body
                     if isinstance(cls, ast.ClassDef)
                     for node in cls.body
@@ -1015,7 +1102,32 @@ class TestPackageExports:
                 ]
         kept = names | attributes | set(quatflight.__all__)
         assert [d for d in defined if d[1] not in kept] == []
-        assert [m for m in methods if m[2] not in attributes] == []
+        assert [
+            (module, cls, name)
+            for module, cls, name, on_class in methods
+            if (f"{cls}.{name}" not in qualified if on_class else name not in attributes)
+        ] == []
+
+    def test_every_import_is_used(self):
+        # each name that a module of the package, the tools or the tests
+        # imports is loaded in that module, or exported by its __all__
+        root = Path(__file__).resolve().parents[1]
+        unused = []
+        for path in [*(root / "src" / "quatflight").glob("*.py"), *(root / "tools").rglob("*.py"),
+                     *(root / "tests").rglob("*.py")]:
+            tree = ast.parse(path.read_text())
+            imported, loaded, exported = [], set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported += [alias.asname or alias.name for alias in node.names]
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                    exported = set(ast.literal_eval(node.value))
+            unused += [(path.name, name) for name in imported if name not in loaded | exported]
+        assert unused == []
 
 
 class TestEntryScenarioInvariants:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from quatflight.controls import ControlProfile
 from quatflight.dynamics import PARAMETERIZATIONS, rvl_twist
 from quatflight.errors import SingularityError
 from quatflight.quat import dcm_from_quat, twist
@@ -18,6 +17,7 @@ from quatflight.states import (
 from reference import (
     IDENTITY,
     AxisAngle,
+    constant_controls,
     dcm_from_axis_angle,
     initial_row,
     rv_row,
@@ -309,7 +309,7 @@ class TestStateValidation:
 
 def rvl_from_cartesian(c, bank=0.0):
     # sigma bank mode: the lift gauge twists B about b1 by the bank at t0
-    return initial_row("rvl", c, ControlProfile.constant(bank=bank))
+    return initial_row("rvl", c, constant_controls(bank=bank))
 
 
 class TestRvlGauge:
@@ -333,6 +333,6 @@ class TestRvlGauge:
         # the rv derivative takes it, not pi
         h = -0.4
         qb = (math.sin(h), 0.0, 0.0, math.cos(h))
-        out = rvl_twist(qb, ControlProfile.constant(bank=0.3, bank_mode="beta"), 0.0)
+        out = rvl_twist(qb, constant_controls(bank=0.3, bank_mode="beta"), 0.0)
         assert out.tobytes() == twist(qb, 0.3).tobytes()
         np.testing.assert_allclose(out, [math.sin(h + 0.15), 0.0, 0.0, math.cos(h + 0.15)], atol=1e-15)
