@@ -13,21 +13,17 @@ deliberately minimal stand-ins, overridable through the scenario
 configuration.  The derivative functions evaluate the forces from these
 parameters through one kernel, ``dynamics.make_forces``.
 
-Every field of these records must be finite, as in a scenario file, and
-each bound is written so that NaN fails it, as ``not (x > 0.0)``.
+Each number field declares its default and its bound once, with
+``errors.number``, and every record checks them all when it is built
+(``errors.check_numbers``): a value must be finite and meet its bound.
+The scenario reader reads these fields under the same rule.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-
-def _require_finite(record):
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+from .errors import check_numbers, number
 
 
 @dataclass(frozen=True)
@@ -38,48 +34,33 @@ class CentralBody:
     axis.
     """
 
-    mu: float
-    radius: float
-    spin_rate: float
+    mu: float = number(bound=(">", 0.0))
+    radius: float = number(bound=(">", 0.0))
+    spin_rate: float = number(0.0, (">=", 0.0))
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not (self.mu > 0.0 and self.radius > 0.0):
-            raise ValueError("mu and radius must be positive")
-        if not self.spin_rate >= 0.0:
-            raise ValueError("spin_rate must be non-negative")
+    __post_init__ = check_numbers
 
 
 @dataclass(frozen=True)
 class Atmosphere:
     """Exponential density profile rho0 * exp(-h / scale_height)."""
 
-    rho0: float
-    scale_height: float
+    rho0: float = number(0.0, (">=", 0.0))
+    scale_height: float = number(8500.0, (">", 0.0))
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.rho0 >= 0.0:
-            raise ValueError("rho0 must be non-negative")
-        if not self.scale_height > 0.0:
-            raise ValueError("scale_height must be positive")
+    __post_init__ = check_numbers
 
 
 @dataclass(frozen=True)
 class AeroModel:
     """Reference area (m^2), lift slope (1/rad), zero-lift drag, induced-drag factor."""
 
-    s: float
-    cl_alpha: float
-    cd0: float
-    k: float
+    s: float = number(bound=(">", 0.0))
+    cl_alpha: float = number(0.0)
+    cd0: float = number(0.0, (">=", 0.0))
+    k: float = number(0.0, (">=", 0.0))
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.s > 0.0:
-            raise ValueError("reference area must be positive")
-        if not (self.cd0 >= 0.0 and self.k >= 0.0):
-            raise ValueError("cd0 and k must be non-negative")
+    __post_init__ = check_numbers
 
 
 @dataclass(frozen=True)
@@ -89,13 +70,10 @@ class Vehicle:
     The thrust itself is a command, ``ControlProfile.thrust``.
     """
 
-    mass: float
-    thrust_offset: float = 0.0
+    mass: float = number(bound=(">", 0.0))
+    thrust_offset: float = number(0.0)
 
-    def __post_init__(self):
-        _require_finite(self)
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
+    __post_init__ = check_numbers
 
 
 @dataclass(frozen=True)

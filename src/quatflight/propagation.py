@@ -172,7 +172,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import SingularityError, check_numbers, number
 
 EVENT_TIME_TOL = 1e-6  # s
 EVENT_RADIUS_TOL = 1e-3  # m
@@ -251,19 +251,16 @@ class IntegratorConfig:
     """
 
     method: str = "rk45-adaptive"
-    step: float = 0.1
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    step: float = number(0.1, (">", 0.0))
+    rel_tol: float = number(1e-10, (">", 0.0))
+    abs_tol: float = number(1e-12, (">", 0.0))
     renormalize_every_step: bool = True
-    max_steps: int = 2_000_000
+    max_steps: int = number(2_000_000, (">=", 1.0))
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown integration method {self.method!r}")
-        if not all(isfinite(x) and x > 0.0 for x in (self.step, self.rel_tol, self.abs_tol)):
-            raise ValueError("step and tolerances must be positive and finite")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+        check_numbers(self)
 
 
 @dataclass(frozen=True, eq=False)

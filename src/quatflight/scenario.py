@@ -10,12 +10,15 @@ and speeds on a shared time grid.  The grid is sampled from each accepted
 step's interpolant and does not change the steps, so a CSV, which holds
 accepted samples only, is the same with or without the report.
 
-The tables from ``_RECORDS`` to ``_INITIAL_ROWS`` below give the number
-keys their defaults and bounds.  Every value is read through one of five
-accessors: a number, a vector of numbers, a name, a list of names or a
-profile.  A number is an int or a float, not a bool or a string; it must
-fit in a float, be finite and meet its bound, and a count (a key whose
-default is an int) must be whole.  A name is a string from a known set.
+Each record that a section builds declares the default and the bound of
+each of its number fields once (``errors.number``), and the reader reads
+the section by walking those fields; only the initial-state keys, which
+become a state row and not a record, take their rules from
+``_INITIAL_ROWS``.  Every value is read through one of five accessors: a
+number, a vector of numbers, a name, a list of names or a profile.  A
+number is an int or a float, not a bool or a string; it must fit in a
+float, be finite and meet its bound, and a count (a field whose default
+is an int) must be whole.  A name is a string from a known set.
 Each bad value is one ``ConfigError`` message that begins with its dotted
 path, and so is each key that no accessor reads (``"<dotted path>:
 unknown key"``): a misspelled key is an error, not a default.  A
@@ -39,7 +42,7 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -49,7 +52,7 @@ import yaml
 from .controls import BANK_MODES, ControlProfile, PiecewiseLinear
 from .dynamics import PARAMETERIZATIONS, sample_diagnostics
 from .environment import AeroModel, Atmosphere, CentralBody, Environment, Vehicle
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError, SingularityError, check_numbers, number, number_problem
 from .propagation import METHODS, IntegratorConfig, StopEvent, Trajectory, propagate
 from .quat import row_norms
 
@@ -89,42 +92,27 @@ CSV_COLUMNS = [
 
 @dataclass
 class StopConditions:
-    t_final: float
-    radius: Optional[float] = None
+    t_final: float = number(bound=(">", 0.0))
+    radius: Optional[float] = number(None, (">", 0.0))
     expected_guards: tuple = ()
 
+    __post_init__ = check_numbers
 
-# --- the number keys of a scenario file, with their rules -------------------
 
-# A rule is (default, bound), the bound None or (">" or ">=", limit).
-_REQUIRED = object()  # the default of a key that must be given
+# --- the layout of a scenario file; each number field's rule is on its record
+
 _ABSENT = object()  # what _Reader._read returns for a key that is not given
-_POSITIVE = (_REQUIRED, (">", 0.0))
-_NUMBER = (_REQUIRED, None)
-_NON_NEGATIVE = (0.0, (">=", 0.0))
-_OPTIONAL = (0.0, None)
-_VECTOR = "3-vector"  # the rule of an initial-state key that holds three numbers
 _FORMS = tuple(PARAMETERIZATIONS)
-
-# section: (record, {YAML key: rule}); the record's fields are the lower-cased keys
-_RECORDS = {
-    "body": (CentralBody, {"mu": _POSITIVE, "radius": _POSITIVE, "spin_rate": _NON_NEGATIVE}),
-    "atmosphere": (Atmosphere, {"rho0": _NON_NEGATIVE, "scale_height": (8500.0, (">", 0.0))}),
-    "aero": (
-        AeroModel,
-        {"S": _POSITIVE, "CL_alpha": _OPTIONAL, "CD0": _NON_NEGATIVE, "K": _NON_NEGATIVE},
-    ),
-    "vehicle": (Vehicle, {"mass": _POSITIVE, "thrust_offset": _OPTIONAL}),
-}
-_INTEGRATOR = {
-    "step": (0.1, (">", 0.0)),
-    "rel_tol": (1e-10, (">", 0.0)),
-    "abs_tol": (1e-12, (">", 0.0)),
-    "max_steps": (2_000_000, (">=", 1.0)),
-}
-_STOP = {"t_final": _POSITIVE, "radius": (None, (">", 0.0))}
-_TOP_LEVEL = {"t0": _OPTIONAL, "compare_points": (101, (">=", 2.0)), "csv_stride": (1, (">=", 1.0))}
+_RECORDS = {"body": CentralBody, "atmosphere": Atmosphere, "aero": AeroModel, "vehicle": Vehicle}
+# the YAML key of each number field that is not spelled as its name
+_YAML_KEYS = {"s": "S", "cl_alpha": "CL_alpha", "cd0": "CD0", "k": "K"}
 _PROFILES = ("alpha", "bank", "wb1", "thrust")
+
+# an initial-state key's rule: (default, bound) as errors.number takes them
+_POSITIVE = (MISSING, (">", 0.0))
+_NUMBER = (MISSING, None)
+_OPTIONAL = (0.0, None)
+_VECTOR = "3-vector"  # the rule of a key that holds three numbers
 
 # each initial-state kind's YAML keys, in the order of its state row
 _INITIAL_ROWS = {
@@ -175,12 +163,13 @@ class ScenarioConfig:
     integrator: IntegratorConfig
     stop: StopConditions
     parameterizations: tuple
-    t0: float = 0.0
-    compare_points: int = 101
-    csv_stride: int = 1
+    t0: float = number(0.0)
+    compare_points: int = number(101, (">=", 2.0))
+    csv_stride: int = number(1, (">=", 1.0))
     initial_rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_numbers(self)
         init = self.initial_state
         cart = PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
         rows = {}
@@ -280,27 +269,26 @@ class _Reader:
             value = {}
         return self._hand_out(data, key, value)
 
-    def fields(self, data, table) -> dict:
+    def row(self, data, table) -> dict:
         """The value of each key of ``table`` in the section ``data``, by key."""
         return {key: self.vector(data, key, 3) if rule is _VECTOR else self.number(data, key, *rule)
                 for key, rule in table.items()}
 
-    def number(self, data, key, default=_REQUIRED, bound=None):
-        """The number at ``key`` under the rule ``(default, bound)``."""
+    def numbers(self, data, record) -> dict:
+        """The value of each number field of ``record`` in the section ``data``, by field name."""
+        return {f.name: self.number(data, _YAML_KEYS.get(f.name, f.name), f.default, f.metadata["bound"])
+                for f in fields(record) if "bound" in f.metadata}
+
+    def number(self, data, key, default=MISSING, bound=None):
+        """The number at ``key`` under the rule of ``errors.number(default, bound)``."""
         raw = self._read(data, key, _ABSENT)
         if raw is _ABSENT:
-            if default is _REQUIRED:
+            if default is MISSING:
                 self.fail(data, key, "missing required value")
             return default
         value, problem = _as_float(raw)
-        if problem is None and bound is not None:
-            op, limit = bound
-            if not (value > limit if op == ">" else value >= limit):
-                problem = f"must be {op} {limit}, got {value}"
-        if problem is None and type(default) is int:
-            if value != int(value):
-                problem = f"must be a whole number, got {value}"
-            value = int(value)
+        if problem is None:
+            problem = number_problem(value, default, bound)
         if problem is not None:
             self.fail(data, key, problem)
             return default
@@ -374,7 +362,7 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     v = _Reader(data)
     name = v.name(data, "name", None, name_hint)
     sections = {key: v.section(data, key) for key in _RECORDS}
-    records = {key: v.fields(sections[key], table) for key, (_, table) in _RECORDS.items()}
+    records = {key: v.numbers(sections[key], record) for key, record in _RECORDS.items()}
     if v.number(sections["vehicle"], "thrust", 0.0) != 0.0:
         v.fail(sections["vehicle"], "thrust", "no force reads it; give the thrust as controls.thrust")
 
@@ -382,7 +370,7 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     kind = v.name(sec, "kind", tuple(_INITIAL_ROWS))
     if kind is None:  # a bad kind is the section's one message: its other keys go unchecked
         sec.clear()
-    row = v.fields(sec, _INITIAL_ROWS.get(kind, {}))
+    row = v.row(sec, _INITIAL_ROWS.get(kind, {}))
 
     ctl = v.section(data, "controls", required=False)
     profiles = {key: v.profile(ctl, key) for key in _PROFILES}
@@ -391,13 +379,13 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     sec = v.section(data, "integrator", required=False)
     method = v.name(sec, "method", METHODS, "rk45-adaptive")
     renormalize = v.name(sec, "renormalize", (True, False), True)
-    steps = v.fields(sec, _INTEGRATOR)
+    steps = v.numbers(sec, IntegratorConfig)
 
     sec = v.section(data, "stop")
-    stop = v.fields(sec, _STOP)
+    stop = v.numbers(sec, StopConditions)
     guards = v.names(sec, "expected_guards", _FORMS)
     params = v.names(data, "parameterizations", _FORMS, _FORMS)
-    top = v.fields(data, _TOP_LEVEL)
+    top = v.numbers(data, ScenarioConfig)
     v.unread()
 
     if not v.errors:
@@ -414,10 +402,7 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
                        f" time from t0 to stop.t_final, got knots {first:g} to {last:g}")
     if v.errors:
         raise ConfigError(v.errors)
-    environment = Environment(**{
-        key: record(**{k.lower(): x for k, x in records[key].items()})
-        for key, (record, _) in _RECORDS.items()
-    })
+    environment = Environment(**{key: record(**records[key]) for key, record in _RECORDS.items()})
     init = InitialState(kind=kind, y=np.hstack(list(row.values())))
     # a quaternion off unit norm, or an initial row that cannot be derived or
     # is not finite, is a config error, while a gauge singular there stays

@@ -123,8 +123,6 @@ def cartesian_to_rv(state: CartesianState) -> np.ndarray:
     """
     r = state.r
     v = state.v
-    if not r > 0.0:
-        raise ValueError("degenerate state: zero position")
     if not v > 0.0:
         raise ValueError("degenerate state: zero velocity")
     qa = _shortest_arc(state.position / r, _E3)
@@ -168,8 +166,6 @@ def cartesian_to_spherical(state: CartesianState) -> np.ndarray:
     to zero by convention.
     """
     r = state.r
-    if not r > 0.0:
-        raise ValueError("degenerate state: zero position")
     v = state.v
     if not v > 0.0:
         raise ValueError("degenerate state: zero velocity")

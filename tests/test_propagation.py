@@ -490,6 +490,24 @@ class TestEventOnInterpolant:
         assert y_event == [t_event] and calls[-1] == t_event
         assert abs(t_event - 10.0 * math.log(10.0)) < EVENT_TIME_TOL
 
+    def test_secant_root_rounded_onto_an_end_takes_the_midpoint(self):
+        # g_b is so small beside g_a that the secant root rounds onto t_b;
+        # the iterate is then the bracket's midpoint, twice: 0.5, then 0.75
+        calls = []
+
+        def radius_fn(y):
+            calls.append(y[0])
+            return y[0]
+
+        t_event, y_event = _locate_crossing(lambda s: [s], 0.0, 1.0, -1.0, 1e-300, radius_fn, 0.75)
+        t_ref, n_ref = illinois_root(
+            lambda t: t - 0.75, 0.0, 1.0, -1.0, 1e-300,
+            EVENT_RADIUS_TOL, EVENT_TIME_TOL, _EVENT_MAX_ITERATIONS,
+        )
+        assert calls == [0.5, 0.75]
+        assert (t_event, len(calls)) == (t_ref, n_ref) == (0.75, 2)
+        assert y_event == [0.75]
+
 
 class TestRenormalizationPolicy:
     def test_unit_state_unchanged(self):
@@ -797,7 +815,7 @@ class TestIntegratorConfig:
     def test_nonfinite_or_nonpositive_rejected(self, name, value):
         # a NaN tolerance used to pass and end a run as a misleading
         # "non-finite state" step failure
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             IntegratorConfig(**{name: value})
 
 

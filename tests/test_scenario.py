@@ -23,9 +23,12 @@ import quatflight.scenario as scenario_module
 from quatflight.bench import MIN_EVALS, benchmark_form
 from quatflight.cli import main as cli_main
 from quatflight.dynamics import PARAMETERIZATIONS
+from quatflight.environment import AeroModel, Atmosphere, CentralBody, Vehicle
 from quatflight.errors import ConfigError, SingularityError
+from quatflight.propagation import IntegratorConfig
 from quatflight.scenario import (
     CSV_COLUMNS,
+    StopConditions,
     bundled_scenario_path,
     initial_array_for,
     load_scenario,
@@ -364,6 +367,129 @@ class TestInitialRows:
             config.integrator = dataclasses.replace(config.integrator, step=1.0)
 
 
+# every number field of the records a scenario builds: (its section, or ""
+# at the top level, its YAML key, its field name, its bound)
+NUMBER_FIELDS = [
+    ("body", "mu", "mu", (">", 0.0)),
+    ("body", "radius", "radius", (">", 0.0)),
+    ("body", "spin_rate", "spin_rate", (">=", 0.0)),
+    ("atmosphere", "rho0", "rho0", (">=", 0.0)),
+    ("atmosphere", "scale_height", "scale_height", (">", 0.0)),
+    ("aero", "S", "s", (">", 0.0)),
+    ("aero", "CL_alpha", "cl_alpha", None),
+    ("aero", "CD0", "cd0", (">=", 0.0)),
+    ("aero", "K", "k", (">=", 0.0)),
+    ("vehicle", "mass", "mass", (">", 0.0)),
+    ("vehicle", "thrust_offset", "thrust_offset", None),
+    ("integrator", "step", "step", (">", 0.0)),
+    ("integrator", "rel_tol", "rel_tol", (">", 0.0)),
+    ("integrator", "abs_tol", "abs_tol", (">", 0.0)),
+    ("integrator", "max_steps", "max_steps", (">=", 1.0)),
+    ("stop", "t_final", "t_final", (">", 0.0)),
+    ("stop", "radius", "radius", (">", 0.0)),
+    ("", "t0", "t0", None),
+    ("", "compare_points", "compare_points", (">=", 2.0)),
+    ("", "csv_stride", "csv_stride", (">=", 1.0)),
+]
+COUNTS = ("max_steps", "compare_points", "csv_stride")
+
+
+def record_of(config, section):
+    """The record of ``config`` that holds the numbers of ``section``."""
+    if section in ("integrator", "stop"):
+        return getattr(config, section)
+    return getattr(config.environment, section) if section else config
+
+
+def bad_values(name, bound):
+    """NaN, and the nearest value past ``bound`` (an int for a count), with the phrase each breaks."""
+    cases = [(math.nan, "must be finite, got nan")]
+    if bound is not None:
+        op, limit = bound
+        past = limit if op == ">" else math.nextafter(limit, -math.inf)
+        if name in COUNTS:
+            past = int(limit) - 1
+        cases.append((past, f"must be {op} {limit}, got {float(past)!r}"))
+    return cases
+
+
+class TestNumberRules:
+    """One rule per number field, enforced by its record and reported by the reader."""
+
+    def test_the_table_holds_every_number_field(self):
+        config = parse_config(minimal_config_dict())
+        declared = {
+            (section, f.name)
+            for section in {row[0] for row in NUMBER_FIELDS}
+            for f in dataclasses.fields(record_of(config, section))
+            if "bound" in f.metadata
+        }
+        assert declared == {(section, name) for section, _, name, _ in NUMBER_FIELDS}
+
+    @pytest.mark.parametrize(
+        "section, key, name, value, phrase",
+        [
+            pytest.param(section, key, name, value, phrase, id=f"{section or 'top'}.{key}={value}")
+            for section, key, name, bound in NUMBER_FIELDS
+            for value, phrase in bad_values(name, bound)
+        ],
+    )
+    def test_record_and_reader_reject_with_one_phrase(self, section, key, name, value, phrase):
+        config = parse_config(minimal_config_dict())
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(record_of(config, section), **{name: value})
+        assert str(err.value) == f"{name} {phrase}"
+        data = minimal_config_dict()
+        (data[section] if section else data)[key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.messages == [f"{section + '.' if section else ''}{key}: {phrase}"]
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda c: dataclasses.replace(c, csv_stride=0), "csv_stride must be >= 1.0, got 0.0"),
+            (lambda c: dataclasses.replace(c, csv_stride=2.5), "csv_stride must be a whole number, got 2.5"),
+            (lambda c: dataclasses.replace(c, compare_points=1), "compare_points must be >= 2.0, got 1.0"),
+            (lambda c: StopConditions(t_final=10.0, radius=-1.0), "radius must be > 0.0, got -1.0"),
+            (lambda c: StopConditions(t_final=math.nan), "t_final must be finite, got nan"),
+            (lambda c: IntegratorConfig(max_steps=0.5), "max_steps must be >= 1.0, got 0.5"),
+        ],
+        ids=["csv_stride=0", "csv_stride=2.5", "compare_points=1", "stop.radius=-1",
+             "stop.t_final=nan", "max_steps=0.5"],
+    )
+    def test_a_record_built_through_the_api_keeps_the_file_rule(self, build, message):
+        config = parse_config(minimal_config_dict())
+        with pytest.raises(ValueError) as err:
+            build(config)
+        assert str(err.value) == message
+
+    def test_a_whole_float_count_is_held_as_an_int(self):
+        config = parse_config(minimal_config_dict())
+        counts = [
+            dataclasses.replace(config, csv_stride=7.0).csv_stride,
+            dataclasses.replace(config, compare_points=3.0).compare_points,
+            IntegratorConfig(max_steps=10.0).max_steps,
+        ]
+        assert counts == [7, 3, 10]
+        assert {type(n) for n in counts} == {int}
+
+    def test_an_absent_key_reads_the_record_default(self):
+        data = minimal_config_dict(integrator={})
+        data["body"] = {"mu": 1e14, "radius": 6e6}
+        data["atmosphere"] = {}
+        data["aero"] = {"S": 2.0}
+        config = parse_config(data)
+        env = config.environment
+        assert env.body == CentralBody(mu=1e14, radius=6e6)
+        assert env.atmosphere == Atmosphere() == Atmosphere(rho0=0.0, scale_height=8500.0)
+        assert env.aero == AeroModel(s=2.0, cl_alpha=0.0, cd0=0.0, k=0.0)
+        assert env.vehicle == Vehicle(mass=1000.0, thrust_offset=0.0)
+        assert config.integrator == IntegratorConfig()
+        assert (config.t0, config.compare_points, config.csv_stride) == (0.0, 101, 1)
+        assert config.stop == StopConditions(t_final=50.0)
+
+
 # what a mutation puts in place of a value: each YAML kind that is not a
 # number, and numbers beyond, at and just inside the edges of the float range
 FUZZ_VALUES = (
@@ -441,6 +567,17 @@ class TestCsvRoundTrip:
                 row.append("" if x != x else format(float(x), ".17g"))
             rebuilt.append(",".join(row))
         assert "\r\n".join(rebuilt) + "\r\n" == original or "\n".join(rebuilt) + "\n" == original
+
+    def test_stride_that_leaves_a_remainder_keeps_the_last_sample(self, tmp_path):
+        data = bundled_dict("circular_orbit")
+        data["csv_stride"] = 7
+        results, _, code = run_scenario(parse_config(data), params=["rv"], outdir=tmp_path)
+        assert code == 0
+        t = results[0].trajectory.t
+        assert (len(t) - 1) % 7 != 0
+        written = read_trajectory_csv(results[0].csv_path)["t"]
+        assert written.tolist() == [*t[::7], t[-1]]
+        assert written[-1] == t[-1]
 
     def test_blank_columns_for_cartesian(self, tmp_path):
         config = parse_config(minimal_config_dict(parameterizations=["cartesian"]))
