@@ -82,10 +82,7 @@ def cmd_run(args) -> int:
             line += f" -> {res.csv_path}"
         print(line)
     if report is not None:
-        worst = {
-            key: max(errs[0]) if errs[0] else float("nan")
-            for key, errs in report.pair_errors.items()
-        }
+        worst = {key: max(pair["e_r"], default=float("nan")) for key, pair in report["pairs"].items()}
         for key, err in sorted(worst.items()):
             print(f"max position difference {key}: {err:.6e} m")
     return exit_code

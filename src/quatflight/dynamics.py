@@ -488,10 +488,6 @@ def _beta(sigma, c21, c31):
     return atan2(sin(sigma) * c21 - cos(sigma) * c31, cos(sigma) * c21 + sin(sigma) * c31)
 
 
-def _sigma(beta, c21, c31):
-    return beta + atan2(c31, c21)
-
-
 # --- parameterization registry -------------------------------------------
 
 
@@ -523,15 +519,17 @@ def _rv_columns(y, bank, bank_mode):
 
     ``bank`` is the bank command of each row, a list of floats.  In
     ``beta`` mode the native bank ``sigma`` is the command plus the gauge's
-    offset from the {position, velocity} plane; ``beta`` is the native bank
-    measured from that plane.  Where the plane is undefined, in vertical
-    flight, ``beta`` is 0.0, and so is ``sigma`` in ``beta`` mode.
+    offset from the {position, velocity} plane, ``bank + atan2(c31, c21 +
+    0.0)``, the rule of the rv derivative, so in vertical flight too it is
+    the bank the derivative flew.  ``beta`` is the native bank measured
+    from that plane, and 0.0 where the plane is undefined, in vertical
+    flight.
     """
     c_ba = dcm_rows(renormalize_rows(y[:, 6:10]))
     c21, c31 = c_ba[:, 1, 0], c_ba[:, 2, 0]
     rows = list(zip(c21.tolist(), c31.tolist(), _vertical(c21, c31).tolist()))
     if bank_mode == "beta":
-        bank = [0.0 if vert else _sigma(b, a, c) for b, (a, c, vert) in zip(bank, rows)]
+        bank = [b + atan2(c, a + 0.0) for b, (a, c, _) in zip(bank, rows)]
     beta = [0.0 if vert else _beta(sig, a, c) for sig, (a, c, vert) in zip(bank, rows)]
     return {
         "norm_qa": row_norms(y[:, 1:5]),
@@ -543,15 +541,9 @@ def _rv_columns(y, bank, bank_mode):
     }
 
 
-_NO_QUATERNIONS = (
-    "norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
-    "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma",
-)
-
-
 def _baseline_columns(y, bank, bank_mode):
-    nan = np.full(len(y), np.nan)
-    return {**dict.fromkeys(_NO_QUATERNIONS, nan), "beta": np.array(bank, dtype=float)}
+    """The one gauge column of a form without quaternions: ``beta``, its bank command."""
+    return {"beta": np.array(bank, dtype=float)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,10 +562,10 @@ class Parameterization:
     * ``gauge_columns(y, bank, bank_mode)`` gives, for state rows ``y``
       (n, size) and the bank command ``bank`` of each row (a list of n
       floats) read in ``bank_mode``, one array per diagnostic column that
-      depends on the form: quaternion components and norms, the native
-      bank ``sigma`` and the plane-referenced bank ``beta`` (0.0 where it
-      is undefined).  Forms without quaternions give NaN for all of these
-      except ``beta``, which is their bank command.
+      depends on the form, and only the columns the form has: quaternion
+      components and norms, the native bank ``sigma`` and the
+      plane-referenced bank ``beta`` (0.0 where it is undefined).  A form
+      without quaternions has ``beta`` alone, its bank command.
     * ``quat_spans`` are the ``(lo, hi)`` slices of ``y`` holding unit
       quaternions (rvh's ``(eps_b3, eta_b)`` counts as one), which the
       propagator renormalizes and scenario loading checks.
@@ -674,8 +666,10 @@ def sample_diagnostics(name: str, t, y, controls: ControlProfile, env: Environme
     rows.  Position, velocity, their magnitudes, the angular-momentum
     magnitude and the specific orbital energy come from one
     ``to_cartesian_rows`` call; the form's ``gauge_columns`` add its
-    quaternion and bank-angle columns.  The commanded angle of attack and
-    bank come from one :meth:`ControlProfile.lookup`, called per sample
+    quaternion and bank-angle columns, only those the form has: a column
+    the form does not have is absent, so the quaternion forms give 23
+    columns and spherical and cartesian 12.  The commanded angle of attack
+    and bank come from one :meth:`ControlProfile.lookup`, called per sample
     time, so they are the commands the derivative flew.  Every value has
     the bits the per-sample arithmetic gives: the energy is Python-float
     arithmetic per row (float ``**`` is the C library's ``pow``).

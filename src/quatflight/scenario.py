@@ -154,6 +154,9 @@ class ScenarioConfig:
     the parsed array, rvl and rvh are the rv row through ``from_rv``, and
     rv, spherical and cartesian come from one conversion of the native
     state to Cartesian coordinates, which renormalizes its quaternions.
+    Before that, a quaternion block of the initial state whose norm is off
+    by more than 1e-9 is a ``ValueError``, as in a scenario file, and one
+    off by more than 1e-12 is renormalized in place.
     """
 
     name: str
@@ -171,6 +174,7 @@ class ScenarioConfig:
     def __post_init__(self):
         check_numbers(self)
         init = self.initial_state
+        _check_unit_blocks(init)
         cart = PARAMETERIZATIONS[init.kind].to_cartesian(init.y)
         rows = {}
         for form, spec in PARAMETERIZATIONS.items():
@@ -410,7 +414,6 @@ def parse_config(data: dict, name_hint: str = "scenario") -> ScenarioConfig:
     # as valid states underflow on the way to rows
     try:
         with np.errstate(over="raise", invalid="raise"):
-            _check_unit_blocks(init)
             return ScenarioConfig(
                 name=name,
                 environment=environment,
@@ -514,8 +517,8 @@ def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
 
     The written rows are selected first and converted in one
     ``sample_diagnostics`` call, so a long trajectory with a coarse stride
-    never converts the samples it does not write.  A NaN cell is left
-    blank: it marks a column that does not apply to the form.
+    never converts the samples it does not write.  A column missing from
+    the diagnostics, one the form does not have, is left blank.
     """
     idx = list(range(0, len(trajectory), config.csv_stride))
     if idx[-1] != len(trajectory) - 1:
@@ -523,60 +526,29 @@ def write_trajectory_csv(path, name, trajectory, config: ScenarioConfig) -> str:
     t = trajectory.t[idx]
     columns = sample_diagnostics(name, t, trajectory.y[idx], config.controls, config.environment)
     columns["t"] = t
-    # one %-template per row: an empty field for an all-NaN column, "%.17g"
-    # for any other; finite rows give no column that mixes NaN and numbers
-    fields, cells = [], []
-    for col in CSV_COLUMNS:
-        values = columns[col]
-        if np.isnan(values).all():
-            fields.append("")
-        else:
-            fields.append("%.17g")
-            cells.append(values.tolist())
-    row = ",".join(fields) + "\r\n"
+    # one %-template per row: "%.17g" for each column the form has, an
+    # empty field for each column it does not have
+    row = ",".join("%.17g" if col in columns else "" for col in CSV_COLUMNS) + "\r\n"
+    cells = [columns[col].tolist() for col in CSV_COLUMNS if col in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         fh.writelines(row % values for values in zip(*cells))
     return str(path)
 
 
-@dataclass(eq=False)
-class ComparisonReport:
-    """Cross-parameterization agreement on a shared time grid."""
+def build_comparison(config: ScenarioConfig, results) -> dict:
+    """The comparison report as the JSON mapping it is written as.
 
-    scenario: str
-    times: dict
-    pair_errors: dict
-    final_states: dict
-    norm_drift: dict
-    timing: dict
-
-    def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "pairs": {
-                key: {"t": list(map(float, self.times[key])), "e_r": list(map(float, er[0])), "e_v": list(map(float, er[1]))}
-                for key, er in self.pair_errors.items()
-            },
-            "final_states": self.final_states,
-            "norm_drift": self.norm_drift,
-            "timing": self.timing,
-        }
-        return json.dumps(payload, indent=2)
-
-
-def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
-    """Pairwise position/speed differences at the shared output times.
-
-    Each form's output-time samples (``Trajectory.t_eval``) and its final
-    sample are converted to Cartesian coordinates in one
+    Its keys are ``scenario``, ``pairs`` (``"<a>|<b>"`` to the shared
+    output times ``t`` and the position and speed differences ``e_r`` and
+    ``e_v`` there), ``final_states``, ``norm_drift`` and ``timing``, each
+    by form.  Each form's output-time samples (``Trajectory.t_eval``) and
+    its final sample are converted to Cartesian coordinates in one
     ``to_cartesian_rows`` call.  Every form samples a prefix of the same
     sorted grid from ``t0``, so a pair shares the shorter prefix.
     """
+    report = {"scenario": config.name, "pairs": {}, "final_states": {}, "norm_drift": {}, "timing": {}}
     samples = {}  # name -> (output times, p, speed)
-    norm_drift = {}
-    timing = {}
-    final_states = {}
     for res in results:
         if res.trajectory is None:
             continue
@@ -585,16 +557,16 @@ def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
         p, v = spec.to_cartesian_rows(np.concatenate((traj.y_eval, traj.y[-1:])))
         speed = row_norms(v)
         samples[res.name] = (traj.t_eval, p, speed)
-        timing[res.name] = {
+        report["timing"][res.name] = {
             "wall_time_s": traj.wall_time,
             "derivative_evaluations": traj.n_evals,
             "accepted_steps": traj.n_steps,
             "rejected_steps": traj.n_rejected,
         }
-        norm_drift[res.name] = [
+        report["norm_drift"][res.name] = [
             float(np.max(np.abs(row_norms(traj.y[:, lo:hi]) - 1.0))) for lo, hi in spec.quat_spans
         ]
-        final_states[res.name] = {
+        report["final_states"][res.name] = {
             "t": float(traj.t[-1]),
             "position": p[-1].tolist(),
             "velocity": v[-1].tolist(),
@@ -603,27 +575,17 @@ def build_comparison(config: ScenarioConfig, results) -> ComparisonReport:
             "stop": res.event.kind,
         }
 
-    pair_errors = {}
-    times = {}
     names = list(samples)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             (t_a, p_a, speed_a), (t_b, p_b, speed_b) = samples[a], samples[b]
             n = min(len(t_a), len(t_b))
-            key = f"{a}|{b}"
-            times[key] = t_a[:n].tolist()
-            pair_errors[key] = (
-                row_norms(p_a[:n] - p_b[:n]).tolist(),
-                np.abs(speed_a[:n] - speed_b[:n]).tolist(),
-            )
-    return ComparisonReport(
-        scenario=config.name,
-        times=times,
-        pair_errors=pair_errors,
-        final_states=final_states,
-        norm_drift=norm_drift,
-        timing=timing,
-    )
+            report["pairs"][f"{a}|{b}"] = {
+                "t": t_a[:n].tolist(),
+                "e_r": row_norms(p_a[:n] - p_b[:n]).tolist(),
+                "e_v": np.abs(speed_a[:n] - speed_b[:n]).tolist(),
+            }
+    return report
 
 
 def run_scenario(
@@ -638,9 +600,10 @@ def run_scenario(
     -------
     (results, report, exit_code)
         ``results`` is a list of :class:`RunResult`; ``report`` is the
-        :class:`ComparisonReport` or None; ``exit_code`` follows the CLI
-        contract (0 ok, 3 unexpected singularity guard, 4 integration
-        failure).
+        comparison report as its JSON mapping (:func:`build_comparison`),
+        written as ``json.dumps(report, indent=2)``, or None without
+        ``compare``; ``exit_code`` follows the CLI contract (0 ok, 3
+        unexpected singularity guard, 4 integration failure).
     """
     chosen = tuple(params) if params else config.parameterizations
     bad = [p for p in chosen if p not in PARAMETERIZATIONS]
@@ -664,7 +627,7 @@ def run_scenario(
     if compare:
         report = build_comparison(config, results)
         report_path = out_path / f"{config.name}_comparison.json"
-        report_path.write_text(report.to_json())
+        report_path.write_text(json.dumps(report, indent=2))
 
     stops = {res.name: res.event.kind for res in results}
     return results, report, exit_code_for(stops, config.stop.expected_guards)

@@ -11,6 +11,7 @@ land on the grid.
 
 import csv
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quatflight import cli, scenario
+from quatflight import cli, dynamics, scenario
 from quatflight.controls import ControlProfile, PiecewiseLinear
 from quatflight.dynamics import (
     PARAMETERIZATIONS,
@@ -30,7 +31,6 @@ from quatflight.propagation import Trajectory
 from quatflight.quat import dcm_from_quat, twist
 from quatflight.scenario import (
     CSV_COLUMNS,
-    ComparisonReport,
     build_comparison,
     bundled_scenario_path,
     load_scenario,
@@ -148,21 +148,12 @@ def ref_ten_parameter_columns(native_bank):
 def ref_rv_bank(t, controls, c_ba):
     if controls.bank_mode == "sigma":
         return profile_value(controls.bank, t)
-    try:
-        return ref_sigma_from_beta(profile_value(controls.bank, t), c_ba)
-    except _Vertical:
-        return 0.0
-
-
-REF_NO_QUATERNIONS = dict.fromkeys(
-    ("norm_qa", "norm_qb", "eps_a1", "eps_a2", "eps_a3", "eta_a",
-     "eps_b1", "eps_b2", "eps_b3", "eta_b", "sigma"),
-    float("nan"),
-)
+    # the rv derivative's rule, in vertical flight too; + 0.0 turns a -0.0 into +0.0
+    return profile_value(controls.bank, t) + math.atan2(c_ba[2, 0], c_ba[1, 0] + 0.0)
 
 
 def ref_baseline_columns(t, y, controls):
-    return {**REF_NO_QUATERNIONS, "beta": profile_value(controls.bank, t)}
+    return {"beta": profile_value(controls.bank, t)}
 
 
 REF_GAUGE_COLUMNS = {
@@ -197,8 +188,6 @@ def ref_sample_diagnostics(name, t, y, controls, env):
 
 
 def ref_fmt(x):
-    if x != x:
-        return ""
     return format(float(x), ".17g")
 
 
@@ -214,7 +203,9 @@ def ref_write_trajectory_csv(path, name, trajectory, config):
         for i in idx:
             t = float(trajectory.t[i])
             diag = ref_sample_diagnostics(name, t, trajectory.y[i], config.controls, env)
-            writer.writerow([ref_fmt(t)] + [ref_fmt(diag[col]) for col in CSV_COLUMNS[1:]])
+            # a column the form does not have is an empty cell
+            cells = [ref_fmt(diag[col]) if col in diag else "" for col in CSV_COLUMNS[1:]]
+            writer.writerow([ref_fmt(t)] + cells)
 
 
 def ref_build_comparison(config, results):
@@ -248,7 +239,7 @@ def ref_build_comparison(config, results):
             "v": cart_final.v,
             "stop": res.event.kind,
         }
-    pair_errors, times = {}, {}
+    pairs = {}
     names = list(samples)
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
@@ -257,22 +248,20 @@ def ref_build_comparison(config, results):
                 continue
             e_r = [float(np.linalg.norm(samples[a][t].position - samples[b][t].position)) for t in shared]
             e_v = [abs(samples[a][t].v - samples[b][t].v) for t in shared]
-            times[f"{a}|{b}"] = shared
-            pair_errors[f"{a}|{b}"] = (e_r, e_v)
-    return ComparisonReport(
-        scenario=config.name,
-        times=times,
-        pair_errors=pair_errors,
-        final_states=final_states,
-        norm_drift=norm_drift,
-        timing=timing,
-    )
+            pairs[f"{a}|{b}"] = {"t": shared, "e_r": e_r, "e_v": e_v}
+    return {
+        "scenario": config.name,
+        "pairs": pairs,
+        "final_states": final_states,
+        "norm_drift": norm_drift,
+        "timing": timing,
+    }
 
 
 def assert_columns_match_reference(name, t, y, controls, env):
     columns = sample_diagnostics(name, t, y, controls, env)
-    assert set(columns) == set(CSV_COLUMNS) - {"t"}
     rows = [ref_sample_diagnostics(name, float(tk), yk, controls, env) for tk, yk in zip(t, y)]
+    assert set(columns) == set(rows[0])
     for col, values in columns.items():
         assert values.shape == (len(t),), (name, col)
         expected = np.array([row[col] for row in rows], dtype=float)
@@ -312,13 +301,13 @@ class TestMatchesPerRowReference:
 
     def test_comparison_json_byte_identical(self, bundled_runs):
         for name, (config, results, report, outdir) in bundled_runs.items():
-            expected = ref_build_comparison(config, results).to_json()
-            assert report.to_json() == expected, name
+            expected = json.dumps(ref_build_comparison(config, results), indent=2)
+            assert json.dumps(report, indent=2) == expected, name
             assert (outdir / f"{name}_comparison.json").read_text() == expected, name
 
     def test_report_rebuilt_from_the_same_results_is_identical(self, bundled_runs):
         config, results, report, _ = bundled_runs["entry_table3"]
-        assert build_comparison(config, results).to_json() == report.to_json()
+        assert json.dumps(build_comparison(config, results), indent=2) == json.dumps(report, indent=2)
 
 
 @pytest.fixture(scope="module")
@@ -452,12 +441,39 @@ class TestColumnsMatchReference:
 
     @pytest.mark.parametrize("form", ["rv", "rvh"])
     def test_vertical_rows_take_the_guard_branches(self, form):
-        # the near-vertical rows give beta and the native sigma exactly 0.0
+        # the near-vertical rows give beta exactly 0.0, and the native sigma
+        # the rv derivative's rule: the command plus atan2(c31, c21 + 0.0)
         y = random_rows(form, np.random.default_rng(5), n=0)
-        columns = sample_diagnostics(form, np.full(len(y), 50.0), y, _controls("beta"), ENV)
+        controls = _controls("beta")
+        columns = sample_diagnostics(form, np.full(len(y), 50.0), y, controls, ENV)
         guarded = columns["beta"] == 0.0
         assert 2 <= guarded.sum() < len(y)
-        assert np.all(columns["sigma"][guarded] == 0.0)
+        command = profile_value(controls.bank, 50.0)
+        for row, sigma in zip(y[guarded], columns["sigma"][guarded]):
+            c_ba = ref_dcm(unit((ref_widened(row) if form == "rvh" else row)[6:10]))
+            assert sigma == command + math.atan2(c_ba[2, 0], c_ba[1, 0] + 0.0)
+
+    def test_beta_mode_sigma_in_vertical_flight_is_the_bank_flown(self, monkeypatch, tmp_path):
+        # vertical_dive's rv row at alpha 0.1 and bank 0.3 in beta mode: the
+        # CSV's sigma is the angle the rv derivative passes to cos
+        config = load_scenario(bundled_scenario_path("vertical_dive"))
+        config = dataclasses.replace(config, controls=constant_controls(alpha=0.1, bank=0.3, bank_mode="beta"))
+        y0 = config.initial_rows["rv"]
+        rhs = PARAMETERIZATIONS["rv"].make_rhs(config.controls, config.environment)
+        angles = []
+
+        def recording_cos(x):
+            angles.append(x)
+            return math.cos(x)
+
+        monkeypatch.setattr(dynamics, "cos", recording_cos)
+        rhs(config.t0, y0.tolist())
+        monkeypatch.undo()
+        traj = Trajectory(t=np.array([config.t0]), y=y0[None, :])
+        write_trajectory_csv(tmp_path / "rv.csv", "rv", traj, config)
+        with open(tmp_path / "rv.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert angles == [float(row["sigma"])] == [0.3]
 
     @pytest.mark.parametrize("form", list(PARAMETERIZATIONS))
     def test_one_row(self, form):

@@ -367,6 +367,33 @@ class TestVerticalBankRule:
             rates("rvl", y, make_env(), alpha=0.05, bank=1.0, bank_mode="beta")
 
 
+class TestStateGuards:
+    """Each derivative refuses a zero radius and a zero speed, the boundary values themselves."""
+
+    STATE = CartesianState(np.array([EARTH.radius + 5e4, 0.0, 0.0]), np.array([300.0, 2900.0, 500.0]))
+
+    def zeroed(self, form, lo, hi):
+        y = initial_row(form, self.STATE, constant_controls())
+        y[lo:hi] = 0.0
+        return y.tolist()
+
+    # the components of each form's row that its radius is, or is the norm of
+    @pytest.mark.parametrize("form, lo, hi", [
+        ("rv", 0, 1), ("rvl", 0, 1), ("rvh", 0, 1), ("spherical", 0, 1), ("cartesian", 0, 3),
+    ])
+    def test_zero_radius(self, form, lo, hi):
+        with pytest.raises(SingularityError, match="^nonpositive radius$"):
+            rates(form, self.zeroed(form, lo, hi), make_env(), alpha=0.1, bank=0.3)
+
+    # likewise for the speed
+    @pytest.mark.parametrize("form, lo, hi", [
+        ("rv", 5, 6), ("rvl", 5, 6), ("rvh", 5, 6), ("spherical", 3, 4), ("cartesian", 3, 6),
+    ])
+    def test_zero_speed(self, form, lo, hi):
+        with pytest.raises(SingularityError, match="^kinetic singularity: nonpositive speed$"):
+            rates(form, self.zeroed(form, lo, hi), make_env(), alpha=0.1, bank=0.3)
+
+
 class TestRvlDerivatives:
     def test_matches_rv_without_lift(self):
         rng = np.random.default_rng(13)

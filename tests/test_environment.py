@@ -228,6 +228,13 @@ class TestPiecewiseLinear:
         with pytest.raises(ValueError):
             PiecewiseLinear([0.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, math.inf], [1.0, 2.0]), ([-math.inf], [1.0]), ([0.0, 1.0], [1.0, math.nan]), ([0.0], [-math.inf]),
+    ])
+    def test_nonfinite_knot_rejected(self, times, values):
+        with pytest.raises(ValueError, match="^times and values must be finite$"):
+            PiecewiseLinear(times, values)
+
     def test_profile_knots(self):
         profile = ControlProfile(
             alpha=PiecewiseLinear([0.0, 5.0], [0.1, 0.0]),

@@ -609,6 +609,12 @@ class TestGuardsAndBudget:
             assert event.y_event.tolist() == traj.y[-1].tolist()
 
     @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+    def test_empty_span_rejected(self, method):
+        cfg = IntegratorConfig(method=method)
+        with pytest.raises(ValueError, match="^t_final must exceed t0$"):
+            propagate(lambda t, y: [1.0], 5.0, [0.0], 5.0, cfg)
+
+    @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
     def test_step_that_cannot_move_time_ends_the_run(self, method):
         # at t0 = 1e300 a spacing of floats is about 1e284, so t + h rounds
         # to t for any step the span allows: no step could ever land
@@ -810,6 +816,11 @@ class TestStepSizeControl:
 
 
 class TestIntegratorConfig:
+    @pytest.mark.parametrize("method", ["rk4", "RK45-adaptive", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ValueError, match=f"^unknown integration method {method!r}$"):
+            IntegratorConfig(method=method)
+
     @pytest.mark.parametrize("name", ["step", "rel_tol", "abs_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
     def test_nonfinite_or_nonpositive_rejected(self, name, value):

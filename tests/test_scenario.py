@@ -28,6 +28,7 @@ from quatflight.errors import ConfigError, SingularityError
 from quatflight.propagation import IntegratorConfig
 from quatflight.scenario import (
     CSV_COLUMNS,
+    InitialState,
     StopConditions,
     bundled_scenario_path,
     initial_array_for,
@@ -82,6 +83,18 @@ class TestConfigValidation:
         assert "body.mu" in messages
         assert "vehicle.mass" in messages
         assert "stop.t_final" in messages
+
+    @pytest.mark.parametrize("data", [None, [], ["name", "mini"], "name: mini", 3])
+    def test_top_level_that_is_not_a_mapping_rejected(self, data, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.messages == ["top level: must be a mapping"]
+        # and from a file; an empty one loads as None
+        path = tmp_path / "top.yaml"
+        path.write_text(yaml.safe_dump(data) if data is not None else "")
+        with pytest.raises(ConfigError) as err:
+            load_scenario(path)
+        assert err.value.messages == ["top level: must be a mapping"]
 
     def test_bad_parameterization_rejected(self):
         data = minimal_config_dict(parameterizations=["rv", "polar"])
@@ -361,6 +374,31 @@ class TestInitialRows:
         assert rvl[6:10].tobytes() == twist(rv[6:10], 0.5).tobytes()
         assert rvl.tobytes() != initial_array_for("rvl", config).tobytes()
 
+    def test_a_config_built_in_code_checks_quaternion_norms_as_a_file_does(self):
+        config = load_scenario(bundled_scenario_path("entry_table3"))
+        y = config.initial_rows["rv"].copy()
+        y[6:10] *= 1.5
+        with pytest.raises(ValueError, match=r"^quaternion norm 1\.500+\d* violates unit constraint$"):
+            dataclasses.replace(config, initial_state=InitialState("rv", y.copy()))
+        with pytest.raises(ConfigError, match=r"^initial_state: quaternion norm 1\.500+\d* violates unit"):
+            parse_config(minimal_config_dict(initial_state=initial_state_fields("rv", y)))
+        # off by more than the keep tolerance, the block is renormalized
+        y[6:10] *= (1.0 + 1e-10) / 1.5
+        rows = dataclasses.replace(config, initial_state=InitialState("rv", y.copy())).initial_rows
+        assert abs(float(np.linalg.norm(rows["rv"][6:10])) - 1.0) < 1e-15
+        assert rows["rv"][:6].tobytes() == y[:6].tobytes()
+
+    def test_a_row_that_overflows_is_not_finite(self):
+        # a file's overflow is trapped on the way ("initial_state: overflow
+        # encountered ..."); a config built in code meets the rows' finite check
+        config = load_scenario(bundled_scenario_path("circular_orbit"))
+        init = InitialState("cartesian", np.array([1e200, 0.0, 0.0, 0.0, 1e3, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^the rv initial state is not finite$"):
+                dataclasses.replace(config, initial_state=init)
+        with pytest.raises(ConfigError, match="^initial_state: overflow encountered"):
+            parse_config(minimal_config_dict(initial_state=initial_state_fields("cartesian", init.y)))
+
     def test_fields_cannot_be_assigned(self):
         config = load_scenario(bundled_scenario_path("circular_orbit"))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -599,6 +637,14 @@ class TestRunScenario:
         errors = payload["pairs"]["rv|cartesian"]["e_r"]
         assert max(errors) < 1.0
         assert payload["timing"]["rv"]["derivative_evaluations"] > 0
+
+    def test_unknown_parameterization_rejected_before_any_output(self, tmp_path):
+        config = load_scenario(bundled_scenario_path("circular_orbit"))
+        outdir = tmp_path / "out"
+        with pytest.raises(ConfigError) as err:
+            run_scenario(config, params=["rv", "polar", "cartesian"], outdir=outdir, compare=True)
+        assert err.value.messages == ["parameterizations: unknown entries ['polar']"]
+        assert not outdir.exists()
 
     def test_unexpected_guard_exit_code(self, tmp_path):
         data = minimal_config_dict(
@@ -1167,7 +1213,8 @@ class TestPackageExports:
         ),
         "environment": ("ControlInput", "density", "aero_forces", "net_force_B", "apparent_force_B"),
         "dynamics": ("beta_from_sigma", "sigma_from_beta", "beta_rate"),
-        "scenario": ("read_trajectory_csv",),
+        # the comparison report is the JSON mapping it is written as
+        "scenario": ("read_trajectory_csv", "ComparisonReport"),
         "bench": ("benchmark_derivatives",),
         # a state is its form's row, and a quaternion four floats of one
         "states": (
@@ -1306,8 +1353,8 @@ class TestEntryScenarioInvariants:
         )
         assert code == 0
         key = "rv|cartesian"
-        times = np.array(report.times[key])
-        e_r = np.array(report.pair_errors[key][0])
+        times = np.array(report["pairs"][key]["t"])
+        e_r = np.array(report["pairs"][key]["e_r"])
         early = e_r[times <= 100.0]
         assert len(early) >= 5
         assert np.max(early) < 1.0

@@ -244,6 +244,23 @@ class TestTwist:
 
 class TestStateValidation:
     # a state's validity rules live in its form's row conversion
+    @pytest.mark.parametrize("position, velocity", [
+        (np.zeros(2), np.ones(3)), (np.ones(3), np.ones(4)), (np.ones((1, 3)), np.ones(3)), (1.0, np.ones(3)),
+    ])
+    def test_cartesian_state_takes_two_3_vectors(self, position, velocity):
+        with pytest.raises(ValueError, match="^position and velocity must be 3-vectors$"):
+            CartesianState(position, velocity)
+
+    @pytest.mark.parametrize("position", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [math.nan, 0.0, 0.0]])
+    def test_cartesian_state_position_nonzero(self, position):
+        with pytest.raises(ValueError, match="^position must be nonzero$"):
+            CartesianState(np.array(position), np.array([0.0, 100.0, 0.0]))
+
+    def test_spherical_of_zero_velocity_rejected(self):
+        state = CartesianState(np.array([R_EARTH, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="^degenerate state: zero velocity$"):
+            cartesian_to_spherical(state)
+
     def test_rv_rejects_nonpositive(self):
         to_cartesian = PARAMETERIZATIONS["rv"].to_cartesian
         with pytest.raises(ValueError, match="radius must be positive, got -1.0"):
